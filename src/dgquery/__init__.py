@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from .baseline import DeltaOracle, RescanEngine, enumerate_matches, vf2_matches_containing
-from .bench import STRATEGIES, BenchReport, run_strategy, run_sweep
-from .engine import Counters, Engine, ResultLog, match_primitive
+from .bench import STRATEGIES, BenchReport, make_engine, run_strategy, run_sweep
+from .engine import Counters, Engine, match_primitive
 from .errors import (
     ContractError,
     DgqError,
@@ -25,7 +25,6 @@ from .generate import (
     social_schema,
 )
 from .graph import (
-    DegreeStats,
     DynamicGraph,
     EdgeRecord,
     RawEdge,
@@ -45,7 +44,6 @@ from .planner import (
     relative_selectivity,
 )
 from .query import (
-    EMPTY_MATCH,
     Match,
     QueryEdge,
     QueryGraph,
@@ -53,10 +51,8 @@ from .query import (
     format_query,
     join,
     parse_query,
-    project,
-    time_span,
 )
-from .sjtree import SJTree, SJTreeNode, join_key
+from .sjtree import SJTree, SJTreeNode
 from .stats import (
     SelectivityTable,
     collect_stats,
@@ -73,7 +69,6 @@ __all__ = [
     "RawEdge",
     "EdgeRecord",
     "DynamicGraph",
-    "DegreeStats",
     "parse_edge_line",
     "format_edge_line",
     "read_edge_stream",
@@ -82,16 +77,12 @@ __all__ = [
     "QueryEdge",
     "QueryPiece",
     "Match",
-    "EMPTY_MATCH",
     "join",
-    "project",
-    "time_span",
     "parse_query",
     "format_query",
     # join tree
     "SJTree",
     "SJTreeNode",
-    "join_key",
     # statistics
     "SelectivityTable",
     "collect_stats",
@@ -111,7 +102,6 @@ __all__ = [
     # engines
     "Engine",
     "Counters",
-    "ResultLog",
     "match_primitive",
     "RescanEngine",
     "vf2_matches_containing",
@@ -129,6 +119,7 @@ __all__ = [
     # bench
     "STRATEGIES",
     "BenchReport",
+    "make_engine",
     "run_strategy",
     "run_sweep",
     # errors

@@ -1,6 +1,6 @@
-"""Reference matchers the incremental engines are checked against.
+"""Reference matchers the incremental engine is checked against.
 
-Two separate routes, deliberately sharing no search code with the engines:
+Two separate routes, deliberately sharing no search code with the engine:
 
 * ``RescanEngine`` — per arriving edge, a VF2-style backtracking search over
   the whole live window, seeded so every returned match contains the new
@@ -15,9 +15,8 @@ Two separate routes, deliberately sharing no search code with the engines:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .engine import Counters, ResultLog
+from .engine import Counters
 from .errors import ContractError
 from .graph import DynamicGraph, EdgeRecord, RawEdge
 from .query import Match, QueryGraph
@@ -208,7 +207,7 @@ class RescanEngine:
         self.query = query
         self.window = window
         self.graph = DynamicGraph(window)
-        self.log = ResultLog()
+        self.log: list[Match] = []
         self.counters = Counters()
         self._seen: set[tuple[tuple[int, int], ...]] = set()
 
@@ -226,11 +225,6 @@ class RescanEngine:
             self.counters.emitted += 1
             fresh.append(m)
         return fresh
-
-    def run(self, records: Iterable[RawEdge]):
-        for raw in records:
-            self.process(raw)
-        return self.log
 
 
 # ------------------------------------------------------------------- oracle

@@ -1,15 +1,18 @@
-"""Benchmark harness: run one stream under several strategies and compare.
+"""Strategy factory and benchmark harness.
 
-Every strategy must emit the same set of match signatures; a disagreement is
-a :class:`MismatchError`, which the command line surfaces as its own exit
-code.  Timing uses ``time.perf_counter`` around the ingest loop only (graph
-and tree construction are excluded).
+``make_engine`` is the one place a strategy name becomes an engine: the
+rescan baseline for ``vf2``, otherwise a planned ``Engine``.  The harness
+runs one stream under several strategies, and every strategy must emit the
+same set of match signatures; a disagreement is a :class:`MismatchError`,
+which the command line surfaces as its own exit code.  Timing uses
+``time.perf_counter`` around the ingest loop only (graph and tree
+construction are excluded).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .baseline import RescanEngine
 from .engine import Engine
@@ -19,7 +22,7 @@ from .planner import Plan, plan_query
 from .query import QueryGraph
 from .stats import SelectivityTable, collect_stats
 
-__all__ = ["STRATEGIES", "BenchReport", "run_strategy", "run_sweep", "bin_reports"]
+__all__ = ["STRATEGIES", "BenchReport", "make_engine", "run_strategy", "run_sweep", "bin_reports"]
 
 STRATEGIES = ("single", "singlelazy", "path", "pathlazy", "vf2")
 
@@ -61,9 +64,27 @@ class BenchReport:
         return out
 
 
-def _plan_for(strategy: str, query: QueryGraph, table: SelectivityTable) -> Plan:
-    mode = "path" if strategy.startswith("path") else "single"
-    return plan_query(query, table, mode=mode)
+def make_engine(
+    strategy: str,
+    query: QueryGraph,
+    window: int | None,
+    table: SelectivityTable,
+) -> tuple[Engine | RescanEngine, Plan | None, str]:
+    """Build the engine for ``auto`` or any name in ``STRATEGIES``.
+
+    Returns the engine, its plan (None for ``vf2``) and the resolved strategy
+    name: ``auto`` resolves to the planner's choice.
+    """
+    if strategy == "vf2":
+        return RescanEngine(query, window), None, strategy
+    if strategy == "auto":
+        plan = plan_query(query, table, mode="auto")
+        strategy = plan.strategy.lower()
+    elif strategy in STRATEGIES:
+        plan = plan_query(query, table, mode="path" if strategy.startswith("path") else "single")
+    else:
+        raise ContractError(f"unknown strategy {strategy!r}")
+    return Engine(query, plan.tree, window, lazy=strategy.endswith("lazy")), plan, strategy
 
 
 def run_strategy(
@@ -74,25 +95,7 @@ def run_strategy(
     table: SelectivityTable,
 ) -> tuple[BenchReport, set]:
     """Run one strategy over the stream; return its report and signature set."""
-    if strategy not in STRATEGIES:
-        raise ContractError(f"unknown strategy {strategy!r}")
-    if strategy == "vf2":
-        eng = RescanEngine(query, window)
-        start = time.perf_counter()
-        for raw in records:
-            eng.process(raw)
-        wall = time.perf_counter() - start
-        report = BenchReport(
-            strategy=strategy,
-            edges=len(records),
-            wall_ms=wall * 1000.0,
-            edges_per_sec=len(records) / wall if wall > 0 else float("inf"),
-            emitted=eng.counters.emitted,
-        )
-        return report, set(eng.log.signatures)
-
-    plan = _plan_for(strategy, query, table)
-    eng = Engine(query, plan.tree, window, lazy=strategy.endswith("lazy"))
+    eng, plan, _ = make_engine(strategy, query, window, table)
     start = time.perf_counter()
     for raw in records:
         eng.process(raw)
@@ -103,12 +106,13 @@ def run_strategy(
         wall_ms=wall * 1000.0,
         edges_per_sec=len(records) / wall if wall > 0 else float("inf"),
         emitted=eng.counters.emitted,
-        match_calls=eng.counters.match_calls,
-        peak_stored=eng.tree.peak_stored,
-        expected_selectivity=plan.expected,
-        relative_selectivity=plan.relative,
     )
-    return report, set(eng.log.signatures)
+    if plan is not None:
+        report.match_calls = eng.counters.match_calls
+        report.peak_stored = eng.tree.peak_stored
+        report.expected_selectivity = plan.expected
+        report.relative_selectivity = plan.relative
+    return report, {m.pairs for m in eng.log}
 
 
 def run_sweep(
@@ -117,7 +121,6 @@ def run_sweep(
     window: int | None,
     strategies: Iterable[str] = STRATEGIES,
     table: SelectivityTable | None = None,
-    runner: Callable[..., tuple[BenchReport, set]] = run_strategy,
 ) -> list[BenchReport]:
     """Run several strategies and require signature-identical results."""
     if table is None:
@@ -125,7 +128,7 @@ def run_sweep(
     reports: list[BenchReport] = []
     sigs: dict[str, set] = {}
     for strategy in strategies:
-        report, got = runner(strategy, query, records, window, table)
+        report, got = run_strategy(strategy, query, records, window, table)
         reports.append(report)
         sigs[strategy] = got
     names = list(sigs)

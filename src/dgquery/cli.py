@@ -17,7 +17,6 @@ from random import Random
 from typing import Sequence
 
 from . import bench as bench_mod
-from .engine import Engine
 from .errors import DgqError, MismatchError, ParseError
 from .generate import SCHEMAS, generate_stream, random_query
 from .graph import format_edge_line, read_edge_stream
@@ -43,16 +42,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_window(text: str) -> int | None:
-    if text.lower() in ("inf", "none", "unbounded"):
-        return None
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"window must be an integer or 'inf', got {text!r}")
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("window must be >= 1")
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
     return value
+
+
+def _parse_window(text: str) -> int | None:
+    if text.lower() in ("inf", "none", "unbounded"):
+        return None
+    return _positive_int(text)
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -164,42 +167,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         table = collect_stats(records)
 
-    strategy = args.strategy
-    if strategy == "auto":
-        plan = plan_query(query, table, mode="auto")
-        strategy = plan.strategy.lower()
-    elif strategy == "vf2":
-        plan = None
-    else:
-        plan = plan_query(
-            query, table, mode="path" if strategy.startswith("path") else "single"
-        )
-
+    eng, _, strategy = bench_mod.make_engine(args.strategy, query, args.window, table)
     out, close = _open_out(args.out)
     try:
         seq = 0
-        if strategy == "vf2":
-            from .baseline import RescanEngine
-
-            eng = RescanEngine(query, args.window)
-            for raw in records:
-                for m in eng.process(raw):
-                    out.write(_format_match(seq, m) + "\n")
-                    seq += 1
-            emitted = eng.counters.emitted
-        else:
-            assert plan is not None
-            eng = Engine(query, plan.tree, args.window, lazy=strategy.endswith("lazy"))
-            for raw in records:
-                for m in eng.process(raw):
-                    out.write(_format_match(seq, m) + "\n")
-                    seq += 1
-            emitted = eng.counters.emitted
+        for raw in records:
+            for m in eng.process(raw):
+                out.write(_format_match(seq, m) + "\n")
+                seq += 1
     finally:
         if close:
             out.close()
     print(
-        f"run: strategy={strategy} edges={len(records)} emitted={emitted}",
+        f"run: strategy={strategy} edges={len(records)} emitted={eng.counters.emitted}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -324,7 +304,7 @@ def build_parser() -> _Parser:
     be.add_argument("--window", type=_parse_window, default=None)
     be.add_argument("--strategies", default="singlelazy,vf2")
     be.add_argument("--stats", default=None)
-    be.add_argument("--selectivity-bins", type=int, default=5)
+    be.add_argument("--selectivity-bins", type=_positive_int, default=5)
     add_seed(be)
     be.add_argument("--out", default=None)
     be.set_defaults(func=cmd_bench)

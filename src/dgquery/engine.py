@@ -1,11 +1,11 @@
-"""Incremental continuous-query engines.
+"""Incremental continuous-query engine.
 
 Per arriving edge the engine updates the window, finds new matches of each
 decomposition leaf anchored at that edge, and feeds them through the join
 tree; matches reaching the root inside the time window are emitted, and the
 per-edge return value is exactly the set of newly appeared complete matches.
 
-The lazy variant prunes the leaf searches: leaf 0 (the rarest primitive) is
+Lazy Search prunes the leaf searches: leaf 0 (the rarest primitive) is
 always live, while leaf i+1 is searched around a vertex only after the join
 prefix covering leaves 0..i has matched there.  Enablement is tracked as a
 per-(leaf, vertex) hop budget that only ever rises, and raising it is a
@@ -22,25 +22,27 @@ Budgets come from two rules:
    its search zone open for the edges still missing — but the zone never
    grows past the piece diameter, keeping single-edge leaves point-localized.
 
+Eager mode is the same loop with every leaf always live: nothing is gated,
+nothing is enabled, and every leaf is searched at every arriving edge.
+
 The retroactive sweeps run off a flat worklist rather than recursing, and
-anchored searches are deduplicated on (leaf, edge id) — which also bounds
+gated searches are deduplicated on (leaf, edge id) — which also bounds
 the lazy engine's primitive searches by the eager engine's count.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
 
 from .errors import UnsupportedPrimitiveError
 from .graph import DynamicGraph, EdgeRecord, RawEdge
 from .query import Match, QueryGraph, QueryPiece
 from .sjtree import SJTree, SJTreeNode
 
-__all__ = ["match_primitive", "Counters", "ResultLog", "Engine"]
+__all__ = ["match_primitive", "Counters", "Engine"]
 
 MAX_PRIMITIVE_EDGES = 3
-DEFAULT_PURGE_INTERVAL = 1 << 14
+PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps; 0 disables them
 
 
 def _extension_order(query: QueryGraph, edge_ids: list[int], role: int) -> list[int]:
@@ -184,9 +186,10 @@ def _extend(
 @dataclass
 class Counters:
     """Running totals: ``match_calls`` counts anchored primitive searches
-    actually invoked (label-incompatible anchors are filtered beforehand in
-    both engine modes, so the eager count is an upper bound for the lazy
-    one)."""
+    actually run.  Label-incompatible anchors are filtered out before the
+    search, and a gated leaf is searched on a subset of the (leaf, edge)
+    pairs an always-on leaf is, so the count with ``lazy=False`` bounds the
+    count with ``lazy=True``."""
 
     edges: int = 0
     match_calls: int = 0
@@ -194,30 +197,14 @@ class Counters:
     purged: int = 0
 
 
-@dataclass
-class ResultLog:
-    """Append-only record of emitted complete matches."""
-
-    entries: list[tuple[int, Match]] = field(default_factory=list)
-    signatures: set[tuple[tuple[int, int], ...]] = field(default_factory=set)
-
-    def append(self, m: Match) -> int:
-        seq = len(self.entries)
-        self.entries.append((seq, m))
-        self.signatures.add(m.pairs)
-        return seq
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class Engine:
     """Continuous-query engine over one decomposition tree.
 
-    ``lazy=False`` searches every leaf at every arriving edge; ``lazy=True``
-    gates leaves behind the enablement bitmap as described in the module
-    docstring.  Either way ``process`` returns the complete matches that
-    became visible at that edge, exactly once each.
+    ``lazy=True`` gates every leaf but the always-on ones behind the
+    enablement budgets described in the module docstring; ``lazy=False``
+    makes every leaf always on.  Either way ``process`` returns the complete
+    matches that became visible at that edge, exactly once each, and ``log``
+    lists every match emitted so far.
     """
 
     def __init__(
@@ -227,17 +214,14 @@ class Engine:
         window: int | None = None,
         *,
         lazy: bool = False,
-        purge_interval: int = DEFAULT_PURGE_INTERVAL,
     ):
         if tree.query != query:
             raise ValueError("tree was built for a different query")
         self.query = query
         self.tree = tree
         self.window = window
-        self.lazy = lazy
-        self.purge_interval = purge_interval
         self.graph = DynamicGraph(window)
-        self.log = ResultLog()
+        self.log: list[Match] = []
         self.counters = Counters()
         self._delta: list[Match] = []
 
@@ -248,17 +232,19 @@ class Engine:
             frozenset(query.edges[qe].label for qe in leaf.piece.edges)
             for leaf in self._leaves
         ]
-        # leaf gating state (lazy mode): per-leaf {vertex: remaining hops}
+        # leaf gating state: per-leaf {vertex: remaining hops}
         self._budget: list[dict[str, int]] = [{} for _ in self._leaves]
-        self._searched: set[tuple[int, int]] = set()  # (leaf_index, edge_id)
+        self._searched: set[tuple[int, int]] = set()  # (gated leaf_index, edge_id)
         self._pending: deque[tuple[int, str, int]] = deque()  # sweeps to run
-        self._always_on = {0}
-        for leaf in self._leaves[1:]:
-            parent_cut = tree.nodes[leaf.parent].cut
-            if not parent_cut.vertices:
-                # a cross-join leaf shares no vertex with its prefix: no bit
-                # could ever gate it soundly, so it stays live
-                self._always_on.add(leaf.leaf_index)
+        if lazy:
+            self._always_on = {0}
+            for leaf in self._leaves[1:]:
+                if not tree.nodes[leaf.parent].cut.vertices:
+                    # a cross-join leaf shares no vertex with its prefix: no
+                    # bit could ever gate it soundly, so it stays live
+                    self._always_on.add(leaf.leaf_index)
+        else:
+            self._always_on = set(range(len(self._leaves)))
         # spine node -> the leaf whose search that node's matches unlock
         self._next_leaf: dict[int, SJTreeNode | None] = {}
         for node in tree.nodes:
@@ -278,43 +264,28 @@ class Engine:
         """Ingest one edge; return the newly appeared complete matches."""
         rec = self.graph.add_edge(raw)
         self._delta = []
-        if self.lazy:
-            for leaf in self._leaves:
-                idx = leaf.leaf_index
-                if rec.edge_type in self._leaf_labels[idx]:
-                    if idx in self._always_on:
-                        self._anchored_search(leaf, rec)
-                    else:
-                        budget = self._budget[idx]
-                        b = max(budget.get(rec.src, -1), budget.get(rec.dst, -1))
-                        if b >= 0:
-                            self._anchored_search(leaf, rec)
-                            if b >= 1:
-                                self._enable(rec.src, idx, b - 1)
-                                self._enable(rec.dst, idx, b - 1)
-                # run any retroactive sweeps before the next leaf reads its
-                # gate, mirroring the eager engine's leaf-by-leaf ordering
-                self._drain()
-        else:
-            for leaf in self._leaves:
-                if rec.edge_type not in self._leaf_labels[leaf.leaf_index]:
+        for leaf in self._leaves:
+            idx = leaf.leaf_index
+            if rec.edge_type not in self._leaf_labels[idx]:
+                continue
+            if idx in self._always_on:
+                self._anchored_search(leaf, rec)
+            else:
+                budget = self._budget[idx]
+                b = max(budget.get(rec.src, -1), budget.get(rec.dst, -1))
+                if b < 0:
                     continue
-                self.counters.match_calls += 1
-                for m in match_primitive(self.graph, self.query, leaf.piece, rec):
-                    self.tree.insert_and_propagate(leaf.node_id, m, self.window, self._emit)
+                self._anchored_search(leaf, rec)
+                if b >= 1:
+                    self._enable(rec.src, idx, b - 1)
+                    self._enable(rec.dst, idx, b - 1)
+            # run any retroactive sweeps before the next leaf reads its gate,
+            # so leaves are searched strictly one after the other
+            self._drain()
         self.counters.edges += 1
-        if self.purge_interval and self.counters.edges % self.purge_interval == 0:
+        if PURGE_INTERVAL and self.counters.edges % PURGE_INTERVAL == 0:
             self.counters.purged += self.tree.purge_stale(self.graph.t_last, self.window)
         return self._delta
-
-    def process_many(self, records: Iterable[RawEdge]) -> Iterator[tuple[RawEdge, list[Match]]]:
-        for raw in records:
-            yield raw, self.process(raw)
-
-    def run(self, records: Iterable[RawEdge]) -> ResultLog:
-        for _ in self.process_many(records):
-            pass
-        return self.log
 
     def _emit(self, m: Match) -> None:
         self.log.append(m)
@@ -355,10 +326,23 @@ class Engine:
                     self._enable(far, leaf_index, budget - 1)
 
     def _anchored_search(self, leaf: SJTreeNode, rec: EdgeRecord) -> None:
-        key = (leaf.leaf_index, rec.edge_id)
-        if key in self._searched:
-            return
-        self._searched.add(key)
+        """Search ``leaf``'s primitive anchored at ``rec`` and feed the hits
+        into the tree.
+
+        A gated leaf can be offered one edge several times (on arrival and by
+        sweeps), so its searches are deduplicated on (leaf, edge id).  An
+        always-on leaf skips that set: it is searched directly on arrival
+        only, because only gated leaves are ever queued by ``_enable`` —
+        ``_on_store`` returns early for always-on leaves, and ``_drain`` only
+        sweeps queued leaves.  Each always-on (leaf, edge) pair is therefore
+        searched exactly once, and the set could never hit for it.
+        """
+        idx = leaf.leaf_index
+        if idx not in self._always_on:
+            key = (idx, rec.edge_id)
+            if key in self._searched:
+                return
+            self._searched.add(key)
         self.counters.match_calls += 1
         for m in match_primitive(self.graph, self.query, leaf.piece, rec):
             self.tree.insert_and_propagate(leaf.node_id, m, self.window, self._emit)

@@ -13,8 +13,7 @@ Design notes
 - Timestamps must be non-decreasing across calls; ties are fine.  This is the
   property that makes front-of-deque eviction sound.
 - A self-loop sits in both the out- and in-list of its vertex but is reported
-  once (as an out-edge) by any-direction iteration, and counts once toward the
-  vertex degree.
+  once (as an out-edge) by any-direction iteration.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ from .errors import LabelConflictError, ParseError, StreamOrderError
 __all__ = [
     "RawEdge",
     "EdgeRecord",
-    "DegreeStats",
     "DynamicGraph",
     "parse_edge_line",
     "format_edge_line",
@@ -58,22 +56,11 @@ class EdgeRecord(NamedTuple):
     timestamp: int
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeStats:
-    mean_degree: float
-    mean_degree_by_label: dict[str, float]
-
-
 @dataclass(slots=True)
 class _Vertex:
     label: str
     out_edges: deque = field(default_factory=deque)
     in_edges: deque = field(default_factory=deque)
-    loops: int = 0
-
-    def degree(self) -> int:
-        # a self-loop appears in both deques; count it once
-        return len(self.out_edges) + len(self.in_edges) - self.loops
 
 
 class DynamicGraph:
@@ -128,8 +115,6 @@ class DynamicGraph:
             dst_v = self._vertices[raw.dst] = _Vertex(raw.dst_type)
         src_v.out_edges.append(rec)
         dst_v.in_edges.append(rec)
-        if raw.src == raw.dst:
-            src_v.loops += 1
         self._arrivals.append(rec)
 
         self.evict_expired()
@@ -142,30 +127,25 @@ class DynamicGraph:
                 f"vertex {vid!r} seen as {v.label!r}, now {label!r}"
             )
 
-    def evict_expired(self) -> list[int]:
-        """Drop every edge with ``timestamp <= t_last - window``; return their ids."""
-        removed: list[int] = []
+    def evict_expired(self) -> None:
+        """Drop every edge with ``timestamp <= t_last - window``."""
         if self.window is None or self.t_last is None:
-            return removed
+            return
         cutoff = self.t_last - self.window
         arrivals = self._arrivals
         while arrivals and arrivals[0].timestamp <= cutoff:
             rec = arrivals.popleft()
-            removed.append(rec.edge_id)
             src_v = self._vertices[rec.src]
             dst_v = self._vertices[rec.dst]
             popped = src_v.out_edges.popleft()
             assert popped.edge_id == rec.edge_id
             popped = dst_v.in_edges.popleft()
             assert popped.edge_id == rec.edge_id
-            if rec.src == rec.dst:
-                src_v.loops -= 1
             self.edges_evicted += 1
             if not src_v.out_edges and not src_v.in_edges:
                 del self._vertices[rec.src]
             if rec.src != rec.dst and not dst_v.out_edges and not dst_v.in_edges:
                 del self._vertices[rec.dst]
-        return removed
 
     # ------------------------------------------------------------------ access
 
@@ -218,23 +198,6 @@ class DynamicGraph:
                     continue  # self-loop already reported from the out pass
                 if edge_type is None or rec.edge_type == edge_type:
                     yield rec
-
-    def degree_stats(self) -> DegreeStats:
-        """Mean live degree, overall and per vertex label."""
-        if not self._vertices:
-            return DegreeStats(0.0, {})
-        total = 0
-        by_label: dict[str, list[int]] = {}
-        for v in self._vertices.values():
-            d = v.degree()
-            total += d
-            by_label.setdefault(v.label, []).append(d)
-        return DegreeStats(
-            mean_degree=total / len(self._vertices),
-            mean_degree_by_label={
-                lbl: sum(ds) / len(ds) for lbl, ds in sorted(by_label.items())
-            },
-        )
 
 
 # ---------------------------------------------------------------------- wire

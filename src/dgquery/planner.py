@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
-from .errors import ContractError, ParseError
+from .errors import ContractError
 from .query import QueryGraph, QueryPiece
 from .sjtree import SJTree
 from .stats import EdgeKey, PathKey, SelectivityTable, primitive_key
@@ -287,14 +287,3 @@ def decomposition_advisories(
                     f"({table.frequency(sub_arity, sub_key)}) than the leaf bound ({bound:.1f})"
                 )
     return notes
-
-
-def load_sidecar(fp: IO[str], source: str | None = None) -> dict:
-    try:
-        doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}", source=source) from None
-    for name in ("expected_selectivity", "relative_selectivity", "strategy", "catalog_mode"):
-        if name not in doc:
-            raise ParseError(f"missing field {name!r}", source=source)
-    return doc

@@ -8,7 +8,7 @@ query edges share a data edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ContractError, ParseError
 
@@ -18,8 +18,6 @@ __all__ = [
     "QueryPiece",
     "Match",
     "join",
-    "project",
-    "time_span",
     "parse_query",
     "format_query",
 ]
@@ -177,10 +175,6 @@ class Match:
             self.t_max = None
 
     @property
-    def signature(self) -> tuple[tuple[int, int], ...]:
-        return self.pairs
-
-    @property
     def pair_map(self) -> dict[int, int]:
         # Built lazily: merged matches rarely need the dict form.
         pm = self._pm
@@ -192,10 +186,6 @@ class Match:
         if self.t_min is None:
             return 0
         return self.t_max - self.t_min
-
-    def items(self) -> Iterator[tuple[int, int, int]]:
-        for (q, e), t in zip(self.pairs, self.times):
-            yield q, e, t
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
@@ -232,9 +222,6 @@ class Match:
         m.t_min = t_min
         m.t_max = t_max
         return m
-
-
-EMPTY_MATCH = Match((), {})
 
 
 def join(m1: Match, m2: Match) -> Match | None:
@@ -297,30 +284,6 @@ def join(m1: Match, m2: Match) -> Match | None:
         t_min = m1.t_min if m1.t_min <= m2.t_min else m2.t_min
         t_max = m1.t_max if m1.t_max >= m2.t_max else m2.t_max
     return Match._merged(tuple(mp), tuple(mt), eids, bindings, rev, t_min, t_max)
-
-
-def project(m: Match, cut: QueryPiece) -> Match:
-    """Restrict ``m`` to the vertices and edges of ``cut``.
-
-    Every cut vertex/edge must be bound in ``m``; otherwise the caller broke
-    the contract and gets a ContractError.
-    """
-    times = {q: t for q, _, t in m.items()}
-    items = []
-    for qe in cut.edges:
-        if qe not in m.pair_map:
-            raise ContractError(f"cut edge {qe} is not bound in the match")
-        items.append((qe, m.pair_map[qe], times[qe]))
-    bindings = {}
-    for qv in cut.vertices:
-        if qv not in m.bindings:
-            raise ContractError(f"cut vertex {qv} is not bound in the match")
-        bindings[qv] = m.bindings[qv]
-    return Match(items, bindings)
-
-
-def time_span(m: Match) -> int:
-    return m.time_span()
 
 
 # ---------------------------------------------------------------------- files

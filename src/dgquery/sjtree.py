@@ -22,30 +22,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .errors import ContractError, PlanError
+from .errors import PlanError
 from .query import Match, QueryGraph, QueryPiece, join
 
-__all__ = ["JoinKey", "join_key", "SJTreeNode", "SJTree"]
+__all__ = ["JoinKey", "SJTreeNode", "SJTree"]
 
 # (cut vertex bindings in qvertex-id order, cut data-edge ids in qedge-id order)
 JoinKey = tuple[tuple[str, ...], tuple[int, ...]]
-
-EMPTY_KEY: JoinKey = ((), ())
-
-
-def join_key(cut: QueryPiece, m: Match) -> JoinKey:
-    """Canonical key of ``m``'s projection onto ``cut``.
-
-    Equal keys if and only if the projections agree; the empty cut maps every
-    match to one shared key (cross join).  The key narrows candidates — the
-    subsequent join() still re-validates everything.
-    """
-    try:
-        verts = tuple(m.bindings[qv] for qv in sorted(cut.vertices))
-        edges = tuple(m.pair_map[qe] for qe in sorted(cut.edges))
-    except KeyError as exc:
-        raise ContractError(f"match does not cover cut element {exc}") from None
-    return (verts, edges)
 
 
 class SJTreeNode:
@@ -57,6 +40,7 @@ class SJTreeNode:
         "left",
         "right",
         "leaf_index",
+        "sibling",
         "cut_verts",
         "cut_edges",
         "table",
@@ -80,7 +64,8 @@ class SJTreeNode:
         self.left = left
         self.right = right
         self.leaf_index = leaf_index
-        # join_key's sort orders, fixed at build time
+        self.sibling: int | None = None  # the other child of the parent, set by SJTree
+        # the order of the cut elements in a JoinKey, fixed at build time
         self.cut_verts = tuple(sorted(cut.vertices))
         self.cut_edges = tuple(sorted(cut.edges))
         # at the root, table stays empty and sigs records emitted signatures
@@ -104,6 +89,10 @@ class SJTree:
         self.root_id = root_id
         self.leaf_ids = [n.node_id for n in nodes if n.is_leaf]
         self.leaf_ids.sort(key=lambda nid: nodes[nid].leaf_index)
+        for n in nodes:
+            if not n.is_leaf:
+                nodes[n.left].sibling = n.right
+                nodes[n.right].sibling = n.left
         self.stored_count = 0
         self.peak_stored = 0
         # optional hook fired after a match is stored at a non-root node;
@@ -152,13 +141,6 @@ class SJTree:
     def leaves(self) -> list[SJTreeNode]:
         return [self.nodes[i] for i in self.leaf_ids]
 
-    def sibling_id(self, node_id: int) -> int | None:
-        parent = self.nodes[node_id].parent
-        if parent is None:
-            return None
-        p = self.nodes[parent]
-        return p.right if p.left == node_id else p.left
-
     def reset(self) -> None:
         """Drop all runtime match state, keeping the structure."""
         for n in self.nodes:
@@ -205,7 +187,7 @@ class SJTree:
             )
         else:
             key = (tuple(b[qv] for qv in parent.cut_verts), ())
-        sibling = self.nodes[self.sibling_id(node_id)]
+        sibling = self.nodes[node.sibling]
         emitted = 0
         t_min, t_max = m.t_min, m.t_max
         # An entry whose t_min trails m.t_max by a full window can never again
@@ -235,7 +217,12 @@ class SJTree:
                 continue
             emitted += self.insert_and_propagate(node.parent, combined, window, emit)
         if stale and bucket is not None and stale * 2 > len(bucket):
-            kept = [x for x in bucket if x.t_min is None or x.t_min > cutoff]
+            kept = []
+            for x in bucket:
+                if x.t_min is None or x.t_min > cutoff:
+                    kept.append(x)
+                else:
+                    sibling.sigs.discard(x.pairs)
             removed = len(bucket) - len(kept)
             if removed:
                 bucket[:] = kept

@@ -145,6 +145,16 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("queries", ["1", "2"])
+def test_bench_rejects_selectivity_bins_below_one(tmp_path, capsys, queries):
+    with pytest.raises(SystemExit) as ei:
+        main(["bench", "--queries", queries, "--selectivity-bins", "0",
+              "--out", str(tmp_path / "b.tsv")])
+    assert ei.value.code == 1
+    assert "--selectivity-bins" in capsys.readouterr().err
+    assert not (tmp_path / "b.tsv").exists()
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     rc = main(["run", "--query", missing, "--stream", missing])

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from dgquery import engine
 from dgquery.baseline import RescanEngine
 from dgquery.engine import Engine, match_primitive
 from dgquery.errors import UnsupportedPrimitiveError
@@ -14,6 +15,7 @@ from dgquery.generate import (
     kpartite_schema,
     random_query,
     random_schema,
+    social_schema,
 )
 from dgquery.graph import DynamicGraph
 from dgquery.planner import plan_query
@@ -128,7 +130,7 @@ def test_per_edge_deltas_hand_checked():
     assert deltas[3] == {((0, 0), (1, 3)), ((0, 2), (1, 3))}
     assert eng.counters.emitted == 4
     assert len(eng.log) == 4
-    assert eng.log.signatures == set().union(*deltas)
+    assert {m.pairs for m in eng.log} == set().union(*deltas)
 
 
 def test_window_boundary_exact():
@@ -223,7 +225,7 @@ def test_cross_join_leaf_stays_live():
     assert len(lazy.log) == 1
 
 
-def test_purge_interval_equivalence():
+def test_purge_interval_equivalence(monkeypatch):
     rng = Random(17)
     schema = random_schema(rng)
     records = generate_stream(schema, 150, rng, edges_per_tick=3)
@@ -231,11 +233,48 @@ def test_purge_interval_equivalence():
     table = table_for(records)
     runs = []
     for interval in (0, 1, 64):
+        monkeypatch.setattr(engine, "PURGE_INTERVAL", interval)
         plan = plan_query(query, table, mode="single")
-        eng = Engine(query, plan.tree, 5, lazy=True, purge_interval=interval)
+        eng = Engine(query, plan.tree, 5, lazy=True)
         sigs = [signatures(eng.process(r)) for r in records]
         runs.append(sigs)
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_always_on_leaf_searches_skip_the_dedupe_set():
+    # a one-leaf plan has only the always-on leaf 0: each edge is searched
+    # once on arrival, and nothing is ever recorded for deduplication
+    query = path_query(["e"], vertex_label="A")
+    records = [raw(i, f"v{i % 3}", "e", f"v{(i + 1) % 3}") for i in range(12)]
+    plan = plan_query(query, table_for(records), mode="single")
+    assert len(plan.tree.leaves()) == 1
+    eng = Engine(query, plan.tree, 4, lazy=True)
+    for r in records:
+        eng.process(r)
+    assert eng.counters.match_calls == len(records)
+    assert eng.counters.emitted == len(records)
+    assert eng._searched == set()
+
+
+def test_stored_signatures_track_stored_matches():
+    # the in-bucket stale sweep and the periodic purge both drop a stored
+    # match's signature with it, so no non-root node keeps signatures of
+    # matches it no longer holds
+    rng = Random(2)
+    schema = social_schema()
+    records = generate_stream(schema, 600, rng, edges_per_tick=4)
+    query = random_query(schema, 3, rng)
+    table = table_for(records)
+    for mode in ("single", "path"):
+        plan = plan_query(query, table, mode=mode)
+        eng = Engine(query, plan.tree, 20, lazy=True)
+        for r in records:
+            eng.process(r)
+        assert eng.counters.emitted > 0
+        for node in plan.tree.nodes:
+            if node.node_id != plan.tree.root_id:
+                stored = sum(len(bucket) for bucket in node.table.values())
+                assert len(node.sigs) == stored, (mode, node.node_id)
 
 
 def test_engine_rejects_foreign_tree():
@@ -263,14 +302,3 @@ def test_kpartite_template_matches_oracle(rng):
     records = generate_stream(schema, 120, rng, edges_per_tick=4)
     query = kpartite_query(k=3)
     cross_check(query, records, 5)
-
-
-def test_process_many_pairs_inputs_with_deltas():
-    query = path_query(["e", "f"], vertex_label="A")
-    records = [raw(0, "a", "e", "b"), raw(1, "b", "f", "c")]
-    plan = plan_query(query, table_for(records), mode="single")
-    eng = Engine(query, plan.tree, None)
-    pairs = list(eng.process_many(records))
-    assert [r for r, _ in pairs] == records
-    assert [len(d) for _, d in pairs] == [0, 1]
-    assert eng.counters.edges == 2

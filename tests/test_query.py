@@ -7,7 +7,6 @@ import pytest
 
 from dgquery.errors import ContractError, ParseError
 from dgquery.query import (
-    EMPTY_MATCH,
     Match,
     QueryEdge,
     QueryGraph,
@@ -15,8 +14,6 @@ from dgquery.query import (
     format_query,
     join,
     parse_query,
-    project,
-    time_span,
 )
 
 from conftest import q
@@ -120,10 +117,7 @@ def test_match_canonical_order_and_times():
     assert m.times == (3, 9, 7)
     assert (m.t_min, m.t_max) == (3, 9)
     assert m.time_span() == 6
-    assert time_span(m) == 6
-    assert list(m.items()) == [(0, 10, 3), (1, 20, 9), (2, 30, 7)]
     assert m.pair_map == {0: 10, 1: 20, 2: 30}
-    assert m.signature == m.pairs
 
 
 def test_match_rejects_duplicate_qedge():
@@ -137,9 +131,10 @@ def test_match_rejects_non_injective_bindings():
 
 
 def test_empty_match():
-    assert EMPTY_MATCH.pairs == ()
-    assert EMPTY_MATCH.t_min is None
-    assert EMPTY_MATCH.time_span() == 0
+    empty = Match((), {})
+    assert empty.pairs == ()
+    assert empty.t_min is None
+    assert empty.time_span() == 0
 
 
 def test_match_equality_and_hash():
@@ -154,7 +149,7 @@ def test_match_equality_and_hash():
 
 def test_join_identity_and_commutativity():
     m = Match([(0, 10, 3), (1, 20, 9)], {0: "a", 1: "b"})
-    for other in (EMPTY_MATCH, Match((), {0: "a"})):
+    for other in (Match((), {}), Match((), {0: "a"})):
         left = join(m, other)
         right = join(other, m)
         assert left == right == m
@@ -224,22 +219,3 @@ def test_join_randomized_commutes_and_validates():
                 for qe, de in src.pairs:
                     assert ab.pair_map[qe] == de
             assert ab.t_min == min((x for x in (m1.t_min, m2.t_min) if x is not None), default=None)
-
-
-# -------------------------------------------------------------------- project
-
-def test_project_restricts_to_cut():
-    g = q(TRIANGLE)
-    m = Match([(0, 10, 1), (1, 11, 2), (2, 12, 3)], {0: "a", 1: "b", 2: "c"})
-    cut = QueryPiece(frozenset({1}), frozenset({1, 2}))
-    got = project(m, cut)
-    assert got.pairs == ((1, 11),)
-    assert got.bindings == {1: "b", 2: "c"}
-
-
-def test_project_requires_coverage():
-    m = Match([(0, 10, 1)], {0: "a", 1: "b"})
-    with pytest.raises(ContractError):
-        project(m, QueryPiece(frozenset({1}), frozenset()))
-    with pytest.raises(ContractError):
-        project(m, QueryPiece(frozenset(), frozenset({2})))

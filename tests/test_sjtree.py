@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import pytest
 
-from dgquery.errors import ContractError, PlanError
+from dgquery.errors import PlanError
 from dgquery.query import Match, QueryPiece
-from dgquery.sjtree import SJTree, SJTreeNode, join_key
+from dgquery.sjtree import SJTree
 
 from conftest import path_query, q
 
@@ -14,28 +14,6 @@ def two_leaf_tree():
     query = path_query(["e", "f"], vertex_label="A")
     pieces = [QueryPiece.from_edges(query, [0]), QueryPiece.from_edges(query, [1])]
     return query, SJTree.from_leaf_pieces(query, pieces)
-
-
-# ------------------------------------------------------------------ join keys
-
-def test_join_key_orders_cut_elements():
-    query = path_query(["e", "f"])
-    cut = QueryPiece(frozenset({0}), frozenset({1, 0}))
-    m = Match([(0, 42, 7)], {0: "x", 1: "y"})
-    assert join_key(cut, m) == (("x", "y"), (42,))
-
-
-def test_join_key_empty_cut_is_shared():
-    cut = QueryPiece(frozenset(), frozenset())
-    a = Match([(0, 1, 0)], {0: "x", 1: "y"})
-    b = Match([(1, 2, 5)], {2: "z"})
-    assert join_key(cut, a) == join_key(cut, b) == ((), ())
-
-
-def test_join_key_requires_coverage():
-    cut = QueryPiece(frozenset({3}), frozenset({0}))
-    with pytest.raises(ContractError):
-        join_key(cut, Match([(0, 1, 0)], {0: "x"}))
 
 
 # ---------------------------------------------------------------- construction
@@ -102,6 +80,42 @@ def test_insert_joins_across_siblings():
     assert got[0].pairs == ((0, 10), (1, 20))
     assert got[0].bindings == {0: "a", 1: "b", 2: "c"}
     assert tree.stored_count == 2  # both leaf matches; the root stores nothing
+
+
+def test_join_key_orders_cut_elements():
+    # a two-vertex cut: keys list the cut bindings in qvertex-id order, so
+    # matches agree on the key however their bindings were written
+    query = q("node 0 A\nnode 1 A\nedge 0 0 1 e\nedge 1 1 0 f")
+    pieces = [QueryPiece.from_edges(query, [0]), QueryPiece.from_edges(query, [1])]
+    tree = SJTree.from_leaf_pieces(query, pieces)
+    leaf0, leaf1 = tree.leaves()
+    m0 = Match([(0, 10, 1)], {1: "y", 0: "x"})
+    swapped = Match([(1, 20, 2)], {0: "y", 1: "x"})
+    m1 = Match([(1, 21, 3)], {0: "x", 1: "y"})
+    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, swapped), (leaf1.node_id, m1)], None)
+    assert list(leaf0.table) == [(("x", "y"), ())]
+    assert list(leaf1.table) == [(("y", "x"), ()), (("x", "y"), ())]
+    assert [m.pairs for m in got] == [((0, 10), (1, 21))]
+
+
+def test_join_key_empty_cut_is_shared():
+    # leaves 0 and 1 share no vertex: every match of either lands under the
+    # one empty key, so each pair is cross-joined
+    query = path_query(["e", "f", "g"], vertex_label="A")
+    pieces = [QueryPiece.from_edges(query, ids) for ids in ([0], [2], [1])]
+    tree = SJTree.from_leaf_pieces(query, pieces)
+    leaf0, leaf1, leaf2 = tree.leaves()
+    inserts = [
+        (leaf0.node_id, Match([(0, 1, 0)], {0: "a", 1: "b"})),
+        (leaf0.node_id, Match([(0, 4, 0)], {0: "x", 1: "y"})),
+        (leaf1.node_id, Match([(2, 3, 0)], {2: "c", 3: "d"})),
+        (leaf2.node_id, Match([(1, 2, 0)], {1: "b", 2: "c"})),
+    ]
+    got = emitted_via(tree, inserts, None)
+    assert list(leaf0.table) == list(leaf1.table) == [((), ())]
+    cross = tree.nodes[leaf0.parent]
+    assert sum(len(bucket) for bucket in cross.table.values()) == 2
+    assert [m.pairs for m in got] == [((0, 1), (1, 2), (2, 3))]
 
 
 def test_insert_mismatched_cut_does_not_join():
@@ -186,6 +200,7 @@ def test_stale_bucket_is_compacted_on_probe():
     probe = Match([(1, 99, 100)], {1: "b", 2: "c"})
     tree.insert_and_propagate(leaf1.node_id, probe, 5, lambda m: None)
     assert tree.stored_count == 1  # only the probe itself remains
+    assert not leaf0.table[("b",), ()] and not leaf0.sigs  # signatures go with their matches
 
 
 def test_reset_clears_state_keeps_shape():
@@ -225,6 +240,7 @@ def test_serialize_round_trips_byte_identical():
     assert again.serialize() == text
     assert again.root_id == tree.root_id
     assert [n.piece.edges for n in again.nodes] == [n.piece.edges for n in tree.nodes]
+    assert [n.sibling for n in again.nodes] == [n.sibling for n in tree.nodes] == [1, 0, None]
 
 
 def test_serialize_mentions_structure():
