@@ -49,7 +49,6 @@ from .query import (
     QueryGraph,
     QueryPiece,
     format_query,
-    join,
     parse_query,
 )
 from .sjtree import SJTree, SJTreeNode
@@ -77,7 +76,6 @@ __all__ = [
     "QueryEdge",
     "QueryPiece",
     "Match",
-    "join",
     "parse_query",
     "format_query",
     # join tree

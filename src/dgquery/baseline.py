@@ -175,7 +175,7 @@ def _assign_edges(
     def rec_assign(qe_id: int) -> None:
         if qe_id == n:
             results.append(
-                Match([(q, r.edge_id, r.timestamp) for q, r in chosen.items()], core)
+                Match.of(query, [(q, r.edge_id, r.timestamp) for q, r in chosen.items()], core)
             )
             return
         if qe_id == seed_role:
@@ -284,7 +284,7 @@ def enumerate_matches(
     window = graph.window
 
     def admit(binding: dict[int, str], chosen: dict[int, EdgeRecord]) -> None:
-        m = Match([(q, r.edge_id, r.timestamp) for q, r in chosen.items()], binding)
+        m = Match.of(query, [(q, r.edge_id, r.timestamp) for q, r in chosen.items()], binding)
         if window is not None and m.time_span() >= window:
             return
         results.append(m)

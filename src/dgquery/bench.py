@@ -68,12 +68,13 @@ def make_engine(
     strategy: str,
     query: QueryGraph,
     window: int | None,
-    table: SelectivityTable,
+    table: SelectivityTable | None,
 ) -> tuple[Engine | RescanEngine, Plan | None, str]:
     """Build the engine for ``auto`` or any name in ``STRATEGIES``.
 
     Returns the engine, its plan (None for ``vf2``) and the resolved strategy
-    name: ``auto`` resolves to the planner's choice.
+    name: ``auto`` resolves to the planner's choice.  ``vf2`` plans nothing,
+    so its ``table`` may be None.
     """
     if strategy == "vf2":
         return RescanEngine(query, window), None, strategy

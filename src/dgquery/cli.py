@@ -164,6 +164,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     records = _read_stream(args.stream)
     if args.stats is not None:
         table = SelectivityTable.load(args.stats)
+    elif args.strategy == "vf2":
+        table = None  # the rescan baseline plans nothing
     else:
         table = collect_stats(records)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import UnsupportedPrimitiveError
 from .graph import DynamicGraph, EdgeRecord, RawEdge
@@ -64,6 +65,29 @@ def _extension_order(query: QueryGraph, edge_ids: list[int], role: int) -> list[
     return order
 
 
+@lru_cache(maxsize=256)
+def _search_plan(query: QueryGraph, piece_edges: frozenset[int]) -> dict[str, tuple[tuple, ...]]:
+    """Per edge label, the qedges of a piece that an anchor with that label
+    can hold: each with its end vertex labels, its end qvertices, and the
+    order the piece's other qedges are bound in.  Built once per (query,
+    piece)."""
+    edge_ids = sorted(piece_edges)
+    if not edge_ids:
+        raise UnsupportedPrimitiveError("empty primitive")
+    if len(edge_ids) > MAX_PRIMITIVE_EDGES:
+        raise UnsupportedPrimitiveError(
+            f"primitive has {len(edge_ids)} edges; max is {MAX_PRIMITIVE_EDGES}"
+        )
+    plan: dict[str, list[tuple]] = {}
+    for role in edge_ids:
+        qe = query.edges[role]
+        order = tuple(_extension_order(query, edge_ids, role))
+        plan.setdefault(qe.label, []).append(
+            (role, query.vertex_labels[qe.src], query.vertex_labels[qe.dst], qe.src, qe.dst, order)
+        )
+    return {label: tuple(roles) for label, roles in plan.items()}
+
+
 def match_primitive(
     graph: DynamicGraph,
     query: QueryGraph,
@@ -76,111 +100,79 @@ def match_primitive(
     placements surface as distinct matches.  Bindings are injective on
     vertices and edges.
     """
-    edge_ids = sorted(piece.edges)
-    if not edge_ids:
-        raise UnsupportedPrimitiveError("empty primitive")
-    if len(edge_ids) > MAX_PRIMITIVE_EDGES:
-        raise UnsupportedPrimitiveError(
-            f"primitive has {len(edge_ids)} edges; max is {MAX_PRIMITIVE_EDGES}"
-        )
     results: list[Match] = []
-    for role in edge_ids:
-        qe = query.edges[role]
-        if (
-            qe.label != anchor.edge_type
-            or query.vertex_labels[qe.src] != anchor.src_type
-            or query.vertex_labels[qe.dst] != anchor.dst_type
-        ):
+    edges: list[int | None] = [None] * len(query.edges)
+    verts: list[str | None] = [None] * len(query.vertex_labels)
+    for role, src_type, dst_type, qs, qd, order in _search_plan(query, piece.edges).get(anchor.edge_type, ()):
+        if src_type != anchor.src_type or dst_type != anchor.dst_type:
             continue
-        if qe.src == qe.dst:
-            if anchor.src != anchor.dst:
-                continue
-            binding = {qe.src: anchor.src}
-        else:
-            if anchor.src == anchor.dst:
-                continue  # two qvertices cannot share one data vertex
-            binding = {qe.src: anchor.src, qe.dst: anchor.dst}
-        rev = {dv: qv for qv, dv in binding.items()}
-        order = _extension_order(query, edge_ids, role)
-        _extend(
-            graph,
-            query,
-            order,
-            0,
-            binding,
-            rev,
-            {role: anchor},
-            {anchor.edge_id},
-            results,
-        )
+        if (qs == qd) != (anchor.src == anchor.dst):
+            continue  # a loop qedge takes exactly the data loops
+        verts[qs] = anchor.src
+        verts[qd] = anchor.dst
+        edges[role] = anchor.edge_id
+        _extend(graph, query, order, 0, edges, verts, [anchor.timestamp], results)
+        edges[role] = None
+        verts[qs] = verts[qd] = None
     return results
 
 
 def _extend(
     graph: DynamicGraph,
     query: QueryGraph,
-    order: list[int],
+    order: tuple[int, ...],
     depth: int,
-    binding: dict[int, str],
-    rev: dict[str, int],
-    assigned: dict[int, EdgeRecord],
-    used_edges: set[int],
+    edges: list[int | None],
+    verts: list[str | None],
+    times: list[int],
     out: list[Match],
 ) -> None:
+    """Bind ``order[depth:]`` in turn, filling ``edges``/``verts`` in place
+    and clearing each slot again on the way back."""
     if depth == len(order):
-        out.append(
-            Match(
-                [(qe, rec.edge_id, rec.timestamp) for qe, rec in assigned.items()],
-                binding,
-            )
-        )
+        out.append(Match(tuple(edges), tuple(verts), min(times), max(times)))
         return
     qe_id = order[depth]
     qe = query.edges[qe_id]
-    src_bound = binding.get(qe.src)
-    dst_bound = binding.get(qe.dst)
-
-    def attempt(rec: EdgeRecord, new_qv: int | None, new_dv: str | None) -> None:
-        if rec.edge_id in used_edges:
-            return
-        if new_qv is not None:
-            if new_dv in rev:
-                return  # injectivity on vertices
-            binding[new_qv] = new_dv
-            rev[new_dv] = new_qv
-        assigned[qe_id] = rec
-        used_edges.add(rec.edge_id)
-        _extend(graph, query, order, depth + 1, binding, rev, assigned, used_edges, out)
-        used_edges.discard(rec.edge_id)
-        del assigned[qe_id]
-        if new_qv is not None:
-            del binding[new_qv]
-            del rev[new_dv]
-
-    if src_bound is not None and dst_bound is not None:
-        for rec in graph.neighbors(src_bound, "out", qe.label):
-            if rec.dst == dst_bound:
-                attempt(rec, None, None)
-    elif src_bound is not None:
-        want = query.vertex_labels[qe.dst]
-        for rec in graph.neighbors(src_bound, "out", qe.label):
-            if rec.dst_type != want:
-                continue
-            if qe.src == qe.dst:
-                continue  # loop qedge needs src == dst, handled by both-bound branch
-            if rec.src == rec.dst:
-                continue  # data loop cannot serve two distinct qvertices
-            attempt(rec, qe.dst, rec.dst)
+    src_bound = verts[qe.src]
+    dst_bound = verts[qe.dst]
+    if src_bound is not None:
+        forward = True
+        recs = graph.neighbors(src_bound, "out", qe.label)
+        new_qv = None if dst_bound is not None else qe.dst
     elif dst_bound is not None:
-        want = query.vertex_labels[qe.src]
-        for rec in graph.neighbors(dst_bound, "in", qe.label):
-            if rec.src_type != want:
-                continue
-            if qe.src == qe.dst or rec.src == rec.dst:
-                continue
-            attempt(rec, qe.src, rec.src)
+        forward = False
+        recs = graph.neighbors(dst_bound, "in", qe.label)
+        new_qv = qe.src
     else:  # unreachable for connected primitives
         raise UnsupportedPrimitiveError("extension lost connectivity")
+    if new_qv is None:
+        for rec in recs:
+            if rec.dst != dst_bound or rec.edge_id in edges:
+                continue
+            edges[qe_id] = rec.edge_id
+            times.append(rec.timestamp)
+            _extend(graph, query, order, depth + 1, edges, verts, times, out)
+            times.pop()
+            edges[qe_id] = None
+        return
+    want = query.vertex_labels[new_qv]
+    for rec in recs:
+        if forward:
+            far, far_type = rec.dst, rec.dst_type
+        else:
+            far, far_type = rec.src, rec.src_type
+        # injectivity on vertices; it also turns away a data loop, whose far
+        # end is the bound vertex
+        if far_type != want or far in verts or rec.edge_id in edges:
+            continue
+        verts[new_qv] = far
+        edges[qe_id] = rec.edge_id
+        times.append(rec.timestamp)
+        _extend(graph, query, order, depth + 1, edges, verts, times, out)
+        times.pop()
+        verts[new_qv] = None
+        edges[qe_id] = None
 
 
 @dataclass
@@ -281,7 +273,8 @@ class Engine:
                     self._enable(rec.dst, idx, b - 1)
             # run any retroactive sweeps before the next leaf reads its gate,
             # so leaves are searched strictly one after the other
-            self._drain()
+            if self._pending:
+                self._drain()
         self.counters.edges += 1
         if PURGE_INTERVAL and self.counters.edges % PURGE_INTERVAL == 0:
             self.counters.purged += self.tree.purge_stale(self.graph.t_last, self.window)
@@ -316,8 +309,8 @@ class Engine:
             leaf_index, vid, budget = self._pending.popleft()
             leaf = self._leaves[leaf_index]
             labels = self._leaf_labels[leaf_index]
-            # snapshot: searches can cascade into further enables mid-walk
-            for rec in list(self.graph.neighbors(vid, "any")):
+            # searches here only queue further sweeps; none touches the graph
+            for rec in self.graph.neighbors(vid, "any"):
                 if rec.edge_type not in labels:
                     continue
                 self._anchored_search(leaf, rec)
@@ -354,5 +347,6 @@ class Engine:
             return
         idx = nxt.leaf_index
         start = len(nxt.piece.edges) - 1
-        for dv in m.bindings.values():
-            self._enable(dv, idx, start)
+        for dv in m.verts:
+            if dv is not None:
+                self._enable(dv, idx, start)

@@ -92,40 +92,34 @@ class DynamicGraph:
             raise StreamOrderError(
                 f"timestamp {ts} arrived after t_last={self.t_last}"
             )
-        self._check_label(raw.src, raw.src_type)
-        self._check_label(raw.dst, raw.dst_type)
+        src_v = self._live_vertex(raw.src, raw.src_type)
+        dst_v = self._live_vertex(raw.dst, raw.dst_type)
 
-        rec = EdgeRecord(
-            edge_id=self.edges_ingested,
-            src=raw.src,
-            dst=raw.dst,
-            src_type=raw.src_type,
-            dst_type=raw.dst_type,
-            edge_type=raw.edge_type,
-            timestamp=ts,
-        )
+        rec = EdgeRecord(self.edges_ingested, raw.src, raw.dst, raw.src_type, raw.dst_type, raw.edge_type, ts)
         self.edges_ingested += 1
         self.t_last = ts
 
-        src_v = self._vertices.get(raw.src)
         if src_v is None:
             src_v = self._vertices[raw.src] = _Vertex(raw.src_type)
-        dst_v = self._vertices.get(raw.dst)
         if dst_v is None:
-            dst_v = self._vertices[raw.dst] = _Vertex(raw.dst_type)
+            # a self-loop on a new vertex finds the one just made for its source
+            dst_v = self._vertices.setdefault(raw.dst, _Vertex(raw.dst_type))
         src_v.out_edges.append(rec)
         dst_v.in_edges.append(rec)
         self._arrivals.append(rec)
 
-        self.evict_expired()
+        if self.window is not None and self._arrivals[0].timestamp <= ts - self.window:
+            self.evict_expired()
         return rec
 
-    def _check_label(self, vid: str, label: str) -> None:
+    def _live_vertex(self, vid: str, label: str) -> _Vertex | None:
+        """The live vertex ``vid``, or None; a live one must carry ``label``."""
         v = self._vertices.get(vid)
         if v is not None and v.label != label:
             raise LabelConflictError(
                 f"vertex {vid!r} seen as {v.label!r}, now {label!r}"
             )
+        return v
 
     def evict_expired(self) -> None:
         """Drop every edge with ``timestamp <= t_last - window``."""

@@ -17,7 +17,6 @@ __all__ = [
     "QueryGraph",
     "QueryPiece",
     "Match",
-    "join",
     "parse_query",
     "format_query",
 ]
@@ -37,7 +36,7 @@ class QueryGraph:
     edge j.  Ids are positional, hence dense by construction.
     """
 
-    __slots__ = ("vertex_labels", "edges")
+    __slots__ = ("vertex_labels", "edges", "_hash")
 
     def __init__(self, vertex_labels: Sequence[str], edges: Sequence[QueryEdge]):
         if not vertex_labels:
@@ -52,6 +51,7 @@ class QueryGraph:
         self.edges: tuple[QueryEdge, ...] = tuple(edges)
         if not self._connected():
             raise ValueError("query graph must be connected")
+        self._hash = hash((self.vertex_labels, self.edges))
 
     def _connected(self) -> bool:
         n = len(self.vertex_labels)
@@ -92,7 +92,7 @@ class QueryGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_labels, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"QueryGraph({len(self.vertex_labels)} vertices, {len(self.edges)} edges)"
@@ -146,41 +146,65 @@ class QueryPiece:
 
 
 class Match:
-    """A partial or complete match: (qedge -> data edge) pairs plus vertex bindings.
+    """A partial or complete match in query-width slots.
 
-    ``pairs`` (sorted by qedge id) is the canonical signature used for
-    deduplication.  ``t_min``/``t_max`` are cached over the bound data edges
-    and are None for vertex-only matches.
+    ``edges[qe]`` is the data edge id bound to query edge ``qe`` and
+    ``verts[qv]`` the data vertex bound to query vertex ``qv``; None marks an
+    unbound slot.  ``t_min``/``t_max`` span the bound edges' timestamps and
+    are None when no edge is bound.  The constructor trusts its caller; use
+    :meth:`of` to build a match from unchecked parts.
     """
 
-    __slots__ = ("pairs", "times", "_pm", "eids", "bindings", "rev", "t_min", "t_max")
+    __slots__ = ("edges", "verts", "t_min", "t_max")
 
-    def __init__(self, items: Iterable[tuple[int, int, int]], bindings: Mapping[int, str]):
-        ordered = sorted(items)
-        self.pairs: tuple[tuple[int, int], ...] = tuple((q, e) for q, e, _ in ordered)
-        self.times: tuple[int, ...] = tuple(t for _, _, t in ordered)
-        self._pm: dict[int, int] | None = {q: e for q, e, _ in ordered}
-        self.eids: frozenset[int] = frozenset(e for _, e, _ in ordered)
-        if len(self._pm) != len(self.pairs):
-            raise ContractError("a qedge appears twice in one match")
-        self.bindings: dict[int, str] = dict(bindings)
-        self.rev: dict[str, int] = {dv: qv for qv, dv in self.bindings.items()}
-        if len(self.rev) != len(self.bindings):
-            raise ContractError("vertex bindings must be injective")
-        if self.times:
-            self.t_min: int | None = min(self.times)
-            self.t_max: int | None = max(self.times)
-        else:
-            self.t_min = None
-            self.t_max = None
+    def __init__(
+        self,
+        edges: tuple[int | None, ...],
+        verts: tuple[str | None, ...],
+        t_min: int | None,
+        t_max: int | None,
+    ):
+        self.edges = edges
+        self.verts = verts
+        self.t_min = t_min
+        self.t_max = t_max
+
+    @classmethod
+    def of(
+        cls,
+        query: QueryGraph,
+        items: Iterable[tuple[int, int, int]],
+        bindings: Mapping[int, str],
+    ) -> Match:
+        """Build a match of ``query`` from (qedge, data edge, timestamp)
+        triples and a {qvertex: data vertex} map, checking that no slot is
+        bound twice and that edges and vertices are bound injectively."""
+        edges: list[int | None] = [None] * query.n_edges
+        times: list[int] = []
+        for qe, eid, ts in items:
+            if edges[qe] is not None:
+                raise ContractError("a qedge appears twice in one match")
+            if eid in edges:
+                raise ContractError("one data edge serves two qedges")
+            edges[qe] = eid
+            times.append(ts)
+        verts: list[str | None] = [None] * query.n_vertices
+        for qv, dv in bindings.items():
+            if dv in verts:
+                raise ContractError("vertex bindings must be injective")
+            verts[qv] = dv
+        return cls(tuple(edges), tuple(verts), min(times, default=None), max(times, default=None))
 
     @property
-    def pair_map(self) -> dict[int, int]:
-        # Built lazily: merged matches rarely need the dict form.
-        pm = self._pm
-        if pm is None:
-            pm = self._pm = dict(self.pairs)
-        return pm
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(qedge, data edge) for every bound qedge, in qedge order: the
+        signature outputs and oracles compare."""
+        return tuple((qe, e) for qe, e in enumerate(self.edges) if e is not None)
+
+    @property
+    def bindings(self) -> dict[int, str]:
+        """{qvertex: data vertex} for every bound qvertex."""
+        return {qv: dv for qv, dv in enumerate(self.verts) if dv is not None}
 
     def time_span(self) -> int:
         if self.t_min is None:
@@ -190,100 +214,14 @@ class Match:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
-        return self.pairs == other.pairs and self.bindings == other.bindings
+        return self.edges == other.edges and self.verts == other.verts
 
     def __hash__(self) -> int:
-        return hash((self.pairs, tuple(sorted(self.bindings.items()))))
+        return hash((self.edges, self.verts))
 
     def __repr__(self) -> str:
         inner = ";".join(f"{q}={e}" for q, e in self.pairs)
         return f"Match({inner})"
-
-    @classmethod
-    def _merged(
-        cls,
-        pairs: tuple[tuple[int, int], ...],
-        times: tuple[int, ...],
-        eids: frozenset[int],
-        bindings: dict[int, str],
-        rev: dict[str, int],
-        t_min: int | None,
-        t_max: int | None,
-    ) -> Match:
-        # Raw constructor for join(): the caller has already proven the
-        # invariants __init__ would re-check, and the inputs are pre-sorted.
-        m = cls.__new__(cls)
-        m.pairs = pairs
-        m.times = times
-        m._pm = None
-        m.eids = eids
-        m.bindings = bindings
-        m.rev = rev
-        m.t_min = t_min
-        m.t_max = t_max
-        return m
-
-
-def join(m1: Match, m2: Match) -> Match | None:
-    """Merge two matches; None when they are inconsistent.
-
-    Succeeds iff shared qvertices bind identically, the merged vertex binding
-    stays injective, no qedge is bound to two different data edges, and no two
-    distinct qedges share one data edge.  Commutative.
-    """
-    small, big = (m1, m2) if len(m1.bindings) <= len(m2.bindings) else (m2, m1)
-    for qv, dv in small.bindings.items():
-        bound = big.bindings.get(qv)
-        if bound is not None:
-            if bound != dv:
-                return None
-        elif dv in big.rev:
-            return None  # same data vertex already serving another qvertex
-    # Both pair tuples are sorted by qedge id; merge with two pointers.  A
-    # shared qedge must carry the same data edge — checked as the pointers
-    # meet, so no per-join ownership map is needed.
-    p1, p2 = m1.pairs, m2.pairs
-    ts1, ts2 = m1.times, m2.times
-    n1, n2 = len(p1), len(p2)
-    i = j = 0
-    mp: list[tuple[int, int]] = []
-    mt: list[int] = []
-    while i < n1 and j < n2:
-        q1 = p1[i][0]
-        q2 = p2[j][0]
-        if q1 <= q2:
-            if q1 == q2:
-                if p1[i][1] != p2[j][1]:
-                    return None  # one qedge bound to two data edges
-                j += 1
-            mp.append(p1[i])
-            mt.append(ts1[i])
-            i += 1
-        else:
-            mp.append(p2[j])
-            mt.append(ts2[j])
-            j += 1
-    if i < n1:
-        mp.extend(p1[i:])
-        mt.extend(ts1[i:])
-    elif j < n2:
-        mp.extend(p2[j:])
-        mt.extend(ts2[j:])
-    eids = m1.eids | m2.eids
-    if len(eids) != len(mp):
-        return None  # one data edge cannot serve two qedges
-    bindings = dict(big.bindings)
-    bindings.update(small.bindings)
-    rev = dict(big.rev)
-    rev.update(small.rev)
-    if m1.t_min is None:
-        t_min, t_max = m2.t_min, m2.t_max
-    elif m2.t_min is None:
-        t_min, t_max = m1.t_min, m1.t_max
-    else:
-        t_min = m1.t_min if m1.t_min <= m2.t_min else m2.t_min
-        t_max = m1.t_max if m1.t_max >= m2.t_max else m2.t_max
-    return Match._merged(tuple(mp), tuple(mt), eids, bindings, rev, t_min, t_max)
 
 
 # ---------------------------------------------------------------------- files

@@ -13,22 +13,23 @@ Structure (k+1 leaves)::
 
 Every node owns the sub-pattern formed by the union of its leaves; an internal
 node's *cut* is the intersection of its children's sub-patterns and defines
-the join key.  Matches are stored keyed by their projection onto the parent's
-cut, so a new match at one child probes its sibling's table with a plain hash
-lookup, joins pairwise, and propagates upward.  Complete matches surface at
-the root, are checked against the time window, and are emitted exactly once.
+the join key.  Leaf pieces are edge-disjoint, so a cut holds only vertices.
+Matches are stored keyed by their bindings of the parent's cut, so a new match
+at one child probes its sibling's table with a plain hash lookup, joins
+pairwise, and propagates upward.  Complete matches surface at the root, are
+checked against the time window, and are emitted exactly once.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
 from .errors import PlanError
-from .query import Match, QueryGraph, QueryPiece, join
+from .query import Match, QueryGraph, QueryPiece
 
-__all__ = ["JoinKey", "SJTreeNode", "SJTree"]
+__all__ = ["JoinKey", "SJTreeNode", "SJTree", "join"]
 
-# (cut vertex bindings in qvertex-id order, cut data-edge ids in qedge-id order)
-JoinKey = tuple[tuple[str, ...], tuple[int, ...]]
+# the cut's vertex bindings in qvertex-id order
+JoinKey = tuple[str, ...]
 
 
 class SJTreeNode:
@@ -41,8 +42,9 @@ class SJTreeNode:
         "right",
         "leaf_index",
         "sibling",
+        "sibling_edges",
+        "sibling_verts",
         "cut_verts",
-        "cut_edges",
         "table",
         "sigs",
     )
@@ -64,13 +66,16 @@ class SJTreeNode:
         self.left = left
         self.right = right
         self.leaf_index = leaf_index
-        self.sibling: int | None = None  # the other child of the parent, set by SJTree
-        # the order of the cut elements in a JoinKey, fixed at build time
+        # the other child of the parent, the qedges it binds and the qvertices
+        # only it binds: the slots a join fills from it; set by SJTree
+        self.sibling: int | None = None
+        self.sibling_edges: tuple[int, ...] = ()
+        self.sibling_verts: tuple[int, ...] = ()
+        # the order of the cut vertices in a JoinKey, fixed at build time
         self.cut_verts = tuple(sorted(cut.vertices))
-        self.cut_edges = tuple(sorted(cut.edges))
-        # at the root, table stays empty and sigs records emitted signatures
+        # the root stores nothing; only leaves keep dedupe signatures
         self.table: dict[JoinKey, list[Match]] = {}
-        self.sigs: set[tuple[tuple[int, int], ...]] = set()
+        self.sigs: set[tuple[int | None, ...]] | None = set() if self.is_leaf else None
 
     @property
     def is_leaf(self) -> bool:
@@ -78,6 +83,37 @@ class SJTreeNode:
 
 
 _EMPTY_PIECE = QueryPiece(frozenset(), frozenset())
+
+
+def join(m: Match, m_s: Match, node: SJTreeNode) -> Match | None:
+    """Merge ``m``, stored at ``node``, with ``m_s`` from its sibling's
+    bucket under the same key; None when they cannot form one match.
+
+    The key already makes the shared qvertices agree, and the two pieces
+    share no qedge, so only the slots the sibling fills need checks: its data
+    edges must be new to ``m`` and the data vertices of the qvertices only it
+    binds must not already serve ``m``.
+    """
+    edges, verts = m.edges, m.verts
+    s_edges, s_verts = m_s.edges, m_s.verts
+    merged_edges = list(edges)
+    for qe in node.sibling_edges:
+        eid = s_edges[qe]
+        if eid in edges:
+            return None
+        merged_edges[qe] = eid
+    merged_verts = list(verts)
+    for qv in node.sibling_verts:
+        dv = s_verts[qv]
+        if dv in verts:
+            return None
+        merged_verts[qv] = dv
+    return Match(
+        tuple(merged_edges),
+        tuple(merged_verts),
+        m.t_min if m.t_min <= m_s.t_min else m_s.t_min,
+        m.t_max if m.t_max >= m_s.t_max else m_s.t_max,
+    )
 
 
 class SJTree:
@@ -91,8 +127,10 @@ class SJTree:
         self.leaf_ids.sort(key=lambda nid: nodes[nid].leaf_index)
         for n in nodes:
             if not n.is_leaf:
-                nodes[n.left].sibling = n.right
-                nodes[n.right].sibling = n.left
+                for a, b in ((nodes[n.left], nodes[n.right]), (nodes[n.right], nodes[n.left])):
+                    a.sibling = b.node_id
+                    a.sibling_edges = tuple(sorted(b.piece.edges))
+                    a.sibling_verts = tuple(sorted(b.piece.vertices - a.piece.vertices))
         self.stored_count = 0
         self.peak_stored = 0
         # optional hook fired after a match is stored at a non-root node;
@@ -145,7 +183,8 @@ class SJTree:
         """Drop all runtime match state, keeping the structure."""
         for n in self.nodes:
             n.table.clear()
-            n.sigs.clear()
+            if n.sigs is not None:
+                n.sigs.clear()
         self.stored_count = 0
         self.peak_stored = 0
 
@@ -161,72 +200,69 @@ class SJTree:
         """Insert ``m`` at a node, probe the sibling, recurse on joins.
 
         Complete matches reach the root and are emitted iff their time span is
-        strictly inside the window; each signature is emitted at most once per
-        run.  Returns the number of matches emitted downstream of this insert.
-        Matches whose span already exceeds the window are dropped eagerly —
-        growing them can only widen the span.
+        strictly inside the window.  Returns the number of matches emitted
+        downstream of this insert.  Matches whose span already exceeds the
+        window are dropped eagerly — growing them can only widen the span.
+
+        Only leaves deduplicate, on the edge tuple: a gated leaf can be
+        searched at several edges of one match.  Children never store a
+        duplicate, so a match above the leaves is one (left, right) pair,
+        joined once, when the later of the two is stored — the earlier one
+        probed before the later existed, and each stores itself only after
+        its probe — and distinct pairs join to distinct matches, because the
+        children's pieces are edge-disjoint.  Internal nodes and a join root
+        therefore need no signatures.
         """
         node = self.nodes[node_id]
-        sig = m.pairs
-        if sig in node.sigs:
-            return 0
-        if node_id == self.root_id:
-            if window is not None and m.time_span() >= window:
+        sigs = node.sigs
+        if sigs is not None:
+            if m.edges in sigs:
                 return 0
-            node.sigs.add(sig)
+            sigs.add(m.edges)
+        if node_id == self.root_id:
+            if window is not None and m.t_max - m.t_min >= window:
+                return 0
             emit(m)
             return 1
-        node.sigs.add(sig)
         parent = self.nodes[node.parent]
-        b = m.bindings
-        if parent.cut_edges:
-            pm = m.pair_map
-            key = (
-                tuple(b[qv] for qv in parent.cut_verts),
-                tuple(pm[qe] for qe in parent.cut_edges),
-            )
-        else:
-            key = (tuple(b[qv] for qv in parent.cut_verts), ())
+        verts = m.verts
+        key = tuple([verts[qv] for qv in parent.cut_verts])
         sibling = self.nodes[node.sibling]
         emitted = 0
+        # Every stored match binds at least one edge (leaf pieces have edges),
+        # so its times are set.  An entry whose t_min trails m.t_max by a full
+        # window can never again combine into an in-window emission (every
+        # later emission is at least as new), so skip it and sweep such
+        # entries out of the bucket below.
         t_min, t_max = m.t_min, m.t_max
-        # An entry whose t_min trails m.t_max by a full window can never again
-        # combine into an in-window emission (every later emission is at least
-        # as new), so skip it and sweep such entries out of the bucket below.
-        cutoff = None
-        if window is not None and t_max is not None:
-            cutoff = t_max - window
+        cutoff = None if window is None else t_max - window
         stale = 0
-        # iterate a snapshot: cascaded work fired by on_store may append to
-        # tables while we walk this bucket
-        bucket = sibling.table.get(key)
-        for m_s in list(bucket) if bucket else ():
-            s_min, s_max = m_s.t_min, m_s.t_max
-            if cutoff is not None and s_min is not None:
+        # nothing mutates this bucket while it is walked: recursion only goes
+        # up to the parent, and on_store may only queue work
+        bucket = sibling.table.get(key, ())
+        for m_s in bucket:
+            if cutoff is not None:
+                s_min = m_s.t_min
                 if s_min <= cutoff:
                     stale += 1
                     continue
-                lo = t_min if t_min <= s_min else s_min
-                hi = t_max if t_max >= s_max else s_max
-                if hi - lo >= window:
+                s_max = m_s.t_max
+                if (t_max if t_max >= s_max else s_max) - (t_min if t_min <= s_min else s_min) >= window:
                     continue
-            combined = join(m, m_s)
-            if combined is None:
-                continue
-            if window is not None and combined.time_span() >= window:
-                continue
-            emitted += self.insert_and_propagate(node.parent, combined, window, emit)
-        if stale and bucket is not None and stale * 2 > len(bucket):
-            kept = []
-            for x in bucket:
-                if x.t_min is None or x.t_min > cutoff:
-                    kept.append(x)
-                else:
-                    sibling.sigs.discard(x.pairs)
-            removed = len(bucket) - len(kept)
-            if removed:
+            combined = join(m, m_s, node)
+            if combined is not None:
+                emitted += self.insert_and_propagate(node.parent, combined, window, emit)
+        if stale * 2 > len(bucket):
+            kept = [x for x in bucket if x.t_min > cutoff]
+            if sibling.sigs is not None:
+                for x in bucket:
+                    if x.t_min <= cutoff:
+                        sibling.sigs.discard(x.edges)
+            if kept:
                 bucket[:] = kept
-                self.stored_count -= removed
+            else:
+                del sibling.table[key]
+            self.stored_count -= stale
         own = node.table.get(key)
         if own is None:
             node.table[key] = [m]
@@ -250,18 +286,15 @@ class SJTree:
         cutoff = t_last - window
         removed = 0
         for node in self.nodes:
-            if node.node_id == self.root_id:
-                continue  # root keeps only emitted signatures
-            if not node.table:
-                continue
             for key in list(node.table):
                 bucket = node.table[key]
-                kept = [m for m in bucket if m.t_max is None or m.t_max > cutoff]
+                kept = [m for m in bucket if m.t_max > cutoff]
                 if len(kept) != len(bucket):
-                    for m in bucket:
-                        if not (m.t_max is None or m.t_max > cutoff):
-                            node.sigs.discard(m.pairs)
-                            removed += 1
+                    removed += len(bucket) - len(kept)
+                    if node.sigs is not None:
+                        for m in bucket:
+                            if m.t_max <= cutoff:
+                                node.sigs.discard(m.edges)
                     if kept:
                         node.table[key] = kept
                     else:
@@ -284,8 +317,7 @@ class SJTree:
             )
             for qe in sorted(node.piece.edges):
                 out.append(f"  subgraph: edge {qe}")
-            cut_parts = [f"vertex {qv}" for qv in sorted(node.cut.vertices)]
-            cut_parts += [f"edge {qe}" for qe in sorted(node.cut.edges)]
+            cut_parts = [f"vertex {qv}" for qv in node.cut_verts]
             out.append("  cut: " + (" ".join(cut_parts) if cut_parts else "empty"))
         return "\n".join(out) + "\n"
 
@@ -352,25 +384,21 @@ class SJTree:
                     raise PlanError("cut line before any node", line=idx, source=source)
                 if current["cut"] is not None:
                     raise PlanError("duplicate cut line", line=idx, source=source)
-                verts, edges = set(), set()
+                verts = set()
                 rest = parts[1:]
                 if rest == ["empty"]:
                     pass
                 elif not rest or len(rest) % 2:
-                    raise PlanError("want: cut: empty | (vertex|edge <id>)...", line=idx, source=source)
+                    raise PlanError("want: cut: empty | (vertex <id>)...", line=idx, source=source)
                 else:
                     for kind, val in zip(rest[::2], rest[1::2]):
+                        if kind != "vertex":
+                            raise PlanError(f"bad cut element {kind!r}", line=idx, source=source)
                         try:
-                            num = int(val)
+                            verts.add(int(val))
                         except ValueError:
                             raise PlanError(f"bad cut id {val!r}", line=idx, source=source) from None
-                        if kind == "vertex":
-                            verts.add(num)
-                        elif kind == "edge":
-                            edges.add(num)
-                        else:
-                            raise PlanError(f"bad cut element {kind!r}", line=idx, source=source)
-                current["cut"] = (verts, edges)
+                current["cut"] = verts
             else:
                 raise PlanError(f"unexpected line {body!r}", line=idx, source=source)
 
@@ -388,15 +416,11 @@ class SJTree:
                 if not (0 <= qe < query.n_edges):
                     raise fail(nid, f"node {nid} references qedge {qe} outside the query")
             piece = QueryPiece.from_edges(query, r["edges"]) if r["edges"] else _EMPTY_PIECE
-            cut_raw = r["cut"] or (set(), set())
-            for qv in cut_raw[0]:
+            cut_verts = r["cut"] or set()
+            for qv in cut_verts:
                 if not (0 <= qv < query.n_vertices):
                     raise fail(nid, f"node {nid} cut references qvertex {qv} outside the query")
-            for qe in cut_raw[1]:
-                if not (0 <= qe < query.n_edges):
-                    raise fail(nid, f"node {nid} cut references qedge {qe} outside the query")
-            cut = QueryPiece(frozenset(cut_raw[1]), frozenset(cut_raw[0]))
-            # QueryPiece signature is (edges, vertices)
+            cut = QueryPiece(frozenset(), frozenset(cut_verts))
             nodes.append(
                 SJTreeNode(nid, piece, cut, r["parent"], r["left"], r["right"], r["leaf_index"])
             )

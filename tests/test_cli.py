@@ -101,6 +101,29 @@ def test_run_strategies_agree(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_vf2_counts_no_statistics(tmp_path, monkeypatch, capsys):
+    # the rescan baseline reads no selectivity table, so without --stats
+    # the stream is not counted before the first edge
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+
+    def run(out):
+        assert main([
+            "run", "--query", str(query_path), "--stream", str(stream),
+            "--window", "6", "--strategy", "vf2", "--out", str(out),
+        ]) == 0
+        return out.read_text()
+
+    plain = run(tmp_path / "plain.tsv")
+
+    def refuse(*args):
+        raise AssertionError("vf2 must not count statistics")
+
+    monkeypatch.setattr("dgquery.cli.collect_stats", refuse)
+    assert run(tmp_path / "refused.tsv") == plain
+    capsys.readouterr()
+
+
 def test_run_accepts_unbounded_window(tmp_path):
     stream = _gen_stream(tmp_path)
     query_path = _gen_query(tmp_path)

@@ -256,25 +256,50 @@ def test_always_on_leaf_searches_skip_the_dedupe_set():
     assert eng._searched == set()
 
 
-def test_stored_signatures_track_stored_matches():
-    # the in-bucket stale sweep and the periodic purge both drop a stored
-    # match's signature with it, so no non-root node keeps signatures of
-    # matches it no longer holds
+def windowed_social_runs():
+    """Trees after a seeded windowed social stream that emits, per plan mode
+    and engine mode."""
     rng = Random(2)
     schema = social_schema()
     records = generate_stream(schema, 600, rng, edges_per_tick=4)
     query = random_query(schema, 3, rng)
     table = table_for(records)
     for mode in ("single", "path"):
-        plan = plan_query(query, table, mode=mode)
-        eng = Engine(query, plan.tree, 20, lazy=True)
-        for r in records:
-            eng.process(r)
-        assert eng.counters.emitted > 0
-        for node in plan.tree.nodes:
-            if node.node_id != plan.tree.root_id:
-                stored = sum(len(bucket) for bucket in node.table.values())
-                assert len(node.sigs) == stored, (mode, node.node_id)
+        for lazy in (True, False):
+            plan = plan_query(query, table, mode=mode)
+            eng = Engine(query, plan.tree, 20, lazy=lazy)
+            for r in records:
+                eng.process(r)
+            assert eng.counters.emitted > 0
+            yield (mode, lazy), plan.tree
+
+
+def test_stored_signatures_track_stored_matches():
+    # the in-bucket stale sweep and the periodic purge both drop a stored
+    # match's signature with it, so no leaf keeps signatures of matches it
+    # no longer holds
+    for run, tree in windowed_social_runs():
+        for node in tree.leaves():
+            stored = sum(len(bucket) for bucket in node.table.values())
+            assert len(node.sigs) == stored, (run, node.node_id)
+
+
+def test_join_nodes_hold_no_signatures():
+    # only leaves deduplicate; internal nodes and the root keep nothing per
+    # emission
+    for run, tree in windowed_social_runs():
+        assert len(tree.nodes) > 1
+        for node in tree.nodes:
+            if not node.is_leaf:
+                assert not node.sigs, (run, node.node_id)
+
+
+def test_no_node_table_keeps_an_empty_bucket():
+    # a bucket emptied by the in-bucket stale sweep leaves the table with
+    # its last match
+    for run, tree in windowed_social_runs():
+        for node in tree.nodes:
+            assert all(node.table.values()), (run, node.node_id)
 
 
 def test_engine_rejects_foreign_tree():

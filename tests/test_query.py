@@ -1,4 +1,4 @@
-"""Query patterns, pieces, matches, and the join algebra."""
+"""Query patterns, pieces, matches, and the join of sibling matches."""
 from __future__ import annotations
 
 from random import Random
@@ -12,11 +12,12 @@ from dgquery.query import (
     QueryGraph,
     QueryPiece,
     format_query,
-    join,
     parse_query,
 )
 
-from conftest import q
+from dgquery.sjtree import SJTree, join
+
+from conftest import path_query, q
 
 
 TRIANGLE = """
@@ -111,111 +112,119 @@ def test_piece_connectivity():
 
 # -------------------------------------------------------------------- matches
 
+PATH2 = path_query(["e", "f"])  # 2 qedges, 3 qvertices
+PATH3 = path_query(["e", "f", "g"])  # 3 qedges, 4 qvertices
+
+
 def test_match_canonical_order_and_times():
-    m = Match([(2, 30, 7), (0, 10, 3), (1, 20, 9)], {0: "a", 1: "b", 2: "c"})
+    m = Match.of(PATH3, [(2, 30, 7), (0, 10, 3), (1, 20, 9)], {0: "a", 1: "b", 2: "c"})
+    assert m.edges == (10, 20, 30)
+    assert m.verts == ("a", "b", "c", None)
     assert m.pairs == ((0, 10), (1, 20), (2, 30))
-    assert m.times == (3, 9, 7)
+    assert m.bindings == {0: "a", 1: "b", 2: "c"}
     assert (m.t_min, m.t_max) == (3, 9)
     assert m.time_span() == 6
-    assert m.pair_map == {0: 10, 1: 20, 2: 30}
 
 
 def test_match_rejects_duplicate_qedge():
     with pytest.raises(ContractError):
-        Match([(0, 10, 1), (0, 11, 2)], {0: "a"})
+        Match.of(PATH3, [(0, 10, 1), (0, 11, 2)], {0: "a"})
+
+
+def test_match_rejects_shared_data_edge():
+    with pytest.raises(ContractError):
+        Match.of(PATH3, [(0, 10, 1), (1, 10, 1)], {})
 
 
 def test_match_rejects_non_injective_bindings():
     with pytest.raises(ContractError):
-        Match([(0, 10, 1)], {0: "a", 1: "a"})
+        Match.of(PATH3, [(0, 10, 1)], {0: "a", 1: "a"})
 
 
 def test_empty_match():
-    empty = Match((), {})
+    empty = Match.of(PATH3, (), {})
     assert empty.pairs == ()
+    assert empty.edges == (None, None, None)
     assert empty.t_min is None
     assert empty.time_span() == 0
 
 
 def test_match_equality_and_hash():
-    a = Match([(0, 1, 5)], {0: "x", 1: "y"})
-    b = Match([(0, 1, 5)], {0: "x", 1: "y"})
-    c = Match([(0, 2, 5)], {0: "x", 1: "y"})
+    a = Match.of(PATH3, [(0, 1, 5)], {0: "x", 1: "y"})
+    b = Match.of(PATH3, [(0, 1, 5)], {1: "y", 0: "x"})
+    c = Match.of(PATH3, [(0, 2, 5)], {0: "x", 1: "y"})
     assert a == b and hash(a) == hash(b)
     assert a != c
 
 
 # ----------------------------------------------------------------------- join
+# join(m, m_s, node) merges m, stored at a tree node, with m_s from the
+# sibling's bucket under the same key, so the shared qvertices already agree.
+
+def sibling_leaves(query, *edge_sets):
+    pieces = [QueryPiece.from_edges(query, ids) for ids in edge_sets]
+    return SJTree.from_leaf_pieces(query, pieces).leaves()
+
 
 def test_join_identity_and_commutativity():
-    m = Match([(0, 10, 3), (1, 20, 9)], {0: "a", 1: "b"})
-    for other in (Match((), {}), Match((), {0: "a"})):
-        left = join(m, other)
-        right = join(other, m)
-        assert left == right == m
+    leaf0, leaf1 = sibling_leaves(PATH2, [0], [1])
+    m0 = Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"})
+    m1 = Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"})
+    left, right = join(m0, m1, leaf0), join(m1, m0, leaf1)
+    assert left == right
+    # each side's bound slots come through unchanged
+    for m in (m0, m1):
+        assert all(e is None or e == got for e, got in zip(m.edges, left.edges))
+        assert all(v is None or v == got for v, got in zip(m.verts, left.verts))
 
 
 def test_join_merges_disjoint_pieces():
-    m1 = Match([(0, 10, 3)], {0: "a", 1: "b"})
-    m2 = Match([(1, 20, 9)], {1: "b", 2: "c"})
-    got = join(m1, m2)
+    leaf0, _ = sibling_leaves(PATH2, [0], [1])
+    m0 = Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"})
+    m1 = Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"})
+    got = join(m0, m1, leaf0)
     assert got is not None
+    assert got.edges == (10, 20) and got.verts == ("a", "b", "c")
     assert got.pairs == ((0, 10), (1, 20))
     assert got.bindings == {0: "a", 1: "b", 2: "c"}
     assert (got.t_min, got.t_max) == (3, 9)
-    # the lazily built pair map of a merged match is still correct
-    assert got.pair_map == {0: 10, 1: 20}
 
 
 def test_join_conflicts():
-    base = Match([(0, 10, 3)], {0: "a", 1: "b"})
-    # same qedge bound to different data edges
-    assert join(base, Match([(0, 11, 3)], {0: "a", 1: "b"})) is None
-    # shared qvertex bound to different data vertices
-    assert join(base, Match([(1, 20, 4)], {1: "c", 2: "d"})) is None
-    # distinct qvertices landing on one data vertex (injectivity)
-    assert join(base, Match([(1, 20, 4)], {2: "a"})) is None
+    # a shared qvertex bound two ways never meets a join: the key keeps the
+    # two apart (test_sjtree's mismatched-cut test)
+    leaf0, _ = sibling_leaves(PATH2, [0], [1])
+    base = Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"})
     # two distinct qedges sharing one data edge
-    assert join(base, Match([(1, 10, 3)], {1: "b", 2: "c"})) is None
-
-
-def test_join_same_qedge_same_edge_is_fine():
-    m1 = Match([(0, 10, 3), (1, 20, 5)], {0: "a", 1: "b"})
-    m2 = Match([(1, 20, 5), (2, 30, 7)], {1: "b", 2: "c"})
-    got = join(m1, m2)
-    assert got is not None
-    assert got.pairs == ((0, 10), (1, 20), (2, 30))
-    assert got.times == (3, 5, 7)
+    assert join(base, Match.of(PATH2, [(1, 10, 3)], {1: "b", 2: "c"}), leaf0) is None
+    # distinct qvertices landing on one data vertex (injectivity)
+    assert join(base, Match.of(PATH2, [(1, 20, 4)], {1: "b", 2: "a"}), leaf0) is None
 
 
 def test_join_randomized_commutes_and_validates():
-    # random consistent and inconsistent fragments: join(m1, m2) == join(m2, m1),
-    # and a successful join preserves every constituent binding
+    # random fragments of a two-leaf tree that agree on the cut vertex 2:
+    # the join commutes, and it succeeds exactly when the validating
+    # constructor accepts the union of both sides, with the same result
+    leaf0, leaf1 = sibling_leaves(PATH3, [0, 1], [2])
     rng = Random(5)
+    joined = 0
     for _ in range(300):
-        full_pairs = [(qe, qe + 100, rng.randrange(20)) for qe in range(5)]
-        full_bind = {qv: f"v{qv}" for qv in range(6)}
-
-        def fragment():
-            pairs = [p for p in full_pairs if rng.random() < 0.5]
-            bind = {qv: dv for qv, dv in full_bind.items() if rng.random() < 0.7}
-            if rng.random() < 0.3:  # corrupt something
-                if pairs and rng.random() < 0.5:
-                    i = rng.randrange(len(pairs))
-                    pairs[i] = (pairs[i][0], pairs[i][1] + 1000, pairs[i][2])
-                elif bind:
-                    k = rng.choice(sorted(bind))
-                    bind[k] = f"w{rng.randrange(3)}"
-            return Match(pairs, bind)
-
-        m1, m2 = fragment(), fragment()
-        ab, ba = join(m1, m2), join(m2, m1)
-        assert (ab is None) == (ba is None)
-        if ab is not None:
-            assert ab == ba
-            for src in (m1, m2):
-                for qv, dv in src.bindings.items():
-                    assert ab.bindings[qv] == dv
-                for qe, de in src.pairs:
-                    assert ab.pair_map[qe] == de
-            assert ab.t_min == min((x for x in (m1.t_min, m2.t_min) if x is not None), default=None)
+        pool = [f"v{i}" for i in range(5)]
+        lv = rng.sample(pool, 3)
+        rv = [lv[2], rng.choice(pool)]
+        if rv[1] == rv[0]:
+            continue
+        l_items = [(0, rng.randrange(4), rng.randrange(20)), (1, 4 + rng.randrange(4), rng.randrange(20))]
+        r_items = [(2, rng.randrange(8), rng.randrange(20))]
+        left = Match.of(PATH3, l_items, dict(enumerate(lv)))
+        right = Match.of(PATH3, r_items, {2: rv[0], 3: rv[1]})
+        ab, ba = join(left, right, leaf0), join(right, left, leaf1)
+        try:
+            want = Match.of(PATH3, l_items + r_items, {**left.bindings, **right.bindings})
+        except ContractError:
+            want = None
+        assert ab == ba == want
+        if want is not None:
+            joined += 1
+            assert (ab.t_min, ab.t_max) == (want.t_min, want.t_max)
+    assert 0 < joined < 300

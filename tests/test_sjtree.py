@@ -73,8 +73,8 @@ def emitted_via(tree, inserts, window):
 def test_insert_joins_across_siblings():
     query, tree = two_leaf_tree()
     leaf0, leaf1 = tree.leaves()
-    m0 = Match([(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match([(1, 20, 2)], {1: "b", 2: "c"})
+    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
+    m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
     assert len(got) == 1
     assert got[0].pairs == ((0, 10), (1, 20))
@@ -89,12 +89,12 @@ def test_join_key_orders_cut_elements():
     pieces = [QueryPiece.from_edges(query, [0]), QueryPiece.from_edges(query, [1])]
     tree = SJTree.from_leaf_pieces(query, pieces)
     leaf0, leaf1 = tree.leaves()
-    m0 = Match([(0, 10, 1)], {1: "y", 0: "x"})
-    swapped = Match([(1, 20, 2)], {0: "y", 1: "x"})
-    m1 = Match([(1, 21, 3)], {0: "x", 1: "y"})
+    m0 = Match.of(query, [(0, 10, 1)], {1: "y", 0: "x"})
+    swapped = Match.of(query, [(1, 20, 2)], {0: "y", 1: "x"})
+    m1 = Match.of(query, [(1, 21, 3)], {0: "x", 1: "y"})
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, swapped), (leaf1.node_id, m1)], None)
-    assert list(leaf0.table) == [(("x", "y"), ())]
-    assert list(leaf1.table) == [(("y", "x"), ()), (("x", "y"), ())]
+    assert list(leaf0.table) == [("x", "y")]
+    assert list(leaf1.table) == [("y", "x"), ("x", "y")]
     assert [m.pairs for m in got] == [((0, 10), (1, 21))]
 
 
@@ -106,13 +106,13 @@ def test_join_key_empty_cut_is_shared():
     tree = SJTree.from_leaf_pieces(query, pieces)
     leaf0, leaf1, leaf2 = tree.leaves()
     inserts = [
-        (leaf0.node_id, Match([(0, 1, 0)], {0: "a", 1: "b"})),
-        (leaf0.node_id, Match([(0, 4, 0)], {0: "x", 1: "y"})),
-        (leaf1.node_id, Match([(2, 3, 0)], {2: "c", 3: "d"})),
-        (leaf2.node_id, Match([(1, 2, 0)], {1: "b", 2: "c"})),
+        (leaf0.node_id, Match.of(query, [(0, 1, 0)], {0: "a", 1: "b"})),
+        (leaf0.node_id, Match.of(query, [(0, 4, 0)], {0: "x", 1: "y"})),
+        (leaf1.node_id, Match.of(query, [(2, 3, 0)], {2: "c", 3: "d"})),
+        (leaf2.node_id, Match.of(query, [(1, 2, 0)], {1: "b", 2: "c"})),
     ]
     got = emitted_via(tree, inserts, None)
-    assert list(leaf0.table) == list(leaf1.table) == [((), ())]
+    assert list(leaf0.table) == list(leaf1.table) == [()]
     cross = tree.nodes[leaf0.parent]
     assert sum(len(bucket) for bucket in cross.table.values()) == 2
     assert [m.pairs for m in got] == [((0, 1), (1, 2), (2, 3))]
@@ -121,8 +121,8 @@ def test_join_key_empty_cut_is_shared():
 def test_insert_mismatched_cut_does_not_join():
     query, tree = two_leaf_tree()
     leaf0, leaf1 = tree.leaves()
-    m0 = Match([(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match([(1, 20, 2)], {1: "x", 2: "c"})  # different shared vertex
+    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
+    m1 = Match.of(query, [(1, 20, 2)], {1: "x", 2: "c"})  # different shared vertex
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
     assert got == []
 
@@ -130,8 +130,8 @@ def test_insert_mismatched_cut_does_not_join():
 def test_insert_dedupes_by_signature():
     query, tree = two_leaf_tree()
     leaf0, leaf1 = tree.leaves()
-    m0 = Match([(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match([(1, 20, 2)], {1: "b", 2: "c"})
+    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
+    m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
     got = emitted_via(
         tree,
         [(leaf0.node_id, m0), (leaf1.node_id, m1), (leaf1.node_id, m1)],
@@ -148,8 +148,8 @@ def test_window_span_strictly_inside():
     def run(t0, t1, window):
         tree.reset()
         inserts = [
-            (leaf0.node_id, Match([(0, 10, t0)], {0: "a", 1: "b"})),
-            (leaf1.node_id, Match([(1, 20, t1)], {1: "b", 2: "c"})),
+            (leaf0.node_id, Match.of(query, [(0, 10, t0)], {0: "a", 1: "b"})),
+            (leaf1.node_id, Match.of(query, [(1, 20, t1)], {1: "b", 2: "c"})),
         ]
         return len(emitted_via(tree, inserts, window))
 
@@ -163,7 +163,7 @@ def test_peak_stored_tracks_maximum():
     leaf0, _ = tree.leaves()
     for i in range(4):
         tree.insert_and_propagate(
-            leaf0.node_id, Match([(0, i, i)], {0: f"a{i}", 1: f"b{i}"}), None, lambda m: None
+            leaf0.node_id, Match.of(query, [(0, i, i)], {0: f"a{i}", 1: f"b{i}"}), None, lambda m: None
         )
     assert tree.stored_count == 4
     assert tree.peak_stored == 4
@@ -175,8 +175,8 @@ def test_peak_stored_tracks_maximum():
 def test_purge_stale_boundary_and_reinsert():
     query, tree = two_leaf_tree()
     leaf0, leaf1 = tree.leaves()
-    old = Match([(0, 10, 0)], {0: "a", 1: "b"})
-    fresh = Match([(0, 11, 6)], {0: "a", 1: "b"})
+    old = Match.of(query, [(0, 10, 0)], {0: "a", 1: "b"})
+    fresh = Match.of(query, [(0, 11, 6)], {0: "a", 1: "b"})
     tree.insert_and_propagate(leaf0.node_id, old, 10, lambda m: None)
     tree.insert_and_propagate(leaf0.node_id, fresh, 10, lambda m: None)
     # t_max <= t_last - window goes; the boundary value 0 <= 10 - 10 is stale
@@ -193,21 +193,22 @@ def test_stale_bucket_is_compacted_on_probe():
     leaf0, leaf1 = tree.leaves()
     for i in range(6):
         tree.insert_and_propagate(
-            leaf0.node_id, Match([(0, i, 0)], {0: f"a{i}", 1: "b"}), 5, lambda m: None
+            leaf0.node_id, Match.of(query, [(0, i, 0)], {0: f"a{i}", 1: "b"}), 5, lambda m: None
         )
     assert tree.stored_count == 6
     # a probe from the sibling at a far later time sweeps the dead entries
-    probe = Match([(1, 99, 100)], {1: "b", 2: "c"})
+    probe = Match.of(query, [(1, 99, 100)], {1: "b", 2: "c"})
     tree.insert_and_propagate(leaf1.node_id, probe, 5, lambda m: None)
     assert tree.stored_count == 1  # only the probe itself remains
-    assert not leaf0.table[("b",), ()] and not leaf0.sigs  # signatures go with their matches
+    assert ("b",) not in leaf0.table  # the emptied bucket goes
+    assert not leaf0.sigs  # and the signatures go with their matches
 
 
 def test_reset_clears_state_keeps_shape():
     query, tree = two_leaf_tree()
     leaf0, leaf1 = tree.leaves()
-    m0 = Match([(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match([(1, 20, 2)], {1: "b", 2: "c"})
+    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
+    m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
     emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
     tree.reset()
     assert tree.stored_count == 0 and tree.peak_stored == 0
@@ -222,8 +223,8 @@ def test_on_store_fires_for_stored_matches():
     leaf0, leaf1 = tree.leaves()
     seen: list[tuple[int, tuple]] = []
     tree.on_store = lambda node, m: seen.append((node.node_id, m.pairs))
-    m0 = Match([(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match([(1, 20, 2)], {1: "b", 2: "c"})
+    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
+    m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
     emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
     assert (leaf0.node_id, m0.pairs) in seen
     assert (leaf1.node_id, m1.pairs) in seen
@@ -241,6 +242,11 @@ def test_serialize_round_trips_byte_identical():
     assert again.root_id == tree.root_id
     assert [n.piece.edges for n in again.nodes] == [n.piece.edges for n in tree.nodes]
     assert [n.sibling for n in again.nodes] == [n.sibling for n in tree.nodes] == [1, 0, None]
+    # per child, the slots a join fills from the sibling: the sibling's
+    # qedges and the qvertices only the sibling binds
+    spec = [(n.sibling_edges, n.sibling_verts) for n in again.nodes]
+    assert spec == [(n.sibling_edges, n.sibling_verts) for n in tree.nodes]
+    assert spec == [((2,), (3,)), ((0, 1), (0, 1)), ((), ())]
 
 
 def test_serialize_mentions_structure():
@@ -261,6 +267,7 @@ def test_serialize_mentions_structure():
         (lambda t: t.replace("node 1 ", "node 9 "), "dense node ids"),
         (lambda t: t.replace("leaf_index=1", "leaf_index=-"), "missing leaf_index"),
         (lambda t: t.replace("cut: vertex 1", "cut: vertex 1 vertex"), "want: cut"),
+        (lambda t: t.replace("cut: vertex 1", "cut: vertex 1 edge 0"), "bad cut element"),
         (lambda t: t.replace("cut: vertex 1", "cut: vertex 7"), "outside the query"),
         (lambda t: t.replace("cut: vertex 1", "cut: empty"), "not the intersection"),
         (lambda t: t + "garbage\n", "unexpected line"),
