@@ -226,7 +226,8 @@ class Engine:
         ]
         # leaf gating state: per-leaf {vertex: remaining hops}
         self._budget: list[dict[str, int]] = [{} for _ in self._leaves]
-        self._searched: set[tuple[int, int]] = set()  # (gated leaf_index, edge_id)
+        # (gated leaf_index, edge_id) -> graph.edges_ingested at that search
+        self._searched: dict[tuple[int, int], int] = {}
         self._pending: deque[tuple[int, str, int]] = deque()  # sweeps to run
         if lazy:
             self._always_on = {0}
@@ -277,8 +278,16 @@ class Engine:
                 self._drain()
         self.counters.edges += 1
         if PURGE_INTERVAL and self.counters.edges % PURGE_INTERVAL == 0:
-            self.counters.purged += self.tree.purge_stale(self.graph.t_last, self.window)
+            self.counters.purged += self.tree.purge_stale(self._cutoff())
+            # edge ids follow arrival and eviction is first in, first out, so
+            # the live ids are exactly [edges_evicted, edges_ingested)
+            evicted = self.graph.edges_evicted
+            self._searched = {k: v for k, v in self._searched.items() if k[1] >= evicted}
         return self._delta
+
+    def _cutoff(self) -> int | None:
+        """The graph's eviction cutoff: edges at or before it are gone."""
+        return None if self.window is None else self.graph.t_last - self.window
 
     def _emit(self, m: Match) -> None:
         self.log.append(m)
@@ -319,26 +328,43 @@ class Engine:
                     self._enable(far, leaf_index, budget - 1)
 
     def _anchored_search(self, leaf: SJTreeNode, rec: EdgeRecord) -> None:
-        """Search ``leaf``'s primitive anchored at ``rec`` and feed the hits
-        into the tree.
+        """Search ``leaf``'s primitive anchored at ``rec`` and feed each new
+        hit into the tree once.
 
         A gated leaf can be offered one edge several times (on arrival and by
-        sweeps), so its searches are deduplicated on (leaf, edge id).  An
-        always-on leaf skips that set: it is searched directly on arrival
-        only, because only gated leaves are ever queued by ``_enable`` —
-        ``_on_store`` returns early for always-on leaves, and ``_drain`` only
-        sweeps queued leaves.  Each always-on (leaf, edge) pair is therefore
-        searched exactly once, and the set could never hit for it.
+        sweeps), so its searches are deduplicated on (leaf, edge id), each
+        recording ``graph.edges_ingested`` at the time.  An always-on leaf
+        skips that record: only gated leaves are ever queued by ``_enable``,
+        so it is searched once per edge, on arrival, and only the search at a
+        match's newest edge finds the match.
+
+        A gated multi-edge leaf can find one match from several of its edges.
+        A hit is dropped when another of its edges ``x`` has
+        ``_searched[(leaf, x)] > max(edge ids of the hit)``: every edge of the
+        hit had arrived when ``x`` was searched, and each is live now, so it
+        was live then, and that search already found and fed the hit.
         """
         idx = leaf.leaf_index
-        if idx not in self._always_on:
+        gated = idx not in self._always_on
+        if gated:
             key = (idx, rec.edge_id)
             if key in self._searched:
                 return
-            self._searched.add(key)
+            self._searched[key] = self.graph.edges_ingested
         self.counters.match_calls += 1
-        for m in match_primitive(self.graph, self.query, leaf.piece, rec):
-            self.tree.insert_and_propagate(leaf.node_id, m, self.window, self._emit)
+        matches = match_primitive(self.graph, self.query, leaf.piece, rec)
+        if not matches:
+            return
+        cutoff = self._cutoff()
+        qedges = leaf.piece.edges
+        searched = self._searched if gated and len(qedges) > 1 else None
+        for m in matches:
+            if searched is not None:
+                ids = [m.edges[qe] for qe in qedges]
+                newest = max(ids)
+                if any(x != rec.edge_id and searched.get((idx, x), -1) > newest for x in ids):
+                    continue
+            self.tree.insert_and_propagate(leaf.node_id, m, cutoff, self._emit)
 
     def _on_store(self, node: SJTreeNode, m: Match) -> None:
         """Tree callback: a spine match unlocks the next leaf around itself."""

@@ -16,8 +16,8 @@ node's *cut* is the intersection of its children's sub-patterns and defines
 the join key.  Leaf pieces are edge-disjoint, so a cut holds only vertices.
 Matches are stored keyed by their bindings of the parent's cut, so a new match
 at one child probes its sibling's table with a plain hash lookup, joins
-pairwise, and propagates upward.  Complete matches surface at the root, are
-checked against the time window, and are emitted exactly once.
+pairwise, and propagates upward.  Complete matches surface at the root and
+are emitted.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ class SJTreeNode:
         "sibling_verts",
         "cut_verts",
         "table",
-        "sigs",
     )
 
     def __init__(
@@ -73,9 +72,8 @@ class SJTreeNode:
         self.sibling_verts: tuple[int, ...] = ()
         # the order of the cut vertices in a JoinKey, fixed at build time
         self.cut_verts = tuple(sorted(cut.vertices))
-        # the root stores nothing; only leaves keep dedupe signatures
+        # the root stores nothing
         self.table: dict[JoinKey, list[Match]] = {}
-        self.sigs: set[tuple[int | None, ...]] | None = set() if self.is_leaf else None
 
     @property
     def is_leaf(self) -> bool:
@@ -183,8 +181,6 @@ class SJTree:
         """Drop all runtime match state, keeping the structure."""
         for n in self.nodes:
             n.table.clear()
-            if n.sigs is not None:
-                n.sigs.clear()
         self.stored_count = 0
         self.peak_stored = 0
 
@@ -194,70 +190,49 @@ class SJTree:
         self,
         node_id: int,
         m: Match,
-        window: int | None,
+        cutoff: int | None,
         emit: Callable[[Match], None],
     ) -> int:
-        """Insert ``m`` at a node, probe the sibling, recurse on joins.
+        """Insert ``m`` at a node, probe the sibling, recurse on joins; return
+        the number of complete matches emitted downstream of this insert.
 
-        Complete matches reach the root and are emitted iff their time span is
-        strictly inside the window.  Returns the number of matches emitted
-        downstream of this insert.  Matches whose span already exceeds the
-        window are dropped eagerly — growing them can only widen the span.
+        ``cutoff`` is the graph's eviction cutoff ``t_last - window`` (None:
+        unbounded).  Every new complete match contains the newest edge, so a
+        stored match can join into an emission only while its oldest edge is
+        live: entries with ``t_min <= cutoff`` are skipped, and swept out of
+        the bucket once they are its majority.  Leaf matches come from the
+        live graph and a join of live matches is live, so a root match has
+        ``cutoff < t_min <= t_max <= t_last``: its span is inside the window.
 
-        Only leaves deduplicate, on the edge tuple: a gated leaf can be
-        searched at several edges of one match.  Children never store a
-        duplicate, so a match above the leaves is one (left, right) pair,
-        joined once, when the later of the two is stored — the earlier one
-        probed before the later existed, and each stores itself only after
-        its probe — and distinct pairs join to distinct matches, because the
-        children's pieces are edge-disjoint.  Internal nodes and a join root
-        therefore need no signatures.
+        The caller inserts each leaf match once.  A match above the leaves is
+        then one (left, right) pair, joined once, when the later of the two is
+        stored — the earlier one probed before the later existed, and each
+        stores itself only after its probe — and distinct pairs join to
+        distinct matches, because the children's pieces are edge-disjoint.
+        No node needs signatures.
         """
-        node = self.nodes[node_id]
-        sigs = node.sigs
-        if sigs is not None:
-            if m.edges in sigs:
-                return 0
-            sigs.add(m.edges)
         if node_id == self.root_id:
-            if window is not None and m.t_max - m.t_min >= window:
-                return 0
             emit(m)
             return 1
+        node = self.nodes[node_id]
         parent = self.nodes[node.parent]
         verts = m.verts
         key = tuple([verts[qv] for qv in parent.cut_verts])
         sibling = self.nodes[node.sibling]
         emitted = 0
-        # Every stored match binds at least one edge (leaf pieces have edges),
-        # so its times are set.  An entry whose t_min trails m.t_max by a full
-        # window can never again combine into an in-window emission (every
-        # later emission is at least as new), so skip it and sweep such
-        # entries out of the bucket below.
-        t_min, t_max = m.t_min, m.t_max
-        cutoff = None if window is None else t_max - window
         stale = 0
         # nothing mutates this bucket while it is walked: recursion only goes
         # up to the parent, and on_store may only queue work
         bucket = sibling.table.get(key, ())
         for m_s in bucket:
-            if cutoff is not None:
-                s_min = m_s.t_min
-                if s_min <= cutoff:
-                    stale += 1
-                    continue
-                s_max = m_s.t_max
-                if (t_max if t_max >= s_max else s_max) - (t_min if t_min <= s_min else s_min) >= window:
-                    continue
+            if cutoff is not None and m_s.t_min <= cutoff:
+                stale += 1
+                continue
             combined = join(m, m_s, node)
             if combined is not None:
-                emitted += self.insert_and_propagate(node.parent, combined, window, emit)
+                emitted += self.insert_and_propagate(node.parent, combined, cutoff, emit)
         if stale * 2 > len(bucket):
             kept = [x for x in bucket if x.t_min > cutoff]
-            if sibling.sigs is not None:
-                for x in bucket:
-                    if x.t_min <= cutoff:
-                        sibling.sigs.discard(x.edges)
             if kept:
                 bucket[:] = kept
             else:
@@ -275,26 +250,21 @@ class SJTree:
             self.on_store(node, m)
         return emitted
 
-    def purge_stale(self, t_last: int, window: int | None) -> int:
-        """Drop stored matches with ``t_max <= t_last - window``; return count.
+    def purge_stale(self, cutoff: int | None) -> int:
+        """Drop stored matches with ``t_min <= cutoff``; return the count.
 
-        Such matches can never complete: any future edge has a timestamp of at
-        least ``t_last``, which would stretch the span to the full window.
+        Their oldest edge has left the graph, so, as in
+        ``insert_and_propagate``, they can never join into an emission.
         """
-        if window is None:
+        if cutoff is None:
             return 0
-        cutoff = t_last - window
         removed = 0
         for node in self.nodes:
             for key in list(node.table):
                 bucket = node.table[key]
-                kept = [m for m in bucket if m.t_max > cutoff]
+                kept = [m for m in bucket if m.t_min > cutoff]
                 if len(kept) != len(bucket):
                     removed += len(bucket) - len(kept)
-                    if node.sigs is not None:
-                        for m in bucket:
-                            if m.t_max <= cutoff:
-                                node.sigs.discard(m.edges)
                     if kept:
                         node.table[key] = kept
                     else:

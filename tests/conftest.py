@@ -86,11 +86,13 @@ def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, i
         rec = shadow.add_edge(r)
         expected = oracle.step(shadow, rec)
         for name, eng in engines:
-            got = signatures(eng.process(r))
+            delta = eng.process(r)
+            got = signatures(delta)
             assert got == expected, (
                 f"{name} disagrees with the oracle at step {step}: "
                 f"missing={expected - got} extra={got - expected}"
             )
+            assert len(delta) == len(got), f"{name} emits a match twice at step {step}"
     calls: dict[str, int] = {}
     for name, eng in engines:
         if hasattr(eng, "counters") and hasattr(eng.counters, "match_calls"):

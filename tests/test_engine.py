@@ -253,7 +253,76 @@ def test_always_on_leaf_searches_skip_the_dedupe_set():
         eng.process(r)
     assert eng.counters.match_calls == len(records)
     assert eng.counters.emitted == len(records)
-    assert eng._searched == set()
+    assert eng._searched == {}
+
+
+def test_searched_drops_evicted_edges_at_each_purge(monkeypatch):
+    # edge ids follow arrival and eviction is first in, first out, so a purge
+    # can drop every (leaf, edge) record below the oldest live id
+    monkeypatch.setattr(engine, "PURGE_INTERVAL", 32)
+    rng = Random(2)
+    schema = social_schema()
+    records = generate_stream(schema, 600, rng, edges_per_tick=4)
+    query = random_query(schema, 3, rng)
+    plan = plan_query(query, table_for(records), mode="single")
+    eng = Engine(query, plan.tree, 20, lazy=True)
+    checked = 0
+    for r in records:
+        eng.process(r)
+        if eng.counters.edges % 32 == 0 and eng._searched:
+            evicted = eng.graph.edges_evicted
+            assert evicted > 0
+            assert all(eid >= evicted for _, eid in eng._searched)
+            checked += 1
+    assert checked > 5
+
+
+def test_sweep_at_an_old_edge_joins_only_live_matches():
+    # the b edge y->k arrives at t=5 while y is gated, and is swept at t=14
+    # when the a edge q->y lands; by then the c edge k->z (t=1) has left the
+    # window, so its stored leaf match must not join, though it is within a
+    # window of the swept edge
+    query = path_query(["a", "b", "c"], vertex_label="A")
+    tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
+    eng = Engine(query, tree, 10, lazy=True)
+    records = [raw(0, "p", "a", "x"), raw(0, "x", "b", "k"), raw(1, "k", "c", "z"),
+               raw(5, "y", "b", "k"), raw(14, "q", "a", "y")]
+    deltas = [signatures(eng.process(r)) for r in records]
+    assert deltas == [set(), set(), {((0, 0), (1, 1), (2, 2))}, set(), set()]
+    assert (1, 3) in eng._searched  # the sweep did search the old b edge
+
+
+def test_gated_multi_edge_leaf_stores_each_match_once():
+    # path plan {0,1}, {2,3}: when the a-b prefix lands, the sweep around y
+    # searches leaf 1 at the c edge and enables z, whose sweep then searches
+    # the d edge; both searches find the one c-d match
+    query = path_query(["a", "b", "c", "d"], vertex_label="A")
+    records = [raw(0, "y", "c", "z"), raw(1, "z", "d", "u"), raw(2, "w", "a", "x"), raw(3, "x", "b", "y")]
+    plan = plan_query(query, table_for(records), mode="path")
+    leaf1 = plan.tree.leaves()[1]
+    assert leaf1.piece.edges == {2, 3}
+    eng = Engine(query, plan.tree, None, lazy=True)
+    deltas = [eng.process(r) for r in records]
+    assert {(1, 0), (1, 1)} <= set(eng._searched)
+    assert [m.edges for bucket in leaf1.table.values() for m in bucket] == [(None, None, 0, 1)]
+    assert [len(d) for d in deltas] == [0, 0, 0, 1]
+
+    # the same over random small streams of 3- and 4-edge paths
+    rng = Random(5)
+    for trial in range(300):
+        query = path_query(["a", "b", "a", "b"][: rng.choice((3, 4))], vertex_label="A")
+        ts, records = 0, []
+        for _ in range(rng.randrange(4, 16)):
+            ts += rng.randrange(2)
+            records.append(raw(ts, f"v{rng.randrange(4)}", rng.choice("ab"), f"v{rng.randrange(4)}"))
+        plan = plan_query(query, table_for(records), mode="path")
+        eng = Engine(query, plan.tree, rng.choice((3, None)), lazy=True)
+        for step, r in enumerate(records):
+            delta = eng.process(r)
+            assert len(delta) == len(signatures(delta)), (trial, step)
+            for leaf in plan.tree.leaves():
+                stored = [m.edges for bucket in leaf.table.values() for m in bucket]
+                assert len(stored) == len(set(stored)), (trial, step)
 
 
 def windowed_social_runs():
@@ -275,23 +344,13 @@ def windowed_social_runs():
 
 
 def test_stored_signatures_track_stored_matches():
-    # the in-bucket stale sweep and the periodic purge both drop a stored
-    # match's signature with it, so no leaf keeps signatures of matches it
-    # no longer holds
+    # the search filter feeds each leaf match into the tree once, so every
+    # match a leaf holds has its own edge signature, also after the
+    # in-bucket stale sweep and the periodic purge have dropped some
     for run, tree in windowed_social_runs():
         for node in tree.leaves():
-            stored = sum(len(bucket) for bucket in node.table.values())
-            assert len(node.sigs) == stored, (run, node.node_id)
-
-
-def test_join_nodes_hold_no_signatures():
-    # only leaves deduplicate; internal nodes and the root keep nothing per
-    # emission
-    for run, tree in windowed_social_runs():
-        assert len(tree.nodes) > 1
-        for node in tree.nodes:
-            if not node.is_leaf:
-                assert not node.sigs, (run, node.node_id)
+            stored = [m.edges for bucket in node.table.values() for m in bucket]
+            assert len(set(stored)) == len(stored), (run, node.node_id)
 
 
 def test_no_node_table_keeps_an_empty_bucket():

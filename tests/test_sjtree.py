@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import pytest
 
+from dgquery.engine import Engine
 from dgquery.errors import PlanError
 from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree
 
-from conftest import path_query, q
+from conftest import path_query, q, raw
 
 
 def two_leaf_tree():
@@ -63,10 +64,10 @@ def test_from_leaf_pieces_validation(edge_sets, fragment):
 
 # ----------------------------------------------------------------- propagation
 
-def emitted_via(tree, inserts, window):
+def emitted_via(tree, inserts, cutoff):
     out = []
     for node_id, m in inserts:
-        tree.insert_and_propagate(node_id, m, window, out.append)
+        tree.insert_and_propagate(node_id, m, cutoff, out.append)
     return out
 
 
@@ -128,17 +129,23 @@ def test_insert_mismatched_cut_does_not_join():
 
 
 def test_insert_dedupes_by_signature():
-    query, tree = two_leaf_tree()
-    leaf0, leaf1 = tree.leaves()
-    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
-    got = emitted_via(
-        tree,
-        [(leaf0.node_id, m0), (leaf1.node_id, m1), (leaf1.node_id, m1)],
-        None,
-    )
-    assert len(got) == 1
-    assert tree.stored_count == 2
+    # path plan {0}, {1,2}: when the a edge lands, the sweep around y
+    # searches the gated leaf at both the b and the c edge, and both searches
+    # find the one b-c match; the engine feeds it into the tree once, by its
+    # edge signature, because the tree itself stores whatever it is given
+    query = path_query(["a", "b", "c"], vertex_label="A")
+    pieces = [QueryPiece.from_edges(query, [0]), QueryPiece.from_edges(query, [1, 2])]
+    tree = SJTree.from_leaf_pieces(query, pieces)
+    _, leaf1 = tree.leaves()
+    eng = Engine(query, tree, None, lazy=True)
+    records = [raw(0, "y", "b", "z"), raw(1, "z", "c", "u"), raw(2, "x", "a", "y")]
+    deltas = [eng.process(r) for r in records]
+    assert {(1, 0), (1, 1)} <= set(eng._searched)
+    stored = [m for bucket in leaf1.table.values() for m in bucket]
+    assert [m.edges for m in stored] == [(None, 0, 1)]
+    assert [len(d) for d in deltas] == [0, 0, 1]
+    tree.insert_and_propagate(leaf1.node_id, stored[0], None, lambda m: None)
+    assert sum(len(b) for b in leaf1.table.values()) == 2
 
 
 def test_window_span_strictly_inside():
@@ -146,15 +153,16 @@ def test_window_span_strictly_inside():
     leaf0, leaf1 = tree.leaves()
 
     def run(t0, t1, window):
+        # t1 arrives last, so the graph's cutoff is t1 - window
         tree.reset()
         inserts = [
             (leaf0.node_id, Match.of(query, [(0, 10, t0)], {0: "a", 1: "b"})),
             (leaf1.node_id, Match.of(query, [(1, 20, t1)], {1: "b", 2: "c"})),
         ]
-        return len(emitted_via(tree, inserts, window))
+        return len(emitted_via(tree, inserts, None if window is None else t1 - window))
 
-    assert run(0, 4, 5) == 1  # span 4 < 5
-    assert run(0, 5, 5) == 0  # span 5 is out: the window is half-open
+    assert run(0, 4, 5) == 1  # span 4 < 5: t_min 0 > cutoff -1
+    assert run(0, 5, 5) == 0  # span 5 is out: t_min 0 <= cutoff 0, the window is half-open
     assert run(0, 5, None) == 1  # no window, no limit
 
 
@@ -167,23 +175,30 @@ def test_peak_stored_tracks_maximum():
         )
     assert tree.stored_count == 4
     assert tree.peak_stored == 4
-    assert tree.purge_stale(t_last=100, window=10) == 4
+    assert tree.purge_stale(cutoff=90) == 4
     assert tree.stored_count == 0
     assert tree.peak_stored == 4  # the peak survives the purge
 
 
 def test_purge_stale_boundary_and_reinsert():
-    query, tree = two_leaf_tree()
-    leaf0, leaf1 = tree.leaves()
-    old = Match.of(query, [(0, 10, 0)], {0: "a", 1: "b"})
-    fresh = Match.of(query, [(0, 11, 6)], {0: "a", 1: "b"})
-    tree.insert_and_propagate(leaf0.node_id, old, 10, lambda m: None)
-    tree.insert_and_propagate(leaf0.node_id, fresh, 10, lambda m: None)
-    # t_max <= t_last - window goes; the boundary value 0 <= 10 - 10 is stale
-    assert tree.purge_stale(t_last=10, window=10) == 1
+    # a two-edge leaf, so a stored match can straddle the cutoff
+    query = path_query(["e", "f", "g"], vertex_label="A")
+    pieces = [QueryPiece.from_edges(query, [0, 1]), QueryPiece.from_edges(query, [2])]
+    tree = SJTree.from_leaf_pieces(query, pieces)
+    leaf0, _ = tree.leaves()
+    bind = {0: "a", 1: "b", 2: "c"}
+    old = Match.of(query, [(0, 10, 0), (1, 11, 0)], bind)
+    fresh = Match.of(query, [(0, 12, 6), (1, 13, 7)], bind)
+    straddle = Match.of(query, [(0, 14, 0), (1, 15, 6)], bind)
+    for m in (old, fresh, straddle):
+        tree.insert_and_propagate(leaf0.node_id, m, None, lambda m: None)
+    # t_min <= cutoff goes, t_max aside: the boundary value 0 <= 0 is stale,
+    # and the straddling match has lost its oldest edge
+    assert tree.purge_stale(cutoff=0) == 2
     assert tree.stored_count == 1
-    assert tree.purge_stale(t_last=10, window=None) == 0
-    # a purged signature may be inserted again later (sigs were discarded)
+    assert [m.edges for m in leaf0.table[("c",)]] == [fresh.edges]
+    assert tree.purge_stale(cutoff=None) == 0
+    # the tree keeps no record of a purged match: it may be inserted again
     tree.insert_and_propagate(leaf0.node_id, old, None, lambda m: None)
     assert tree.stored_count == 2
 
@@ -193,15 +208,14 @@ def test_stale_bucket_is_compacted_on_probe():
     leaf0, leaf1 = tree.leaves()
     for i in range(6):
         tree.insert_and_propagate(
-            leaf0.node_id, Match.of(query, [(0, i, 0)], {0: f"a{i}", 1: "b"}), 5, lambda m: None
+            leaf0.node_id, Match.of(query, [(0, i, 0)], {0: f"a{i}", 1: "b"}), -5, lambda m: None
         )
     assert tree.stored_count == 6
     # a probe from the sibling at a far later time sweeps the dead entries
     probe = Match.of(query, [(1, 99, 100)], {1: "b", 2: "c"})
-    tree.insert_and_propagate(leaf1.node_id, probe, 5, lambda m: None)
+    tree.insert_and_propagate(leaf1.node_id, probe, 95, lambda m: None)
     assert tree.stored_count == 1  # only the probe itself remains
     assert ("b",) not in leaf0.table  # the emptied bucket goes
-    assert not leaf0.sigs  # and the signatures go with their matches
 
 
 def test_reset_clears_state_keeps_shape():
@@ -212,7 +226,7 @@ def test_reset_clears_state_keeps_shape():
     emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
     tree.reset()
     assert tree.stored_count == 0 and tree.peak_stored == 0
-    assert all(not n.table and not n.sigs for n in tree.nodes)
+    assert all(not n.table for n in tree.nodes)
     # the same insert sequence emits again after a reset
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
     assert len(got) == 1
