@@ -28,6 +28,9 @@ nothing is enabled, and every leaf is searched at every arriving edge.
 The retroactive sweeps run off a flat worklist rather than recursing, and
 gated searches are deduplicated on (leaf, edge id) — which also bounds
 the lazy engine's primitive searches by the eager engine's count.
+
+Below the root, partial matches are the join tree's plain ``(edges, verts,
+t_min)`` tuples; a :class:`~dgquery.query.Match` is built once per emission.
 """
 from __future__ import annotations
 
@@ -38,38 +41,47 @@ from functools import lru_cache
 from .errors import UnsupportedPrimitiveError
 from .graph import DynamicGraph, EdgeRecord, RawEdge
 from .query import Match, QueryGraph, QueryPiece
-from .sjtree import SJTree, SJTreeNode
+from .sjtree import Partial, SJTree, SJTreeNode
 
 __all__ = ["match_primitive", "Counters", "Engine"]
 
 MAX_PRIMITIVE_EDGES = 3
 PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps; 0 disables them
+SEARCHED_MIN_PRUNE = 1 << 10  # the fewest search records worth a prune
 
 
-def _extension_order(query: QueryGraph, edge_ids: list[int], role: int) -> list[int]:
-    """Order the non-anchor qedges so each one touches an already-bound vertex."""
+def _extension_steps(query: QueryGraph, edge_ids: list[int], role: int) -> tuple[tuple, ...]:
+    """Bind the non-anchor qedges in an order where each touches an already
+    bound vertex; per qedge: its id and label, whether it is walked forward
+    (out of its bound source), the bound qvertex it is walked from, its other
+    end, whether that end is bound already, and that end's label."""
     e = query.edges[role]
     bound = {e.src, e.dst}
     rest = [qe for qe in edge_ids if qe != role]
-    order: list[int] = []
+    steps: list[tuple] = []
     while rest:
         for i, qe in enumerate(rest):
             cand = query.edges[qe]
-            if cand.src in bound or cand.dst in bound:
-                bound.update((cand.src, cand.dst))
-                order.append(qe)
-                del rest[i]
-                break
+            if cand.src in bound:
+                forward, start, end = True, cand.src, cand.dst
+            elif cand.dst in bound:
+                forward, start, end = False, cand.dst, cand.src
+            else:
+                continue
+            steps.append((qe, cand.label, forward, start, end, end in bound, query.vertex_labels[end]))
+            bound.update((cand.src, cand.dst))
+            del rest[i]
+            break
         else:
             raise UnsupportedPrimitiveError("primitive subgraph must be connected")
-    return order
+    return tuple(steps)
 
 
 @lru_cache(maxsize=256)
 def _search_plan(query: QueryGraph, piece_edges: frozenset[int]) -> dict[str, tuple[tuple, ...]]:
     """Per edge label, the qedges of a piece that an anchor with that label
     can hold: each with its end vertex labels, its end qvertices, and the
-    order the piece's other qedges are bound in.  Built once per (query,
+    steps that bind the piece's other qedges.  Built once per (query,
     piece)."""
     edge_ids = sorted(piece_edges)
     if not edge_ids:
@@ -81,9 +93,9 @@ def _search_plan(query: QueryGraph, piece_edges: frozenset[int]) -> dict[str, tu
     plan: dict[str, list[tuple]] = {}
     for role in edge_ids:
         qe = query.edges[role]
-        order = tuple(_extension_order(query, edge_ids, role))
+        steps = _extension_steps(query, edge_ids, role)
         plan.setdefault(qe.label, []).append(
-            (role, query.vertex_labels[qe.src], query.vertex_labels[qe.dst], qe.src, qe.dst, order)
+            (role, query.vertex_labels[qe.src], query.vertex_labels[qe.dst], qe.src, qe.dst, steps)
         )
     return {label: tuple(roles) for label, roles in plan.items()}
 
@@ -93,17 +105,21 @@ def match_primitive(
     query: QueryGraph,
     piece: QueryPiece,
     anchor: EdgeRecord,
-) -> list[Match]:
-    """All matches of a 1–3 edge sub-pattern that include ``anchor``.
+) -> list[Partial]:
+    """All matches of a 1–3 edge sub-pattern that include ``anchor``, as the
+    join tree's ``(edges, verts, t_min)`` tuples: a data edge id or None per
+    qedge, a data vertex or None per qvertex, and the oldest bound
+    timestamp.  No ``t_max`` is kept: the engine stamps each complete match
+    with the newest edge's timestamp when it emits it.
 
     The anchor is tried in every compatible qedge role, so automorphic
     placements surface as distinct matches.  Bindings are injective on
     vertices and edges.
     """
-    results: list[Match] = []
+    results: list[Partial] = []
     edges: list[int | None] = [None] * len(query.edges)
     verts: list[str | None] = [None] * len(query.vertex_labels)
-    for role, src_type, dst_type, qs, qd, order in _search_plan(query, piece.edges).get(anchor.edge_type, ()):
+    for role, src_type, dst_type, qs, qd, steps in _search_plan(query, piece.edges).get(anchor.edge_type, ()):
         if src_type != anchor.src_type or dst_type != anchor.dst_type:
             continue
         if (qs == qd) != (anchor.src == anchor.dst):
@@ -111,7 +127,7 @@ def match_primitive(
         verts[qs] = anchor.src
         verts[qd] = anchor.dst
         edges[role] = anchor.edge_id
-        _extend(graph, query, order, 0, edges, verts, [anchor.timestamp], results)
+        _extend(graph, steps, 0, edges, verts, anchor.timestamp, results)
         edges[role] = None
         verts[qs] = verts[qd] = None
     return results
@@ -119,45 +135,35 @@ def match_primitive(
 
 def _extend(
     graph: DynamicGraph,
-    query: QueryGraph,
-    order: tuple[int, ...],
+    steps: tuple[tuple, ...],
     depth: int,
     edges: list[int | None],
     verts: list[str | None],
-    times: list[int],
-    out: list[Match],
+    t_min: int,
+    out: list[Partial],
 ) -> None:
-    """Bind ``order[depth:]`` in turn, filling ``edges``/``verts`` in place
+    """Bind ``steps[depth:]`` in turn, filling ``edges``/``verts`` in place
     and clearing each slot again on the way back."""
-    if depth == len(order):
-        out.append(Match(tuple(edges), tuple(verts), min(times), max(times)))
+    if depth == len(steps):
+        out.append((tuple(edges), tuple(verts), t_min))
         return
-    qe_id = order[depth]
-    qe = query.edges[qe_id]
-    src_bound = verts[qe.src]
-    dst_bound = verts[qe.dst]
-    if src_bound is not None:
-        forward = True
-        recs = graph.neighbors(src_bound, "out", qe.label)
-        new_qv = None if dst_bound is not None else qe.dst
-    elif dst_bound is not None:
-        forward = False
-        recs = graph.neighbors(dst_bound, "in", qe.label)
-        new_qv = qe.src
-    else:  # unreachable for connected primitives
-        raise UnsupportedPrimitiveError("extension lost connectivity")
-    if new_qv is None:
+    qe_id, label, forward, start, end, end_bound, want = steps[depth]
+    recs = graph.out_edges(verts[start]) if forward else graph.in_edges(verts[start])
+    if end_bound:
+        # a step walks backward only from an unbound source, so this one
+        # is forward and closes on its bound destination
+        target = verts[end]
         for rec in recs:
-            if rec.dst != dst_bound or rec.edge_id in edges:
+            if rec.edge_type != label or rec.dst != target or rec.edge_id in edges:
                 continue
             edges[qe_id] = rec.edge_id
-            times.append(rec.timestamp)
-            _extend(graph, query, order, depth + 1, edges, verts, times, out)
-            times.pop()
+            ts = rec.timestamp
+            _extend(graph, steps, depth + 1, edges, verts, ts if ts < t_min else t_min, out)
             edges[qe_id] = None
         return
-    want = query.vertex_labels[new_qv]
     for rec in recs:
+        if rec.edge_type != label:
+            continue
         if forward:
             far, far_type = rec.dst, rec.dst_type
         else:
@@ -166,12 +172,11 @@ def _extend(
         # end is the bound vertex
         if far_type != want or far in verts or rec.edge_id in edges:
             continue
-        verts[new_qv] = far
+        verts[end] = far
         edges[qe_id] = rec.edge_id
-        times.append(rec.timestamp)
-        _extend(graph, query, order, depth + 1, edges, verts, times, out)
-        times.pop()
-        verts[new_qv] = None
+        ts = rec.timestamp
+        _extend(graph, steps, depth + 1, edges, verts, ts if ts < t_min else t_min, out)
+        verts[end] = None
         edges[qe_id] = None
 
 
@@ -226,8 +231,10 @@ class Engine:
         ]
         # leaf gating state: per-leaf {vertex: remaining hops}
         self._budget: list[dict[str, int]] = [{} for _ in self._leaves]
-        # (gated leaf_index, edge_id) -> graph.edges_ingested at that search
+        # (gated leaf_index, edge_id) -> graph.edges_ingested at that search;
+        # pruned of evicted edges whenever it passes _searched_cap
         self._searched: dict[tuple[int, int], int] = {}
+        self._searched_cap = SEARCHED_MIN_PRUNE
         self._pending: deque[tuple[int, str, int]] = deque()  # sweeps to run
         if lazy:
             self._always_on = {0}
@@ -238,17 +245,19 @@ class Engine:
                     self._always_on.add(leaf.leaf_index)
         else:
             self._always_on = set(range(len(self._leaves)))
-        # spine node -> the leaf whose search that node's matches unlock
-        self._next_leaf: dict[int, SJTreeNode | None] = {}
+        # node -> the gated leaf its matches unlock, as that leaf's budget
+        # table, its index and the budget an unlock grants; None off the
+        # spine (whose nodes are leaf 0 and the internal ones), at its top,
+        # and before an always-on leaf
+        self._unlocks: dict[int, tuple[dict[str, int], int, int] | None] = {}
         for node in tree.nodes:
-            if node.is_leaf and node.leaf_index != 0:
-                self._next_leaf[node.node_id] = None
-                continue
-            rightmost = node.leaf_index if node.is_leaf else tree.nodes[node.right].leaf_index
-            nxt = rightmost + 1
-            self._next_leaf[node.node_id] = (
-                self._leaves[nxt] if nxt < len(self._leaves) else None
-            )
+            spine = not node.is_leaf or node.leaf_index == 0
+            nxt = (node.leaf_index if node.is_leaf else tree.nodes[node.right].leaf_index) + 1
+            if spine and nxt < len(self._leaves) and nxt not in self._always_on:
+                start = len(self._leaves[nxt].piece.edges) - 1
+                self._unlocks[node.node_id] = (self._budget[nxt], nxt, start)
+            else:
+                self._unlocks[node.node_id] = None
         tree.on_store = self._on_store if lazy else None
 
     # ------------------------------------------------------------------ stream
@@ -279,20 +288,19 @@ class Engine:
         self.counters.edges += 1
         if PURGE_INTERVAL and self.counters.edges % PURGE_INTERVAL == 0:
             self.counters.purged += self.tree.purge_stale(self._cutoff())
-            # edge ids follow arrival and eviction is first in, first out, so
-            # the live ids are exactly [edges_evicted, edges_ingested)
-            evicted = self.graph.edges_evicted
-            self._searched = {k: v for k, v in self._searched.items() if k[1] >= evicted}
         return self._delta
 
     def _cutoff(self) -> int | None:
         """The graph's eviction cutoff: edges at or before it are gone."""
         return None if self.window is None else self.graph.t_last - self.window
 
-    def _emit(self, m: Match) -> None:
-        self.log.append(m)
+    def _emit(self, m: Partial) -> None:
+        # every new complete match holds the edge that just arrived, the
+        # newest one, so its t_max is the graph's t_last
+        match = Match(m[0], m[1], m[2], self.graph.t_last)
+        self.log.append(match)
         self.counters.emitted += 1
-        self._delta.append(m)
+        self._delta.append(match)
 
     # -------------------------------------------------------------- lazy gates
 
@@ -351,6 +359,8 @@ class Engine:
             if key in self._searched:
                 return
             self._searched[key] = self.graph.edges_ingested
+            if len(self._searched) > self._searched_cap:
+                self._prune_searched()
         self.counters.match_calls += 1
         matches = match_primitive(self.graph, self.query, leaf.piece, rec)
         if not matches:
@@ -360,19 +370,30 @@ class Engine:
         searched = self._searched if gated and len(qedges) > 1 else None
         for m in matches:
             if searched is not None:
-                ids = [m.edges[qe] for qe in qedges]
+                edges = m[0]
+                ids = [edges[qe] for qe in qedges]
                 newest = max(ids)
                 if any(x != rec.edge_id and searched.get((idx, x), -1) > newest for x in ids):
                     continue
             self.tree.insert_and_propagate(leaf.node_id, m, cutoff, self._emit)
 
-    def _on_store(self, node: SJTreeNode, m: Match) -> None:
+    def _prune_searched(self) -> None:
+        """Drop the search records of evicted edges, which no sweep can reach
+        and no hit can hold, and let ``_searched`` double before the next
+        prune: it stays within twice its live records, at amortized O(1)
+        per search.  Edge ids follow arrival and eviction is first in, first
+        out, so the live ids are exactly [edges_evicted, edges_ingested)."""
+        evicted = self.graph.edges_evicted
+        self._searched = {k: v for k, v in self._searched.items() if k[1] >= evicted}
+        self._searched_cap = max(2 * len(self._searched), SEARCHED_MIN_PRUNE)
+
+    def _on_store(self, node: SJTreeNode, m: Partial) -> None:
         """Tree callback: a spine match unlocks the next leaf around itself."""
-        nxt = self._next_leaf[node.node_id]
-        if nxt is None or nxt.leaf_index in self._always_on:
+        unlock = self._unlocks[node.node_id]
+        if unlock is None:
             return
-        idx = nxt.leaf_index
-        start = len(nxt.piece.edges) - 1
-        for dv in m.verts:
-            if dv is not None:
+        table, idx, start = unlock
+        for dv in m[1]:
+            # most vertices are unlocked already: check before the call
+            if dv is not None and table.get(dv, -1) < start:
                 self._enable(dv, idx, start)

@@ -193,6 +193,17 @@ class DynamicGraph:
                 if edge_type is None or rec.edge_type == edge_type:
                     yield rec
 
+    def out_edges(self, vid: str) -> deque[EdgeRecord] | tuple[()]:
+        """Live edges leaving ``vid``, oldest first; empty for an unknown
+        vertex.  This is the store's own deque: read it, never change it."""
+        v = self._vertices.get(vid)
+        return () if v is None else v.out_edges
+
+    def in_edges(self, vid: str) -> deque[EdgeRecord] | tuple[()]:
+        """Live edges entering ``vid``, oldest first, as :meth:`out_edges`."""
+        v = self._vertices.get(vid)
+        return () if v is None else v.in_edges
+
 
 # ---------------------------------------------------------------------- wire
 

@@ -4,6 +4,12 @@ A query is a small typed directed multigraph with dense integer ids.  Matches
 bind query edges to data edge ids and query vertices to data vertex ids; a
 match is an isomorphism fragment, so vertex bindings are injective and no two
 query edges share a data edge.
+
+:class:`Match` is the output type: what the engines emit and log and what
+the oracles and the command line read.  The join tree keeps partial matches
+as plain ``(edges, verts, t_min)`` tuples of the same slots
+(``sjtree.Partial``), and the engine builds a ``Match`` only for a complete
+match it emits.
 """
 from __future__ import annotations
 

@@ -18,18 +18,38 @@ Matches are stored keyed by their bindings of the parent's cut, so a new match
 at one child probes its sibling's table with a plain hash lookup, joins
 pairwise, and propagates upward.  Complete matches surface at the root and
 are emitted.
+
+Inside the tree a partial match is a plain ``(edges, verts, t_min)`` tuple
+(:data:`Partial`): the query-width slots of :class:`~dgquery.query.Match`
+and the oldest bound timestamp.  CPython stops tracking a tuple once a
+collection finds that it holds only untracked objects (ints, strings, None
+and such tuples), so stored matches drop out of the garbage collector's
+work after a collection or two, where a ``Match`` instance stays tracked;
+the caller of ``emit`` builds the output ``Match`` from a complete tuple.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .errors import PlanError
-from .query import Match, QueryGraph, QueryPiece
+from .query import QueryGraph, QueryPiece
 
-__all__ = ["JoinKey", "SJTreeNode", "SJTree", "join"]
+__all__ = ["JoinKey", "Partial", "SJTreeNode", "SJTree", "join"]
 
-# the cut's vertex bindings in qvertex-id order
-JoinKey = tuple[str, ...]
+# the cut's vertex binding, or for a cut of several vertices a tuple of them
+# in qvertex-id order; () for an empty cut
+JoinKey = str | tuple[str, ...]
+# (edges, verts, t_min): a data edge id or None per qedge, a data vertex or
+# None per qvertex, and the oldest bound edge's timestamp
+Partial = tuple[tuple[int | None, ...], tuple[str | None, ...], int]
+
+
+def _key_getter(cut_verts: tuple[int, ...]) -> Callable[[tuple], JoinKey]:
+    """The function that reads a JoinKey off a match's ``verts``."""
+    if not cut_verts:
+        return lambda verts: ()
+    return itemgetter(*cut_verts)
 
 
 class SJTreeNode:
@@ -45,6 +65,7 @@ class SJTreeNode:
         "sibling_edges",
         "sibling_verts",
         "cut_verts",
+        "key_of",
         "table",
     )
 
@@ -72,8 +93,11 @@ class SJTreeNode:
         self.sibling_verts: tuple[int, ...] = ()
         # the order of the cut vertices in a JoinKey, fixed at build time
         self.cut_verts = tuple(sorted(cut.vertices))
+        # verts -> the key this node's matches are stored and probed under,
+        # read from the parent's cut; set by SJTree
+        self.key_of: Callable[[tuple], JoinKey] | None = None
         # the root stores nothing
-        self.table: dict[JoinKey, list[Match]] = {}
+        self.table: dict[JoinKey, list[Partial]] = {}
 
     @property
     def is_leaf(self) -> bool:
@@ -83,17 +107,19 @@ class SJTreeNode:
 _EMPTY_PIECE = QueryPiece(frozenset(), frozenset())
 
 
-def join(m: Match, m_s: Match, node: SJTreeNode) -> Match | None:
+def join(m: Partial, m_s: Partial, node: SJTreeNode) -> Partial | None:
     """Merge ``m``, stored at ``node``, with ``m_s`` from its sibling's
     bucket under the same key; None when they cannot form one match.
 
-    The key already makes the shared qvertices agree, and the two pieces
-    share no qedge, so only the slots the sibling fills need checks: its data
-    edges must be new to ``m`` and the data vertices of the qvertices only it
-    binds must not already serve ``m``.
+    Both are ``(edges, verts, t_min)`` tuples and so is the result, with
+    the older of the two ``t_min``.  The key already makes the shared
+    qvertices agree, and the two pieces share no qedge, so only the slots
+    the sibling fills need checks: its data edges must be new to ``m`` and
+    the data vertices of the qvertices only it binds must not already serve
+    ``m``.
     """
-    edges, verts = m.edges, m.verts
-    s_edges, s_verts = m_s.edges, m_s.verts
+    edges, verts, t_min = m
+    s_edges, s_verts, s_t_min = m_s
     merged_edges = list(edges)
     for qe in node.sibling_edges:
         eid = s_edges[qe]
@@ -106,12 +132,7 @@ def join(m: Match, m_s: Match, node: SJTreeNode) -> Match | None:
         if dv in verts:
             return None
         merged_verts[qv] = dv
-    return Match(
-        tuple(merged_edges),
-        tuple(merged_verts),
-        m.t_min if m.t_min <= m_s.t_min else m_s.t_min,
-        m.t_max if m.t_max >= m_s.t_max else m_s.t_max,
-    )
+    return tuple(merged_edges), tuple(merged_verts), t_min if t_min <= s_t_min else s_t_min
 
 
 class SJTree:
@@ -125,7 +146,9 @@ class SJTree:
         self.leaf_ids.sort(key=lambda nid: nodes[nid].leaf_index)
         for n in nodes:
             if not n.is_leaf:
+                key_of = _key_getter(n.cut_verts)
                 for a, b in ((nodes[n.left], nodes[n.right]), (nodes[n.right], nodes[n.left])):
+                    a.key_of = key_of
                     a.sibling = b.node_id
                     a.sibling_edges = tuple(sorted(b.piece.edges))
                     a.sibling_verts = tuple(sorted(b.piece.vertices - a.piece.vertices))
@@ -133,7 +156,7 @@ class SJTree:
         self.peak_stored = 0
         # optional hook fired after a match is stored at a non-root node;
         # the lazy engine uses it to grow its search frontier
-        self.on_store: Callable[[SJTreeNode, Match], None] | None = None
+        self.on_store: Callable[[SJTreeNode, Partial], None] | None = None
 
     # ------------------------------------------------------------- construction
 
@@ -189,12 +212,17 @@ class SJTree:
     def insert_and_propagate(
         self,
         node_id: int,
-        m: Match,
+        m: Partial,
         cutoff: int | None,
-        emit: Callable[[Match], None],
+        emit: Callable[[Partial], None],
     ) -> int:
         """Insert ``m`` at a node, probe the sibling, recurse on joins; return
         the number of complete matches emitted downstream of this insert.
+
+        ``m`` is an ``(edges, verts, t_min)`` tuple, and ``emit`` receives
+        each complete match in the same form.  It carries no ``t_max``: the
+        caller supplies it when it builds the output ``Match``, as the
+        newest edge's timestamp (see below).
 
         ``cutoff`` is the graph's eviction cutoff ``t_last - window`` (None:
         unbounded).  Every new complete match contains the newest edge, so a
@@ -202,7 +230,8 @@ class SJTree:
         live: entries with ``t_min <= cutoff`` are skipped, and swept out of
         the bucket once they are its majority.  Leaf matches come from the
         live graph and a join of live matches is live, so a root match has
-        ``cutoff < t_min <= t_max <= t_last``: its span is inside the window.
+        ``cutoff < t_min <= t_max <= t_last``: its span is inside the window,
+        and its ``t_max`` is ``t_last``, for it holds the newest edge.
 
         The caller inserts each leaf match once.  A match above the leaves is
         then one (left, right) pair, joined once, when the later of the two is
@@ -215,29 +244,28 @@ class SJTree:
             emit(m)
             return 1
         node = self.nodes[node_id]
-        parent = self.nodes[node.parent]
-        verts = m.verts
-        key = tuple([verts[qv] for qv in parent.cut_verts])
+        key = node.key_of(m[1])
         sibling = self.nodes[node.sibling]
         emitted = 0
-        stale = 0
         # nothing mutates this bucket while it is walked: recursion only goes
         # up to the parent, and on_store may only queue work
-        bucket = sibling.table.get(key, ())
-        for m_s in bucket:
-            if cutoff is not None and m_s.t_min <= cutoff:
-                stale += 1
-                continue
-            combined = join(m, m_s, node)
-            if combined is not None:
-                emitted += self.insert_and_propagate(node.parent, combined, cutoff, emit)
-        if stale * 2 > len(bucket):
-            kept = [x for x in bucket if x.t_min > cutoff]
-            if kept:
-                bucket[:] = kept
-            else:
-                del sibling.table[key]
-            self.stored_count -= stale
+        bucket = sibling.table.get(key)
+        if bucket:
+            stale = 0
+            for m_s in bucket:
+                if cutoff is not None and m_s[2] <= cutoff:
+                    stale += 1
+                    continue
+                combined = join(m, m_s, node)
+                if combined is not None:
+                    emitted += self.insert_and_propagate(node.parent, combined, cutoff, emit)
+            if stale * 2 > len(bucket):
+                kept = [x for x in bucket if x[2] > cutoff]
+                if kept:
+                    bucket[:] = kept
+                else:
+                    del sibling.table[key]
+                self.stored_count -= stale
         own = node.table.get(key)
         if own is None:
             node.table[key] = [m]
@@ -262,7 +290,7 @@ class SJTree:
         for node in self.nodes:
             for key in list(node.table):
                 bucket = node.table[key]
-                kept = [m for m in bucket if m.t_min > cutoff]
+                kept = [m for m in bucket if m[2] > cutoff]
                 if len(kept) != len(bucket):
                     removed += len(bucket) - len(kept)
                     if kept:

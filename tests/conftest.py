@@ -13,7 +13,7 @@ from dgquery.baseline import DeltaOracle, RescanEngine
 from dgquery.engine import Engine
 from dgquery.graph import DynamicGraph, RawEdge
 from dgquery.planner import plan_query
-from dgquery.query import QueryGraph, parse_query
+from dgquery.query import Match, QueryGraph, parse_query
 from dgquery.stats import SelectivityTable, collect_stats
 
 
@@ -47,6 +47,11 @@ def signatures(matches) -> set[tuple[tuple[int, int], ...]]:
     return {m.pairs for m in matches}
 
 
+def stored_form(m: Match) -> tuple:
+    """``m`` as the join tree holds it: an (edges, verts, t_min) tuple."""
+    return m.edges, m.verts, m.t_min
+
+
 def table_for(records, hook=None) -> SelectivityTable:
     return collect_stats(records, hook)
 
@@ -72,7 +77,8 @@ def engines_for(query, records, window, *, lazy_only: bool = False):
 
 
 def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, int]:
-    """Run every engine step-for-step against the brute-force delta oracle.
+    """Run every engine step-for-step against the brute-force delta oracle,
+    and check each emitted match's ``t_min``/``t_max`` against its edges.
 
     Returns per-strategy ``match_calls`` counters so callers can also compare
     search effort.  Raises AssertionError on the first per-step disagreement.
@@ -82,8 +88,10 @@ def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, i
         engines.append(("vf2", RescanEngine(query, window)))
     oracle = DeltaOracle(query)
     shadow = DynamicGraph(window)
+    timestamp: dict[int, int] = {}  # data edge id -> its timestamp
     for step, r in enumerate(records):
         rec = shadow.add_edge(r)
+        timestamp[rec.edge_id] = rec.timestamp
         expected = oracle.step(shadow, rec)
         for name, eng in engines:
             delta = eng.process(r)
@@ -93,6 +101,11 @@ def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, i
                 f"missing={expected - got} extra={got - expected}"
             )
             assert len(delta) == len(got), f"{name} emits a match twice at step {step}"
+            for m in delta:
+                times = [timestamp[e] for e in m.edges]
+                assert (m.t_min, m.t_max) == (min(times), max(times)), (
+                    f"{name} misstates the time span of {m} at step {step}"
+                )
     calls: dict[str, int] = {}
     for name, eng in engines:
         if hasattr(eng, "counters") and hasattr(eng.counters, "match_calls"):

@@ -8,7 +8,7 @@ from dgquery.errors import PlanError
 from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree
 
-from conftest import path_query, q, raw
+from conftest import path_query, q, raw, stored_form
 
 
 def two_leaf_tree():
@@ -65,9 +65,11 @@ def test_from_leaf_pieces_validation(edge_sets, fragment):
 # ----------------------------------------------------------------- propagation
 
 def emitted_via(tree, inserts, cutoff):
+    """Insert each (node id, Match) in the tree's stored form; return what
+    reaches the root, in the same form."""
     out = []
     for node_id, m in inserts:
-        tree.insert_and_propagate(node_id, m, cutoff, out.append)
+        tree.insert_and_propagate(node_id, stored_form(m), cutoff, out.append)
     return out
 
 
@@ -77,10 +79,10 @@ def test_insert_joins_across_siblings():
     m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
     m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
-    assert len(got) == 1
-    assert got[0].pairs == ((0, 10), (1, 20))
-    assert got[0].bindings == {0: "a", 1: "b", 2: "c"}
+    assert got == [stored_form(Match.of(query, [(0, 10, 1), (1, 20, 2)], {0: "a", 1: "b", 2: "c"}))]
     assert tree.stored_count == 2  # both leaf matches; the root stores nothing
+    # a one-vertex cut keys by that vertex's binding itself
+    assert list(leaf0.table) == list(leaf1.table) == ["b"]
 
 
 def test_join_key_orders_cut_elements():
@@ -96,7 +98,7 @@ def test_join_key_orders_cut_elements():
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, swapped), (leaf1.node_id, m1)], None)
     assert list(leaf0.table) == [("x", "y")]
     assert list(leaf1.table) == [("y", "x"), ("x", "y")]
-    assert [m.pairs for m in got] == [((0, 10), (1, 21))]
+    assert got == [stored_form(Match.of(query, [(0, 10, 1), (1, 21, 3)], {0: "x", 1: "y"}))]
 
 
 def test_join_key_empty_cut_is_shared():
@@ -116,7 +118,8 @@ def test_join_key_empty_cut_is_shared():
     assert list(leaf0.table) == list(leaf1.table) == [()]
     cross = tree.nodes[leaf0.parent]
     assert sum(len(bucket) for bucket in cross.table.values()) == 2
-    assert [m.pairs for m in got] == [((0, 1), (1, 2), (2, 3))]
+    whole = Match.of(query, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], {0: "a", 1: "b", 2: "c", 3: "d"})
+    assert got == [stored_form(whole)]
 
 
 def test_insert_mismatched_cut_does_not_join():
@@ -142,7 +145,7 @@ def test_insert_dedupes_by_signature():
     deltas = [eng.process(r) for r in records]
     assert {(1, 0), (1, 1)} <= set(eng._searched)
     stored = [m for bucket in leaf1.table.values() for m in bucket]
-    assert [m.edges for m in stored] == [(None, 0, 1)]
+    assert stored == [stored_form(Match.of(query, [(1, 0, 0), (2, 1, 1)], {1: "y", 2: "z", 3: "u"}))]
     assert [len(d) for d in deltas] == [0, 0, 1]
     tree.insert_and_propagate(leaf1.node_id, stored[0], None, lambda m: None)
     assert sum(len(b) for b in leaf1.table.values()) == 2
@@ -170,9 +173,8 @@ def test_peak_stored_tracks_maximum():
     query, tree = two_leaf_tree()
     leaf0, _ = tree.leaves()
     for i in range(4):
-        tree.insert_and_propagate(
-            leaf0.node_id, Match.of(query, [(0, i, i)], {0: f"a{i}", 1: f"b{i}"}), None, lambda m: None
-        )
+        m = Match.of(query, [(0, i, i)], {0: f"a{i}", 1: f"b{i}"})
+        tree.insert_and_propagate(leaf0.node_id, stored_form(m), None, lambda m: None)
     assert tree.stored_count == 4
     assert tree.peak_stored == 4
     assert tree.purge_stale(cutoff=90) == 4
@@ -191,15 +193,15 @@ def test_purge_stale_boundary_and_reinsert():
     fresh = Match.of(query, [(0, 12, 6), (1, 13, 7)], bind)
     straddle = Match.of(query, [(0, 14, 0), (1, 15, 6)], bind)
     for m in (old, fresh, straddle):
-        tree.insert_and_propagate(leaf0.node_id, m, None, lambda m: None)
+        tree.insert_and_propagate(leaf0.node_id, stored_form(m), None, lambda m: None)
     # t_min <= cutoff goes, t_max aside: the boundary value 0 <= 0 is stale,
     # and the straddling match has lost its oldest edge
     assert tree.purge_stale(cutoff=0) == 2
     assert tree.stored_count == 1
-    assert [m.edges for m in leaf0.table[("c",)]] == [fresh.edges]
+    assert leaf0.table["c"] == [stored_form(fresh)]
     assert tree.purge_stale(cutoff=None) == 0
     # the tree keeps no record of a purged match: it may be inserted again
-    tree.insert_and_propagate(leaf0.node_id, old, None, lambda m: None)
+    tree.insert_and_propagate(leaf0.node_id, stored_form(old), None, lambda m: None)
     assert tree.stored_count == 2
 
 
@@ -207,15 +209,15 @@ def test_stale_bucket_is_compacted_on_probe():
     query, tree = two_leaf_tree()
     leaf0, leaf1 = tree.leaves()
     for i in range(6):
-        tree.insert_and_propagate(
-            leaf0.node_id, Match.of(query, [(0, i, 0)], {0: f"a{i}", 1: "b"}), -5, lambda m: None
-        )
+        m = Match.of(query, [(0, i, 0)], {0: f"a{i}", 1: "b"})
+        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -5, lambda m: None)
     assert tree.stored_count == 6
+    assert list(leaf0.table) == ["b"]
     # a probe from the sibling at a far later time sweeps the dead entries
     probe = Match.of(query, [(1, 99, 100)], {1: "b", 2: "c"})
-    tree.insert_and_propagate(leaf1.node_id, probe, 95, lambda m: None)
+    tree.insert_and_propagate(leaf1.node_id, stored_form(probe), 95, lambda m: None)
     assert tree.stored_count == 1  # only the probe itself remains
-    assert ("b",) not in leaf0.table  # the emptied bucket goes
+    assert "b" not in leaf0.table  # the emptied bucket goes
 
 
 def test_reset_clears_state_keeps_shape():
@@ -236,12 +238,12 @@ def test_on_store_fires_for_stored_matches():
     query, tree = two_leaf_tree()
     leaf0, leaf1 = tree.leaves()
     seen: list[tuple[int, tuple]] = []
-    tree.on_store = lambda node, m: seen.append((node.node_id, m.pairs))
+    tree.on_store = lambda node, m: seen.append((node.node_id, m))
     m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
     m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
     emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
-    assert (leaf0.node_id, m0.pairs) in seen
-    assert (leaf1.node_id, m1.pairs) in seen
+    assert (leaf0.node_id, stored_form(m0)) in seen
+    assert (leaf1.node_id, stored_form(m1)) in seen
 
 
 # ------------------------------------------------------------------- plan text
