@@ -36,7 +36,6 @@ from .planner import (
     STRATEGY_THRESHOLD,
     Plan,
     PrimitiveCatalog,
-    build_sj_tree,
     choose_strategy,
     decomposition_advisories,
     expected_selectivity,
@@ -89,7 +88,6 @@ __all__ = [
     "primitive_key",
     # planning
     "PrimitiveCatalog",
-    "build_sj_tree",
     "plan_query",
     "Plan",
     "choose_strategy",

@@ -151,7 +151,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         fh.write(plan.sidecar_json())
     print(
         f"plan: strategy={plan.strategy} expected={plan.expected:.3g} "
-        f"relative={plan.relative:.3g} -> {args.out}",
+        f"relative={plan.relative:.3g} "
+        f"estimated=[{','.join(f'{n:.3g}' for n in plan.estimated_sizes)}] -> {args.out}",
         file=sys.stderr,
     )
     for w in plan.warnings:

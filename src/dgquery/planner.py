@@ -1,11 +1,17 @@
-"""Greedy decomposition planning driven by primitive selectivities.
+"""Decomposition planning: a greedy leaf set in a cost-based left-deep order.
 
-The planner peels search primitives off the query one at a time: the globally
-rarest primitive becomes leaf 0, and every later leaf is the rarest primitive
-instance that touches the vertices already covered (the frontier), so partial
-matches stay joinable through shared vertices.  Rarest-first ordering keeps
-the intermediate match tables small: the first join's cardinality tracks the
-product of the two smallest frequencies.
+The leaf set comes from a greedy pass: the globally rarest primitive becomes
+leaf 0, and every later leaf is the rarest primitive instance that touches
+the vertices already covered (the frontier).  The expected selectivity, and
+so the strategy choice, depends on that set only.
+
+The order of the leaves after leaf 0 is then chosen by cost: a Selinger-style
+DP over leaf subsets minimises the sum of the estimated stored sizes of the
+spine nodes below the root, each estimate built from the table's edge and
+2-path counts by the chain rule (Mhedhbi & Salihoglu's catalogue costing).
+It may take a leaf that shares no vertex with the prefix, a cross join, when
+the frontier would otherwise hold a large intermediate table.  The greedy
+order stands unless the DP's is strictly cheaper.
 
 Catalog modes:
 
@@ -30,7 +36,6 @@ from .stats import EdgeKey, PathKey, SelectivityTable, primitive_key
 __all__ = [
     "CatalogEntry",
     "PrimitiveCatalog",
-    "build_sj_tree",
     "expected_selectivity",
     "relative_selectivity",
     "choose_strategy",
@@ -41,6 +46,8 @@ __all__ = [
 ]
 
 STRATEGY_THRESHOLD = 1e-3
+
+DP_MAX_LEAVES = 8
 
 CATALOG_MODES = ("single", "path", "auto")
 
@@ -111,10 +118,12 @@ def _instances(query: QueryGraph, entry: CatalogEntry, remaining: set[int]) -> l
     return found
 
 
-def build_sj_tree(query: QueryGraph, catalog: PrimitiveCatalog) -> SJTree:
-    """Left-deep tree via greedy rarest-first extraction.
+def _greedy_tree(query: QueryGraph, catalog: PrimitiveCatalog) -> SJTree:
+    """The greedy leaf set, left-deep in extraction order.
 
-    Deterministic: same query and catalog always give the identical tree.
+    Leaf 0 is the globally rarest primitive instance; each later leaf is the
+    rarest instance touching the covered vertices, or the rarest left when
+    none does.  Deterministic: same query and catalog, same tree.
     """
     remaining = set(range(query.n_edges))
     frontier: dict[int, None] = {}  # ordered set of covered qvertices
@@ -152,6 +161,122 @@ def build_sj_tree(query: QueryGraph, catalog: PrimitiveCatalog) -> SJTree:
     return SJTree.from_leaf_pieces(query, pieces)
 
 
+class _SpineCost:
+    """Estimated stored cardinalities of a left-deep spine, from the table.
+
+    ``factor(i, mask)`` is the multiplier leaf ``i`` applies to the estimate
+    of the prefix made of the leaves in bitmask ``mask``.  Each of the leaf's
+    edges is added in turn by the chain rule: an edge meeting the covered
+    vertices at ``w`` multiplies by (2-path count of it with a covered edge
+    ``f`` through ``w``) / (count of ``f``), taking the least such ratio when
+    several ``(w, f)`` qualify.  A leaf that shares no vertex with the prefix
+    is a cross join and multiplies by its own count.  Every count is floored
+    at 1, so a 2-path the sample never saw cannot make the rest of an order
+    look free.  A factor depends only on the prefix's leaf set, never on its
+    order, which is what makes the subset DP in ``best_order`` exact.
+    """
+
+    def __init__(self, query: QueryGraph, pieces: list[QueryPiece], table: SelectivityTable):
+        self.query = query
+        self.pieces = pieces
+        self.count1 = [
+            max(table.frequency(*primitive_key(query, [qe])), 1) for qe in range(query.n_edges)
+        ]
+        self.count2: dict[tuple[int, int], int] = {}
+        for a in range(query.n_edges):
+            ea = query.edges[a]
+            for b in range(a + 1, query.n_edges):
+                eb = query.edges[b]
+                if {ea.src, ea.dst} & {eb.src, eb.dst}:
+                    self.count2[(a, b)] = max(table.frequency(*primitive_key(query, [a, b])), 1)
+        self.own = [max(table.frequency(*primitive_key(query, p.edges)), 1) for p in pieces]
+
+    def factor(self, i: int, mask: int) -> float:
+        piece = self.pieces[i]
+        covered_edges = [qe for j, p in enumerate(self.pieces) if mask >> j & 1 for qe in p.edges]
+        covered_verts = {v for j, p in enumerate(self.pieces) if mask >> j & 1 for v in p.vertices}
+        if not (piece.vertices & covered_verts):
+            return float(self.own[i])
+        got = 1.0
+        todo = sorted(piece.edges)
+        while todo:
+            # an edge meeting the covered vertices first (a 2-edge leaf
+            # always has one once its first edge is covered)
+            e = next(qe for qe in todo if self._ends(qe) & covered_verts)
+            todo.remove(e)
+            got *= min(
+                self.count2[min(f, e), max(f, e)] / self.count1[f]
+                for f in covered_edges
+                if self._ends(f) & self._ends(e) & covered_verts
+            )
+            covered_edges.append(e)
+            covered_verts |= self._ends(e)
+        return got
+
+    def _ends(self, qe: int) -> set[int]:
+        e = self.query.edges[qe]
+        return {e.src, e.dst}
+
+    def sizes(self, order: list[int]) -> list[float]:
+        """Estimated size of each spine node of ``order``: leaf 0 up to the root."""
+        est = [float(self.own[order[0]])]
+        mask = 1 << order[0]
+        for i in order[1:]:
+            est.append(est[-1] * self.factor(i, mask))
+            mask |= 1 << i
+        return est
+
+    def best_order(self) -> list[int]:
+        """Leaf 0 then the order minimising the sum of ``sizes`` below the root.
+
+        Selinger-style DP over the leaf subsets holding leaf 0.  Since factors
+        depend only on the prefix set, the cost still to come after a prefix
+        ``S`` with estimate ``x`` is ``x * G(S)`` whatever order built ``S``,
+        with ``G(S) = min_i factor(i, S) * (1 + G(S + i))`` and ``G = 0`` once
+        one leaf (the root's right child) is left.  Ties keep the lower leaf.
+        """
+        k = len(self.pieces)
+        best: dict[int, tuple[float, list[int]]] = {}
+
+        def g(mask: int) -> tuple[float, list[int]]:
+            if mask in best:
+                return best[mask]
+            rest = [i for i in range(k) if not mask >> i & 1]
+            if len(rest) <= 1:
+                out = (0.0, rest)
+            else:
+                out = (math.inf, [])
+                for i in rest:
+                    tail, order = g(mask | 1 << i)
+                    cost = self.factor(i, mask) * (1.0 + tail)
+                    if cost < out[0]:
+                        out = (cost, [i] + order)
+            best[mask] = out
+            return out
+
+        return [0] + g(1)[1]
+
+
+def _cheapest_order(tree: SJTree, table: SelectivityTable) -> tuple[SJTree, list[float]]:
+    """``tree``'s leaves in their cheapest left-deep order, with its estimates.
+
+    Leaf 0 and the leaf set stay; the rest keep their order unless the DP's
+    order costs strictly less (beyond float rounding), the cost being the sum
+    of the estimated spine sizes below the root.  Past ``DP_MAX_LEAVES``
+    leaves the DP's 2^(k-1) subsets cost more than planning should, and the
+    greedy order stands.
+    """
+    pieces = [leaf.piece for leaf in tree.leaves()]
+    spine = _SpineCost(tree.query, pieces, table)
+    sizes = spine.sizes(list(range(len(pieces))))
+    if 2 < len(pieces) <= DP_MAX_LEAVES:
+        order = spine.best_order()
+        dp_sizes = spine.sizes(order)
+        if sum(dp_sizes[:-1]) < sum(sizes[:-1]) * (1.0 - 1e-9):
+            return SJTree.from_leaf_pieces(tree.query, [pieces[i] for i in order]), dp_sizes
+    return tree, sizes
+
+
 def expected_selectivity(tree: SJTree, table: SelectivityTable) -> float:
     """Product of the leaf primitive selectivities."""
     prod = 1.0
@@ -182,7 +307,11 @@ def choose_strategy(xi: float, threshold: float = STRATEGY_THRESHOLD) -> str:
 
 @dataclass
 class Plan:
-    """A planned decomposition plus the metrics that justified it."""
+    """A planned decomposition plus the metrics that justified it.
+
+    ``estimated_sizes`` is the cost model's bet on each spine node, leaf 0 up
+    to the root, in sample-count units (see ``_SpineCost``).
+    """
 
     tree: SJTree
     catalog_mode: str
@@ -191,6 +320,7 @@ class Plan:
     relative: float
     candidates: dict[str, dict[str, float]]
     warnings: list[str]
+    estimated_sizes: list[float]
 
     def sidecar_json(self) -> str:
         doc = {
@@ -198,6 +328,7 @@ class Plan:
             "relative_selectivity": self.relative,
             "strategy": self.strategy,
             "catalog_mode": self.catalog_mode,
+            "estimated_sizes": self.estimated_sizes,
         }
         if self.candidates:
             doc["candidates"] = self.candidates
@@ -209,53 +340,37 @@ def plan_query(query: QueryGraph, table: SelectivityTable, mode: str = "auto") -
 
     ``single`` and ``path`` force the decomposition family (recommending the
     matching lazy strategy); ``auto`` builds both and chooses by threshold.
+    The selectivities are read off the greedy trees; only the chosen tree's
+    leaves are then put in their cheapest order, which leaves them unchanged.
     """
     if mode not in CATALOG_MODES:
         raise ValueError(f"bad catalog mode {mode!r}; want one of {CATALOG_MODES}")
     warnings: list[str] = []
 
     single_cat = PrimitiveCatalog.from_query(query, table, "single")
-    single_tree = build_sj_tree(query, single_cat)
-    metrics: dict[str, dict[str, float]] = {}
-    s_single = expected_selectivity(single_tree, table)
-    metrics["single"] = {"expected_selectivity": s_single, "relative_selectivity": 1.0}
+    tree = _greedy_tree(query, single_cat)
+    expected = expected_selectivity(tree, table)
+    xi = 1.0
+    metrics = {"single": {"expected_selectivity": expected, "relative_selectivity": xi}}
+    catalogs = [single_cat]
+    strategy = "SingleLazy"
 
-    path_tree = None
-    if mode in ("path", "auto"):
+    if mode != "single":
         path_cat = PrimitiveCatalog.from_query(query, table, "path")
-        path_tree = build_sj_tree(query, path_cat)
-        for cat in (single_cat, path_cat):
-            for entry in cat.unseen:
-                warnings.append(f"primitive {entry.key!r} was never observed in the sample")
-        xi_path = relative_selectivity(path_tree, single_tree, table)
-        metrics["path"] = {
-            "expected_selectivity": expected_selectivity(path_tree, table),
-            "relative_selectivity": xi_path,
-        }
-    else:
-        for entry in single_cat.unseen:
-            warnings.append(f"primitive {entry.key!r} was never observed in the sample")
+        catalogs.append(path_cat)
+        path_tree = _greedy_tree(query, path_cat)
+        s_path = expected_selectivity(path_tree, table)
+        xi = relative_selectivity(path_tree, tree, table)
+        metrics["path"] = {"expected_selectivity": s_path, "relative_selectivity": xi}
+        strategy = "PathLazy" if mode == "path" else choose_strategy(xi)
+        if strategy == "PathLazy":
+            tree, expected = path_tree, s_path
 
-    if mode == "single":
-        return Plan(single_tree, mode, "SingleLazy", s_single, 1.0, metrics, warnings)
-    if mode == "path":
-        assert path_tree is not None
-        return Plan(
-            path_tree,
-            mode,
-            "PathLazy",
-            metrics["path"]["expected_selectivity"],
-            metrics["path"]["relative_selectivity"],
-            metrics,
-            warnings,
-        )
-    assert path_tree is not None
-    xi = metrics["path"]["relative_selectivity"]
-    strategy = choose_strategy(xi)
-    if strategy == "PathLazy":
-        return Plan(path_tree, mode, strategy,
-                    metrics["path"]["expected_selectivity"], xi, metrics, warnings)
-    return Plan(single_tree, mode, strategy, s_single, xi, metrics, warnings)
+    for cat in catalogs:
+        for entry in cat.unseen:
+            warnings.append(f"primitive {entry.key!r} was never observed in the sample")
+    tree, sizes = _cheapest_order(tree, table)
+    return Plan(tree, mode, strategy, expected, xi, metrics, warnings, sizes)
 
 
 def decomposition_advisories(

@@ -79,7 +79,11 @@ def test_plan_command_writes_tree_and_sidecar(tmp_path, capsys):
     assert len(tree.leaves()) == 3
     sidecar = json.loads((tmp_path / "plan.txt.json").read_text())
     assert sidecar["strategy"] == "SingleLazy"
-    assert "strategy=SingleLazy" in capsys.readouterr().err
+    assert len(sidecar["estimated_sizes"]) == 3
+    err = capsys.readouterr().err
+    assert "strategy=SingleLazy" in err
+    shown = err.split("estimated=[")[1].split("]")[0].split(",")
+    assert [float(n) for n in shown] == pytest.approx(sidecar["estimated_sizes"], rel=1e-2)
 
 
 def test_run_strategies_agree(tmp_path, capsys):

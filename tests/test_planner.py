@@ -1,6 +1,7 @@
-"""Planner: primitive catalogs, greedy tree build, strategy choice."""
+"""Planner: primitive catalogs, greedy leaf set, cost-based leaf order, strategy choice."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from random import Random
@@ -9,15 +10,16 @@ import pytest
 
 from dgquery.generate import generate_stream, random_query, random_schema, social_schema
 from dgquery.planner import (
+    DP_MAX_LEAVES,
     STRATEGY_THRESHOLD,
     PrimitiveCatalog,
-    build_sj_tree,
     choose_strategy,
     decomposition_advisories,
     expected_selectivity,
     plan_query,
     relative_selectivity,
 )
+from dgquery.planner import _greedy_tree, _SpineCost
 from dgquery.sjtree import SJTree
 from dgquery.stats import SelectivityTable, collect_stats, primitive_key
 
@@ -138,6 +140,118 @@ def test_single_mode_leaf_zero_is_globally_rarest(rng):
         assert freq0 == best, f"trial {trial}"
 
 
+# ------------------------------------------------------------------ leaf order
+
+def counted_table(query, counts1, counts2):
+    """A table holding ``counts1[qe]`` per query edge and ``counts2[(a, b)]``
+    per adjacent query-edge pair, keyed as the planner looks them up."""
+    t = SelectivityTable(sample_size=sum(counts1.values()))
+    for qe, c in counts1.items():
+        t.arity1[primitive_key(query, [qe])[1]] = c
+    for pair, c in counts2.items():
+        t.arity2[primitive_key(query, pair)[1]] = c
+    return t
+
+
+def test_order_takes_the_cross_join_when_both_ends_are_rare():
+    # a . b . c . d with rare ends and a huge b.c middle: greedy walks the
+    # frontier (0,1,2,3) and stores 2 * 50/2 * 100000/100 = 50,000 (a,b,c)
+    # prefixes; taking the other rare end as a cross join stores 108 in all
+    query = path_query(["a", "b", "c", "d"], vertex_label="A")
+    table = counted_table(
+        query,
+        {0: 2, 1: 100, 2: 100, 3: 3},
+        {(0, 1): 50, (1, 2): 100_000, (2, 3): 50},
+    )
+    plan = plan_query(query, table, mode="single")
+    assert [leaf.piece.edges for leaf in plan.tree.leaves()] == [{0}, {3}, {2}, {1}]
+    # leaf 0 (2), x 3 as a cross join, x 50/3 along c.d, then b closes the
+    # path at two vertices and takes the lesser ratio: 50/2 along a.b
+    assert plan.estimated_sizes == pytest.approx([2, 6, 100, 2_500])
+    assert plan.tree.nodes[plan.tree.leaves()[1].parent].cut.vertices == frozenset()
+
+
+@pytest.mark.parametrize("pairs", [(50, 100, 200), (60, 60, 60)])
+def test_order_keeps_the_ascending_star(pairs):
+    # three edges out of one centre, counts ascending; ab <= ac so the greedy
+    # order costs no more than any other, and a tie keeps it too
+    query = q("node 0 A\nnode 1 A\nnode 2 A\nnode 3 A\n"
+              "edge 0 0 1 a\nedge 1 0 2 b\nedge 2 0 3 c\n")
+    ab, ac, bc = pairs
+    table = counted_table(query, {0: 5, 1: 10, 2: 20}, {(0, 1): ab, (0, 2): ac, (1, 2): bc})
+    plan = plan_query(query, table, mode="single")
+    assert [leaf.piece.edges for leaf in plan.tree.leaves()] == [{0}, {1}, {2}]
+    assert plan.estimated_sizes[:2] == pytest.approx([5, ab])
+
+
+def test_order_floors_an_unseen_2path():
+    # a.b never seen: its count floors at 1 instead of zeroing every later
+    # estimate, which would make the rest of any order look free
+    query = path_query(["a", "b", "c"], vertex_label="A")
+    table = counted_table(query, {0: 4, 1: 10, 2: 10}, {(1, 2): 100})
+    plan = plan_query(query, table, mode="single")
+    assert [leaf.piece.edges for leaf in plan.tree.leaves()] == [{0}, {1}, {2}]
+    assert plan.estimated_sizes == pytest.approx([4, 4 * 1 / 4, 1 * 100 / 10])
+    assert min(plan.estimated_sizes) > 0
+
+
+def test_order_past_the_dp_cap_keeps_the_greedy_order():
+    # the cross-join table of the 4-edge case, stretched to a path with one
+    # leaf more than the DP takes: the greedy order stands, estimated as is
+    labels = ["a"] + ["b"] * (DP_MAX_LEAVES - 1) + ["d"]
+    query = path_query(labels, vertex_label="A")
+    last = len(labels) - 1
+    table = counted_table(
+        query,
+        {qe: 100 for qe in range(len(labels))} | {0: 2, last: 3},
+        {(qe, qe + 1): 100_000 for qe in range(last)},
+    )
+    plan = plan_query(query, table, mode="single")
+    assert [leaf.piece.edges for leaf in plan.tree.leaves()] == [{qe} for qe in range(len(labels))]
+    assert len(plan.estimated_sizes) == len(labels)
+
+
+def test_order_only_reorders_and_is_the_cheapest(rng):
+    """Random queries, both catalogs: the plan keeps the greedy leaf set,
+    leaf 0 and every selectivity, and its cost equals a brute-force minimum
+    over all orders that keep leaf 0."""
+    reordered = 0
+    for trial in range(40):
+        schema = random_schema(rng)
+        table = collect_stats(generate_stream(schema, 400, rng))
+        query = random_query(schema, rng.randint(1, 6), rng)
+        greedy = {
+            mode: _greedy_tree(query, PrimitiveCatalog.from_query(query, table, mode))
+            for mode in ("single", "path")
+        }
+        xi = relative_selectivity(greedy["path"], greedy["single"], table)
+        for mode in ("single", "path"):
+            plan = plan_query(query, table, mode=mode)
+            pieces = [leaf.piece for leaf in greedy[mode].leaves()]
+            planned = [leaf.piece.edges for leaf in plan.tree.leaves()]
+            assert planned[0] == pieces[0].edges, f"trial {trial} {mode}"
+            assert sorted(map(sorted, planned)) == sorted(sorted(p.edges) for p in pieces)
+            assert plan.expected == expected_selectivity(greedy[mode], table)
+            assert plan.relative == (xi if mode == "path" else 1.0)
+            spine = _SpineCost(query, pieces, table)
+            best = min(
+                sum(spine.sizes([0, *perm])[:-1])
+                for perm in itertools.permutations(range(1, len(pieces)))
+            )
+            assert sum(plan.estimated_sizes[:-1]) == pytest.approx(best, rel=1e-9), (
+                f"trial {trial} {mode}"
+            )
+            index = {p.edges: i for i, p in enumerate(pieces)}
+            order = [index[e] for e in planned]
+            assert plan.estimated_sizes == spine.sizes(order)
+            reordered += order != sorted(order)
+        auto = plan_query(query, table, mode="auto")
+        assert auto.strategy == choose_strategy(xi)
+        chosen = greedy["path" if auto.strategy == "PathLazy" else "single"]
+        assert auto.expected == expected_selectivity(chosen, table)
+    assert reordered, "no random query exercised a reorder"
+
+
 # ---------------------------------------------------------------- selectivity
 
 def test_expected_selectivity_is_leaf_product():
@@ -215,6 +329,8 @@ def test_sidecar_json_round_trip():
     assert doc["relative_selectivity"] == pytest.approx(plan.relative)
     assert doc["catalog_mode"] == "auto"
     assert set(doc["candidates"]) == {"single", "path"}
+    assert doc["estimated_sizes"] == plan.estimated_sizes
+    assert len(plan.estimated_sizes) == len(plan.tree.leaves())
 
 
 def test_decomposition_advisories_flag_common_constituents():
