@@ -55,7 +55,6 @@ from .stats import (
     SelectivityTable,
     collect_stats,
     count_2edge_paths,
-    count_edge_types,
     primitive_key,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     # statistics
     "SelectivityTable",
     "collect_stats",
-    "count_edge_types",
     "count_2edge_paths",
     "primitive_key",
     # planning

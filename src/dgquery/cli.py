@@ -1,7 +1,7 @@
 """Command line for the streaming query engine.
 
 Subcommands: ``gen`` (synthetic streams and queries), ``stats`` (selectivity
-tables), ``plan`` (join-tree construction), ``run`` (continuous matching over
+tables), ``plan`` (a join tree's leaf order), ``run`` (continuous matching over
 a stream), ``bench`` (strategy comparison).
 
 Exit codes: 0 success, 1 usage error, 2 data or contract error, 3 strategy
@@ -99,9 +99,7 @@ def _schema_from_args(args: argparse.Namespace):
 
 def _format_match(seq: int, m: Match) -> str:
     pairs = ";".join(f"{qe}={eid}" for qe, eid in m.pairs)
-    t_min = "-" if m.t_min is None else str(m.t_min)
-    t_max = "-" if m.t_max is None else str(m.t_max)
-    return f"{seq}\t{t_min}\t{t_max}\t{pairs}"
+    return f"{seq}\t{m.t_min}\t{m.t_max}\t{pairs}"
 
 
 # ------------------------------------------------------------------ commands
@@ -277,13 +275,15 @@ def build_parser() -> _Parser:
     st.add_argument("--out", required=True, help="JSON table path")
     st.set_defaults(func=cmd_stats)
 
-    pl = sub.add_parser("plan", help="build a join tree for a query")
+    pl = sub.add_parser("plan", help="plan a query's join tree and write its leaf order")
     pl.add_argument("--query", required=True)
     pl.add_argument("--stats", required=True)
     pl.add_argument("--mode", choices=("auto", "single", "path"), default="auto")
     pl.add_argument("--mean-degree", type=float, default=None,
                     help="emit decomposition advisories against this mean degree")
-    pl.add_argument("--out", required=True, help="tree path; sidecar goes to <out>.json")
+    pl.add_argument("--out", required=True,
+                    help="plan text path: 'sjtree', then one 'leaf <qedge> ...' line per leaf; "
+                         "sidecar goes to <out>.json")
     pl.set_defaults(func=cmd_plan)
 
     rn = sub.add_parser("run", help="stream a file through the engine")

@@ -239,7 +239,7 @@ class Engine:
         if lazy:
             self._always_on = {0}
             for leaf in self._leaves[1:]:
-                if not tree.nodes[leaf.parent].cut.vertices:
+                if not tree.nodes[leaf.parent].cut_verts:
                     # a cross-join leaf shares no vertex with its prefix: no
                     # bit could ever gate it soundly, so it stays live
                     self._always_on.add(leaf.leaf_index)

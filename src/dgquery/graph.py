@@ -151,9 +151,6 @@ class DynamicGraph:
     def vertex_count(self) -> int:
         return len(self._vertices)
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._vertices
-
     def vertex_label(self, vid: str) -> str:
         return self._vertices[vid].label
 

@@ -108,7 +108,7 @@ class QueryGraph:
 class QueryPiece:
     """A sub-pattern of a query: a set of qedge ids plus a set of qvertex ids.
 
-    Vertex-only pieces (no edges) are legal; they appear as join cuts.
+    Vertex-only pieces (no edges) are legal.
     """
 
     edges: frozenset[int]
@@ -126,9 +126,6 @@ class QueryPiece:
 
     def union(self, other: "QueryPiece") -> "QueryPiece":
         return QueryPiece(self.edges | other.edges, self.vertices | other.vertices)
-
-    def intersection(self, other: "QueryPiece") -> "QueryPiece":
-        return QueryPiece(self.edges & other.edges, self.vertices & other.vertices)
 
     def is_connected(self, query: QueryGraph) -> bool:
         """Edge-connectivity of the piece (vertex-only pieces of size <= 1 count)."""
@@ -206,11 +203,6 @@ class Match:
         """(qedge, data edge) for every bound qedge, in qedge order: the
         signature outputs and oracles compare."""
         return tuple((qe, e) for qe, e in enumerate(self.edges) if e is not None)
-
-    @property
-    def bindings(self) -> dict[int, str]:
-        """{qvertex: data vertex} for every bound qvertex."""
-        return {qv: dv for qv, dv in enumerate(self.verts) if dv is not None}
 
     def time_span(self) -> int:
         if self.t_min is None:

@@ -19,6 +19,12 @@ at one child probes its sibling's table with a plain hash lookup, joins
 pairwise, and propagates upward.  Complete matches surface at the root and
 are emitted.
 
+The leaf order fixes everything else, so :meth:`SJTree.from_leaf_pieces` is
+the one constructor, and the plan text that ``dgq plan`` writes lists only
+the leaves: a ``sjtree`` header, then one ``leaf <qedge> ...`` line per leaf,
+leaf 0 first.  :meth:`SJTree.deserialize` parses it back through the same
+constructor.
+
 Inside the tree a partial match is a plain ``(edges, verts, t_min)`` tuple
 (:data:`Partial`): the query-width slots of :class:`~dgquery.query.Match`
 and the oldest bound timestamp.  CPython stops tracking a tuple once a
@@ -56,7 +62,6 @@ class SJTreeNode:
     __slots__ = (
         "node_id",
         "piece",
-        "cut",
         "parent",
         "left",
         "right",
@@ -73,7 +78,7 @@ class SJTreeNode:
         self,
         node_id: int,
         piece: QueryPiece,
-        cut: QueryPiece,
+        cut_verts: tuple[int, ...],
         parent: int | None,
         left: int | None,
         right: int | None,
@@ -81,7 +86,6 @@ class SJTreeNode:
     ):
         self.node_id = node_id
         self.piece = piece
-        self.cut = cut
         self.parent = parent
         self.left = left
         self.right = right
@@ -91,8 +95,9 @@ class SJTreeNode:
         self.sibling: int | None = None
         self.sibling_edges: tuple[int, ...] = ()
         self.sibling_verts: tuple[int, ...] = ()
-        # the order of the cut vertices in a JoinKey, fixed at build time
-        self.cut_verts = tuple(sorted(cut.vertices))
+        # the cut, the qvertices both children bind, sorted: the order of
+        # the cut vertices in a JoinKey; () at a leaf
+        self.cut_verts = cut_verts
         # verts -> the key this node's matches are stored and probed under,
         # read from the parent's cut; set by SJTree
         self.key_of: Callable[[tuple], JoinKey] | None = None
@@ -102,9 +107,6 @@ class SJTreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None and self.right is None
-
-
-_EMPTY_PIECE = QueryPiece(frozenset(), frozenset())
 
 
 def join(m: Partial, m_s: Partial, node: SJTreeNode) -> Partial | None:
@@ -143,7 +145,6 @@ class SJTree:
         self.nodes = nodes
         self.root_id = root_id
         self.leaf_ids = [n.node_id for n in nodes if n.is_leaf]
-        self.leaf_ids.sort(key=lambda nid: nodes[nid].leaf_index)
         for n in nodes:
             if not n.is_leaf:
                 key_of = _key_getter(n.cut_verts)
@@ -178,15 +179,12 @@ class SJTree:
 
         nodes: list[SJTreeNode] = []
         for i, p in enumerate(pieces):
-            nodes.append(SJTreeNode(i, p, _EMPTY_PIECE, None, None, None, i))
-        if len(pieces) == 1:
-            return cls(query, nodes, root_id=0)
+            nodes.append(SJTreeNode(i, p, (), None, None, None, i))
         left_id = 0
-        for i in range(1, len(pieces)):
-            right_id = i
-            piece = nodes[left_id].piece.union(nodes[right_id].piece)
-            cut = nodes[left_id].piece.intersection(nodes[right_id].piece)
-            internal = SJTreeNode(len(nodes), piece, cut, None, left_id, right_id, None)
+        for right_id in range(1, len(pieces)):
+            left, right = nodes[left_id].piece, nodes[right_id].piece
+            cut_verts = tuple(sorted(left.vertices & right.vertices))
+            internal = SJTreeNode(len(nodes), left.union(right), cut_verts, None, left_id, right_id, None)
             nodes.append(internal)
             nodes[left_id].parent = internal.node_id
             nodes[right_id].parent = internal.node_id
@@ -303,183 +301,42 @@ class SJTree:
     # -------------------------------------------------------------- plan text
 
     def serialize(self) -> str:
-        """Deterministic text form of the tree structure (no match state)."""
-        out = [f"sjtree {len(self.nodes)}"]
-        for node in self.nodes:
-            parent = "-" if node.parent is None else str(node.parent)
-            left = "-" if node.left is None else str(node.left)
-            right = "-" if node.right is None else str(node.right)
-            leaf_index = "-" if node.leaf_index is None else str(node.leaf_index)
-            out.append(
-                f"node {node.node_id} parent={parent} left={left} right={right} leaf_index={leaf_index}"
-            )
-            for qe in sorted(node.piece.edges):
-                out.append(f"  subgraph: edge {qe}")
-            cut_parts = [f"vertex {qv}" for qv in node.cut_verts]
-            out.append("  cut: " + (" ".join(cut_parts) if cut_parts else "empty"))
-        return "\n".join(out) + "\n"
+        """The plan text: a ``sjtree`` header, then one ``leaf`` line of qedge
+        ids per leaf, left to right.  The leaf order fixes the tree."""
+        leaves = [" ".join(["leaf", *map(str, sorted(n.piece.edges))]) for n in self.leaves()]
+        return "\n".join(["sjtree", *leaves]) + "\n"
 
     @classmethod
     def deserialize(cls, text: str, query: QueryGraph, source: str | None = None) -> "SJTree":
-        """Parse and fully validate a serialized tree against ``query``."""
-        lines = text.splitlines()
-        if not lines:
+        """Parse plan text (see :meth:`serialize`; blank lines and ``#``
+        comment lines are skipped) into the tree over ``query``."""
+        rows = [(no, line.split()) for no, line in enumerate(text.splitlines(), start=1)]
+        rows = [(no, parts) for no, parts in rows if parts and not parts[0].startswith("#")]
+        if not rows:
             raise PlanError("empty plan", source=source)
-        header = lines[0].split()
-        if len(header) != 2 or header[0] != "sjtree":
-            raise PlanError("expected header 'sjtree <num_nodes>'", line=1, source=source)
+        if rows[0][1] != ["sjtree"]:
+            raise PlanError("expected header 'sjtree'", line=rows[0][0], source=source)
+        pieces = []
+        for no, parts in rows[1:]:
+            try:
+                if parts[0] != "leaf" or len(parts) < 2:
+                    raise ValueError(f"unexpected line {' '.join(parts)!r}: want 'leaf <qedge> [<qedge> ...]'")
+                if not all(p.isdecimal() for p in parts[1:]):
+                    raise ValueError(f"bad qedge id in {' '.join(parts[1:])!r}")
+                ids = [int(p) for p in parts[1:]]
+                if max(ids) >= query.n_edges:
+                    raise ValueError(f"qedge {max(ids)} is outside the query")
+                if len(set(ids)) != len(ids):
+                    raise ValueError("a qedge repeats within the leaf")
+                if len(ids) > 3:
+                    raise ValueError("a leaf holds at most 3 qedges")
+                piece = QueryPiece.from_edges(query, ids)
+                if not piece.is_connected(query):
+                    raise ValueError("the leaf is not connected")
+            except ValueError as exc:
+                raise PlanError(str(exc), line=no, source=source) from None
+            pieces.append(piece)
         try:
-            n_nodes = int(header[1])
-        except ValueError:
-            raise PlanError(f"bad node count {header[1]!r}", line=1, source=source) from None
-        if n_nodes <= 0:
-            raise PlanError("node count must be positive", line=1, source=source)
-
-        # raw parse
-        raw: dict[int, dict] = {}
-        node_line: dict[int, int] = {}
-        current: dict | None = None
-        for idx, line in enumerate(lines[1:], start=2):
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            parts = body.split()
-            if parts[0] == "node":
-                if len(parts) != 6:
-                    raise PlanError("want: node <id> parent=.. left=.. right=.. leaf_index=..", line=idx, source=source)
-                try:
-                    nid = int(parts[1])
-                except ValueError:
-                    raise PlanError(f"bad node id {parts[1]!r}", line=idx, source=source) from None
-                if nid in raw:
-                    raise PlanError(f"duplicate node {nid}", line=idx, source=source)
-                fields = {}
-                for part in parts[2:]:
-                    k, _, v = part.partition("=")
-                    if k not in ("parent", "left", "right", "leaf_index") or not v:
-                        raise PlanError(f"bad field {part!r}", line=idx, source=source)
-                    if v == "-":
-                        fields[k] = None
-                    else:
-                        try:
-                            fields[k] = int(v)
-                        except ValueError:
-                            raise PlanError(f"bad field {part!r}", line=idx, source=source) from None
-                current = {"edges": set(), "cut": None, **fields}
-                raw[nid] = current
-                node_line[nid] = idx
-            elif parts[0] == "subgraph:":
-                if current is None:
-                    raise PlanError("subgraph line before any node", line=idx, source=source)
-                if len(parts) != 3 or parts[1] != "edge":
-                    raise PlanError("want: subgraph: edge <qedge-id>", line=idx, source=source)
-                try:
-                    current["edges"].add(int(parts[2]))
-                except ValueError:
-                    raise PlanError(f"bad qedge id {parts[2]!r}", line=idx, source=source) from None
-            elif parts[0] == "cut:":
-                if current is None:
-                    raise PlanError("cut line before any node", line=idx, source=source)
-                if current["cut"] is not None:
-                    raise PlanError("duplicate cut line", line=idx, source=source)
-                verts = set()
-                rest = parts[1:]
-                if rest == ["empty"]:
-                    pass
-                elif not rest or len(rest) % 2:
-                    raise PlanError("want: cut: empty | (vertex <id>)...", line=idx, source=source)
-                else:
-                    for kind, val in zip(rest[::2], rest[1::2]):
-                        if kind != "vertex":
-                            raise PlanError(f"bad cut element {kind!r}", line=idx, source=source)
-                        try:
-                            verts.add(int(val))
-                        except ValueError:
-                            raise PlanError(f"bad cut id {val!r}", line=idx, source=source) from None
-                current["cut"] = verts
-            else:
-                raise PlanError(f"unexpected line {body!r}", line=idx, source=source)
-
-        if sorted(raw) != list(range(n_nodes)):
-            raise PlanError(f"expected dense node ids 0..{n_nodes - 1}", source=source)
-
-        def fail(nid: int, msg: str) -> PlanError:
-            return PlanError(msg, line=node_line[nid], source=source)
-
-        # build + structural validation
-        nodes: list[SJTreeNode] = []
-        for nid in range(n_nodes):
-            r = raw[nid]
-            for qe in r["edges"]:
-                if not (0 <= qe < query.n_edges):
-                    raise fail(nid, f"node {nid} references qedge {qe} outside the query")
-            piece = QueryPiece.from_edges(query, r["edges"]) if r["edges"] else _EMPTY_PIECE
-            cut_verts = r["cut"] or set()
-            for qv in cut_verts:
-                if not (0 <= qv < query.n_vertices):
-                    raise fail(nid, f"node {nid} cut references qvertex {qv} outside the query")
-            cut = QueryPiece(frozenset(), frozenset(cut_verts))
-            nodes.append(
-                SJTreeNode(nid, piece, cut, r["parent"], r["left"], r["right"], r["leaf_index"])
-            )
-
-        roots = [n for n in nodes if n.parent is None]
-        if len(roots) != 1:
-            raise PlanError("plan must have exactly one root (parent=-)", source=source)
-        root = roots[0]
-        for n in nodes:
-            if (n.left is None) != (n.right is None):
-                raise fail(n.node_id, f"node {n.node_id} must have both children or neither")
-            if n.is_leaf:
-                if n.leaf_index is None:
-                    raise fail(n.node_id, f"leaf {n.node_id} is missing leaf_index")
-                if not n.piece.edges:
-                    raise fail(n.node_id, f"leaf {n.node_id} has an empty subgraph")
-                if len(n.piece.edges) > 3:
-                    raise fail(n.node_id, f"leaf {n.node_id} exceeds 3 edges")
-                if not n.piece.is_connected(query):
-                    raise fail(n.node_id, f"leaf {n.node_id} subgraph is not connected")
-            else:
-                if n.leaf_index is not None:
-                    raise fail(n.node_id, f"internal node {n.node_id} must have leaf_index=-")
-                for cid, side in ((n.left, "left"), (n.right, "right")):
-                    if not (0 <= cid < n_nodes):
-                        raise fail(n.node_id, f"node {n.node_id} {side} child {cid} does not exist")
-                    if nodes[cid].parent != n.node_id:
-                        raise fail(n.node_id, f"child {cid} does not point back to parent {n.node_id}")
-                if not nodes[n.right].is_leaf:
-                    raise fail(n.node_id, f"node {n.node_id} is not left-deep: right child must be a leaf")
-                lp, rp = nodes[n.left].piece, nodes[n.right].piece
-                if n.piece != lp.union(rp):
-                    raise fail(n.node_id, f"node {n.node_id} subgraph is not the union of its children")
-                if n.cut != lp.intersection(rp):
-                    raise fail(n.node_id, f"node {n.node_id} cut is not the intersection of its children")
-        if root.parent is not None or root.piece.edges != frozenset(range(query.n_edges)):
-            raise PlanError("root subgraph must equal the whole query", line=node_line[root.node_id], source=source)
-
-        leaves = [n for n in nodes if n.is_leaf]
-        leaf_union: set[int] = set()
-        for n in leaves:
-            if leaf_union & n.piece.edges:
-                raise fail(n.node_id, "leaf subgraphs overlap")
-            leaf_union |= n.piece.edges
-        if leaf_union != set(range(query.n_edges)):
-            raise PlanError("leaf subgraphs do not cover the query", source=source)
-        if sorted(n.leaf_index for n in leaves) != list(range(len(leaves))):
-            raise PlanError("leaf_index values must be dense ordinals", source=source)
-        # left-to-right order must match leaf_index
-        order: list[int] = []
-
-        def walk(nid: int) -> None:
-            n = nodes[nid]
-            if n.is_leaf:
-                order.append(n.leaf_index)
-            else:
-                walk(n.left)
-                walk(n.right)
-
-        walk(root.node_id)
-        if order != sorted(order):
-            raise PlanError("leaf_index must increase left to right", source=source)
-
-        return cls(query, nodes, root_id=root.node_id)
+            return cls.from_leaf_pieces(query, pieces)
+        except ValueError as exc:
+            raise PlanError(str(exc), source=source) from None

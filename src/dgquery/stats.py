@@ -30,7 +30,6 @@ __all__ = [
     "EdgeKey",
     "PathKey",
     "map_edge",
-    "count_edge_types",
     "count_2edge_paths",
     "SelectivityTable",
     "collect_stats",
@@ -59,15 +58,6 @@ def map_edge(e: EdgeRecord, center: str, hook: MapHook | None = None) -> Descrip
     else:
         raise ContractError(f"vertex {center!r} is not an endpoint of edge {e.edge_id}")
     return hook(desc) if hook else desc
-
-
-def count_edge_types(edges: Iterable[EdgeRecord | RawEdge]) -> dict[EdgeKey, int]:
-    """Histogram of typed directed edges over any edge iterable."""
-    counts: dict[EdgeKey, int] = {}
-    for e in edges:
-        key = (e.src_type, e.edge_type, e.dst_type)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def count_2edge_paths(graph: DynamicGraph, hook: MapHook | None = None) -> dict[PathKey, int]:
@@ -104,19 +94,21 @@ def _canonical_path_key(center_label: str, d1: Descriptor, d2: Descriptor) -> Pa
 
 @dataclass
 class SelectivityTable:
-    """Primitive frequencies plus the totals that normalize them."""
+    """Primitive frequencies plus the totals that normalize them.
+
+    The totals are summed once, when the table is built: build it whole from
+    its counts, and do not change them afterwards.
+    """
 
     sample_size: int
     arity1: dict[EdgeKey, int] = field(default_factory=dict)
     arity2: dict[PathKey, int] = field(default_factory=dict)
+    total1: int = field(init=False)
+    total2: int = field(init=False)
 
-    @property
-    def total1(self) -> int:
-        return sum(self.arity1.values())
-
-    @property
-    def total2(self) -> int:
-        return sum(self.arity2.values())
+    def __post_init__(self) -> None:
+        self.total1 = sum(self.arity1.values())
+        self.total2 = sum(self.arity2.values())
 
     # ------------------------------------------------------------ selectivity
 
@@ -180,17 +172,19 @@ class SelectivityTable:
                 f"unsupported stats version {doc['version']!r} (want {STATS_VERSION})",
                 source=source,
             )
-        table = cls(sample_size=int(doc["N"]))
+        arity1: dict[EdgeKey, int] = {}
+        arity2: dict[PathKey, int] = {}
         try:
             for row in doc["arity1"]:
                 key = (row["src_type"], row["edge_type"], row["dst_type"])
-                table.arity1[key] = int(row["count"])
+                arity1[key] = int(row["count"])
             for row in doc["arity2"]:
                 d1 = (row["d1"]["edge_type"], row["d1"]["far_type"], row["d1"]["dir"])
                 d2 = (row["d2"]["edge_type"], row["d2"]["far_type"], row["d2"]["dir"])
-                table.arity2[_canonical_path_key(row["center_type"], d1, d2)] = int(row["count"])
+                arity2[_canonical_path_key(row["center_type"], d1, d2)] = int(row["count"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed stats row: {exc}", source=source) from None
+        table = cls(sample_size=int(doc["N"]), arity1=arity1, arity2=arity2)
         totals = doc["totals"]
         if not isinstance(totals, dict) or "arity1" not in totals or "arity2" not in totals:
             raise ParseError("totals must carry arity1 and arity2", source=source)
@@ -246,7 +240,4 @@ def collect_stats(records: Iterable[RawEdge], hook: MapHook | None = None) -> Se
         key = (rec.src_type, rec.edge_type, rec.dst_type)
         arity1[key] = arity1.get(key, 0) + 1
         n += 1
-    table = SelectivityTable(sample_size=n)
-    table.arity1 = arity1
-    table.arity2 = count_2edge_paths(graph, hook)
-    return table
+    return SelectivityTable(sample_size=n, arity1=arity1, arity2=count_2edge_paths(graph, hook))

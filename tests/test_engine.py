@@ -29,9 +29,7 @@ from conftest import cross_check, engines_for, path_query, q, raw, signatures, s
 
 
 def rare_first_table():
-    t = SelectivityTable(sample_size=100)
-    t.arity1 = {("A", "r", "A"): 1, ("A", "s", "A"): 99}
-    return t
+    return SelectivityTable(sample_size=100, arity1={("A", "r", "A"): 1, ("A", "s", "A"): 99})
 
 
 # ----------------------------------------------------------- match_primitive

@@ -26,15 +26,17 @@ from dgquery.stats import SelectivityTable, collect_stats, primitive_key
 from conftest import path_query, q, table_for
 
 
-def skewed_table():
-    """Hand-built table: label 'r' rare, 's' common, one observed pair."""
-    t = SelectivityTable(sample_size=100)
-    t.arity1 = {("A", "r", "A"): 2, ("A", "s", "A"): 98}
-    t.arity2 = {
-        ("A", ("r", "A", "in"), ("s", "A", "out")): 1,
-        ("A", ("s", "A", "in"), ("s", "A", "out")): 40,
-    }
-    return t
+def skewed_table(extra1=None):
+    """Hand-built table: label 'r' rare, 's' common, one observed pair;
+    ``extra1`` adds edge counts."""
+    return SelectivityTable(
+        sample_size=100,
+        arity1={("A", "r", "A"): 2, ("A", "s", "A"): 98, **(extra1 or {})},
+        arity2={
+            ("A", ("r", "A", "in"), ("s", "A", "out")): 1,
+            ("A", ("s", "A", "in"), ("s", "A", "out")): 40,
+        },
+    )
 
 
 # -------------------------------------------------------------------- catalog
@@ -83,8 +85,7 @@ def test_build_extends_along_the_frontier():
     # leaf 1 must touch leaf 0's vertices even when a rarer edge sits farther
     # away: on r . s . s . t the planner takes r first (freq 2), then an 's'
     # neighbor (98) rather than the rarer but disconnected 't' (40)
-    table = skewed_table()
-    table.arity1[("A", "t", "A")] = 40
+    table = skewed_table({("A", "t", "A"): 40})
     query = path_query(["r", "s", "s", "t"], vertex_label="A")
     tree = plan_query(query, table, mode="single").tree
     pieces = [leaf.piece.edges for leaf in tree.leaves()]
@@ -145,12 +146,11 @@ def test_single_mode_leaf_zero_is_globally_rarest(rng):
 def counted_table(query, counts1, counts2):
     """A table holding ``counts1[qe]`` per query edge and ``counts2[(a, b)]``
     per adjacent query-edge pair, keyed as the planner looks them up."""
-    t = SelectivityTable(sample_size=sum(counts1.values()))
-    for qe, c in counts1.items():
-        t.arity1[primitive_key(query, [qe])[1]] = c
-    for pair, c in counts2.items():
-        t.arity2[primitive_key(query, pair)[1]] = c
-    return t
+    return SelectivityTable(
+        sample_size=sum(counts1.values()),
+        arity1={primitive_key(query, [qe])[1]: c for qe, c in counts1.items()},
+        arity2={primitive_key(query, pair)[1]: c for pair, c in counts2.items()},
+    )
 
 
 def test_order_takes_the_cross_join_when_both_ends_are_rare():
@@ -168,7 +168,7 @@ def test_order_takes_the_cross_join_when_both_ends_are_rare():
     # leaf 0 (2), x 3 as a cross join, x 50/3 along c.d, then b closes the
     # path at two vertices and takes the lesser ratio: 50/2 along a.b
     assert plan.estimated_sizes == pytest.approx([2, 6, 100, 2_500])
-    assert plan.tree.nodes[plan.tree.leaves()[1].parent].cut.vertices == frozenset()
+    assert plan.tree.nodes[plan.tree.leaves()[1].parent].cut_verts == ()
 
 
 @pytest.mark.parametrize("pairs", [(50, 100, 200), (60, 60, 60)])

@@ -97,8 +97,6 @@ def test_piece_from_edges_and_set_algebra():
     assert p01.vertices == frozenset({0, 1, 2})
     p2 = QueryPiece.from_edges(g, [2])
     assert p01.union(p2).edges == frozenset({0, 1, 2})
-    assert p01.intersection(p2).edges == frozenset()
-    assert p01.intersection(p2).vertices == frozenset({0, 2})
 
 
 def test_piece_connectivity():
@@ -121,7 +119,6 @@ def test_match_canonical_order_and_times():
     assert m.edges == (10, 20, 30)
     assert m.verts == ("a", "b", "c", None)
     assert m.pairs == ((0, 10), (1, 20), (2, 30))
-    assert m.bindings == {0: "a", 1: "b", 2: "c"}
     assert (m.t_min, m.t_max) == (3, 9)
     assert m.time_span() == 6
 
@@ -214,12 +211,13 @@ def test_join_randomized_commutes_and_validates():
             continue
         l_items = [(0, rng.randrange(4), rng.randrange(20)), (1, 4 + rng.randrange(4), rng.randrange(20))]
         r_items = [(2, rng.randrange(8), rng.randrange(20))]
-        left = Match.of(PATH3, l_items, dict(enumerate(lv)))
-        right = Match.of(PATH3, r_items, {2: rv[0], 3: rv[1]})
+        l_bind, r_bind = dict(enumerate(lv)), {2: rv[0], 3: rv[1]}
+        left = Match.of(PATH3, l_items, l_bind)
+        right = Match.of(PATH3, r_items, r_bind)
         ls, rs = stored_form(left), stored_form(right)
         ab, ba = join(ls, rs, leaf0), join(rs, ls, leaf1)
         try:
-            want = stored_form(Match.of(PATH3, l_items + r_items, {**left.bindings, **right.bindings}))
+            want = stored_form(Match.of(PATH3, l_items + r_items, {**l_bind, **r_bind}))
         except ContractError:
             want = None
         # the stored form holds t_min, so equality covers it too

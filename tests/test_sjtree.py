@@ -1,12 +1,17 @@
 """Decomposition tree: structure, join keys, propagation, plan text."""
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from dgquery.engine import Engine
 from dgquery.errors import PlanError
+from dgquery.generate import generate_stream, random_query, random_schema
+from dgquery.planner import plan_query
 from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree
+from dgquery.stats import collect_stats
 
 from conftest import path_query, q, raw, stored_form
 
@@ -33,8 +38,8 @@ def test_from_leaf_pieces_builds_left_deep():
     assert not inner.is_leaf
     assert tree.nodes[inner.right].is_leaf and tree.nodes[inner.left].is_leaf
     # cuts are child-piece intersections
-    assert inner.cut.vertices == frozenset({1})
-    assert root.cut.vertices == frozenset({2})
+    assert inner.cut_verts == (1,)
+    assert root.cut_verts == (2,)
     assert root.piece.edges == frozenset({0, 1, 2})
 
 
@@ -266,58 +271,91 @@ def test_serialize_round_trips_byte_identical():
 
 
 def test_serialize_mentions_structure():
+    # the text is the leaf order and nothing else: no ids, pointers or cuts
     query, tree = two_leaf_tree()
-    text = tree.serialize()
-    assert text.startswith("sjtree 3\n")
-    assert "leaf_index=0" in text and "leaf_index=1" in text
-    assert "cut: vertex 1" in text
-    assert text.endswith("\n")
+    assert tree.serialize() == "sjtree\nleaf 0\nleaf 1\n"
+    query = path_query(["e", "f", "g"])
+    pieces = [QueryPiece.from_edges(query, [2]), QueryPiece.from_edges(query, [1, 0])]
+    assert SJTree.from_leaf_pieces(query, pieces).serialize() == "sjtree\nleaf 2\nleaf 0 1\n"
+
+
+def test_deserialize_reads_hand_written_text():
+    query = path_query(["e", "f", "g", "h"])
+    text = (
+        "# the rare end first, then a cross join\n"
+        "\n"
+        "sjtree\n"
+        "  leaf 3\n"
+        "   # indented comments are skipped too\n"
+        "leaf 1  0\n"
+        "\n"
+        "leaf 2"
+    )
+    tree = SJTree.deserialize(text, query)
+    assert [sorted(n.piece.edges) for n in tree.leaves()] == [[3], [0, 1], [2]]
+    assert tree.serialize() == "sjtree\nleaf 3\nleaf 0 1\nleaf 2\n"
+
+
+def node_fields(tree):
+    return [
+        (n.node_id, n.piece, n.parent, n.left, n.right, n.leaf_index, n.cut_verts,
+         n.sibling, n.sibling_edges, n.sibling_verts)
+        for n in tree.nodes
+    ]
+
+
+def test_deserialize_rebuilds_planner_trees_node_for_node():
+    rng = Random(17)
+    for trial in range(30):
+        schema = random_schema(rng)
+        table = collect_stats(generate_stream(schema, 400, rng))
+        query = random_query(schema, rng.randint(1, 5), rng)
+        for mode in ("single", "path"):
+            tree = plan_query(query, table, mode=mode).tree
+            again = SJTree.deserialize(tree.serialize(), query)
+            assert (again.root_id, again.leaf_ids) == (tree.root_id, tree.leaf_ids)
+            assert node_fields(again) == node_fields(tree), f"trial {trial} {mode}"
+
+
+# a marker comment put right above the line a malformed plan gets wrong
+BAD_NEXT = "# the next line is bad"
+PATH4_PLAN = "sjtree\nleaf 0 1\nleaf 2\nleaf 3\n"
 
 
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
         (lambda t: "", "empty plan"),
-        (lambda t: t.replace("sjtree 3", "sjtree x"), "bad node count"),
-        (lambda t: t.replace("sjtree 3", "tree 3"), "expected header"),
-        (lambda t: t.replace("node 1 ", "node 9 "), "dense node ids"),
-        (lambda t: t.replace("leaf_index=1", "leaf_index=-"), "missing leaf_index"),
-        (lambda t: t.replace("cut: vertex 1", "cut: vertex 1 vertex"), "want: cut"),
-        (lambda t: t.replace("cut: vertex 1", "cut: vertex 1 edge 0"), "bad cut element"),
-        (lambda t: t.replace("cut: vertex 1", "cut: vertex 7"), "outside the query"),
-        (lambda t: t.replace("cut: vertex 1", "cut: empty"), "not the intersection"),
-        (lambda t: t + "garbage\n", "unexpected line"),
-        (
-            lambda t: t.replace("node 2 parent=-", "node 2 parent=0"),
-            "exactly one root",
-        ),
+        (lambda t: t.replace("sjtree\n", BAD_NEXT + "\n"), "expected header"),
+        (lambda t: t + BAD_NEXT + "\ngarbage\n", "unexpected line"),
+        (lambda t: t + BAD_NEXT + "\nleaf\n", "want 'leaf <qedge>"),
+        (lambda t: t.replace("leaf 2\n", BAD_NEXT + "\nleaf x\n"), "bad qedge id"),
+        (lambda t: t.replace("leaf 3\n", BAD_NEXT + "\nleaf 7\n"), "outside the query"),
+        (lambda t: t.replace("leaf 2\n", BAD_NEXT + "\nleaf 2 2\n"), "repeats"),
+        (lambda t: "sjtree\n" + BAD_NEXT + "\nleaf 0 1 2 3\n", "at most 3"),
+        (lambda t: t.replace("leaf 0 1\nleaf 2\n", BAD_NEXT + "\nleaf 0 2\nleaf 1\n"), "not connected"),
+        (lambda t: t.replace("leaf 2\n", "leaf 1 2\n"), "edge-disjoint"),
+        (lambda t: t.replace("leaf 3\n", ""), "cover the query"),
     ],
 )
 def test_deserialize_rejects_malformed_plans(mutate, fragment):
-    query, tree = two_leaf_tree()
+    query = path_query(["e", "f", "g", "h"])
+    text = mutate(PATH4_PLAN)
     with pytest.raises(PlanError) as ei:
-        SJTree.deserialize(mutate(tree.serialize()), query)
+        SJTree.deserialize(text, query)
     assert fragment in str(ei.value)
+    # a fault on one line names it, comment lines counted; a fault of the
+    # leaves together names none
+    lines = text.splitlines()
+    assert ei.value.line == (lines.index(BAD_NEXT) + 2 if BAD_NEXT in lines else None)
 
 
 def test_deserialize_rejects_structural_lies():
-    # a structurally valid text whose leaves do not cover the query
+    # a well-formed text whose leaves do not cover the query
     query = path_query(["e", "f"])
     one_leaf = SJTree.from_leaf_pieces(
         path_query(["e"]), [QueryPiece.from_edges(path_query(["e"]), [0])]
     )
     with pytest.raises(PlanError) as ei:
-        SJTree.deserialize(one_leaf.serialize(), query)
-    assert "whole query" in str(ei.value)
-
-
-def test_deserialize_rejects_right_deep():
-    query = path_query(["e", "f", "g"])
-    pieces = [QueryPiece.from_edges(query, [i]) for i in range(3)]
-    tree = SJTree.from_leaf_pieces(query, pieces)
-    text = tree.serialize()
-    # swap the root's children: left becomes the leaf, right the internal node
-    swapped = text.replace("left=3 right=2", "left=2 right=3")
-    with pytest.raises(PlanError) as ei:
-        SJTree.deserialize(swapped, query)
-    assert "left-deep" in str(ei.value) or "leaf_index" in str(ei.value)
+        SJTree.deserialize(one_leaf.serialize(), query, source="plan.txt")
+    assert str(ei.value) == "plan.txt: leaf pieces must cover the query exactly"

@@ -12,7 +12,6 @@ from dgquery.stats import (
     SelectivityTable,
     collect_stats,
     count_2edge_paths,
-    count_edge_types,
     map_edge,
     primitive_key,
 )
@@ -59,16 +58,6 @@ def test_map_edge_hook_rewrites():
     g = DynamicGraph()
     rec = g.add_edge(raw(0, "a", "e", "b"))
     assert map_edge(rec, "a", lambda d: ("*", "*", d[2])) == ("*", "*", "out")
-
-
-def test_count_edge_types():
-    g = DynamicGraph()
-    recs = [
-        g.add_edge(raw(0, "a", "e", "b")),
-        g.add_edge(raw(0, "a", "e", "c")),
-        g.add_edge(raw(0, "a", "f", "b")),
-    ]
-    assert count_edge_types(recs) == {("A", "e", "A"): 2, ("A", "f", "A"): 1}
 
 
 # ---------------------------------------------------------------- path counts
@@ -135,10 +124,11 @@ def test_path_counts_handshake_identity(rng):
 # ---------------------------------------------------------------------- table
 
 def make_table():
-    table = SelectivityTable(sample_size=10)
-    table.arity1 = {("A", "e", "A"): 6, ("A", "f", "B"): 4}
-    table.arity2 = {("A", ("e", "A", "out"), ("f", "B", "out")): 5}
-    return table
+    return SelectivityTable(
+        sample_size=10,
+        arity1={("A", "e", "A"): 6, ("A", "f", "B"): 4},
+        arity2={("A", ("e", "A", "out"), ("f", "B", "out")): 5},
+    )
 
 
 def test_table_selectivities():
