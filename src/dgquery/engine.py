@@ -29,8 +29,9 @@ The retroactive sweeps run off a flat worklist rather than recursing, and
 gated searches are deduplicated on (leaf, edge id) — which also bounds
 the lazy engine's primitive searches by the eager engine's count.
 
-Below the root, partial matches are the join tree's plain ``(edges, verts,
-t_min)`` tuples; a :class:`~dgquery.query.Match` is built once per emission.
+Below the root, partial matches are the join tree's flat ``(t_min, e_0 ...
+e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``); a
+:class:`~dgquery.query.Match` is built once per emission.
 """
 from __future__ import annotations
 
@@ -107,10 +108,15 @@ def match_primitive(
     anchor: EdgeRecord,
 ) -> list[Partial]:
     """All matches of a 1–3 edge sub-pattern that include ``anchor``, as the
-    join tree's ``(edges, verts, t_min)`` tuples: a data edge id or None per
-    qedge, a data vertex or None per qvertex, and the oldest bound
-    timestamp.  No ``t_max`` is kept: the engine stamps each complete match
-    with the newest edge's timestamp when it emits it.
+    join tree's flat ``(t_min, e_0 ... e_{E-1}, v_0 ... v_{V-1})`` tuples:
+    the oldest bound timestamp, then a data edge id or None per qedge and a
+    data vertex or None per qvertex.  No ``t_max`` is kept: the engine
+    stamps each complete match with the newest edge's timestamp when it
+    emits it.
+
+    The search fills separate ``edges`` and ``verts`` scratch lists, so each
+    injectivity test compares like with like, and lays them out flat once
+    per result.
 
     The anchor is tried in every compatible qedge role, so automorphic
     placements surface as distinct matches.  Bindings are injective on
@@ -145,7 +151,7 @@ def _extend(
     """Bind ``steps[depth:]`` in turn, filling ``edges``/``verts`` in place
     and clearing each slot again on the way back."""
     if depth == len(steps):
-        out.append((tuple(edges), tuple(verts), t_min))
+        out.append((t_min, *edges, *verts))
         return
     qe_id, label, forward, start, end, end_bound, want = steps[depth]
     recs = graph.out_edges(verts[start]) if forward else graph.in_edges(verts[start])
@@ -221,6 +227,9 @@ class Engine:
         self.log: list[Match] = []
         self.counters = Counters()
         self._delta: list[Match] = []
+        # a Partial's edge slots and vertex slots
+        self._edge_slots = slice(1, 1 + query.n_edges)
+        self._vert_slots = slice(1 + query.n_edges, None)
 
         tree.reset()
         self._leaves = tree.leaves()
@@ -297,7 +306,7 @@ class Engine:
     def _emit(self, m: Partial) -> None:
         # every new complete match holds the edge that just arrived, the
         # newest one, so its t_max is the graph's t_last
-        match = Match(m[0], m[1], m[2], self.graph.t_last)
+        match = Match(m[self._edge_slots], m[self._vert_slots], m[0], self.graph.t_last)
         self.log.append(match)
         self.counters.emitted += 1
         self._delta.append(match)
@@ -370,8 +379,7 @@ class Engine:
         searched = self._searched if gated and len(qedges) > 1 else None
         for m in matches:
             if searched is not None:
-                edges = m[0]
-                ids = [edges[qe] for qe in qedges]
+                ids = [m[1 + qe] for qe in qedges]
                 newest = max(ids)
                 if any(x != rec.edge_id and searched.get((idx, x), -1) > newest for x in ids):
                     continue
@@ -393,7 +401,7 @@ class Engine:
         if unlock is None:
             return
         table, idx, start = unlock
-        for dv in m[1]:
+        for dv in m[self._vert_slots]:
             # most vertices are unlocked already: check before the call
             if dv is not None and table.get(dv, -1) < start:
                 self._enable(dv, idx, start)

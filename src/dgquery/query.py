@@ -7,7 +7,7 @@ query edges share a data edge.
 
 :class:`Match` is the output type: what the engines emit and log and what
 the oracles and the command line read.  The join tree keeps partial matches
-as plain ``(edges, verts, t_min)`` tuples of the same slots
+as flat ``(t_min, *edges, *verts)`` tuples of the same slots
 (``sjtree.Partial``), and the engine builds a ``Match`` only for a complete
 match it emits.
 """
@@ -106,10 +106,7 @@ class QueryGraph:
 
 @dataclass(frozen=True)
 class QueryPiece:
-    """A sub-pattern of a query: a set of qedge ids plus a set of qvertex ids.
-
-    Vertex-only pieces (no edges) are legal.
-    """
+    """A sub-pattern of a query: a set of qedge ids plus a set of qvertex ids."""
 
     edges: frozenset[int]
     vertices: frozenset[int]
@@ -128,9 +125,8 @@ class QueryPiece:
         return QueryPiece(self.edges | other.edges, self.vertices | other.vertices)
 
     def is_connected(self, query: QueryGraph) -> bool:
-        """Edge-connectivity of the piece (vertex-only pieces of size <= 1 count)."""
-        if not self.edges:
-            return len(self.vertices) <= 1
+        """Whether the piece's qedges form one connected pattern that touches
+        exactly its qvertices.  The piece holds at least one qedge."""
         remaining = set(self.edges)
         first = min(remaining)
         remaining.discard(first)

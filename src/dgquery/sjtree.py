@@ -25,13 +25,15 @@ the leaves: a ``sjtree`` header, then one ``leaf <qedge> ...`` line per leaf,
 leaf 0 first.  :meth:`SJTree.deserialize` parses it back through the same
 constructor.
 
-Inside the tree a partial match is a plain ``(edges, verts, t_min)`` tuple
-(:data:`Partial`): the query-width slots of :class:`~dgquery.query.Match`
-and the oldest bound timestamp.  CPython stops tracking a tuple once a
-collection finds that it holds only untracked objects (ints, strings, None
-and such tuples), so stored matches drop out of the garbage collector's
-work after a collection or two, where a ``Match`` instance stays tracked;
-the caller of ``emit`` builds the output ``Match`` from a complete tuple.
+Inside the tree a partial match is one flat tuple (:data:`Partial`),
+``(t_min, e_0 ... e_{E-1}, v_0 ... v_{V-1})``: the oldest bound timestamp,
+then the query-width edge and vertex slots of
+:class:`~dgquery.query.Match`, so qedge ``qe`` sits at ``1 + qe`` and
+qvertex ``qv`` at ``1 + E + qv``.  It holds only ints, strings and None, so
+CPython stops tracking it at the first collection that sees it, where a
+``Match`` instance stays tracked; the caller of ``emit`` builds the output
+``Match`` from a complete tuple.  A join is one ``itemgetter`` call over
+the two sides laid end to end.
 """
 from __future__ import annotations
 
@@ -46,16 +48,17 @@ __all__ = ["JoinKey", "Partial", "SJTreeNode", "SJTree", "join"]
 # the cut's vertex binding, or for a cut of several vertices a tuple of them
 # in qvertex-id order; () for an empty cut
 JoinKey = str | tuple[str, ...]
-# (edges, verts, t_min): a data edge id or None per qedge, a data vertex or
-# None per qvertex, and the oldest bound edge's timestamp
-Partial = tuple[tuple[int | None, ...], tuple[str | None, ...], int]
+# (t_min, e_0 ... e_{E-1}, v_0 ... v_{V-1}): the oldest bound edge's
+# timestamp, then a data edge id or None per qedge and a data vertex or None
+# per qvertex
+Partial = tuple[int | str | None, ...]
 
 
-def _key_getter(cut_verts: tuple[int, ...]) -> Callable[[tuple], JoinKey]:
-    """The function that reads a JoinKey off a match's ``verts``."""
-    if not cut_verts:
-        return lambda verts: ()
-    return itemgetter(*cut_verts)
+def _key_getter(slots: tuple[int, ...]) -> Callable[[Partial], JoinKey]:
+    """The function that reads a JoinKey off a match: its cut vertex slots."""
+    if not slots:
+        return lambda m: ()
+    return itemgetter(*slots)
 
 
 class SJTreeNode:
@@ -69,6 +72,10 @@ class SJTreeNode:
         "sibling",
         "sibling_edges",
         "sibling_verts",
+        "edge_slots",
+        "vert_slots",
+        "pick_own",
+        "pick_sib",
         "cut_verts",
         "key_of",
         "table",
@@ -90,17 +97,23 @@ class SJTreeNode:
         self.left = left
         self.right = right
         self.leaf_index = leaf_index
-        # the other child of the parent, the qedges it binds and the qvertices
-        # only it binds: the slots a join fills from it; set by SJTree
+        # the other child of the parent, and the slots of the qedges it binds
+        # and of the qvertices only it binds: the slots a join fills from it;
+        # set by SJTree, like everything below that a join reads
         self.sibling: int | None = None
         self.sibling_edges: tuple[int, ...] = ()
         self.sibling_verts: tuple[int, ...] = ()
+        # a match's edge slots and its vertex slots, as slices
+        self.edge_slots = self.vert_slots = slice(0)
+        # m + m_s -> the joined match, with t_min from m or from m_s
+        self.pick_own: Callable[[tuple], Partial] | None = None
+        self.pick_sib: Callable[[tuple], Partial] | None = None
         # the cut, the qvertices both children bind, sorted: the order of
         # the cut vertices in a JoinKey; () at a leaf
         self.cut_verts = cut_verts
-        # verts -> the key this node's matches are stored and probed under,
+        # match -> the key this node's matches are stored and probed under,
         # read from the parent's cut; set by SJTree
-        self.key_of: Callable[[tuple], JoinKey] | None = None
+        self.key_of: Callable[[Partial], JoinKey] | None = None
         # the root stores nothing
         self.table: dict[JoinKey, list[Partial]] = {}
 
@@ -113,28 +126,27 @@ def join(m: Partial, m_s: Partial, node: SJTreeNode) -> Partial | None:
     """Merge ``m``, stored at ``node``, with ``m_s`` from its sibling's
     bucket under the same key; None when they cannot form one match.
 
-    Both are ``(edges, verts, t_min)`` tuples and so is the result, with
-    the older of the two ``t_min``.  The key already makes the shared
-    qvertices agree, and the two pieces share no qedge, so only the slots
-    the sibling fills need checks: its data edges must be new to ``m`` and
-    the data vertices of the qvertices only it binds must not already serve
-    ``m``.
+    All three are flat :data:`Partial` tuples, the result with the older of
+    the two ``t_min``.  The key already makes the shared qvertices agree, and
+    the two pieces share no qedge, so only the slots the sibling fills need
+    checks: its data edges must be new to ``m`` and the data vertices of the
+    qvertices only it binds must not already serve ``m``.  Each is looked up
+    in ``m``'s own edge or vertex slice, never in the whole tuple: an edge id
+    may equal ``m``'s ``t_min``.  The result is one ``itemgetter`` call over
+    ``m + m_s`` that takes every slot from the side binding it.
     """
-    edges, verts, t_min = m
-    s_edges, s_verts, s_t_min = m_s
-    merged_edges = list(edges)
-    for qe in node.sibling_edges:
-        eid = s_edges[qe]
-        if eid in edges:
+    edges = m[node.edge_slots]
+    for i in node.sibling_edges:
+        if m_s[i] in edges:
             return None
-        merged_edges[qe] = eid
-    merged_verts = list(verts)
-    for qv in node.sibling_verts:
-        dv = s_verts[qv]
-        if dv in verts:
-            return None
-        merged_verts[qv] = dv
-    return tuple(merged_edges), tuple(merged_verts), t_min if t_min <= s_t_min else s_t_min
+    if node.sibling_verts:
+        verts = m[node.vert_slots]
+        for i in node.sibling_verts:
+            if m_s[i] in verts:
+                return None
+    if m[0] <= m_s[0]:
+        return node.pick_own(m + m_s)
+    return node.pick_sib(m + m_s)
 
 
 class SJTree:
@@ -145,14 +157,22 @@ class SJTree:
         self.nodes = nodes
         self.root_id = root_id
         self.leaf_ids = [n.node_id for n in nodes if n.is_leaf]
+        verts_at = 1 + query.n_edges
+        width = verts_at + query.n_vertices
         for n in nodes:
             if not n.is_leaf:
-                key_of = _key_getter(n.cut_verts)
+                key_of = _key_getter(tuple(verts_at + qv for qv in n.cut_verts))
                 for a, b in ((nodes[n.left], nodes[n.right]), (nodes[n.right], nodes[n.left])):
                     a.key_of = key_of
                     a.sibling = b.node_id
-                    a.sibling_edges = tuple(sorted(b.piece.edges))
-                    a.sibling_verts = tuple(sorted(b.piece.vertices - a.piece.vertices))
+                    a.sibling_edges = tuple(1 + qe for qe in sorted(b.piece.edges))
+                    a.sibling_verts = tuple(verts_at + qv for qv in sorted(b.piece.vertices - a.piece.vertices))
+                    a.edge_slots, a.vert_slots = slice(1, verts_at), slice(verts_at, None)
+                    # in m + m_s, slot i of m_s is at width + i
+                    from_sib = set(a.sibling_edges + a.sibling_verts)
+                    slots = [width + i if i in from_sib else i for i in range(1, width)]
+                    a.pick_own = itemgetter(0, *slots)
+                    a.pick_sib = itemgetter(width, *slots)
         self.stored_count = 0
         self.peak_stored = 0
         # optional hook fired after a match is stored at a non-root node;
@@ -217,8 +237,9 @@ class SJTree:
         """Insert ``m`` at a node, probe the sibling, recurse on joins; return
         the number of complete matches emitted downstream of this insert.
 
-        ``m`` is an ``(edges, verts, t_min)`` tuple, and ``emit`` receives
-        each complete match in the same form.  It carries no ``t_max``: the
+        ``m`` is a flat :data:`Partial` tuple, and ``emit`` receives each
+        complete match in the same form: a join whose parent is the root is
+        emitted from the probe loop itself.  It carries no ``t_max``: the
         caller supplies it when it builds the output ``Match``, as the
         newest edge's timestamp (see below).
 
@@ -242,8 +263,10 @@ class SJTree:
             emit(m)
             return 1
         node = self.nodes[node_id]
-        key = node.key_of(m[1])
+        key = node.key_of(m)
         sibling = self.nodes[node.sibling]
+        parent = node.parent
+        to_root = parent == self.root_id
         emitted = 0
         # nothing mutates this bucket while it is walked: recursion only goes
         # up to the parent, and on_store may only queue work
@@ -251,14 +274,19 @@ class SJTree:
         if bucket:
             stale = 0
             for m_s in bucket:
-                if cutoff is not None and m_s[2] <= cutoff:
+                if cutoff is not None and m_s[0] <= cutoff:
                     stale += 1
                     continue
                 combined = join(m, m_s, node)
-                if combined is not None:
-                    emitted += self.insert_and_propagate(node.parent, combined, cutoff, emit)
+                if combined is None:
+                    continue
+                if to_root:
+                    emit(combined)
+                    emitted += 1
+                else:
+                    emitted += self.insert_and_propagate(parent, combined, cutoff, emit)
             if stale * 2 > len(bucket):
-                kept = [x for x in bucket if x[2] > cutoff]
+                kept = [x for x in bucket if x[0] > cutoff]
                 if kept:
                     bucket[:] = kept
                 else:
@@ -288,7 +316,7 @@ class SJTree:
         for node in self.nodes:
             for key in list(node.table):
                 bucket = node.table[key]
-                kept = [m for m in bucket if m[2] > cutoff]
+                kept = [m for m in bucket if m[0] > cutoff]
                 if len(kept) != len(bucket):
                     removed += len(bucket) - len(kept)
                     if kept:

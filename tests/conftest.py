@@ -48,8 +48,8 @@ def signatures(matches) -> set[tuple[tuple[int, int], ...]]:
 
 
 def stored_form(m: Match) -> tuple:
-    """``m`` as the join tree holds it: an (edges, verts, t_min) tuple."""
-    return m.edges, m.verts, m.t_min
+    """``m`` as the join tree holds it: one flat (t_min, *edges, *verts) tuple."""
+    return (m.t_min, *m.edges, *m.verts)
 
 
 def table_for(records, hook=None) -> SelectivityTable:

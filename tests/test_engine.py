@@ -326,11 +326,12 @@ def test_gated_multi_edge_leaf_stores_each_match_once():
             records.append(raw(ts, f"v{rng.randrange(4)}", rng.choice("ab"), f"v{rng.randrange(4)}"))
         plan = plan_query(query, table_for(records), mode="path")
         eng = Engine(query, plan.tree, rng.choice((3, None)), lazy=True)
+        edge_slots = slice(1, 1 + query.n_edges)
         for step, r in enumerate(records):
             delta = eng.process(r)
             assert len(delta) == len(signatures(delta)), (trial, step)
             for leaf in plan.tree.leaves():
-                stored = [m[0] for bucket in leaf.table.values() for m in bucket]
+                stored = [m[edge_slots] for bucket in leaf.table.values() for m in bucket]
                 assert len(stored) == len(set(stored)), (trial, step)
 
 
@@ -357,8 +358,9 @@ def test_stored_signatures_track_stored_matches():
     # match a leaf holds has its own edge signature, also after the
     # in-bucket stale sweep and the periodic purge have dropped some
     for run, tree in windowed_social_runs():
+        edge_slots = slice(1, 1 + tree.query.n_edges)
         for node in tree.leaves():
-            stored = [m[0] for bucket in node.table.values() for m in bucket]
+            stored = [m[edge_slots] for bucket in node.table.values() for m in bucket]
             assert len(set(stored)) == len(stored), (run, node.node_id)
 
 
@@ -366,13 +368,11 @@ def test_stored_signatures_track_stored_matches():
     platform.python_implementation() != "CPython", reason="tuple untracking is CPython's"
 )
 def test_stored_matches_leave_the_garbage_collector():
-    # the tree stores plain tuples of ints, strings and None, which the
+    # the tree stores flat tuples of ints, strings and None, which the
     # collector stops tracking once it finds all they hold untracked: a
-    # collection reaches a stored (edges, verts, t_min) tuple before the two
-    # slot tuples it holds, so the first one untracks those and the second
-    # the stored tuple itself
+    # stored match is one such object, so the first collection that sees it
+    # untracks it
     for run, tree in windowed_social_runs():
-        gc.collect()
         gc.collect()
         stored = [m for node in tree.nodes for bucket in node.table.values() for m in bucket]
         assert stored, run

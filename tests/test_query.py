@@ -104,8 +104,6 @@ def test_piece_connectivity():
           "edge 0 0 1 e\nedge 1 1 2 e\nedge 2 2 3 e")
     assert QueryPiece.from_edges(g, [0, 1]).is_connected(g)
     assert not QueryPiece.from_edges(g, [0, 2]).is_connected(g)
-    assert QueryPiece(frozenset(), frozenset({1})).is_connected(g)
-    assert not QueryPiece(frozenset(), frozenset({1, 2})).is_connected(g)
 
 
 # -------------------------------------------------------------------- matches
@@ -157,7 +155,7 @@ def test_match_equality_and_hash():
 # ----------------------------------------------------------------------- join
 # join(m, m_s, node) merges m, stored at a tree node, with m_s from the
 # sibling's bucket under the same key, so the shared qvertices already agree;
-# all three are the tree's (edges, verts, t_min) tuples.
+# all three are the tree's flat (t_min, *edges, *verts) tuples.
 
 def sibling_leaves(query, *edge_sets):
     pieces = [QueryPiece.from_edges(query, ids) for ids in edge_sets]
@@ -171,9 +169,8 @@ def test_join_identity_and_commutativity():
     left, right = join(m0, m1, leaf0), join(m1, m0, leaf1)
     assert left == right
     # each side's bound slots come through unchanged
-    for edges, verts, _ in (m0, m1):
-        assert all(e is None or e == got for e, got in zip(edges, left[0]))
-        assert all(v is None or v == got for v, got in zip(verts, left[1]))
+    for m in (m0, m1):
+        assert all(x is None or x == got for x, got in zip(m[1:], left[1:]))
 
 
 def test_join_merges_disjoint_pieces():
@@ -182,7 +179,21 @@ def test_join_merges_disjoint_pieces():
     m1 = stored_form(Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"}))
     got = join(m0, m1, leaf0)
     # both sides' slots, and the older t_min, from either side
-    assert got == join(m1, m0, leaf1) == ((10, 20), ("a", "b", "c"), 3)
+    assert got == join(m1, m0, leaf1) == (3, 10, 20, "a", "b", "c")
+
+
+def test_join_looks_up_only_the_edge_and_vertex_slots():
+    # a data edge id may equal a timestamp: the sibling's edge 10 must not
+    # be taken for one of m's edges because m's t_min is 10
+    leaf0, leaf1 = sibling_leaves(PATH2, [0], [1])
+    m0 = stored_form(Match.of(PATH2, [(0, 3, 10)], {0: "a", 1: "b"}))
+    m1 = stored_form(Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "c"}))
+    assert m0[0] == m1[2] == 10  # t_min and qedge 1, at slot 1 + 1
+    assert join(m0, m1, leaf0) == join(m1, m0, leaf1) == (10, 3, 10, "a", "b", "c")
+    # while a sibling vertex already bound in m is still refused
+    taken = stored_form(Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "a"}))
+    assert join(m0, taken, leaf0) is None
+    assert join(taken, m0, leaf1) is None
 
 
 def test_join_conflicts():

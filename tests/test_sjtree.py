@@ -264,10 +264,11 @@ def test_serialize_round_trips_byte_identical():
     assert [n.piece.edges for n in again.nodes] == [n.piece.edges for n in tree.nodes]
     assert [n.sibling for n in again.nodes] == [n.sibling for n in tree.nodes] == [1, 0, None]
     # per child, the slots a join fills from the sibling: the sibling's
-    # qedges and the qvertices only the sibling binds
+    # qedges and the qvertices only the sibling binds, qedge qe at slot
+    # 1 + qe and qvertex qv at 1 + 3 + qv of the flat tuple
     spec = [(n.sibling_edges, n.sibling_verts) for n in again.nodes]
     assert spec == [(n.sibling_edges, n.sibling_verts) for n in tree.nodes]
-    assert spec == [((2,), (3,)), ((0, 1), (0, 1)), ((), ())]
+    assert spec == [((3,), (7,)), ((1, 2), (4, 5)), ((), ())]
 
 
 def test_serialize_mentions_structure():
