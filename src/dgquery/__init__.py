@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .baseline import DeltaOracle, RescanEngine, enumerate_matches, vf2_matches_containing
 from .bench import STRATEGIES, BenchReport, make_engine, run_strategy, run_sweep
-from .engine import Counters, Engine, match_primitive
+from .engine import Counters, Engine, match_primitive, search_plan
 from .errors import (
     ContractError,
     DgqError,
@@ -96,6 +96,7 @@ __all__ = [
     # engines
     "Engine",
     "Counters",
+    "search_plan",
     "match_primitive",
     "RescanEngine",
     "vf2_matches_containing",

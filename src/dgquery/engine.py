@@ -25,6 +25,10 @@ Budgets come from two rules:
 Eager mode is the same loop with every leaf always live: nothing is gated,
 nothing is enabled, and every leaf is searched at every arriving edge.
 
+Each leaf's search plan is built once, with the engine, and an arriving edge
+goes only to the leaves whose piece uses its label: one dict lookup per edge
+gives those leaves in leaf order, each marked gated or always on.
+
 The retroactive sweeps run off a flat worklist rather than recursing, and
 gated searches are deduplicated on (leaf, edge id) — which also bounds
 the lazy engine's primitive searches by the eager engine's count.
@@ -37,14 +41,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import UnsupportedPrimitiveError
 from .graph import DynamicGraph, EdgeRecord, RawEdge
 from .query import Match, QueryGraph, QueryPiece
 from .sjtree import Partial, SJTree, SJTreeNode
 
-__all__ = ["match_primitive", "Counters", "Engine"]
+__all__ = ["SearchPlan", "search_plan", "match_primitive", "Counters", "Engine"]
 
 MAX_PRIMITIVE_EDGES = 3
 PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps; 0 disables them
@@ -78,41 +82,50 @@ def _extension_steps(query: QueryGraph, edge_ids: list[int], role: int) -> tuple
     return tuple(steps)
 
 
-@lru_cache(maxsize=256)
-def _search_plan(query: QueryGraph, piece_edges: frozenset[int]) -> dict[str, tuple[tuple, ...]]:
-    """Per edge label, the qedges of a piece that an anchor with that label
-    can hold: each with its end vertex labels, its end qvertices, and the
-    steps that bind the piece's other qedges.  Built once per (query,
-    piece)."""
-    edge_ids = sorted(piece_edges)
+class SearchPlan(NamedTuple):
+    """How to search one piece of one query: the query's qedge and qvertex
+    counts (the widths of a result), and per edge label the qedges of the
+    piece an anchor with that label can hold, each with its end vertex
+    labels, its end qvertices, and the steps that bind the piece's other
+    qedges."""
+
+    n_edges: int
+    n_verts: int
+    roles: dict[str, tuple[tuple, ...]]
+
+
+def search_plan(query: QueryGraph, piece: QueryPiece) -> SearchPlan:
+    """The plan :func:`match_primitive` follows for ``piece``; raises
+    ``UnsupportedPrimitiveError`` unless the piece is 1–3 connected qedges.
+    The engine builds one per leaf, once."""
+    edge_ids = sorted(piece.edges)
     if not edge_ids:
         raise UnsupportedPrimitiveError("empty primitive")
     if len(edge_ids) > MAX_PRIMITIVE_EDGES:
         raise UnsupportedPrimitiveError(
             f"primitive has {len(edge_ids)} edges; max is {MAX_PRIMITIVE_EDGES}"
         )
-    plan: dict[str, list[tuple]] = {}
+    roles: dict[str, list[tuple]] = {}
     for role in edge_ids:
         qe = query.edges[role]
         steps = _extension_steps(query, edge_ids, role)
-        plan.setdefault(qe.label, []).append(
+        roles.setdefault(qe.label, []).append(
             (role, query.vertex_labels[qe.src], query.vertex_labels[qe.dst], qe.src, qe.dst, steps)
         )
-    return {label: tuple(roles) for label, roles in plan.items()}
+    return SearchPlan(
+        len(query.edges),
+        len(query.vertex_labels),
+        {label: tuple(r) for label, r in roles.items()},
+    )
 
 
-def match_primitive(
-    graph: DynamicGraph,
-    query: QueryGraph,
-    piece: QueryPiece,
-    anchor: EdgeRecord,
-) -> list[Partial]:
-    """All matches of a 1–3 edge sub-pattern that include ``anchor``, as the
-    join tree's flat ``(t_min, e_0 ... e_{E-1}, v_0 ... v_{V-1})`` tuples:
-    the oldest bound timestamp, then a data edge id or None per qedge and a
-    data vertex or None per qvertex.  No ``t_max`` is kept: the engine
-    stamps each complete match with the newest edge's timestamp when it
-    emits it.
+def match_primitive(graph: DynamicGraph, plan: SearchPlan, anchor: EdgeRecord) -> list[Partial]:
+    """All matches of a 1–3 edge sub-pattern that include ``anchor``, searched
+    by the pattern's :func:`search_plan`, as the join tree's flat ``(t_min,
+    e_0 ... e_{E-1}, v_0 ... v_{V-1})`` tuples: the oldest bound timestamp,
+    then a data edge id or None per qedge and a data vertex or None per
+    qvertex.  No ``t_max`` is kept: the engine stamps each complete match
+    with the newest edge's timestamp when it emits it.
 
     The search fills separate ``edges`` and ``verts`` scratch lists, so each
     injectivity test compares like with like, and lays them out flat once
@@ -122,10 +135,11 @@ def match_primitive(
     placements surface as distinct matches.  Bindings are injective on
     vertices and edges.
     """
+    n_edges, n_verts, roles = plan
     results: list[Partial] = []
-    edges: list[int | None] = [None] * len(query.edges)
-    verts: list[str | None] = [None] * len(query.vertex_labels)
-    for role, src_type, dst_type, qs, qd, steps in _search_plan(query, piece.edges).get(anchor.edge_type, ()):
+    edges: list[int | None] = [None] * n_edges
+    verts: list[str | None] = [None] * n_verts
+    for role, src_type, dst_type, qs, qd, steps in roles.get(anchor.edge_type, ()):
         if src_type != anchor.src_type or dst_type != anchor.dst_type:
             continue
         if (qs == qd) != (anchor.src == anchor.dst):
@@ -233,11 +247,7 @@ class Engine:
 
         tree.reset()
         self._leaves = tree.leaves()
-        # an edge can only anchor a leaf whose piece uses its label
-        self._leaf_labels: list[frozenset[str]] = [
-            frozenset(query.edges[qe].label for qe in leaf.piece.edges)
-            for leaf in self._leaves
-        ]
+        self._plans = [search_plan(query, leaf.piece) for leaf in self._leaves]
         # leaf gating state: per-leaf {vertex: remaining hops}
         self._budget: list[dict[str, int]] = [{} for _ in self._leaves]
         # (gated leaf_index, edge_id) -> graph.edges_ingested at that search;
@@ -254,6 +264,14 @@ class Engine:
                     self._always_on.add(leaf.leaf_index)
         else:
             self._always_on = set(range(len(self._leaves)))
+        # per edge label, the leaves an edge with it can anchor (those whose
+        # piece uses the label), in leaf order, as (leaf, leaf index, gated)
+        by_label: dict[str, list[tuple[SJTreeNode, int, bool]]] = {}
+        for leaf, plan in zip(self._leaves, self._plans):
+            idx = leaf.leaf_index
+            for label in plan.roles:
+                by_label.setdefault(label, []).append((leaf, idx, idx not in self._always_on))
+        self._by_label = {label: tuple(entries) for label, entries in by_label.items()}
         # node -> the gated leaf its matches unlock, as that leaf's budget
         # table, its index and the budget an unlock grants; None off the
         # spine (whose nodes are leaf 0 and the internal ones), at its top,
@@ -275,18 +293,15 @@ class Engine:
         """Ingest one edge; return the newly appeared complete matches."""
         rec = self.graph.add_edge(raw)
         self._delta = []
-        for leaf in self._leaves:
-            idx = leaf.leaf_index
-            if rec.edge_type not in self._leaf_labels[idx]:
-                continue
-            if idx in self._always_on:
-                self._anchored_search(leaf, rec)
+        for leaf, idx, gated in self._by_label.get(rec.edge_type, ()):
+            if not gated:
+                self._anchored_search(leaf, idx, False, rec)
             else:
                 budget = self._budget[idx]
                 b = max(budget.get(rec.src, -1), budget.get(rec.dst, -1))
                 if b < 0:
                     continue
-                self._anchored_search(leaf, rec)
+                self._anchored_search(leaf, idx, True, rec)
                 if b >= 1:
                     self._enable(rec.src, idx, b - 1)
                     self._enable(rec.dst, idx, b - 1)
@@ -334,19 +349,20 @@ class Engine:
         while self._pending:
             leaf_index, vid, budget = self._pending.popleft()
             leaf = self._leaves[leaf_index]
-            labels = self._leaf_labels[leaf_index]
+            labels = self._plans[leaf_index].roles
             # searches here only queue further sweeps; none touches the graph
             for rec in self.graph.neighbors(vid, "any"):
                 if rec.edge_type not in labels:
                     continue
-                self._anchored_search(leaf, rec)
+                self._anchored_search(leaf, leaf_index, True, rec)
                 if budget >= 1:
                     far = rec.dst if rec.src == vid else rec.src
                     self._enable(far, leaf_index, budget - 1)
 
-    def _anchored_search(self, leaf: SJTreeNode, rec: EdgeRecord) -> None:
-        """Search ``leaf``'s primitive anchored at ``rec`` and feed each new
-        hit into the tree once.
+    def _anchored_search(self, leaf: SJTreeNode, idx: int, gated: bool, rec: EdgeRecord) -> None:
+        """Search ``leaf`` (leaf index ``idx``, gated or always on) anchored
+        at ``rec`` by its search plan, and feed each new hit into the tree
+        once.
 
         A gated leaf can be offered one edge several times (on arrival and by
         sweeps), so its searches are deduplicated on (leaf, edge id), each
@@ -361,8 +377,6 @@ class Engine:
         hit had arrived when ``x`` was searched, and each is live now, so it
         was live then, and that search already found and fed the hit.
         """
-        idx = leaf.leaf_index
-        gated = idx not in self._always_on
         if gated:
             key = (idx, rec.edge_id)
             if key in self._searched:
@@ -371,7 +385,7 @@ class Engine:
             if len(self._searched) > self._searched_cap:
                 self._prune_searched()
         self.counters.match_calls += 1
-        matches = match_primitive(self.graph, self.query, leaf.piece, rec)
+        matches = match_primitive(self.graph, self._plans[idx], rec)
         if not matches:
             return
         cutoff = self._cutoff()

@@ -10,7 +10,8 @@ class StreamOrderError(DgqError):
 
 
 class LabelConflictError(DgqError):
-    """A vertex id reappeared carrying a different vertex label."""
+    """A vertex id reappeared carrying a different vertex label, or a
+    self-loop gave its one vertex two labels."""
 
 
 class ContractError(DgqError):

@@ -13,7 +13,19 @@ Design notes
 - Timestamps must be non-decreasing across calls; ties are fine.  This is the
   property that makes front-of-deque eviction sound.
 - A self-loop sits in both the out- and in-list of its vertex but is reported
-  once (as an out-edge) by any-direction iteration.
+  once (as an out-edge) by any-direction iteration.  Its two endpoint labels
+  must agree.
+- ``add_edge`` unpacks the raw edge once and runs every check (stream order,
+  both endpoint labels) before it changes anything, so a rejected edge leaves
+  the store as it was.
+- ``parse_edge_line`` takes a well-formed data line in one pass: six
+  non-empty tab-separated fields, the first led by an ASCII digit (which no
+  blank or comment line is, and which leaves no room for a sign).  Any other
+  line is parsed rule by rule, so both give the same edge or the same
+  ``ParseError``.
+- ``RawEdge`` and ``EdgeRecord`` are built with ``tuple.__new__`` straight
+  from their fields, skipping the Python-level ``__new__`` of a NamedTuple
+  call.
 """
 from __future__ import annotations
 
@@ -31,6 +43,11 @@ __all__ = [
     "format_edge_line",
     "read_edge_stream",
 ]
+
+
+# builds a RawEdge or EdgeRecord from one sequence of its fields, without the
+# Python-level __new__ frame a NamedTuple call goes through
+_new_tuple = tuple.__new__
 
 
 class RawEdge(NamedTuple):
@@ -85,41 +102,53 @@ class DynamicGraph:
         """Ingest one edge, then eagerly evict everything that just expired.
 
         Raises StreamOrderError on a timestamp older than ``t_last`` and
-        LabelConflictError when an endpoint re-appears under a new label.
+        LabelConflictError when an endpoint re-appears under a new label or
+        a self-loop gives its vertex two labels.  Every check runs before
+        anything changes, so a rejected edge leaves the store as it was.
         """
-        ts = raw.timestamp
-        if self.t_last is not None and ts < self.t_last:
-            raise StreamOrderError(
-                f"timestamp {ts} arrived after t_last={self.t_last}"
+        ts, src, src_type, edge_type, dst, dst_type = raw
+        t_last = self.t_last
+        if t_last is not None and ts < t_last:
+            raise StreamOrderError(f"timestamp {ts} arrived after t_last={t_last}")
+        vertices = self._vertices
+        src_v = vertices.get(src)
+        if src_v is None:
+            # a new vertex can only conflict with itself, through a self-loop
+            if src == dst and src_type != dst_type:
+                raise LabelConflictError(
+                    f"self-loop on {src!r} labels it both {src_type!r} and {dst_type!r}"
+                )
+        elif src_v.label != src_type:
+            raise LabelConflictError(
+                f"vertex {src!r} seen as {src_v.label!r}, now {src_type!r}"
             )
-        src_v = self._live_vertex(raw.src, raw.src_type)
-        dst_v = self._live_vertex(raw.dst, raw.dst_type)
+        dst_v = vertices.get(dst)
+        if dst_v is not None and dst_v.label != dst_type:
+            raise LabelConflictError(
+                f"vertex {dst!r} seen as {dst_v.label!r}, now {dst_type!r}"
+            )
 
-        rec = EdgeRecord(self.edges_ingested, raw.src, raw.dst, raw.src_type, raw.dst_type, raw.edge_type, ts)
-        self.edges_ingested += 1
+        edge_id = self.edges_ingested
+        rec = _new_tuple(EdgeRecord, (edge_id, src, dst, src_type, dst_type, edge_type, ts))
+        self.edges_ingested = edge_id + 1
         self.t_last = ts
 
         if src_v is None:
-            src_v = self._vertices[raw.src] = _Vertex(raw.src_type)
+            src_v = vertices[src] = _Vertex(src_type)
         if dst_v is None:
-            # a self-loop on a new vertex finds the one just made for its source
-            dst_v = self._vertices.setdefault(raw.dst, _Vertex(raw.dst_type))
+            if src == dst:
+                dst_v = src_v  # a self-loop on a new vertex: the one just made
+            else:
+                dst_v = vertices[dst] = _Vertex(dst_type)
         src_v.out_edges.append(rec)
         dst_v.in_edges.append(rec)
-        self._arrivals.append(rec)
+        arrivals = self._arrivals
+        arrivals.append(rec)
 
-        if self.window is not None and self._arrivals[0].timestamp <= ts - self.window:
+        window = self.window
+        if window is not None and arrivals[0].timestamp <= ts - window:
             self.evict_expired()
         return rec
-
-    def _live_vertex(self, vid: str, label: str) -> _Vertex | None:
-        """The live vertex ``vid``, or None; a live one must carry ``label``."""
-        v = self._vertices.get(vid)
-        if v is not None and v.label != label:
-            raise LabelConflictError(
-                f"vertex {vid!r} seen as {v.label!r}, now {label!r}"
-            )
-        return v
 
     def evict_expired(self) -> None:
         """Drop every edge with ``timestamp <= t_last - window``."""
@@ -127,19 +156,24 @@ class DynamicGraph:
             return
         cutoff = self.t_last - self.window
         arrivals = self._arrivals
+        vertices = self._vertices
+        evicted = 0
         while arrivals and arrivals[0].timestamp <= cutoff:
             rec = arrivals.popleft()
-            src_v = self._vertices[rec.src]
-            dst_v = self._vertices[rec.dst]
+            src, dst = rec.src, rec.dst
+            src_v = vertices[src]
+            dst_v = vertices[dst]
+            # one record object sits in all three deques, oldest first
             popped = src_v.out_edges.popleft()
-            assert popped.edge_id == rec.edge_id
+            assert popped is rec
             popped = dst_v.in_edges.popleft()
-            assert popped.edge_id == rec.edge_id
-            self.edges_evicted += 1
+            assert popped is rec
+            evicted += 1
             if not src_v.out_edges and not src_v.in_edges:
-                del self._vertices[rec.src]
-            if rec.src != rec.dst and not dst_v.out_edges and not dst_v.in_edges:
-                del self._vertices[rec.dst]
+                del vertices[src]
+            if src != dst and not dst_v.out_edges and not dst_v.in_edges:
+                del vertices[dst]
+        self.edges_evicted += evicted
 
     # ------------------------------------------------------------------ access
 
@@ -211,7 +245,26 @@ def parse_edge_line(line: str, line_no: int | None = None, source: str | None = 
     """Parse one TSV stream line; returns None for comments and blank lines.
 
     Format: ``timestamp<TAB>src_id<TAB>src_type<TAB>edge_type<TAB>dst_id<TAB>dst_type``.
+
+    A line of six non-empty fields whose timestamp starts with an ASCII
+    digit and parses is taken in one pass: it is neither blank nor a
+    comment, and a timestamp with no sign is never negative.  Every other
+    line goes through :func:`_parse_checked`, which gives the same edge or
+    the ``ParseError`` that names what is wrong.
     """
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) == _FIELDS and "0" <= parts[0][:1] <= "9" and "" not in parts:
+        try:
+            parts[0] = int(parts[0], 10)
+        except ValueError:
+            pass
+        else:
+            return _new_tuple(RawEdge, parts)
+    return _parse_checked(line, line_no, source)
+
+
+def _parse_checked(line: str, line_no: int | None, source: str | None) -> RawEdge | None:
+    """:func:`parse_edge_line` one rule at a time, each failure its own error."""
     stripped = line.rstrip("\n")
     if not stripped.strip() or stripped.lstrip().startswith("#"):
         return None
@@ -231,7 +284,7 @@ def parse_edge_line(line: str, line_no: int | None = None, source: str | None = 
         raise ParseError(f"negative timestamp {ts}", line=line_no, source=source)
     if not (src and src_type and edge_type and dst and dst_type):
         raise ParseError("empty field", line=line_no, source=source)
-    return RawEdge(ts, src, src_type, edge_type, dst, dst_type)
+    return _new_tuple(RawEdge, (ts, src, src_type, edge_type, dst, dst_type))
 
 
 def format_edge_line(edge: RawEdge) -> str:

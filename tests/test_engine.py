@@ -9,7 +9,7 @@ import pytest
 
 from dgquery import engine
 from dgquery.baseline import RescanEngine
-from dgquery.engine import Engine, match_primitive
+from dgquery.engine import Engine, match_primitive, search_plan
 from dgquery.errors import UnsupportedPrimitiveError
 from dgquery.generate import (
     generate_stream,
@@ -39,11 +39,11 @@ def test_match_primitive_single_edge():
     g = DynamicGraph()
     rec = g.add_edge(raw(0, "a", "e", "b"))
     piece = QueryPiece.from_edges(query, [0])
-    got = match_primitive(g, query, piece, rec)
+    got = match_primitive(g, search_plan(query, piece), rec)
     assert got == [stored_form(Match.of(query, [(0, 0, 0)], {0: "a", 1: "b"}))]
     # label-incompatible anchors match nothing
     other = g.add_edge(raw(1, "a", "f", "b"))
-    assert match_primitive(g, query, piece, other) == []
+    assert match_primitive(g, search_plan(query, piece), other) == []
 
 
 def test_match_primitive_two_edge_extension():
@@ -52,7 +52,7 @@ def test_match_primitive_two_edge_extension():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     rec = g.add_edge(raw(1, "b", "f", "c"))
-    got = match_primitive(g, query, piece, rec)
+    got = match_primitive(g, search_plan(query, piece), rec)
     assert got == [stored_form(Match.of(query, [(0, 0, 0), (1, 1, 1)], {0: "a", 1: "b", 2: "c"}))]
 
 
@@ -63,7 +63,7 @@ def test_match_primitive_automorphic_roles():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     rec = g.add_edge(raw(1, "a", "e", "b"))
-    got = match_primitive(g, query, piece, rec)
+    got = match_primitive(g, search_plan(query, piece), rec)
     bind = {0: "a", 1: "b"}
     assert sorted(got) == sorted([
         stored_form(Match.of(query, [(0, 0, 0), (1, 1, 1)], bind)),
@@ -78,9 +78,9 @@ def test_match_primitive_injectivity():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     rec = g.add_edge(raw(1, "b", "e", "a"))
-    assert match_primitive(g, query, piece, rec) == []
+    assert match_primitive(g, search_plan(query, piece), rec) == []
     rec2 = g.add_edge(raw(2, "b", "e", "c"))
-    got = match_primitive(g, query, piece, rec2)
+    got = match_primitive(g, search_plan(query, piece), rec2)
     assert got == [stored_form(Match.of(query, [(0, 0, 0), (1, 2, 2)], {0: "a", 1: "b", 2: "c"}))]
 
 
@@ -89,26 +89,25 @@ def test_match_primitive_self_loops():
     piece = QueryPiece.from_edges(loop_q, [0])
     g = DynamicGraph()
     plain = g.add_edge(raw(0, "a", "e", "b"))
-    assert match_primitive(g, loop_q, piece, plain) == []
+    assert match_primitive(g, search_plan(loop_q, piece), plain) == []
     looped = g.add_edge(raw(1, "c", "e", "c"))
-    got = match_primitive(g, loop_q, piece, looped)
+    got = match_primitive(g, search_plan(loop_q, piece), looped)
     assert got == [stored_form(Match.of(loop_q, [(0, 1, 1)], {0: "c"}))]
     # conversely a data loop cannot serve a two-vertex qedge
     path_q = path_query(["e"], vertex_label="A")
     ppiece = QueryPiece.from_edges(path_q, [0])
-    assert match_primitive(g, path_q, ppiece, looped) == []
+    assert match_primitive(g, search_plan(path_q, ppiece), looped) == []
 
 
 def test_match_primitive_guards():
+    # an empty, oversized or disconnected piece has no search plan
     query = path_query(["e", "e", "e", "e"], vertex_label="A")
-    g = DynamicGraph()
-    rec = g.add_edge(raw(0, "a", "e", "b"))
     with pytest.raises(UnsupportedPrimitiveError):
-        match_primitive(g, query, QueryPiece(frozenset(), frozenset()), rec)
+        search_plan(query, QueryPiece(frozenset(), frozenset()))
     with pytest.raises(UnsupportedPrimitiveError):
-        match_primitive(g, query, QueryPiece.from_edges(query, [0, 1, 2, 3]), rec)
+        search_plan(query, QueryPiece.from_edges(query, [0, 1, 2, 3]))
     with pytest.raises(UnsupportedPrimitiveError):
-        match_primitive(g, query, QueryPiece.from_edges(query, [0, 2]), rec)
+        search_plan(query, QueryPiece.from_edges(query, [0, 2]))
 
 
 # ------------------------------------------------------------------- engines

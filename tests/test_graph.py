@@ -5,6 +5,8 @@ import io
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgquery.errors import LabelConflictError, ParseError, StreamOrderError
 from dgquery.graph import (
@@ -14,6 +16,7 @@ from dgquery.graph import (
     parse_edge_line,
     read_edge_stream,
 )
+from dgquery.stats import collect_stats
 
 from conftest import raw
 
@@ -80,6 +83,56 @@ def test_label_conflict_detected_and_cleared_by_eviction():
     assert "a" not in dict(g.vertices())
     g.add_edge(raw(11, "a", "e", "x", src_type="B"))
     assert g.vertex_label("a") == "B"
+
+
+def test_self_loop_with_two_labels_is_rejected():
+    # both endpoint checks would pass on a new vertex; the loop itself must
+    # not label it twice, in the store or in the statistics sample
+    g = DynamicGraph()
+    with pytest.raises(LabelConflictError):
+        g.add_edge(RawEdge(0, "a", "A", "e", "a", "B"))
+    assert list(g.vertices()) == [] and g.edges_ingested == 0
+    with pytest.raises(LabelConflictError):
+        collect_stats([RawEdge(0, "a", "A", "e", "a", "B")])
+    g.add_edge(RawEdge(0, "a", "A", "e", "a", "A"))
+    assert g.vertex_label("a") == "A"
+
+
+def _store_state(g: DynamicGraph, extra: tuple[str, ...]) -> tuple:
+    """Everything an ingest could change, incident edge lists included."""
+    vids = sorted({vid for vid, _ in g.vertices()} | set(extra))
+    return (
+        g.edges_ingested,
+        g.edges_evicted,
+        g.t_last,
+        g.edge_count,
+        sorted(g.vertices()),
+        [(vid, list(g.out_edges(vid)), list(g.in_edges(vid))) for vid in vids],
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (raw(4, "c", "e", "d"), StreamOrderError),
+        (raw(9, "a", "e", "new", src_type="B"), LabelConflictError),  # source
+        (raw(9, "new", "e", "b", dst_type="B"), LabelConflictError),  # destination
+        (raw(9, "z", "e", "z", dst_type="B"), LabelConflictError),  # a new self-loop
+        (raw(9, "a", "e", "a", dst_type="B"), LabelConflictError),  # a live self-loop
+    ],
+    ids=["order", "source", "destination", "new-self-loop", "live-self-loop"],
+)
+def test_rejected_edge_changes_nothing(bad, error):
+    # the rejected edges at t=9 would evict t <= 6 if they were taken
+    g = DynamicGraph(window=3)
+    for t, (s, d) in enumerate([("x", "y"), ("a", "b"), ("b", "a"), ("a", "a")], start=3):
+        g.add_edge(raw(t, s, "e", d))
+    g.add_edge(raw(6, "b", "f", "c"))
+    assert g.edges_evicted == 1
+    before = _store_state(g, (bad.src, bad.dst))
+    with pytest.raises(error):
+        g.add_edge(bad)
+    assert _store_state(g, (bad.src, bad.dst)) == before
 
 
 def test_vertices_live_only_while_touched():
@@ -190,3 +243,63 @@ def test_read_edge_stream_reports_line():
     with pytest.raises(ParseError) as ei:
         list(read_edge_stream(["0\ta\tA\te\tb\tB\n", "broken\n"], source="x"))
     assert "line 2" in str(ei.value)
+
+
+def _reference_parse(line: str, line_no: int | None = None, source: str | None = None) -> RawEdge | None:
+    """The stream format's rules, one at a time, as the parser had them
+    before it took well-formed lines in one pass."""
+    stripped = line.rstrip("\n")
+    if not stripped.strip() or stripped.lstrip().startswith("#"):
+        return None
+    parts = stripped.split("\t")
+    if len(parts) != 6:
+        raise ParseError(f"expected 6 tab-separated fields, got {len(parts)}", line=line_no, source=source)
+    ts_text, src, src_type, edge_type, dst, dst_type = parts
+    try:
+        ts = int(ts_text, 10)
+    except ValueError:
+        raise ParseError(f"bad timestamp {ts_text!r}", line=line_no, source=source) from None
+    if ts < 0:
+        raise ParseError(f"negative timestamp {ts}", line=line_no, source=source)
+    if not (src and src_type and edge_type and dst and dst_type):
+        raise ParseError("empty field", line=line_no, source=source)
+    return RawEdge(ts, src, src_type, edge_type, dst, dst_type)
+
+
+def _outcome(parse, line: str):
+    try:
+        got = parse(line, 9, "s.tsv")
+    except ParseError as e:
+        return "error", str(e), e.line, e.source
+    return "ok", type(got), got
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=3)
+# a timestamp field: plain digits most often, else a sign, a leading space,
+# a non-ASCII digit, an underscore, a comment mark, a letter or nothing
+_TIMESTAMP = st.one_of(
+    _DIGITS,
+    _DIGITS,
+    st.builds(str.__add__, st.sampled_from(["+", "-", " ", "  ", "#", "٣", "x", ""]), _DIGITS),
+    st.builds(str.__add__, _DIGITS, st.sampled_from(["٣", "_1", " ", "-", "x"])),
+    st.just(""),
+)
+_FIELD = st.text(alphabet="abAB01٣ #-", min_size=1, max_size=3)
+
+
+@st.composite
+def _lines(draw) -> str:
+    """A line of 5–7 tab-joined fields, sometimes behind a comment mark or a
+    space, with zero to two trailing newlines."""
+    n = draw(st.sampled_from([5, 6, 6, 6, 7]))
+    fields = [draw(_TIMESTAMP)] + [draw(_FIELD) if draw(st.integers(0, 9)) else "" for _ in range(n - 1)]
+    prefix = draw(st.sampled_from(["", "", "", "#", " ", " #"]))
+    return prefix + "\t".join(fields) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_lines())
+def test_parse_edge_line_equals_the_reference_rules(line):
+    # the one-pass path and the rule-by-rule path give what the rules give:
+    # an equal tuple of the same type, or the same error at the same line
+    assert _outcome(parse_edge_line, line) == _outcome(_reference_parse, line)
