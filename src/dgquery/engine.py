@@ -6,36 +6,62 @@ tree; matches reaching the root inside the time window are emitted, and the
 per-edge return value is exactly the set of newly appeared complete matches.
 
 Lazy Search prunes the leaf searches: leaf 0 (the rarest primitive) is
-always live, while leaf i+1 is searched around a vertex only after the join
-prefix covering leaves 0..i has matched there.  Enablement is tracked as a
-per-(leaf, vertex) hop budget that only ever rises, and raising it is a
-single operation with two effects: the vertex's future arrivals pass the
-gate, and its *current* incident live edges are searched retroactively,
-catching primitive matches whose edges arrived before the prefix completed.
-Budgets come from two rules:
+always live, while leaf i+1 is searched only where a stored match of the
+join spine (leaf 0 or an internal node: the prefix covering leaves 0..i)
+binds the qvertices it shares with that leaf, its parent's cut.  Each gated
+leaf keeps one set of data vertices per cut qvertex ``c``:
 
-1. a match stored on the join spine (leaf 0 or an internal node) enables the
-   next leaf in join order on all of the match's vertices, with a budget of
-   that leaf's piece size minus one;
-2. a search touching an enabled vertex re-enables the far side of each probed
-   edge at one budget less, so a partially present multi-edge primitive keeps
-   its search zone open for the edges still missing — but the zone never
-   grows past the piece diameter, keeping single-edge leaves point-localized.
+1. storing a spine match adds its binding ``m[c]`` to the next leaf's set for
+   every cut qvertex ``c`` of that leaf, and nothing else of the match;
+2. an edge passes a gated leaf's role gate when some qedge of the piece with
+   the edge's label can hold it with every cut endpoint allowed: its source
+   in the set of the qedge's source when that is a cut qvertex, its
+   destination in the set of the qedge's destination when that is one; an
+   end outside the cut always passes;
+3. each (c, v) newly added queues a sweep: every live edge out of ``v``
+   (when ``c`` is the source of a qedge of the piece) and into ``v`` (when it
+   is a destination) that passes the gate now is searched, catching leaf
+   matches whose edges arrived before the spine match did.
+
+Why the gate misses no joinable leaf match:
+
+- Bindings are injective, so a spine vertex outside the cut is never in a
+  leaf match that joins that spine match: opening the leaf there would only
+  find matches that cannot join.
+- A leaf match ``L`` joins a spine match ``S`` only when ``L[c] = S[c]`` for
+  every cut qvertex ``c``, and storing ``S`` allows each of those bindings.
+  Let ``e`` be ``L``'s newest edge, held as qedge ``r``.  Once ``e`` has
+  arrived and every cut endpoint of ``r`` in ``L`` is allowed, ``e`` passes
+  the gate, and that starts at one moment: either ``e`` arrives, and its
+  search runs, or the last such binding ``(c, v)`` is added, and its sweep
+  walks ``e`` at ``v`` (``c`` is an end of ``r``) and searches it, unless a
+  search of ``e`` since its arrival already has.  ``L`` is complete from
+  ``e``'s arrival on, so each of those searches finds it.
+- Every search stores everything it finds, so ``L`` is stored by the step
+  that stores ``S`` or by ``e``'s arrival, whichever is later, and the later
+  of the two to be stored joins the other.
+
+The sets grow but for one prune: once their entries have doubled, every
+vertex with no live edge is dropped.  A spine match that binds such a
+vertex holds an evicted edge there and can never join again, and a spine
+match stored later that binds it allows it anew, with a sweep.
 
 Eager mode is the same loop with every leaf always live: nothing is gated,
-nothing is enabled, and every leaf is searched at every arriving edge.
+nothing is allowed, and every leaf is searched at every arriving edge.
 
 Each leaf's search plan is built once, with the engine, and an arriving edge
 goes only to the leaves whose piece uses its label: one dict lookup per edge
-gives those leaves in leaf order, each marked gated or always on.
+gives those leaves in leaf order, each with its role gate for that label, a
+tuple of (source set or None, destination set or None) per qedge, or None
+when the leaf is always on.
 
 The retroactive sweeps run off a flat worklist rather than recursing, and
 gated searches are deduplicated on (leaf, edge id) — which also bounds
 the lazy engine's primitive searches by the eager engine's count.
 
 Below the root, partial matches are the join tree's flat ``(t_min, e_0 ...
-e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``); a
-:class:`~dgquery.query.Match` is built once per emission.
+e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``); each emission
+wraps its tuple in a :class:`~dgquery.query.Match`.
 """
 from __future__ import annotations
 
@@ -52,7 +78,7 @@ __all__ = ["SearchPlan", "search_plan", "match_primitive", "Counters", "Engine"]
 
 MAX_PRIMITIVE_EDGES = 3
 PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps; 0 disables them
-SEARCHED_MIN_PRUNE = 1 << 10  # the fewest search records worth a prune
+SEARCHED_MIN_PRUNE = 1 << 10  # the fewest search records, or gate entries, worth a prune
 
 
 def _extension_steps(query: QueryGraph, edge_ids: list[int], role: int) -> tuple[tuple, ...]:
@@ -200,13 +226,29 @@ def _extend(
         edges[qe_id] = None
 
 
+# per qedge of a gated leaf's piece with one edge label: the allowed set of
+# its source and of its destination, None for an end outside the cut
+RoleGate = tuple[tuple[set[str] | None, set[str] | None], ...]
+
+
+def _opens(gate: RoleGate, rec: EdgeRecord) -> bool:
+    """Whether a role gate lets ``rec`` through: some qedge it lists can hold
+    the edge with its source and destination each in the qedge's set, where
+    the qedge has one (None: that end is outside the cut)."""
+    for src_ok, dst_ok in gate:
+        if (src_ok is None or rec.src in src_ok) and (dst_ok is None or rec.dst in dst_ok):
+            return True
+    return False
+
+
 @dataclass
 class Counters:
     """Running totals: ``match_calls`` counts anchored primitive searches
     actually run.  Label-incompatible anchors are filtered out before the
-    search, and a gated leaf is searched on a subset of the (leaf, edge)
-    pairs an always-on leaf is, so the count with ``lazy=False`` bounds the
-    count with ``lazy=True``."""
+    search, an always-on leaf is searched once per edge with its label, on
+    arrival, and a gated leaf at most once per (leaf, edge), behind its role
+    gate, so the count with ``lazy=False`` bounds the count with
+    ``lazy=True``."""
 
     edges: int = 0
     match_calls: int = 0
@@ -217,11 +259,11 @@ class Counters:
 class Engine:
     """Continuous-query engine over one decomposition tree.
 
-    ``lazy=True`` gates every leaf but the always-on ones behind the
-    enablement budgets described in the module docstring; ``lazy=False``
-    makes every leaf always on.  Either way ``process`` returns the complete
-    matches that became visible at that edge, exactly once each, and ``log``
-    lists every match emitted so far.
+    ``lazy=True`` puts every leaf but the always-on ones behind the role
+    gates described in the module docstring; ``lazy=False`` makes every leaf
+    always on.  Either way ``process`` returns the complete matches that
+    became visible at that edge, exactly once each, and ``log`` lists every
+    match emitted so far.
     """
 
     def __init__(
@@ -241,48 +283,77 @@ class Engine:
         self.log: list[Match] = []
         self.counters = Counters()
         self._delta: list[Match] = []
-        # a Partial's edge slots and vertex slots
-        self._edge_slots = slice(1, 1 + query.n_edges)
-        self._vert_slots = slice(1 + query.n_edges, None)
+        self._n_edges = query.n_edges
 
         tree.reset()
         self._leaves = tree.leaves()
         self._plans = [search_plan(query, leaf.piece) for leaf in self._leaves]
-        # leaf gating state: per-leaf {vertex: remaining hops}
-        self._budget: list[dict[str, int]] = [{} for _ in self._leaves]
         # (gated leaf_index, edge_id) -> graph.edges_ingested at that search;
         # pruned of evicted edges whenever it passes _searched_cap
         self._searched: dict[tuple[int, int], int] = {}
         self._searched_cap = SEARCHED_MIN_PRUNE
-        self._pending: deque[tuple[int, str, int]] = deque()  # sweeps to run
         if lazy:
             self._always_on = {0}
             for leaf in self._leaves[1:]:
                 if not tree.nodes[leaf.parent].cut_verts:
                     # a cross-join leaf shares no vertex with its prefix: no
-                    # bit could ever gate it soundly, so it stays live
+                    # binding could ever gate it soundly, so it stays live
                     self._always_on.add(leaf.leaf_index)
         else:
             self._always_on = set(range(len(self._leaves)))
-        # per edge label, the leaves an edge with it can anchor (those whose
-        # piece uses the label), in leaf order, as (leaf, leaf index, gated)
-        by_label: dict[str, list[tuple[SJTreeNode, int, bool]]] = {}
+        # per gated leaf, {cut qvertex: the data vertices stored spine
+        # matches bind it to} and its RoleGate per edge label; {} and None
+        # for an always-on leaf.  The sets are pruned of dead vertices
+        # whenever their entries pass _allowed_cap
+        self._allowed: list[dict[int, set[str]]] = []
+        self._gates: list[dict[str, RoleGate] | None] = []
         for leaf, plan in zip(self._leaves, self._plans):
-            idx = leaf.leaf_index
+            if leaf.leaf_index in self._always_on:
+                self._allowed.append({})
+                self._gates.append(None)
+                continue
+            allowed = {c: set() for c in tree.nodes[leaf.parent].cut_verts}
+            self._allowed.append(allowed)
+            self._gates.append({
+                label: tuple((allowed.get(qs), allowed.get(qd)) for _, _, _, qs, qd, _ in roles)
+                for label, roles in plan.roles.items()
+            })
+        self._allowed_count = 0
+        self._allowed_cap = SEARCHED_MIN_PRUNE
+        # sweeps to run: (leaf index, newly allowed vertex, the adjacency
+        # lists to walk there)
+        self._pending: deque[tuple[int, str, tuple]] = deque()
+        # per edge label, the leaves an edge with it can anchor (those whose
+        # piece uses the label), in leaf order, as (leaf, leaf index, its
+        # role gate for the label or None when always on)
+        by_label: dict[str, list[tuple[SJTreeNode, int, RoleGate | None]]] = {}
+        for leaf, plan, gates in zip(self._leaves, self._plans, self._gates):
             for label in plan.roles:
-                by_label.setdefault(label, []).append((leaf, idx, idx not in self._always_on))
+                gate = None if gates is None else gates[label]
+                by_label.setdefault(label, []).append((leaf, leaf.leaf_index, gate))
         self._by_label = {label: tuple(entries) for label, entries in by_label.items()}
-        # node -> the gated leaf its matches unlock, as that leaf's budget
-        # table, its index and the budget an unlock grants; None off the
-        # spine (whose nodes are leaf 0 and the internal ones), at its top,
-        # and before an always-on leaf
-        self._unlocks: dict[int, tuple[dict[str, int], int, int] | None] = {}
+        # node -> the gated leaf its matches open, as that leaf's index and,
+        # per cut qvertex, its slot in a match, its allowed set and what a
+        # sweep at a vertex newly allowed there walks: the out-edges when the
+        # qvertex is the source of a qedge of the piece, the in-edges when it
+        # is a destination.  None off the spine (whose nodes are leaf 0 and
+        # the internal ones), at its top, and before an always-on leaf
+        verts_at = 1 + query.n_edges
+        self._unlocks: dict[int, tuple[int, tuple[tuple[int, set[str], tuple], ...]] | None] = {}
         for node in tree.nodes:
             spine = not node.is_leaf or node.leaf_index == 0
             nxt = (node.leaf_index if node.is_leaf else tree.nodes[node.right].leaf_index) + 1
             if spine and nxt < len(self._leaves) and nxt not in self._always_on:
-                start = len(self._leaves[nxt].piece.edges) - 1
-                self._unlocks[node.node_id] = (self._budget[nxt], nxt, start)
+                ends = [query.edges[qe] for qe in self._leaves[nxt].piece.edges]
+                cuts = []
+                for c, allowed in self._allowed[nxt].items():
+                    walks: tuple = ()
+                    if any(e.src == c for e in ends):
+                        walks += (self.graph.out_edges,)
+                    if any(e.dst == c for e in ends):
+                        walks += (self.graph.in_edges,)
+                    cuts.append((verts_at + c, allowed, walks))
+                self._unlocks[node.node_id] = (nxt, tuple(cuts))
             else:
                 self._unlocks[node.node_id] = None
         tree.on_store = self._on_store if lazy else None
@@ -291,20 +362,18 @@ class Engine:
 
     def process(self, raw: RawEdge) -> list[Match]:
         """Ingest one edge; return the newly appeared complete matches."""
-        rec = self.graph.add_edge(raw)
+        graph = self.graph
+        rec = graph.add_edge(raw)
         self._delta = []
-        for leaf, idx, gated in self._by_label.get(rec.edge_type, ()):
-            if not gated:
-                self._anchored_search(leaf, idx, False, rec)
-            else:
-                budget = self._budget[idx]
-                b = max(budget.get(rec.src, -1), budget.get(rec.dst, -1))
-                if b < 0:
-                    continue
-                self._anchored_search(leaf, idx, True, rec)
-                if b >= 1:
-                    self._enable(rec.src, idx, b - 1)
-                    self._enable(rec.dst, idx, b - 1)
+        for leaf, idx, gate in self._by_label.get(rec.edge_type, ()):
+            if gate is None:
+                # always on: searched once, here, so it keeps no dedupe record
+                self.counters.match_calls += 1
+                hits = match_primitive(graph, self._plans[idx], rec)
+                if hits:
+                    self._feed(leaf.node_id, hits)
+            elif _opens(gate, rec):
+                self._anchored_search(leaf, idx, rec)
             # run any retroactive sweeps before the next leaf reads its gate,
             # so leaves are searched strictly one after the other
             if self._pending:
@@ -318,58 +387,61 @@ class Engine:
         """The graph's eviction cutoff: edges at or before it are gone."""
         return None if self.window is None else self.graph.t_last - self.window
 
+    def _feed(self, node_id: int, hits: list[Partial]) -> None:
+        """Insert each leaf match at its leaf and propagate it up the tree."""
+        cutoff = self._cutoff()
+        for m in hits:
+            self.tree.insert_and_propagate(node_id, m, cutoff, self._emit)
+
     def _emit(self, m: Partial) -> None:
         # every new complete match holds the edge that just arrived, the
         # newest one, so its t_max is the graph's t_last
-        match = Match(m[self._edge_slots], m[self._vert_slots], m[0], self.graph.t_last)
+        match = Match(m, self._n_edges, self.graph.t_last)
         self.log.append(match)
         self.counters.emitted += 1
         self._delta.append(match)
 
     # -------------------------------------------------------------- lazy gates
 
-    def _enable(self, vid: str, leaf_index: int, budget: int) -> None:
-        """Raise one gate budget; a genuine raise queues a retroactive sweep.
-
-        The sweep is what makes the budget trustworthy: once recorded, it
-        asserts that every live edge at the vertex has been offered to that
-        leaf, and (when the budget allows further hops) that the far side of
-        each such edge is enabled one hop weaker.  Budgets are never lowered
-        or cleared, so a vertex that dies and reappears merely over-searches;
-        the (leaf, edge) dedupe keeps that sound and cheap.
-        """
-        table = self._budget[leaf_index]
-        if table.get(vid, -1) >= budget:
+    def _on_store(self, node: SJTreeNode, m: Partial) -> None:
+        """Tree callback: a spine match allows its cut bindings at the next
+        leaf, and each binding new there queues a sweep."""
+        unlock = self._unlocks[node.node_id]
+        if unlock is None:
             return
-        table[vid] = budget
-        self._pending.append((leaf_index, vid, budget))
+        idx, cuts = unlock
+        for slot, allowed, walks in cuts:
+            v = m[slot]
+            if v not in allowed:
+                allowed.add(v)
+                self._allowed_count += 1
+                self._pending.append((idx, v, walks))
+        if self._allowed_count > self._allowed_cap:
+            self._prune_allowed()
 
     def _drain(self) -> None:
-        """Run queued sweeps until none are left, without recursing."""
+        """Run queued sweeps until none are left, without recursing: a newly
+        allowed (leaf, cut qvertex, vertex) offers the leaf every live edge
+        at the vertex in a direction the cut qvertex takes in the piece, and
+        searches those that pass the role gate now."""
         while self._pending:
-            leaf_index, vid, budget = self._pending.popleft()
-            leaf = self._leaves[leaf_index]
-            labels = self._plans[leaf_index].roles
+            idx, v, walks = self._pending.popleft()
+            leaf = self._leaves[idx]
+            gates = self._gates[idx]
             # searches here only queue further sweeps; none touches the graph
-            for rec in self.graph.neighbors(vid, "any"):
-                if rec.edge_type not in labels:
-                    continue
-                self._anchored_search(leaf, leaf_index, True, rec)
-                if budget >= 1:
-                    far = rec.dst if rec.src == vid else rec.src
-                    self._enable(far, leaf_index, budget - 1)
+            for adjacent in walks:
+                for rec in adjacent(v):
+                    gate = gates.get(rec.edge_type)
+                    if gate is not None and _opens(gate, rec):
+                        self._anchored_search(leaf, idx, rec)
 
-    def _anchored_search(self, leaf: SJTreeNode, idx: int, gated: bool, rec: EdgeRecord) -> None:
-        """Search ``leaf`` (leaf index ``idx``, gated or always on) anchored
-        at ``rec`` by its search plan, and feed each new hit into the tree
-        once.
+    def _anchored_search(self, leaf: SJTreeNode, idx: int, rec: EdgeRecord) -> None:
+        """Search the gated ``leaf`` (leaf index ``idx``) anchored at ``rec``
+        by its search plan, and feed each new hit into the tree once.
 
         A gated leaf can be offered one edge several times (on arrival and by
         sweeps), so its searches are deduplicated on (leaf, edge id), each
-        recording ``graph.edges_ingested`` at the time.  An always-on leaf
-        skips that record: only gated leaves are ever queued by ``_enable``,
-        so it is searched once per edge, on arrival, and only the search at a
-        match's newest edge finds the match.
+        recording ``graph.edges_ingested`` at the time.
 
         A gated multi-edge leaf can find one match from several of its edges.
         A hit is dropped when another of its edges ``x`` has
@@ -377,27 +449,27 @@ class Engine:
         hit had arrived when ``x`` was searched, and each is live now, so it
         was live then, and that search already found and fed the hit.
         """
-        if gated:
-            key = (idx, rec.edge_id)
-            if key in self._searched:
-                return
-            self._searched[key] = self.graph.edges_ingested
-            if len(self._searched) > self._searched_cap:
-                self._prune_searched()
-        self.counters.match_calls += 1
-        matches = match_primitive(self.graph, self._plans[idx], rec)
-        if not matches:
+        key = (idx, rec.edge_id)
+        if key in self._searched:
             return
-        cutoff = self._cutoff()
+        self._searched[key] = self.graph.edges_ingested
+        if len(self._searched) > self._searched_cap:
+            self._prune_searched()
+        self.counters.match_calls += 1
+        hits = match_primitive(self.graph, self._plans[idx], rec)
+        if not hits:
+            return
         qedges = leaf.piece.edges
-        searched = self._searched if gated and len(qedges) > 1 else None
-        for m in matches:
-            if searched is not None:
+        if len(qedges) > 1:
+            searched = self._searched
+            fresh = []
+            for m in hits:
                 ids = [m[1 + qe] for qe in qedges]
                 newest = max(ids)
-                if any(x != rec.edge_id and searched.get((idx, x), -1) > newest for x in ids):
-                    continue
-            self.tree.insert_and_propagate(leaf.node_id, m, cutoff, self._emit)
+                if not any(x != rec.edge_id and searched.get((idx, x), -1) > newest for x in ids):
+                    fresh.append(m)
+            hits = fresh
+        self._feed(leaf.node_id, hits)
 
     def _prune_searched(self) -> None:
         """Drop the search records of evicted edges, which no sweep can reach
@@ -409,13 +481,16 @@ class Engine:
         self._searched = {k: v for k, v in self._searched.items() if k[1] >= evicted}
         self._searched_cap = max(2 * len(self._searched), SEARCHED_MIN_PRUNE)
 
-    def _on_store(self, node: SJTreeNode, m: Partial) -> None:
-        """Tree callback: a spine match unlocks the next leaf around itself."""
-        unlock = self._unlocks[node.node_id]
-        if unlock is None:
-            return
-        table, idx, start = unlock
-        for dv in m[self._vert_slots]:
-            # most vertices are unlocked already: check before the call
-            if dv is not None and table.get(dv, -1) < start:
-                self._enable(dv, idx, start)
+    def _prune_allowed(self) -> None:
+        """Drop every allowed vertex that has no live edge (the module
+        docstring says why no join is lost), and let the entries double
+        before the next prune, as ``_prune_searched`` does.  The sets change
+        in place: the role gates hold them."""
+        graph = self.graph
+        count = 0
+        for cuts in self._allowed:
+            for allowed in cuts.values():
+                allowed.difference_update([v for v in allowed if not (graph.out_edges(v) or graph.in_edges(v))])
+                count += len(allowed)
+        self._allowed_count = count
+        self._allowed_cap = max(2 * count, SEARCHED_MIN_PRUNE)

@@ -8,8 +8,8 @@ query edges share a data edge.
 :class:`Match` is the output type: what the engines emit and log and what
 the oracles and the command line read.  The join tree keeps partial matches
 as flat ``(t_min, *edges, *verts)`` tuples of the same slots
-(``sjtree.Partial``), and the engine builds a ``Match`` only for a complete
-match it emits.
+(``sjtree.Partial``), and the engine wraps the tuple of each complete match
+it emits in a ``Match``.
 """
 from __future__ import annotations
 
@@ -147,26 +147,35 @@ class QueryPiece:
 class Match:
     """A partial or complete match in query-width slots.
 
-    ``edges[qe]`` is the data edge id bound to query edge ``qe`` and
-    ``verts[qv]`` the data vertex bound to query vertex ``qv``; None marks an
-    unbound slot.  ``t_min``/``t_max`` span the bound edges' timestamps and
-    are None when no edge is bound.  The constructor trusts its caller; use
-    :meth:`of` to build a match from unchecked parts.
+    ``flat`` is the join tree's tuple ``(t_min, e_0 ... e_{E-1}, v_0 ...
+    v_{V-1})`` with ``E = n_edges``: ``edges[qe]`` is the data edge id bound
+    to query edge ``qe`` and ``verts[qv]`` the data vertex bound to query
+    vertex ``qv``, None marking an unbound slot; both are read-only views of
+    ``flat``.  ``t_min``/``t_max`` span the bound edges' timestamps and are
+    None when no edge is bound.  Keeping the tuple the engine emits, rather
+    than slicing it, leaves one object fewer per emission for the garbage
+    collector to track.  The constructor trusts its caller; use :meth:`of`
+    to build a match from unchecked parts.
     """
 
-    __slots__ = ("edges", "verts", "t_min", "t_max")
+    __slots__ = ("flat", "n_edges", "t_max")
 
-    def __init__(
-        self,
-        edges: tuple[int | None, ...],
-        verts: tuple[str | None, ...],
-        t_min: int | None,
-        t_max: int | None,
-    ):
-        self.edges = edges
-        self.verts = verts
-        self.t_min = t_min
+    def __init__(self, flat: tuple[int | str | None, ...], n_edges: int, t_max: int | None):
+        self.flat = flat
+        self.n_edges = n_edges
         self.t_max = t_max
+
+    @property
+    def edges(self) -> tuple[int | None, ...]:
+        return self.flat[1:1 + self.n_edges]
+
+    @property
+    def verts(self) -> tuple[str | None, ...]:
+        return self.flat[1 + self.n_edges:]
+
+    @property
+    def t_min(self) -> int | None:
+        return self.flat[0]
 
     @classmethod
     def of(
@@ -192,7 +201,7 @@ class Match:
             if dv in verts:
                 raise ContractError("vertex bindings must be injective")
             verts[qv] = dv
-        return cls(tuple(edges), tuple(verts), min(times, default=None), max(times, default=None))
+        return cls((min(times, default=None), *edges, *verts), query.n_edges, max(times, default=None))
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -208,10 +217,11 @@ class Match:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
-        return self.edges == other.edges and self.verts == other.verts
+        # the edge and vertex slots; t_min follows from the edges
+        return self.n_edges == other.n_edges and self.flat[1:] == other.flat[1:]
 
     def __hash__(self) -> int:
-        return hash((self.edges, self.verts))
+        return hash(self.flat[1:])
 
     def __repr__(self) -> str:
         inner = ";".join(f"{q}={e}" for q, e in self.pairs)

@@ -260,24 +260,35 @@ def test_searched_stays_within_twice_its_live_records(monkeypatch):
     # next prune comes once the dict has doubled (the live edge count varies
     # by a few percent on this stream, hence 3, not 2); the records it drops
     # are of evicted edges, so emissions and searches are those of an engine
-    # that never prunes
+    # that never prunes its search records.  Both engines share the floor,
+    # which also sets when dead vertices leave the role gates, so their gate
+    # prunes run at the same points and only the search-record prune differs
     rng = Random(5)
     schema = social_schema()
     records = generate_stream(schema, 4000, rng, edges_per_tick=4)
     query = random_query(schema, 3, rng)
     plan = plan_query(query, table_for(records), mode="single")
-    monkeypatch.setattr(engine, "SEARCHED_MIN_PRUNE", 1 << 30)
-    unpruned = Engine(query, plan_query(query, table_for(records), mode="single").tree, 20, lazy=True)
     monkeypatch.setattr(engine, "SEARCHED_MIN_PRUNE", 16)
+    unpruned = Engine(query, plan_query(query, table_for(records), mode="single").tree, 20, lazy=True)
+    unpruned._searched_cap = 1 << 30
     eng = Engine(query, plan.tree, 20, lazy=True)
     gated = len(plan.tree.leaves()) - len(eng._always_on)
     assert gated > 0
     peak = 0
+    prunes = 0
     for step, r in enumerate(records):
+        size = len(eng._searched)
         assert signatures(eng.process(r)) == signatures(unpruned.process(r)), step
         live = eng.graph.edge_count
         assert len(eng._searched) <= max(3 * gated * live, 16), step
         peak = max(peak, len(eng._searched))
+        if len(eng._searched) < size:
+            # a prune ran: it kept every record of a live edge, as it was
+            prunes += 1
+            evicted = eng.graph.edges_evicted
+            kept = {k: v for k, v in unpruned._searched.items() if k[1] >= evicted}
+            assert eng._searched == kept, step
+    assert prunes > 0
     assert vars(eng.counters) == vars(unpruned.counters)
     assert eng.counters.emitted > 0
     # the unpruned engine shows the growth the prune removes
@@ -300,9 +311,10 @@ def test_sweep_at_an_old_edge_joins_only_live_matches():
 
 
 def test_gated_multi_edge_leaf_stores_each_match_once():
-    # path plan {0,1}, {2,3}: when the a-b prefix lands, the sweep around y
-    # searches leaf 1 at the c edge and enables z, whose sweep then searches
-    # the d edge; both searches find the one c-d match
+    # path plan {0,1}, {2,3}: the d edge holds no cut qvertex of leaf 1, so
+    # it passes the gate and is searched on arrival, finding the c-d match;
+    # when the a-b prefix lands, the sweep around y searches the c edge,
+    # which finds the same match again and drops it
     query = path_query(["a", "b", "c", "d"], vertex_label="A")
     records = [raw(0, "y", "c", "z"), raw(1, "z", "d", "u"), raw(2, "w", "a", "x"), raw(3, "x", "b", "y")]
     plan = plan_query(query, table_for(records), mode="path")
@@ -332,6 +344,71 @@ def test_gated_multi_edge_leaf_stores_each_match_once():
             for leaf in plan.tree.leaves():
                 stored = [m[edge_slots] for bucket in leaf.table.values() for m in bucket]
                 assert len(stored) == len(set(stored)), (trial, step)
+
+
+def triangle_engine():
+    """A triangle a: q0->q1, b: q1->q2, c: q2->q0 over leaves [a], [b], [c],
+    lazy: leaf 1 is gated on q1, leaf 2 on its cut {q0, q2}."""
+    query = q("node 0 A\nnode 1 A\nnode 2 A\nedge 0 0 1 a\nedge 1 1 2 b\nedge 2 2 0 c")
+    tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
+    assert tree.nodes[tree.leaves()[2].parent].cut_verts == (0, 2)
+    return Engine(query, tree, None, lazy=True)
+
+
+def test_role_gate_needs_every_cut_end_of_a_role():
+    # once the spine x->y->z is stored, leaf c may hold an edge only as
+    # q2->q0 = z->x: z->w binds q0 to a vertex no spine match binds there,
+    # and y->x binds q2 to y, which the spine binds to q1, so neither is
+    # searched, though each touches a spine vertex
+    eng = triangle_engine()
+    records = [raw(0, "x", "a", "y"), raw(1, "y", "b", "z"), raw(2, "z", "c", "w"),
+               raw(3, "y", "c", "x"), raw(4, "z", "c", "x")]
+    deltas = [signatures(eng.process(r)) for r in records]
+    assert deltas == [set(), set(), set(), set(), {((0, 0), (1, 1), (2, 4))}]
+    assert sorted(eng._searched) == [(1, 1), (2, 4)]
+    assert eng.counters.match_calls == 3
+    assert eng._allowed[2] == {0: {"x"}, 2: {"z"}}
+
+
+def test_sweep_searches_an_edge_that_came_before_its_spine():
+    # the c edge z->x arrives first and is not searched; the b edge that
+    # completes the spine x->y->z allows x at q0 and z at q2, and the sweep
+    # finds the c edge and emits the triangle on that same step
+    eng = triangle_engine()
+    records = [raw(0, "z", "c", "x"), raw(1, "x", "a", "y"), raw(2, "y", "b", "z")]
+    deltas = [signatures(eng.process(r)) for r in records]
+    assert deltas == [set(), set(), {((0, 1), (1, 2), (2, 0))}]
+    assert (2, 0) in eng._searched
+
+
+def test_gate_sets_stay_bounded_on_fresh_vertices(monkeypatch):
+    # fresh host ids every 50 ticks, 30 of them live at a time, window 40:
+    # a gate set that only grows gains every host ever bound, while the
+    # prune drops the dead ones once the entries double, and the engine
+    # emits exactly what an engine that never prunes emits
+    rng = Random(3)
+    records = []
+    for i in range(30_000):
+        ts = i // 10
+        gen = ts // 50
+        records.append(raw(ts, f"h{gen}.{rng.randrange(30)}", rng.choice("abcxyz"), f"h{gen}.{rng.randrange(30)}"))
+    query = path_query(["a", "b", "c"], vertex_label="A")
+
+    def tree():
+        return SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
+
+    def entries(eng):
+        return sum(len(allowed) for cuts in eng._allowed for allowed in cuts.values())
+
+    monkeypatch.setattr(engine, "SEARCHED_MIN_PRUNE", 1 << 30)
+    unpruned = Engine(query, tree(), 40, lazy=True)
+    monkeypatch.undo()
+    eng = Engine(query, tree(), 40, lazy=True)
+    for step, r in enumerate(records):
+        assert signatures(eng.process(r)) == signatures(unpruned.process(r)), step
+        assert entries(eng) <= 2 * engine.SEARCHED_MIN_PRUNE, step
+    assert eng.counters.emitted > 0
+    assert entries(unpruned) > 2 * engine.SEARCHED_MIN_PRUNE
 
 
 def windowed_social_runs():

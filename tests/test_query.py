@@ -121,6 +121,17 @@ def test_match_canonical_order_and_times():
     assert m.time_span() == 6
 
 
+def test_match_reads_its_slots_off_one_flat_tuple():
+    # a match keeps the join tree's (t_min, *edges, *verts) tuple; its edge
+    # and vertex slots and t_min are read-only views of it
+    m = Match.of(PATH3, [(2, 30, 7), (0, 10, 3)], {0: "a", 3: "d"})
+    assert m.flat == (3, 10, None, 30, "a", None, None, "d")
+    assert (m.edges, m.verts, m.t_min, m.t_max) == ((10, None, 30), ("a", None, None, "d"), 3, 7)
+    for name in ("edges", "verts", "t_min"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+
+
 def test_match_rejects_duplicate_qedge():
     with pytest.raises(ContractError):
         Match.of(PATH3, [(0, 10, 1), (0, 11, 2)], {0: "a"})

