@@ -160,27 +160,31 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
-    records = _read_stream(args.stream)
-    if args.stats is not None:
-        table = SelectivityTable.load(args.stats)
-    elif args.strategy == "vf2":
-        table = None  # the rescan baseline plans nothing
-    else:
-        table = collect_stats(records)
-
-    eng, _, strategy = bench_mod.make_engine(args.strategy, query, args.window, table)
-    out, close = _open_out(args.out)
-    try:
-        seq = 0
-        for raw in records:
-            for m in eng.process(raw):
-                out.write(_format_match(seq, m) + "\n")
-                seq += 1
-    finally:
-        if close:
-            out.close()
+    table = None if args.stats is None else SelectivityTable.load(args.stats)
+    with open(args.stream, encoding="utf-8") as fh:
+        # read one line at a time, so a bad line ends the run after the
+        # matches of the lines before it are written; only a plan from
+        # statistics over the whole stream needs it all first (the rescan
+        # baseline plans nothing)
+        records = read_edge_stream(fh, source=args.stream)
+        if table is None and args.strategy != "vf2":
+            records = list(records)
+            table = collect_stats(records)
+        eng, _, strategy = bench_mod.make_engine(args.strategy, query, args.window, table)
+        out, close = _open_out(args.out)
+        try:
+            seq = 0
+            for raw in records:
+                for m in eng.process(raw):
+                    out.write(_format_match(seq, m) + "\n")
+                    seq += 1
+        finally:
+            if close:
+                out.close()
+            else:
+                out.flush()
     print(
-        f"run: strategy={strategy} edges={len(records)} emitted={eng.counters.emitted}",
+        f"run: strategy={strategy} edges={eng.counters.edges} emitted={eng.counters.emitted}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -291,7 +295,9 @@ def build_parser() -> _Parser:
     rn.add_argument("--stream", required=True)
     rn.add_argument("--window", type=_parse_window, default=None, help="int or 'inf'")
     rn.add_argument("--strategy", choices=RUN_STRATEGIES, default="auto")
-    rn.add_argument("--stats", default=None, help="selectivity table (default: from stream)")
+    rn.add_argument("--stats", default=None,
+                    help="selectivity table; the stream is then read line by line "
+                         "(default: counted over the whole stream before the first edge)")
     rn.add_argument("--out", default=None, help="match TSV path (default stdout)")
     rn.set_defaults(func=cmd_run)
 

@@ -42,9 +42,10 @@ Why the gate misses no joinable leaf match:
   of the two to be stored joins the other.
 
 The sets grow but for one prune: once their entries have doubled, every
-vertex with no live edge is dropped.  A spine match that binds such a
-vertex holds an evicted edge there and can never join again, and a spine
-match stored later that binds it allows it anew, with a sweep.
+vertex with no live indexed edge is dropped.  A spine match that binds such
+a vertex holds an evicted edge there (its edges carry query labels, so they
+were indexed) and can never join again, and a spine match stored later that
+binds it allows it anew, with a sweep.
 
 Eager mode is the same loop with every leaf always live: nothing is gated,
 nothing is allowed, and every leaf is searched at every arriving edge.
@@ -53,7 +54,10 @@ Each leaf's search plan is built once, with the engine, and an arriving edge
 goes only to the leaves whose piece uses its label: one dict lookup per edge
 gives those leaves in leaf order, each with its role gate for that label, a
 tuple of (source set or None, destination set or None) per qedge, or None
-when the leaf is always on.
+when the leaf is always on.  The lookup runs before ingest: an edge whose
+label no qedge carries finds no leaf, and the graph ingests it unindexed.
+It is checked like any edge and keeps its endpoints live, but no adjacency
+list holds it, so searches, sweeps and eviction never walk it.
 
 The retroactive sweeps run off a flat worklist rather than recursing, and
 gated searches are deduplicated on (leaf, edge id) — which also bounds
@@ -264,6 +268,10 @@ class Engine:
     always on.  Either way ``process`` returns the complete matches that
     became visible at that edge, exactly once each, and ``log`` lists every
     match emitted so far.
+
+    The engine's ``graph`` indexes only the edges whose label some qedge
+    carries: the others are checked and keep their endpoints live, but no
+    adjacency list holds them (see :class:`~dgquery.graph.DynamicGraph`).
     """
 
     def __init__(
@@ -361,27 +369,37 @@ class Engine:
     # ------------------------------------------------------------------ stream
 
     def process(self, raw: RawEdge) -> list[Match]:
-        """Ingest one edge; return the newly appeared complete matches."""
+        """Ingest one edge; return the newly appeared complete matches.
+
+        An edge whose label no leaf's piece uses can hold no qedge, so no
+        search ever reads it: the graph ingests it unindexed, which checks
+        it as any edge and keeps its endpoints live, but stores no record.
+        """
         graph = self.graph
-        rec = graph.add_edge(raw)
-        self._delta = []
-        for leaf, idx, gate in self._by_label.get(rec.edge_type, ()):
-            if gate is None:
-                # always on: searched once, here, so it keeps no dedupe record
-                self.counters.match_calls += 1
-                hits = match_primitive(graph, self._plans[idx], rec)
-                if hits:
-                    self._feed(leaf.node_id, hits)
-            elif _opens(gate, rec):
-                self._anchored_search(leaf, idx, rec)
-            # run any retroactive sweeps before the next leaf reads its gate,
-            # so leaves are searched strictly one after the other
-            if self._pending:
-                self._drain()
+        entries = self._by_label.get(raw[3])  # raw[3]: the edge label
+        if entries is None:
+            graph.add_edge(raw, False)  # unindexed; positional, so a wrapper of add_edge may take *args
+            delta = []
+        else:
+            rec = graph.add_edge(raw)
+            self._delta = delta = []
+            for leaf, idx, gate in entries:
+                if gate is None:
+                    # always on: searched once, here, so it keeps no dedupe record
+                    self.counters.match_calls += 1
+                    hits = match_primitive(graph, self._plans[idx], rec)
+                    if hits:
+                        self._feed(leaf.node_id, hits)
+                elif _opens(gate, rec):
+                    self._anchored_search(leaf, idx, rec)
+                # run any retroactive sweeps before the next leaf reads its gate,
+                # so leaves are searched strictly one after the other
+                if self._pending:
+                    self._drain()
         self.counters.edges += 1
         if PURGE_INTERVAL and self.counters.edges % PURGE_INTERVAL == 0:
             self.counters.purged += self.tree.purge_stale(self._cutoff())
-        return self._delta
+        return delta
 
     def _cutoff(self) -> int | None:
         """The graph's eviction cutoff: edges at or before it are gone."""
@@ -475,10 +493,13 @@ class Engine:
         """Drop the search records of evicted edges, which no sweep can reach
         and no hit can hold, and let ``_searched`` double before the next
         prune: it stays within twice its live records, at amortized O(1)
-        per search.  Edge ids follow arrival and eviction is first in, first
-        out, so the live ids are exactly [edges_evicted, edges_ingested)."""
-        evicted = self.graph.edges_evicted
-        self._searched = {k: v for k, v in self._searched.items() if k[1] >= evicted}
+        per search.  Edge ids follow arrival and the graph evicts its indexed
+        edges first in, first out, so the live indexed ids are exactly those
+        from the oldest live one's on (none when no indexed edge is live).
+        Every search anchors at an indexed edge, so every record is of one."""
+        oldest = next(self.graph.live_edges(), None)
+        live_from = self.graph.edges_ingested if oldest is None else oldest.edge_id
+        self._searched = {k: v for k, v in self._searched.items() if k[1] >= live_from}
         self._searched_cap = max(2 * len(self._searched), SEARCHED_MIN_PRUNE)
 
     def _prune_allowed(self) -> None:

@@ -1,23 +1,50 @@
 """Sliding-window store for a typed, directed multigraph edge stream.
 
-The store keeps exactly the edges of the current time window: after ingesting
-an edge with timestamp t, every retained edge satisfies ``timestamp > t - window``.
-Vertices exist only while at least one live edge touches them.  Parallel edges
-(same endpoints, same or different type) are distinct records.
+The store keeps exactly the indexed edges of the current time window: after
+ingesting an edge with timestamp t, every retained edge satisfies
+``timestamp > t - window``.  Parallel edges (same endpoints, same or
+different type) are distinct records.
+
+An edge is ingested indexed (the default) or unindexed.  An indexed edge
+becomes a record in its endpoints' adjacency lists; an unindexed one is
+checked and counted like any other, and keeps its endpoints live, but no
+list holds it, so no search can reach it.  The continuous-query engine
+ingests unindexed exactly the edges whose label no qedge of its query
+carries; every other user of the store (the rescan baseline, the oracle,
+the statistics sample) indexes every edge.
+
+A vertex is live while one of its lists is non-empty or an unindexed edge at
+it is inside the window: each vertex carries ``stamp``, the timestamp of the
+newest unindexed edge at it, or of the edge that made it (an indexed edge
+that made it stays in its lists for as long as that stamp would keep it
+live).  A vertex that is still in the table but not live is treated as new
+by the next edge at it, so it may take a new label.
 
 Design notes
 ------------
 - Adjacency lists are kept in arrival order, so the globally oldest live edge
   is always at the front of its endpoints' deques and eviction is O(1) per
-  evicted edge.
+  evicted edge.  Every ingest evicts, indexed or not, so the lists hold only
+  live edges and a non-empty list means a live vertex.
 - Timestamps must be non-decreasing across calls; ties are fine.  This is the
   property that makes front-of-deque eviction sound.
 - A self-loop sits in both the out- and in-list of its vertex but is reported
   once (as an out-edge) by any-direction iteration.  Its two endpoint labels
   must agree.
 - ``add_edge`` unpacks the raw edge once and runs every check (stream order,
-  both endpoint labels) before it changes anything, so a rejected edge leaves
-  the store as it was.
+  both endpoint labels against the live vertices, the self-loop's two labels)
+  before it changes anything, so a rejected edge leaves the store as it was.
+  The checks are the same on both kinds of ingest, so the engine's store
+  rejects exactly the edges a store that indexes everything rejects.
+- Eviction deletes a vertex once both its lists are empty and its stamp has
+  expired.  A vertex kept only by its stamp expires without an event; such
+  vertices leave in a prune of every dead vertex, run whenever the table
+  has doubled since the last one (and holds more than ``_VERTEX_MIN_PRUNE``
+  entries), so the table holds at most twice the live vertices of the last
+  prune, at amortized O(1) per new vertex.
+- ``edges_ingested`` counts every edge and gives each its id, its position
+  in the stream; ``edge_count``, ``live_edges`` and ``edges_evicted`` count
+  and list indexed edges only.
 - ``parse_edge_line`` takes a well-formed data line in one pass: six
   non-empty tab-separated fields, the first led by an ASCII digit (which no
   blank or comment line is, and which leaves no room for a sign).  Any other
@@ -73,9 +100,14 @@ class EdgeRecord(NamedTuple):
     timestamp: int
 
 
+# the fewest vertex-table entries worth a prune of the dead ones
+_VERTEX_MIN_PRUNE = 1 << 10
+
+
 @dataclass(slots=True)
 class _Vertex:
     label: str
+    stamp: int  # newest unindexed edge at the vertex, or the edge that made it
     out_edges: deque = field(default_factory=deque)
     in_edges: deque = field(default_factory=deque)
 
@@ -84,6 +116,8 @@ class DynamicGraph:
     """Time-windowed dynamic multigraph.
 
     ``window=None`` means an unbounded window (nothing ever expires).
+    ``edge_count`` and ``edges_evicted`` count indexed edges only;
+    ``edges_ingested`` counts every edge.
     """
 
     def __init__(self, window: int | None = None):
@@ -94,16 +128,21 @@ class DynamicGraph:
         self.edges_ingested = 0
         self.edges_evicted = 0
         self._vertices: dict[str, _Vertex] = {}
-        self._arrivals: deque = deque()  # EdgeRecords, oldest first
+        self._vertex_cap = _VERTEX_MIN_PRUNE
+        self._arrivals: deque = deque()  # indexed EdgeRecords, oldest first
 
     # ------------------------------------------------------------------ ingest
 
-    def add_edge(self, raw: RawEdge) -> EdgeRecord:
+    def add_edge(self, raw: RawEdge, index: bool = True) -> EdgeRecord | None:
         """Ingest one edge, then eagerly evict everything that just expired.
 
+        With ``index`` the edge is stored and its record returned; without,
+        it only keeps its endpoints live and advances the stream (its id is
+        used up, ``t_last`` moves), and None is returned.
+
         Raises StreamOrderError on a timestamp older than ``t_last`` and
-        LabelConflictError when an endpoint re-appears under a new label or
-        a self-loop gives its vertex two labels.  Every check runs before
+        LabelConflictError when a live endpoint re-appears under a new label
+        or a self-loop gives its vertex two labels.  Every check runs before
         anything changes, so a rejected edge leaves the store as it was.
         """
         ts, src, src_type, edge_type, dst, dst_type = raw
@@ -112,46 +151,62 @@ class DynamicGraph:
             raise StreamOrderError(f"timestamp {ts} arrived after t_last={t_last}")
         vertices = self._vertices
         src_v = vertices.get(src)
-        if src_v is None:
-            # a new vertex can only conflict with itself, through a self-loop
+        if src_v is None or src_v.label != src_type:
+            if src_v is not None and self._live(src_v):
+                raise LabelConflictError(
+                    f"vertex {src!r} seen as {src_v.label!r}, now {src_type!r}"
+                )
+            # a new vertex, or a dead one taken as new, can only conflict
+            # with itself, through a self-loop
             if src == dst and src_type != dst_type:
                 raise LabelConflictError(
                     f"self-loop on {src!r} labels it both {src_type!r} and {dst_type!r}"
                 )
-        elif src_v.label != src_type:
-            raise LabelConflictError(
-                f"vertex {src!r} seen as {src_v.label!r}, now {src_type!r}"
-            )
+            src_v = None
         dst_v = vertices.get(dst)
         if dst_v is not None and dst_v.label != dst_type:
-            raise LabelConflictError(
-                f"vertex {dst!r} seen as {dst_v.label!r}, now {dst_type!r}"
-            )
+            # dst_v is src_v: a self-loop at a dead vertex kept under the
+            # source label, which the loop would label twice
+            if self._live(dst_v) or dst_v is src_v:
+                raise LabelConflictError(
+                    f"vertex {dst!r} seen as {dst_v.label!r}, now {dst_type!r}"
+                )
+            dst_v = None
 
         edge_id = self.edges_ingested
-        rec = _new_tuple(EdgeRecord, (edge_id, src, dst, src_type, dst_type, edge_type, ts))
         self.edges_ingested = edge_id + 1
         self.t_last = ts
 
-        if src_v is None:
-            src_v = vertices[src] = _Vertex(src_type)
-        if dst_v is None:
-            if src == dst:
-                dst_v = src_v  # a self-loop on a new vertex: the one just made
-            else:
-                dst_v = vertices[dst] = _Vertex(dst_type)
-        src_v.out_edges.append(rec)
-        dst_v.in_edges.append(rec)
+        if src_v is None or dst_v is None:
+            if len(vertices) + 2 > self._vertex_cap:
+                # a prune is due; an endpoint the table holds may be a dead
+                # vertex about to be reused, so both are kept
+                self._prune_vertices(src, dst)
+            if src_v is None:
+                src_v = vertices[src] = _Vertex(src_type, ts)
+            if dst_v is None:
+                if src == dst:
+                    dst_v = src_v  # a self-loop on a new vertex: the one just made
+                else:
+                    dst_v = vertices[dst] = _Vertex(dst_type, ts)
         arrivals = self._arrivals
-        arrivals.append(rec)
+        if index:
+            rec = _new_tuple(EdgeRecord, (edge_id, src, dst, src_type, dst_type, edge_type, ts))
+            src_v.out_edges.append(rec)
+            dst_v.in_edges.append(rec)
+            arrivals.append(rec)
+        else:
+            rec = None
+            src_v.stamp = dst_v.stamp = ts
 
         window = self.window
-        if window is not None and arrivals[0].timestamp <= ts - window:
+        if window is not None and arrivals and arrivals[0].timestamp <= ts - window:
             self.evict_expired()
         return rec
 
     def evict_expired(self) -> None:
-        """Drop every edge with ``timestamp <= t_last - window``."""
+        """Drop every edge with ``timestamp <= t_last - window``, and every
+        vertex that leaves with no edge in its lists and an expired stamp."""
         if self.window is None or self.t_last is None:
             return
         cutoff = self.t_last - self.window
@@ -169,32 +224,58 @@ class DynamicGraph:
             popped = dst_v.in_edges.popleft()
             assert popped is rec
             evicted += 1
-            if not src_v.out_edges and not src_v.in_edges:
+            if not src_v.out_edges and not src_v.in_edges and src_v.stamp <= cutoff:
                 del vertices[src]
-            if src != dst and not dst_v.out_edges and not dst_v.in_edges:
+            if src != dst and not dst_v.out_edges and not dst_v.in_edges and dst_v.stamp <= cutoff:
                 del vertices[dst]
         self.edges_evicted += evicted
+
+    def _live(self, v: _Vertex) -> bool:
+        """Whether ``v`` has an edge in the window: one in its lists (which
+        hold only live edges), or the unindexed one its stamp records."""
+        if v.out_edges or v.in_edges:
+            return True
+        window = self.window
+        return window is None or v.stamp > self.t_last - window
+
+    def _prune_vertices(self, *keep: str) -> None:
+        """Delete every dead vertex but those in ``keep``, in place (the
+        caller holds the table), and let the table double before the next
+        prune."""
+        vertices = self._vertices
+        live = self._live
+        for vid in [vid for vid, v in vertices.items() if not live(v) and vid not in keep]:
+            del vertices[vid]
+        self._vertex_cap = max(2 * len(vertices), _VERTEX_MIN_PRUNE)
 
     # ------------------------------------------------------------------ access
 
     @property
     def edge_count(self) -> int:
+        """Live indexed edges."""
         return len(self._arrivals)
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        """Live vertices."""
+        return sum(1 for _ in self.vertices())
 
     def vertex_label(self, vid: str) -> str:
-        return self._vertices[vid].label
+        """The label of a live vertex; KeyError for any other."""
+        v = self._vertices[vid]
+        if not self._live(v):
+            raise KeyError(vid)
+        return v.label
 
     def vertices(self) -> Iterator[tuple[str, str]]:
         """Yield (vertex id, label) for every live vertex."""
+        live = self._live
         for vid, v in self._vertices.items():
-            yield vid, v.label
+            if live(v):
+                yield vid, v.label
 
     def live_edges(self) -> Iterator[EdgeRecord]:
-        """All live edges, oldest first."""
+        """All live indexed edges, oldest first."""
         return iter(self._arrivals)
 
     def neighbors(

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from dgquery.cli import main
+from dgquery.baseline import RescanEngine
+from dgquery.cli import _format_match, main
 from dgquery.graph import read_edge_stream
 from dgquery.query import parse_query
 from dgquery.sjtree import SJTree
@@ -126,6 +127,69 @@ def test_run_vf2_counts_no_statistics(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("dgquery.cli.collect_stats", refuse)
     assert run(tmp_path / "refused.tsv") == plain
     capsys.readouterr()
+
+
+def _run_out(tmp_path, stream, query_path, name, *extra):
+    out = tmp_path / name
+    rc = main(["run", "--query", str(query_path), "--stream", str(stream), "--window", "50",
+               "--out", str(out), *extra])
+    return rc, out.read_bytes()
+
+
+def test_streamed_run_writes_what_the_list_run_writes(tmp_path, capsys):
+    # with --stats, or under vf2, the stream is read line by line; the
+    # output is byte for byte that of the run that reads the whole stream
+    # first, and edges= counts what the engine took
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+    stats = tmp_path / "stats.json"
+    main(["stats", "--stream", str(stream), "--out", str(stats)])
+    capsys.readouterr()
+    rc, listed = _run_out(tmp_path, stream, query_path, "listed.tsv")
+    assert rc == 0 and listed
+    listed_err = capsys.readouterr().err
+    rc, streamed = _run_out(tmp_path, stream, query_path, "streamed.tsv", "--stats", str(stats))
+    assert rc == 0 and streamed == listed
+    assert capsys.readouterr().err == listed_err
+    assert "edges=400 " in listed_err
+
+    # the rescan baseline over the same edges held in a list, as the run
+    # once read them
+    query = parse_query(query_path.read_text())
+    with open(stream) as fh:
+        records = list(read_edge_stream(fh))
+    rescan = RescanEngine(query, 50)
+    matches = [m for r in records for m in rescan.process(r)]
+    expected = "".join(_format_match(seq, m) + "\n" for seq, m in enumerate(matches)).encode()
+    rc, vf2 = _run_out(tmp_path, stream, query_path, "vf2.tsv", "--strategy", "vf2")
+    assert rc == 0 and vf2 == expected
+    assert f"edges=400 emitted={len(matches)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["auto", "vf2"])
+def test_streamed_run_stops_at_a_bad_line_after_writing_the_lines_before(tmp_path, capsys, strategy):
+    # line 301 is broken: the run exits 2, naming it, and the matches of
+    # lines 1-300 are written and flushed, to a file or to stdout
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+    stats = tmp_path / "stats.json"
+    main(["stats", "--stream", str(stream), "--out", str(stats)])
+    lines = stream.read_text().splitlines(keepends=True)
+    head = tmp_path / "head.tsv"
+    head.write_text("".join(lines[:300]))
+    broken = tmp_path / "broken.tsv"
+    broken.write_text("".join(lines[:300]) + "broken\n" + "".join(lines[300:]))
+    flags = ("--strategy", strategy, "--stats", str(stats))
+    rc, before = _run_out(tmp_path, head, query_path, "head.out", *flags)
+    assert rc == 0 and before
+    capsys.readouterr()
+    rc, partial = _run_out(tmp_path, broken, query_path, "broken.out", *flags)
+    assert rc == 2 and partial == before
+    assert "line 301" in capsys.readouterr().err
+    rc = main(["run", "--query", str(query_path), "--stream", str(broken), "--window", "50", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out.encode() == before
+    assert "line 301" in captured.err
 
 
 def test_run_accepts_unbounded_window(tmp_path):

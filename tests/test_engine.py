@@ -8,9 +8,10 @@ from random import Random
 import pytest
 
 from dgquery import engine
+from dgquery import graph as graph_module
 from dgquery.baseline import RescanEngine
 from dgquery.engine import Engine, match_primitive, search_plan
-from dgquery.errors import UnsupportedPrimitiveError
+from dgquery.errors import LabelConflictError, UnsupportedPrimitiveError
 from dgquery.generate import (
     generate_stream,
     kpartite_query,
@@ -283,10 +284,13 @@ def test_searched_stays_within_twice_its_live_records(monkeypatch):
         assert len(eng._searched) <= max(3 * gated * live, 16), step
         peak = max(peak, len(eng._searched))
         if len(eng._searched) < size:
-            # a prune ran: it kept every record of a live edge, as it was
+            # a prune ran: it kept every record of a live edge, as it was;
+            # the store indexes only query-label edges, so the live ids run
+            # from its oldest live edge's on
             prunes += 1
-            evicted = eng.graph.edges_evicted
-            kept = {k: v for k, v in unpruned._searched.items() if k[1] >= evicted}
+            oldest = next(eng.graph.live_edges(), None)
+            live_from = eng.graph.edges_ingested if oldest is None else oldest.edge_id
+            kept = {k: v for k, v in unpruned._searched.items() if k[1] >= live_from}
             assert eng._searched == kept, step
     assert prunes > 0
     assert vars(eng.counters) == vars(unpruned.counters)
@@ -409,6 +413,74 @@ def test_gate_sets_stay_bounded_on_fresh_vertices(monkeypatch):
         assert entries(eng) <= 2 * engine.SEARCHED_MIN_PRUNE, step
     assert eng.counters.emitted > 0
     assert entries(unpruned) > 2 * engine.SEARCHED_MIN_PRUNE
+
+
+def test_label_conflict_seen_only_through_a_non_query_edge():
+    # the engine's store keeps no record of the x edges, yet they keep their
+    # endpoints live under their labels, so the engine rejects exactly the
+    # edges the rescan baseline, which stores every edge, rejects
+    query = path_query(["e", "e"], vertex_label="A")
+    records = [
+        raw(0, "a", "x", "b"),  # only a non-query edge labels a and b
+        raw(1, "a", "e", "c", src_type="B"),  # a is live as A: rejected
+        raw(2, "c", "e", "b", dst_type="B"),  # so is b
+        raw(3, "d", "x", "d", src_type="A", dst_type="B"),  # a self-loop with two labels
+        raw(5, "p", "x", "q"),  # the x edge of t=0 expires
+        raw(5, "b", "e", "c", src_type="B"),  # so b may be B now
+        raw(6, "c", "x", "b"),  # and is live as B: rejected
+        raw(7, "c", "e", "b", dst_type="B"),
+    ]
+    plan = plan_query(query, table_for([records[0], records[6]]), mode="single")
+    engines = [Engine(query, plan.tree, 5, lazy=True), RescanEngine(query, 5)]
+    outcomes = []
+    for eng in engines:
+        seen = []
+        for r in records:
+            try:
+                seen.append(signatures(eng.process(r)))
+            except LabelConflictError:
+                seen.append("conflict")
+        outcomes.append(seen)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == [set(), "conflict", "conflict", "conflict", set(), set(), "conflict", set()]
+    assert engines[0].graph.edge_count == 2 and engines[1].graph.edge_count == 3
+
+
+def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):
+    # fresh host ids every 5 ticks, 10 edges a tick, window 20, and 7 of 10
+    # labels outside the query: a vertex last touched by an edge of such a
+    # label is kept by its stamp and expires with no edge to evict, so a
+    # table that only dropped vertices on eviction would keep nearly every
+    # host ever seen; the prune keeps it within twice its live vertices or
+    # the floor, and the engine emits exactly what an engine that never
+    # prunes emits
+    rng = Random(7)
+    labels = "abcuvwxyzq"
+    records = []
+    for i in range(200_000):
+        ts = i // 10
+        gen = ts // 5
+        records.append(raw(ts, f"h{gen}.{rng.randrange(20)}", rng.choice(labels), f"h{gen}.{rng.randrange(20)}"))
+    query = path_query(["a", "b", "c"], vertex_label="A")
+
+    def tree():
+        return SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
+
+    monkeypatch.setattr(engine, "SEARCHED_MIN_PRUNE", 1 << 30)
+    monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 1 << 30)
+    unpruned = Engine(query, tree(), 20, lazy=True)
+    monkeypatch.undo()
+    eng = Engine(query, tree(), 20, lazy=True)
+    floor = graph_module._VERTEX_MIN_PRUNE
+    for step, r in enumerate(records):
+        assert signatures(eng.process(r)) == signatures(unpruned.process(r)), step
+        size = len(eng.graph._vertices)
+        if size > 2 * floor:  # counting the live vertices takes a pass
+            assert size <= 2 * eng.graph.vertex_count, step
+    assert eng.counters.emitted > 0
+    assert vars(eng.counters) == vars(unpruned.counters)
+    assert len(unpruned.graph._vertices) > 10 * floor
+    assert unpruned.graph.vertex_count == eng.graph.vertex_count
 
 
 def windowed_social_runs():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dgquery.errors import LabelConflictError, ParseError, StreamOrderError
 from dgquery.graph import (
+    _VERTEX_MIN_PRUNE,
     DynamicGraph,
     RawEdge,
     format_edge_line,
@@ -73,33 +74,138 @@ def test_stream_order_enforced():
         g.add_edge(raw(4, "c", "e", "d"))
 
 
+# each rejection test sends its bad edge in indexed, as every store but the
+# engine's takes it, and then, on a fresh store, unindexed, as the engine's
+# store takes an edge whose label no qedge carries: both kinds of ingest run
+# the same checks
+INGESTS = (True, False)
+
+
 def test_label_conflict_detected_and_cleared_by_eviction():
-    g = DynamicGraph(window=2)
-    g.add_edge(raw(0, "a", "e", "b"))
-    with pytest.raises(LabelConflictError):
-        g.add_edge(raw(1, "a", "e", "c", src_type="B"))
-    # after 'a' has no live edges it may return under a new label
-    g.add_edge(raw(10, "x", "e", "y"))
-    assert "a" not in dict(g.vertices())
-    g.add_edge(raw(11, "a", "e", "x", src_type="B"))
-    assert g.vertex_label("a") == "B"
+    for index in INGESTS:
+        g = DynamicGraph(window=2)
+        g.add_edge(raw(0, "a", "e", "b"))
+        with pytest.raises(LabelConflictError):
+            g.add_edge(raw(1, "a", "e", "c", src_type="B"), index)
+        # after 'a' has no live edges it may return under a new label
+        g.add_edge(raw(10, "x", "e", "y"))
+        assert "a" not in dict(g.vertices())
+        g.add_edge(raw(11, "a", "e", "x", src_type="B"), index)
+        assert g.vertex_label("a") == "B"
 
 
 def test_self_loop_with_two_labels_is_rejected():
     # both endpoint checks would pass on a new vertex; the loop itself must
     # not label it twice, in the store or in the statistics sample
-    g = DynamicGraph()
-    with pytest.raises(LabelConflictError):
-        g.add_edge(RawEdge(0, "a", "A", "e", "a", "B"))
-    assert list(g.vertices()) == [] and g.edges_ingested == 0
-    with pytest.raises(LabelConflictError):
-        collect_stats([RawEdge(0, "a", "A", "e", "a", "B")])
-    g.add_edge(RawEdge(0, "a", "A", "e", "a", "A"))
+    for index in INGESTS:
+        g = DynamicGraph()
+        with pytest.raises(LabelConflictError):
+            g.add_edge(RawEdge(0, "a", "A", "e", "a", "B"), index)
+        assert list(g.vertices()) == [] and g.edges_ingested == 0
+        with pytest.raises(LabelConflictError):
+            collect_stats([RawEdge(0, "a", "A", "e", "a", "B")])
+        g.add_edge(RawEdge(0, "a", "A", "e", "a", "A"), index)
+        assert g.vertex_label("a") == "A"
+
+
+def test_unindexed_edge_is_checked_and_counted_but_stored_nowhere():
+    g = DynamicGraph(window=5)
+    rec = g.add_edge(raw(0, "a", "e", "b"))
+    assert g.add_edge(raw(1, "b", "x", "c"), False) is None
+    assert g.add_edge(raw(2, "c", "e", "a")).edge_id == 2  # the unindexed edge used id 1
+    assert (g.edges_ingested, g.edge_count, g.t_last) == (3, 2, 2)
+    assert [r.edge_id for r in g.live_edges()] == [0, 2]
+    assert list(g.out_edges("b")) == [] and list(g.in_edges("b")) == [rec]
+    assert list(g.neighbors("c", "any")) == [r for r in g.live_edges() if r.src == "c"]
+    with pytest.raises(StreamOrderError):
+        g.add_edge(raw(1, "p", "x", "q"), False)
+    # an unindexed edge moves t_last, so it evicts what expired
+    g.add_edge(raw(6, "p", "x", "q"), False)
+    assert [r.edge_id for r in g.live_edges()] == [2] and g.edges_evicted == 1
+
+
+def test_vertex_kept_live_only_by_an_unindexed_edge():
+    g = DynamicGraph(window=5)
+    g.add_edge(raw(0, "a", "x", "b"), False)
+    assert sorted(g.vertices()) == [("a", "A"), ("b", "A")] and g.vertex_count == 2
     assert g.vertex_label("a") == "A"
+    # live: a conflicting edge of either kind is rejected and changes nothing
+    for index in INGESTS:
+        with pytest.raises(LabelConflictError):
+            g.add_edge(raw(4, "a", "e", "c", src_type="B"), index)
+        with pytest.raises(LabelConflictError):
+            g.add_edge(raw(4, "c", "e", "b", dst_type="B"), index)
+        with pytest.raises(LabelConflictError):
+            g.add_edge(RawEdge(4, "a", "A", "e", "a", "B"), index)
+    assert (g.edges_ingested, g.t_last) == (1, 0)
+    # at t=5 the stamp of t=0 has expired: the vertices are dead, though the
+    # table still holds them, and the next edge at one takes it as new
+    g.add_edge(raw(5, "p", "x", "q"), False)
+    assert sorted(g.vertices()) == [("p", "A"), ("q", "A")] and g.vertex_count == 2
+    with pytest.raises(KeyError):
+        g.vertex_label("a")
+    # a self-loop on a dead vertex still may not label it twice, with the
+    # dead vertex's old label on either end
+    for bad in (RawEdge(6, "a", "A", "e", "a", "B"), RawEdge(6, "a", "B", "e", "a", "A")):
+        for index in INGESTS:
+            with pytest.raises(LabelConflictError):
+                g.add_edge(bad, index)
+    assert "a" not in dict(g.vertices())
+    g.add_edge(raw(6, "a", "e", "z", src_type="B"))
+    g.add_edge(raw(6, "c", "x", "b", dst_type="B"), False)
+    assert g.vertex_label("a") == "B" and g.vertex_label("b") == "B"
+    # q, kept by its stamp of t=5, is live: a self-loop may not relabel it
+    with pytest.raises(LabelConflictError):
+        g.add_edge(RawEdge(7, "q", "C", "e", "q", "C"), False)
+
+
+def test_each_unindexed_edge_renews_its_endpoints():
+    # a and b come in with an indexed edge and are touched again by an
+    # unindexed one: when the indexed edge is evicted, that stamp keeps them
+    g = DynamicGraph(window=5)
+    g.add_edge(raw(0, "a", "e", "b"))
+    g.add_edge(raw(3, "b", "x", "a"), False)
+    g.add_edge(raw(5, "p", "x", "q"), False)
+    assert g.edge_count == 0 and g.edges_evicted == 1
+    assert sorted(v for v, _ in g.vertices()) == ["a", "b", "p", "q"]
+    with pytest.raises(LabelConflictError):
+        g.add_edge(raw(7, "a", "x", "p", src_type="B"), False)
+    g.add_edge(raw(8, "p", "x", "q"), False)
+    assert sorted(v for v, _ in g.vertices()) == ["p", "q"]
+
+
+def test_dead_vertices_leave_the_table_by_the_doubling_prune():
+    # vertices kept only by their stamps expire without an event; the table
+    # drops them once it holds more than the floor, and then again whenever
+    # it has doubled since the last prune
+    g = DynamicGraph(window=10)
+    peak = 0
+    for i in range(20_000):
+        g.add_edge(raw(i // 4, f"v{i}", "x", f"w{i}"), False)
+        peak = max(peak, len(g._vertices))
+    assert g.vertex_count == 80  # two vertices per edge of the last 10 ticks
+    assert peak <= _VERTEX_MIN_PRUNE
+    # the prune runs as an edge brings a new vertex in; a dead vertex that
+    # edge reuses stays, with the edge
+    g = DynamicGraph(window=5)
+    g.add_edge(raw(0, "a", "x", "b"), False)
+    i = 0
+    while len(g._vertices) + 2 <= _VERTEX_MIN_PRUNE:
+        g.add_edge(raw(10, f"v{i}", "x", f"w{i}"), False)
+        i += 1
+    rec = g.add_edge(raw(11, "a", "e", "new"))
+    assert "b" not in g._vertices and len(g._vertices) == _VERTEX_MIN_PRUNE
+    assert list(g.out_edges("a")) == [rec] and dict(g.vertices())["a"] == "A"
+    # an unbounded window keeps every vertex live: the prune finds nothing
+    g = DynamicGraph()
+    for i in range(3_000):
+        g.add_edge(raw(i, f"v{i}", "x", f"v{i + 1}"), False)
+    assert g.vertex_count == len(g._vertices) == 3_001
 
 
 def _store_state(g: DynamicGraph, extra: tuple[str, ...]) -> tuple:
-    """Everything an ingest could change, incident edge lists included."""
+    """Everything an ingest could change, incident edge lists and each
+    vertex's stamp included."""
     vids = sorted({vid for vid, _ in g.vertices()} | set(extra))
     return (
         g.edges_ingested,
@@ -107,6 +213,7 @@ def _store_state(g: DynamicGraph, extra: tuple[str, ...]) -> tuple:
         g.t_last,
         g.edge_count,
         sorted(g.vertices()),
+        sorted((vid, v.label, v.stamp) for vid, v in g._vertices.items()),
         [(vid, list(g.out_edges(vid)), list(g.in_edges(vid))) for vid in vids],
     )
 
@@ -124,15 +231,16 @@ def _store_state(g: DynamicGraph, extra: tuple[str, ...]) -> tuple:
 )
 def test_rejected_edge_changes_nothing(bad, error):
     # the rejected edges at t=9 would evict t <= 6 if they were taken
-    g = DynamicGraph(window=3)
-    for t, (s, d) in enumerate([("x", "y"), ("a", "b"), ("b", "a"), ("a", "a")], start=3):
-        g.add_edge(raw(t, s, "e", d))
-    g.add_edge(raw(6, "b", "f", "c"))
-    assert g.edges_evicted == 1
-    before = _store_state(g, (bad.src, bad.dst))
-    with pytest.raises(error):
-        g.add_edge(bad)
-    assert _store_state(g, (bad.src, bad.dst)) == before
+    for index in INGESTS:
+        g = DynamicGraph(window=3)
+        for t, (s, d) in enumerate([("x", "y"), ("a", "b"), ("b", "a"), ("a", "a")], start=3):
+            g.add_edge(raw(t, s, "e", d))
+        g.add_edge(raw(6, "b", "f", "c"))
+        assert g.edges_evicted == 1
+        before = _store_state(g, (bad.src, bad.dst))
+        with pytest.raises(error):
+            g.add_edge(bad, index)
+        assert _store_state(g, (bad.src, bad.dst)) == before
 
 
 def test_vertices_live_only_while_touched():

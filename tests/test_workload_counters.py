@@ -1,5 +1,5 @@
 """The benchmark's seed-301 streams, replayed as the benchmark sets them up,
-end in fixed engine counters and emit fixed matches.
+end in fixed engine counters and graph sizes and emit fixed matches.
 
 The counters are deterministic, so a change that should only make the engine
 faster must leave every one of them as it is.  The emissions are pinned by
@@ -50,6 +50,15 @@ SEED_301 = {
 }
 
 
+# the engine's graph at the end of the stream: live edges of a query label,
+# the only ones it indexes (every edge of lowxi-chain has one)
+LIVE_EDGES_301 = {
+    "netflow-path4": 9_618,
+    "social-fanout": 293,
+    "lowxi-chain": 396,
+}
+
+
 # the replay's digest of the per-edge emission digests
 DIGEST_301 = {
     "netflow-path4": "06c3c8e6472ec5ce",
@@ -73,4 +82,5 @@ def test_seed_301_counters(name):
     c = eng.counters
     got = (c.edges, c.match_calls, c.emitted, c.purged, eng.tree.peak_stored, eng.tree.stored_count)
     assert got == SEED_301[name]
+    assert eng.graph.edge_count == LIVE_EDGES_301[name]
     assert hashlib.blake2b(seen.tobytes(), digest_size=8).hexdigest() == DIGEST_301[name]
