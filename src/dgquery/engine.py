@@ -11,17 +11,26 @@ join spine (leaf 0 or an internal node: the prefix covering leaves 0..i)
 binds the qvertices it shares with that leaf, its parent's cut.  Each gated
 leaf keeps one set of data vertices per cut qvertex ``c``:
 
-1. storing a spine match adds its binding ``m[c]`` to the next leaf's set for
-   every cut qvertex ``c`` of that leaf, and nothing else of the match;
+1. storing a spine match allows its binding ``m[c]`` in the next leaf's set
+   for every cut qvertex ``c`` of that leaf, and nothing else of the match;
 2. an edge passes a gated leaf's role gate when some qedge of the piece with
    the edge's label can hold it with every cut endpoint allowed: its source
    in the set of the qedge's source when that is a cut qvertex, its
    destination in the set of the qedge's destination when that is one; an
    end outside the cut always passes;
-3. each (c, v) newly added queues a sweep: every live edge out of ``v``
-   (when ``c`` is the source of a qedge of the piece) and into ``v`` (when it
-   is a destination) that passes the gate now is searched, catching leaf
-   matches whose edges arrived before the spine match did.
+3. a binding (c, v) not yet allowed queues a sweep, which adds it: every
+   live edge out of ``v`` (when ``c`` is the source of a qedge of the piece)
+   and into ``v`` (when it is a destination) that passes the gate now but
+   did not with ``v`` absent is searched, catching leaf matches whose edges
+   arrived before the spine match did.
+
+Between prunes the sets only grow, so a live edge starts to pass a gate at
+one moment: its arrival, where ``process`` checks it at each of its leaves
+in leaf order, or the sweep that allows the last binding it needs.  Each
+edge is searched at a gated leaf at that moment and never again, so no
+record of past searches is kept.  A sweep leaves the arriving edge to
+``process``: a sweep at a leaf comes from a spine match fed from an earlier
+leaf, so ``process`` still has that leaf to check.
 
 Why the gate misses no joinable leaf match:
 
@@ -34,18 +43,21 @@ Why the gate misses no joinable leaf match:
   arrived and every cut endpoint of ``r`` in ``L`` is allowed, ``e`` passes
   the gate, and that starts at one moment: either ``e`` arrives, and its
   search runs, or the last such binding ``(c, v)`` is added, and its sweep
-  walks ``e`` at ``v`` (``c`` is an end of ``r``) and searches it, unless a
-  search of ``e`` since its arrival already has.  ``L`` is complete from
-  ``e``'s arrival on, so each of those searches finds it.
-- Every search stores everything it finds, so ``L`` is stored by the step
-  that stores ``S`` or by ``e``'s arrival, whichever is later, and the later
-  of the two to be stored joins the other.
+  walks ``e`` at ``v`` (``c`` is an end of ``r``) and searches it.  ``L``
+  is complete from ``e``'s arrival on, so that search finds it.
+- A gated multi-edge leaf can find ``L`` from any of its edges that passes
+  the gate, so it keeps a hit only from the hit's newest edge, the search
+  above; a search on arrival finds only hits whose newest edge is the
+  anchor.  ``L`` is thus stored once, by the step that stores ``S`` or by
+  ``e``'s arrival, whichever is later, and the later of the two to be
+  stored joins the other.
 
 The sets grow but for one prune: once their entries have doubled, every
 vertex with no live indexed edge is dropped.  A spine match that binds such
 a vertex holds an evicted edge there (its edges carry query labels, so they
 were indexed) and can never join again, and a spine match stored later that
-binds it allows it anew, with a sweep.
+binds it allows it anew, with a sweep.  No live edge is at a dropped vertex,
+so the prune changes no live edge's gate.
 
 Eager mode is the same loop with every leaf always live: nothing is gated,
 nothing is allowed, and every leaf is searched at every arriving edge.
@@ -59,9 +71,9 @@ label no qedge carries finds no leaf, and the graph ingests it unindexed.
 It is checked like any edge and keeps its endpoints live, but no adjacency
 list holds it, so searches, sweeps and eviction never walk it.
 
-The retroactive sweeps run off a flat worklist rather than recursing, and
-gated searches are deduplicated on (leaf, edge id) — which also bounds
-the lazy engine's primitive searches by the eager engine's count.
+The retroactive sweeps run off a flat worklist rather than recursing.
+Each leaf searches each edge at most once, as the eager engine does, which
+bounds the lazy engine's primitive searches by the eager engine's count.
 
 Below the root, partial matches are the join tree's flat ``(t_min, e_0 ...
 e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``); each emission
@@ -82,7 +94,7 @@ __all__ = ["SearchPlan", "search_plan", "match_primitive", "Counters", "Engine"]
 
 MAX_PRIMITIVE_EDGES = 3
 PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps; 0 disables them
-SEARCHED_MIN_PRUNE = 1 << 10  # the fewest search records, or gate entries, worth a prune
+GATE_MIN_PRUNE = 1 << 10  # the fewest gate entries worth a prune
 
 
 def _extension_steps(query: QueryGraph, edge_ids: list[int], role: int) -> tuple[tuple, ...]:
@@ -250,9 +262,9 @@ class Counters:
     """Running totals: ``match_calls`` counts anchored primitive searches
     actually run.  Label-incompatible anchors are filtered out before the
     search, an always-on leaf is searched once per edge with its label, on
-    arrival, and a gated leaf at most once per (leaf, edge), behind its role
-    gate, so the count with ``lazy=False`` bounds the count with
-    ``lazy=True``."""
+    arrival, and a gated leaf at most once per edge, when the edge first
+    passes its role gate, so the count with ``lazy=False`` bounds the count
+    with ``lazy=True``."""
 
     edges: int = 0
     match_calls: int = 0
@@ -296,10 +308,6 @@ class Engine:
         tree.reset()
         self._leaves = tree.leaves()
         self._plans = [search_plan(query, leaf.piece) for leaf in self._leaves]
-        # (gated leaf_index, edge_id) -> graph.edges_ingested at that search;
-        # pruned of evicted edges whenever it passes _searched_cap
-        self._searched: dict[tuple[int, int], int] = {}
-        self._searched_cap = SEARCHED_MIN_PRUNE
         if lazy:
             self._always_on = {0}
             for leaf in self._leaves[1:]:
@@ -327,10 +335,10 @@ class Engine:
                 for label, roles in plan.roles.items()
             })
         self._allowed_count = 0
-        self._allowed_cap = SEARCHED_MIN_PRUNE
-        # sweeps to run: (leaf index, newly allowed vertex, the adjacency
-        # lists to walk there)
-        self._pending: deque[tuple[int, str, tuple]] = deque()
+        self._allowed_cap = GATE_MIN_PRUNE
+        # sweeps to run: (leaf index, the allowed set, the vertex to allow
+        # there, the adjacency lists to walk at it)
+        self._pending: deque[tuple[int, set[str], str, tuple]] = deque()
         # per edge label, the leaves an edge with it can anchor (those whose
         # piece uses the label), in leaf order, as (leaf, leaf index, its
         # role gate for the label or None when always on)
@@ -384,18 +392,17 @@ class Engine:
             rec = graph.add_edge(raw)
             self._delta = delta = []
             for leaf, idx, gate in entries:
-                if gate is None:
-                    # always on: searched once, here, so it keeps no dedupe record
+                # always on, or gated and passing now: the edge is the newest
+                # edge of every hit, so each hit is kept
+                if gate is None or _opens(gate, rec):
                     self.counters.match_calls += 1
                     hits = match_primitive(graph, self._plans[idx], rec)
                     if hits:
                         self._feed(leaf.node_id, hits)
-                elif _opens(gate, rec):
-                    self._anchored_search(leaf, idx, rec)
                 # run any retroactive sweeps before the next leaf reads its gate,
                 # so leaves are searched strictly one after the other
                 if self._pending:
-                    self._drain()
+                    self._drain(rec)
         self.counters.edges += 1
         if PURGE_INTERVAL and self.counters.edges % PURGE_INTERVAL == 0:
             self.counters.purged += self.tree.purge_stale(self._cutoff())
@@ -422,8 +429,8 @@ class Engine:
     # -------------------------------------------------------------- lazy gates
 
     def _on_store(self, node: SJTreeNode, m: Partial) -> None:
-        """Tree callback: a spine match allows its cut bindings at the next
-        leaf, and each binding new there queues a sweep."""
+        """Tree callback: a spine match queues a sweep for each cut binding
+        not yet allowed at the next leaf; the sweep allows it."""
         unlock = self._unlocks[node.node_id]
         if unlock is None:
             return
@@ -431,81 +438,53 @@ class Engine:
         for slot, allowed, walks in cuts:
             v = m[slot]
             if v not in allowed:
-                allowed.add(v)
-                self._allowed_count += 1
-                self._pending.append((idx, v, walks))
-        if self._allowed_count > self._allowed_cap:
-            self._prune_allowed()
+                self._pending.append((idx, allowed, v, walks))
 
-    def _drain(self) -> None:
-        """Run queued sweeps until none are left, without recursing: a newly
-        allowed (leaf, cut qvertex, vertex) offers the leaf every live edge
-        at the vertex in a direction the cut qvertex takes in the piece, and
-        searches those that pass the role gate now."""
+    def _drain(self, arriving: EdgeRecord) -> None:
+        """Run queued sweeps until none are left, without recursing: a sweep
+        allows its vertex ``v`` at its leaf and cut qvertex, and searches
+        each live edge at ``v``, in a direction the cut qvertex takes in the
+        piece, that passes the role gate now but did not with ``v`` absent.
+        It skips ``arriving``, which ``process`` checks at this leaf later.
+
+        A sweep search keeps a hit of a multi-edge leaf only when the anchor
+        is the hit's newest edge: that edge's own search finds it too."""
         while self._pending:
-            idx, v, walks = self._pending.popleft()
-            leaf = self._leaves[idx]
+            idx, allowed, v, walks = self._pending.popleft()
+            if v in allowed:
+                continue  # a sweep earlier in the queue allowed it
+            allowed.add(v)
+            self._allowed_count += 1
             gates = self._gates[idx]
-            # searches here only queue further sweeps; none touches the graph
+            passing = []
             for adjacent in walks:
                 for rec in adjacent(v):
                     gate = gates.get(rec.edge_type)
                     if gate is not None and _opens(gate, rec):
-                        self._anchored_search(leaf, idx, rec)
-
-    def _anchored_search(self, leaf: SJTreeNode, idx: int, rec: EdgeRecord) -> None:
-        """Search the gated ``leaf`` (leaf index ``idx``) anchored at ``rec``
-        by its search plan, and feed each new hit into the tree once.
-
-        A gated leaf can be offered one edge several times (on arrival and by
-        sweeps), so its searches are deduplicated on (leaf, edge id), each
-        recording ``graph.edges_ingested`` at the time.
-
-        A gated multi-edge leaf can find one match from several of its edges.
-        A hit is dropped when another of its edges ``x`` has
-        ``_searched[(leaf, x)] > max(edge ids of the hit)``: every edge of the
-        hit had arrived when ``x`` was searched, and each is live now, so it
-        was live then, and that search already found and fed the hit.
-        """
-        key = (idx, rec.edge_id)
-        if key in self._searched:
-            return
-        self._searched[key] = self.graph.edges_ingested
-        if len(self._searched) > self._searched_cap:
-            self._prune_searched()
-        self.counters.match_calls += 1
-        hits = match_primitive(self.graph, self._plans[idx], rec)
-        if not hits:
-            return
-        qedges = leaf.piece.edges
-        if len(qedges) > 1:
-            searched = self._searched
-            fresh = []
-            for m in hits:
-                ids = [m[1 + qe] for qe in qedges]
-                newest = max(ids)
-                if not any(x != rec.edge_id and searched.get((idx, x), -1) > newest for x in ids):
-                    fresh.append(m)
-            hits = fresh
-        self._feed(leaf.node_id, hits)
-
-    def _prune_searched(self) -> None:
-        """Drop the search records of evicted edges, which no sweep can reach
-        and no hit can hold, and let ``_searched`` double before the next
-        prune: it stays within twice its live records, at amortized O(1)
-        per search.  Edge ids follow arrival and the graph evicts its indexed
-        edges first in, first out, so the live indexed ids are exactly those
-        from the oldest live one's on (none when no indexed edge is live).
-        Every search anchors at an indexed edge, so every record is of one."""
-        oldest = next(self.graph.live_edges(), None)
-        live_from = self.graph.edges_ingested if oldest is None else oldest.edge_id
-        self._searched = {k: v for k, v in self._searched.items() if k[1] >= live_from}
-        self._searched_cap = max(2 * len(self._searched), SEARCHED_MIN_PRUNE)
+                        passing.append(rec)
+            if passing:
+                allowed.remove(v)
+                fresh = [rec for rec in passing if rec is not arriving and not _opens(gates[rec.edge_type], rec)]
+                allowed.add(v)
+                if len(walks) > 1:
+                    fresh = dict.fromkeys(fresh)  # a self-loop at v sits in both walks
+                leaf = self._leaves[idx]
+                slots = [1 + qe for qe in leaf.piece.edges]
+                for rec in fresh:
+                    self.counters.match_calls += 1
+                    hits = match_primitive(self.graph, self._plans[idx], rec)
+                    if len(slots) > 1:
+                        newest = rec.edge_id
+                        hits = [m for m in hits if all(m[s] <= newest for s in slots)]
+                    if hits:
+                        self._feed(leaf.node_id, hits)
+            if self._allowed_count > self._allowed_cap:
+                self._prune_allowed()
 
     def _prune_allowed(self) -> None:
         """Drop every allowed vertex that has no live edge (the module
         docstring says why no join is lost), and let the entries double
-        before the next prune, as ``_prune_searched`` does.  The sets change
+        before the next prune, at amortized O(1) per entry.  The sets change
         in place: the role gates hold them."""
         graph = self.graph
         count = 0
@@ -514,4 +493,4 @@ class Engine:
                 allowed.difference_update([v for v in allowed if not (graph.out_edges(v) or graph.in_edges(v))])
                 count += len(allowed)
         self._allowed_count = count
-        self._allowed_cap = max(2 * count, SEARCHED_MIN_PRUNE)
+        self._allowed_cap = max(2 * count, GATE_MIN_PRUNE)

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from dgquery import engine as engine_module
 from dgquery.baseline import DeltaOracle, RescanEngine
 from dgquery.engine import Engine
 from dgquery.graph import DynamicGraph, RawEdge
@@ -111,6 +112,23 @@ def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, i
         if hasattr(eng, "counters") and hasattr(eng.counters, "match_calls"):
             calls[name] = eng.counters.match_calls
     return calls
+
+
+def watch_searches(monkeypatch, eng: Engine) -> list[tuple[int, int]]:
+    """Record every primitive search ``eng`` runs from now on, as (leaf
+    index, anchor edge id), in the order they run.  Calls stack: each
+    engine watched gets its own list."""
+    searches: list[tuple[int, int]] = []
+    leaf_of = {id(plan): i for i, plan in enumerate(eng._plans)}
+    search = engine_module.match_primitive
+
+    def watched(graph, plan, anchor):
+        if graph is eng.graph:
+            searches.append((leaf_of[id(plan)], anchor.edge_id))
+        return search(graph, plan, anchor)
+
+    monkeypatch.setattr(engine_module, "match_primitive", watched)
+    return searches
 
 
 @pytest.fixture

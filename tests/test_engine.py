@@ -26,7 +26,17 @@ from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree
 from dgquery.stats import SelectivityTable
 
-from conftest import cross_check, engines_for, path_query, q, raw, signatures, stored_form, table_for
+from conftest import (
+    cross_check,
+    engines_for,
+    path_query,
+    q,
+    raw,
+    signatures,
+    stored_form,
+    table_for,
+    watch_searches,
+)
 
 
 def rare_first_table():
@@ -241,65 +251,7 @@ def test_purge_interval_equivalence(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_always_on_leaf_searches_skip_the_dedupe_set():
-    # a one-leaf plan has only the always-on leaf 0: each edge is searched
-    # once on arrival, and nothing is ever recorded for deduplication
-    query = path_query(["e"], vertex_label="A")
-    records = [raw(i, f"v{i % 3}", "e", f"v{(i + 1) % 3}") for i in range(12)]
-    plan = plan_query(query, table_for(records), mode="single")
-    assert len(plan.tree.leaves()) == 1
-    eng = Engine(query, plan.tree, 4, lazy=True)
-    for r in records:
-        eng.process(r)
-    assert eng.counters.match_calls == len(records)
-    assert eng.counters.emitted == len(records)
-    assert eng._searched == {}
-
-
-def test_searched_stays_within_twice_its_live_records(monkeypatch):
-    # a prune keeps one record per (gated leaf, live edge) at most, and the
-    # next prune comes once the dict has doubled (the live edge count varies
-    # by a few percent on this stream, hence 3, not 2); the records it drops
-    # are of evicted edges, so emissions and searches are those of an engine
-    # that never prunes its search records.  Both engines share the floor,
-    # which also sets when dead vertices leave the role gates, so their gate
-    # prunes run at the same points and only the search-record prune differs
-    rng = Random(5)
-    schema = social_schema()
-    records = generate_stream(schema, 4000, rng, edges_per_tick=4)
-    query = random_query(schema, 3, rng)
-    plan = plan_query(query, table_for(records), mode="single")
-    monkeypatch.setattr(engine, "SEARCHED_MIN_PRUNE", 16)
-    unpruned = Engine(query, plan_query(query, table_for(records), mode="single").tree, 20, lazy=True)
-    unpruned._searched_cap = 1 << 30
-    eng = Engine(query, plan.tree, 20, lazy=True)
-    gated = len(plan.tree.leaves()) - len(eng._always_on)
-    assert gated > 0
-    peak = 0
-    prunes = 0
-    for step, r in enumerate(records):
-        size = len(eng._searched)
-        assert signatures(eng.process(r)) == signatures(unpruned.process(r)), step
-        live = eng.graph.edge_count
-        assert len(eng._searched) <= max(3 * gated * live, 16), step
-        peak = max(peak, len(eng._searched))
-        if len(eng._searched) < size:
-            # a prune ran: it kept every record of a live edge, as it was;
-            # the store indexes only query-label edges, so the live ids run
-            # from its oldest live edge's on
-            prunes += 1
-            oldest = next(eng.graph.live_edges(), None)
-            live_from = eng.graph.edges_ingested if oldest is None else oldest.edge_id
-            kept = {k: v for k, v in unpruned._searched.items() if k[1] >= live_from}
-            assert eng._searched == kept, step
-    assert prunes > 0
-    assert vars(eng.counters) == vars(unpruned.counters)
-    assert eng.counters.emitted > 0
-    # the unpruned engine shows the growth the prune removes
-    assert len(unpruned._searched) > 4 * peak
-
-
-def test_sweep_at_an_old_edge_joins_only_live_matches():
+def test_sweep_at_an_old_edge_joins_only_live_matches(monkeypatch):
     # the b edge y->k arrives at t=5 while y is gated, and is swept at t=14
     # when the a edge q->y lands; by then the c edge k->z (t=1) has left the
     # window, so its stored leaf match must not join, though it is within a
@@ -307,47 +259,109 @@ def test_sweep_at_an_old_edge_joins_only_live_matches():
     query = path_query(["a", "b", "c"], vertex_label="A")
     tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
     eng = Engine(query, tree, 10, lazy=True)
+    searches = watch_searches(monkeypatch, eng)
     records = [raw(0, "p", "a", "x"), raw(0, "x", "b", "k"), raw(1, "k", "c", "z"),
                raw(5, "y", "b", "k"), raw(14, "q", "a", "y")]
     deltas = [signatures(eng.process(r)) for r in records]
     assert deltas == [set(), set(), {((0, 0), (1, 1), (2, 2))}, set(), set()]
-    assert (1, 3) in eng._searched  # the sweep did search the old b edge
+    assert searches[-2:] == [(0, 4), (1, 3)]  # the sweep did search the old b edge
 
 
-def test_gated_multi_edge_leaf_stores_each_match_once():
+def test_gated_multi_edge_leaf_stores_each_match_once(monkeypatch):
     # path plan {0,1}, {2,3}: the d edge holds no cut qvertex of leaf 1, so
     # it passes the gate and is searched on arrival, finding the c-d match;
     # when the a-b prefix lands, the sweep around y searches the c edge,
-    # which finds the same match again and drops it
+    # which finds the same match again and drops it, as the c edge is not
+    # its newest edge
     query = path_query(["a", "b", "c", "d"], vertex_label="A")
     records = [raw(0, "y", "c", "z"), raw(1, "z", "d", "u"), raw(2, "w", "a", "x"), raw(3, "x", "b", "y")]
     plan = plan_query(query, table_for(records), mode="path")
     leaf1 = plan.tree.leaves()[1]
     assert leaf1.piece.edges == {2, 3}
     eng = Engine(query, plan.tree, None, lazy=True)
+    searches = watch_searches(monkeypatch, eng)
     deltas = [eng.process(r) for r in records]
-    assert {(1, 0), (1, 1)} <= set(eng._searched)
+    assert searches == [(1, 1), (0, 2), (0, 3), (1, 0)]
     cd = stored_form(Match.of(query, [(2, 0, 0), (3, 1, 1)], {2: "y", 3: "z", 4: "u"}))
     assert [m for bucket in leaf1.table.values() for m in bucket] == [cd]
     assert [len(d) for d in deltas] == [0, 0, 0, 1]
 
-    # the same over random small streams of 3- and 4-edge paths
-    rng = Random(5)
-    for trial in range(300):
-        query = path_query(["a", "b", "a", "b"][: rng.choice((3, 4))], vertex_label="A")
+
+def test_gated_leaf_stores_the_b_c_match_once_from_its_newest_edge(monkeypatch):
+    # path plan {0}, {1,2}: the c edge holds no cut qvertex of leaf 1, so it
+    # is searched on arrival and finds the one b-c match, whose newest edge
+    # it is; when the a edge lands, the sweep around y searches the b edge,
+    # which finds the match again and drops it.  The tree stores whatever it
+    # is given, so the engine alone keeps the match from being stored twice
+    query = path_query(["a", "b", "c"], vertex_label="A")
+    pieces = [QueryPiece.from_edges(query, [0]), QueryPiece.from_edges(query, [1, 2])]
+    tree = SJTree.from_leaf_pieces(query, pieces)
+    _, leaf1 = tree.leaves()
+    eng = Engine(query, tree, None, lazy=True)
+    searches = watch_searches(monkeypatch, eng)
+    records = [raw(0, "y", "b", "z"), raw(1, "z", "c", "u"), raw(2, "x", "a", "y")]
+    deltas = [eng.process(r) for r in records]
+    assert searches == [(1, 1), (0, 2), (1, 0)]
+    stored = [m for bucket in leaf1.table.values() for m in bucket]
+    assert stored == [stored_form(Match.of(query, [(1, 0, 0), (2, 1, 1)], {1: "y", 2: "z", 3: "u"}))]
+    assert [len(d) for d in deltas] == [0, 0, 1]
+    tree.insert_and_propagate(leaf1.node_id, stored[0], None, lambda m: None)
+    assert sum(len(b) for b in leaf1.table.values()) == 2
+
+
+def _small_streams(rng: Random, queries: list, trials: int):
+    """``trials`` random (query, records, window) over four vertices and
+    the labels a and b, with a query drawn from ``queries`` each time."""
+    for _ in range(trials):
+        query = rng.choice(queries)
         ts, records = 0, []
         for _ in range(rng.randrange(4, 16)):
             ts += rng.randrange(2)
             records.append(raw(ts, f"v{rng.randrange(4)}", rng.choice("ab"), f"v{rng.randrange(4)}"))
-        plan = plan_query(query, table_for(records), mode="path")
-        eng = Engine(query, plan.tree, rng.choice((3, None)), lazy=True)
-        edge_slots = slice(1, 1 + query.n_edges)
-        for step, r in enumerate(records):
-            delta = eng.process(r)
-            assert len(delta) == len(signatures(delta)), (trial, step)
-            for leaf in plan.tree.leaves():
-                stored = [m[edge_slots] for bucket in leaf.table.values() for m in bucket]
-                assert len(stored) == len(set(stored)), (trial, step)
+        yield query, records, rng.choice((3, None))
+
+
+@pytest.mark.parametrize("mode", ["path", "single"])
+def test_lazy_engine_searches_each_edge_once_per_leaf(mode):
+    # what no record of past searches enforces: a lazy engine searches each
+    # (leaf, edge) at most once, holds no match twice in a leaf table, and
+    # searches each leaf no more often than the eager engine on the same
+    # tree, emitting what it emits.  The path streams are 3- and 4-edge
+    # paths; the single ones add a triangle, a loop qedge, whose cut qvertex
+    # a sweep walks both ways, and a fan of a-edges out of q0, where the
+    # edge that stores a spine match sits at the vertex it allows
+    paths = [path_query(["a", "b", "a", "b"][:n], vertex_label="A") for n in (3, 4)]
+    others = [
+        q("node 0 A\nnode 1 A\nnode 2 A\nedge 0 0 1 a\nedge 1 1 2 b\nedge 2 2 0 a"),
+        q("node 0 A\nnode 1 A\nnode 2 A\nedge 0 0 1 a\nedge 1 1 1 b\nedge 2 1 2 a"),
+        q("node 0 A\nnode 1 A\nnode 2 A\nnode 3 A\nedge 0 0 1 a\nedge 1 0 2 b\nedge 2 0 3 a"),
+    ]
+    if mode == "path":
+        streams = _small_streams(Random(5), paths, 300)
+    else:
+        streams = _small_streams(Random(6), paths + others, 200)
+    for trial, (query, records, window) in enumerate(streams):
+        plan = plan_query(query, table_for(records), mode=mode)
+        leaves = plan.tree.leaves()
+        runs = []
+        for lazy in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                eng = Engine(query, plan.tree, window, lazy=lazy)
+                searches = watch_searches(mp, eng)
+                deltas = []
+                for step, r in enumerate(records):
+                    delta = eng.process(r)
+                    deltas.append(signatures(delta))
+                    assert len(delta) == len(deltas[-1]), (trial, step)
+                    for leaf in leaves:
+                        stored = [m[1:1 + query.n_edges] for bucket in leaf.table.values() for m in bucket]
+                        assert len(stored) == len(set(stored)), (trial, step)
+            runs.append((deltas, searches))
+        (lazy_deltas, lazy_searches), (eager_deltas, eager_searches) = runs
+        assert lazy_deltas == eager_deltas, trial
+        assert len(lazy_searches) == len(set(lazy_searches)), trial
+        for i in range(len(leaves)):
+            assert sum(idx == i for idx, _ in lazy_searches) <= sum(idx == i for idx, _ in eager_searches), trial
 
 
 def triangle_engine():
@@ -359,30 +373,32 @@ def triangle_engine():
     return Engine(query, tree, None, lazy=True)
 
 
-def test_role_gate_needs_every_cut_end_of_a_role():
+def test_role_gate_needs_every_cut_end_of_a_role(monkeypatch):
     # once the spine x->y->z is stored, leaf c may hold an edge only as
     # q2->q0 = z->x: z->w binds q0 to a vertex no spine match binds there,
     # and y->x binds q2 to y, which the spine binds to q1, so neither is
     # searched, though each touches a spine vertex
     eng = triangle_engine()
+    searches = watch_searches(monkeypatch, eng)
     records = [raw(0, "x", "a", "y"), raw(1, "y", "b", "z"), raw(2, "z", "c", "w"),
                raw(3, "y", "c", "x"), raw(4, "z", "c", "x")]
     deltas = [signatures(eng.process(r)) for r in records]
     assert deltas == [set(), set(), set(), set(), {((0, 0), (1, 1), (2, 4))}]
-    assert sorted(eng._searched) == [(1, 1), (2, 4)]
+    assert searches == [(0, 0), (1, 1), (2, 4)]
     assert eng.counters.match_calls == 3
     assert eng._allowed[2] == {0: {"x"}, 2: {"z"}}
 
 
-def test_sweep_searches_an_edge_that_came_before_its_spine():
+def test_sweep_searches_an_edge_that_came_before_its_spine(monkeypatch):
     # the c edge z->x arrives first and is not searched; the b edge that
     # completes the spine x->y->z allows x at q0 and z at q2, and the sweep
     # finds the c edge and emits the triangle on that same step
     eng = triangle_engine()
+    searches = watch_searches(monkeypatch, eng)
     records = [raw(0, "z", "c", "x"), raw(1, "x", "a", "y"), raw(2, "y", "b", "z")]
     deltas = [signatures(eng.process(r)) for r in records]
     assert deltas == [set(), set(), {((0, 1), (1, 2), (2, 0))}]
-    assert (2, 0) in eng._searched
+    assert searches == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_gate_sets_stay_bounded_on_fresh_vertices(monkeypatch):
@@ -404,15 +420,15 @@ def test_gate_sets_stay_bounded_on_fresh_vertices(monkeypatch):
     def entries(eng):
         return sum(len(allowed) for cuts in eng._allowed for allowed in cuts.values())
 
-    monkeypatch.setattr(engine, "SEARCHED_MIN_PRUNE", 1 << 30)
+    monkeypatch.setattr(engine, "GATE_MIN_PRUNE", 1 << 30)
     unpruned = Engine(query, tree(), 40, lazy=True)
     monkeypatch.undo()
     eng = Engine(query, tree(), 40, lazy=True)
     for step, r in enumerate(records):
         assert signatures(eng.process(r)) == signatures(unpruned.process(r)), step
-        assert entries(eng) <= 2 * engine.SEARCHED_MIN_PRUNE, step
+        assert entries(eng) <= 2 * engine.GATE_MIN_PRUNE, step
     assert eng.counters.emitted > 0
-    assert entries(unpruned) > 2 * engine.SEARCHED_MIN_PRUNE
+    assert entries(unpruned) > 2 * engine.GATE_MIN_PRUNE
 
 
 def test_label_conflict_seen_only_through_a_non_query_edge():
@@ -466,7 +482,7 @@ def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):
     def tree():
         return SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
 
-    monkeypatch.setattr(engine, "SEARCHED_MIN_PRUNE", 1 << 30)
+    monkeypatch.setattr(engine, "GATE_MIN_PRUNE", 1 << 30)
     monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 1 << 30)
     unpruned = Engine(query, tree(), 20, lazy=True)
     monkeypatch.undo()

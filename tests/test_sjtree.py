@@ -5,7 +5,6 @@ from random import Random
 
 import pytest
 
-from dgquery.engine import Engine
 from dgquery.errors import PlanError
 from dgquery.generate import generate_stream, random_query, random_schema
 from dgquery.planner import plan_query
@@ -13,7 +12,7 @@ from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree
 from dgquery.stats import collect_stats
 
-from conftest import path_query, q, raw, stored_form
+from conftest import path_query, q, stored_form
 
 
 def two_leaf_tree():
@@ -134,26 +133,6 @@ def test_insert_mismatched_cut_does_not_join():
     m1 = Match.of(query, [(1, 20, 2)], {1: "x", 2: "c"})  # different shared vertex
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
     assert got == []
-
-
-def test_insert_dedupes_by_signature():
-    # path plan {0}, {1,2}: when the a edge lands, the sweep around y
-    # searches the gated leaf at both the b and the c edge, and both searches
-    # find the one b-c match; the engine feeds it into the tree once, by its
-    # edge signature, because the tree itself stores whatever it is given
-    query = path_query(["a", "b", "c"], vertex_label="A")
-    pieces = [QueryPiece.from_edges(query, [0]), QueryPiece.from_edges(query, [1, 2])]
-    tree = SJTree.from_leaf_pieces(query, pieces)
-    _, leaf1 = tree.leaves()
-    eng = Engine(query, tree, None, lazy=True)
-    records = [raw(0, "y", "b", "z"), raw(1, "z", "c", "u"), raw(2, "x", "a", "y")]
-    deltas = [eng.process(r) for r in records]
-    assert {(1, 0), (1, 1)} <= set(eng._searched)
-    stored = [m for bucket in leaf1.table.values() for m in bucket]
-    assert stored == [stored_form(Match.of(query, [(1, 0, 0), (2, 1, 1)], {1: "y", 2: "z", 3: "u"}))]
-    assert [len(d) for d in deltas] == [0, 0, 1]
-    tree.insert_and_propagate(leaf1.node_id, stored[0], None, lambda m: None)
-    assert sum(len(b) for b in leaf1.table.values()) == 2
 
 
 def test_window_span_strictly_inside():
