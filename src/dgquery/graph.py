@@ -26,6 +26,11 @@ Design notes
   is always at the front of its endpoints' deques and eviction is O(1) per
   evicted edge.  Every ingest evicts, indexed or not, so the lists hold only
   live edges and a non-empty list means a live vertex.
+- A vertex gets its two deques with its first indexed edge and holds ``()``
+  in their place until then, so a vertex kept live only by unindexed edges
+  costs its slots object and no lists.  The append that finds ``()`` raises
+  AttributeError, which hands the vertex its deques; every other append
+  takes no branch for it.
 - Timestamps must be non-decreasing across calls; ties are fine.  This is the
   property that makes front-of-deque eviction sound.
 - A self-loop sits in both the out- and in-list of its vertex but is reported
@@ -57,7 +62,7 @@ Design notes
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import LabelConflictError, ParseError, StreamOrderError
@@ -108,8 +113,9 @@ _VERTEX_MIN_PRUNE = 1 << 10
 class _Vertex:
     label: str
     stamp: int  # newest unindexed edge at the vertex, or the edge that made it
-    out_edges: deque = field(default_factory=deque)
-    in_edges: deque = field(default_factory=deque)
+    # both () until the vertex's first indexed edge, then both deques
+    out_edges: deque | tuple[()] = ()
+    in_edges: deque | tuple[()] = ()
 
 
 class DynamicGraph:
@@ -192,8 +198,16 @@ class DynamicGraph:
         arrivals = self._arrivals
         if index:
             rec = _new_tuple(EdgeRecord, (edge_id, src, dst, src_type, dst_type, edge_type, ts))
-            src_v.out_edges.append(rec)
-            dst_v.in_edges.append(rec)
+            # the () a vertex holds before its first indexed edge has no
+            # append: the vertex gets its deques there
+            try:
+                src_v.out_edges.append(rec)
+            except AttributeError:
+                src_v.out_edges, src_v.in_edges = deque((rec,)), deque()
+            try:
+                dst_v.in_edges.append(rec)
+            except AttributeError:
+                dst_v.out_edges, dst_v.in_edges = deque(), deque((rec,))
             arrivals.append(rec)
         else:
             rec = None
@@ -306,8 +320,9 @@ class DynamicGraph:
                     yield rec
 
     def out_edges(self, vid: str) -> deque[EdgeRecord] | tuple[()]:
-        """Live edges leaving ``vid``, oldest first; empty for an unknown
-        vertex.  This is the store's own deque: read it, never change it."""
+        """Live edges leaving ``vid``, oldest first; ``()`` for an unknown
+        vertex or one that never had an indexed edge.  This is the store's
+        own deque: read it, never change it."""
         v = self._vertices.get(vid)
         return () if v is None else v.out_edges
 

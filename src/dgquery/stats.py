@@ -9,11 +9,22 @@ Two primitive families are profiled:
   ``(edge_type, far_type, direction)`` with direction "out"/"in" relative to
   the center, and ``d1 <= d2`` canonically.
 
-Path counting is a single pass: per center vertex, tally incident edge
-descriptors, then combine counts pairwise — ``n*(n-1)/2`` within one
-descriptor, ``n1*n2`` across two.  Parallel edges therefore count with their
+Path counting tallies each center vertex's incident edge descriptors, then
+combines the counts pairwise — ``n*(n-1)/2`` within one descriptor,
+``n1*n2`` across two.  Parallel edges therefore count with their
 multiplicities, and total work is linear in edges plus the pair-combination
 term, never quadratic in the vertex count.
+
+The pairs are summed one center label at a time.  The label's descriptors are
+numbered in sorted order, so ids ``i < j`` name the canonical pair
+``(d_i, d_j)``, and each vertex's tally becomes two flat lists: its ids,
+descending, and their counts.  Row ``i``, every pair whose first descriptor is
+``d_i``, is summed into a dict keyed by ``j`` over the vertices whose least
+unsummed id is ``i``; each of them then drops ``i`` and waits on its next id.
+Every pair is added once, by ints, and each key of the result is built once.
+Beyond the result, the census holds one entry per (vertex, descriptor) — the
+tallies, each dropped as its vertex is numbered, then the lists, which shrink
+as rows are summed — and the one row being summed.
 """
 from __future__ import annotations
 
@@ -62,27 +73,48 @@ def map_edge(e: EdgeRecord, center: str, hook: MapHook | None = None) -> Descrip
 
 def count_2edge_paths(graph: DynamicGraph, hook: MapHook | None = None) -> dict[PathKey, int]:
     """Count all 2-edge paths in the live window, grouped by canonical key."""
-    counts: dict[PathKey, int] = {}
+    # every vertex with a pair of edges: its descriptor tally, by its label
+    tallies: dict[str, list[dict[Descriptor, int]]] = {}
     for vid, label in graph.vertices():
         local: dict[Descriptor, int] = {}
         for e in graph.neighbors(vid, "any"):
             desc = map_edge(e, vid, hook)
             local[desc] = local.get(desc, 0) + 1
-        if len(local) == 1:
-            ((d, n),) = local.items()
-            if n > 1:
-                key = (label, d, d)
-                counts[key] = counts.get(key, 0) + n * (n - 1) // 2
-            continue
-        descs = sorted(local)
+        if sum(local.values()) > 1:
+            tallies.setdefault(label, []).append(local)
+    counts: dict[PathKey, int] = {}
+    for label, group in tallies.items():
+        # d_i < d_j exactly when i < j, so an id pair (i, j) with i < j is a
+        # canonical key
+        descs = sorted({d for local in group for d in local})
+        number = {d: i for i, d in enumerate(descs)}
+        # the vertices whose least unsummed id is i, each as two flat lists:
+        # its ids, descending, and their counts
+        head_ids: list = [[] for _ in descs]
+        head_ns: list = [[] for _ in descs]
+        while group:
+            local = group.pop()
+            ids = sorted(map(number.__getitem__, local), reverse=True)
+            head_ids[ids[-1]].append(ids)
+            head_ns[ids[-1]].append([local[descs[i]] for i in ids])
         for i, d1 in enumerate(descs):
-            n1 = local[d1]
-            if n1 > 1:
-                key = (label, d1, d1)
-                counts[key] = counts.get(key, 0) + n1 * (n1 - 1) // 2
-            for d2 in descs[i + 1:]:
-                key = (label, d1, d2)
-                counts[key] = counts.get(key, 0) + n1 * local[d2]
+            # row i: the pairs whose first descriptor is d_i
+            row: dict[int, int] = {}
+            same = 0
+            for ids, ns in zip(head_ids[i], head_ns[i]):
+                ids.pop()
+                n = ns.pop()
+                same += n * (n - 1) // 2
+                for j, m in zip(ids, ns):
+                    row[j] = row.get(j, 0) + n * m
+                if ids:
+                    head_ids[ids[-1]].append(ids)
+                    head_ns[ids[-1]].append(ns)
+            head_ids[i] = head_ns[i] = None
+            if same:
+                counts[(label, d1, d1)] = same
+            for j, c in row.items():
+                counts[(label, d1, descs[j])] = c
     return counts
 
 

@@ -462,6 +462,34 @@ def test_label_conflict_seen_only_through_a_non_query_edge():
     assert engines[0].graph.edge_count == 2 and engines[1].graph.edge_count == 3
 
 
+def test_vertex_made_by_a_non_query_edge_is_searched_and_evicted():
+    # a, b and c come in through x edges, which no qedge carries, so the
+    # engine's store gives them no lists; each gets them with its first e
+    # edge (a self-loop at a), then matches and expires like any vertex
+    query = path_query(["e", "e"], vertex_label="A")
+    records = [
+        raw(0, "a", "x", "b"),
+        raw(0, "c", "x", "a"),
+        raw(1, "a", "e", "a"),
+        raw(2, "a", "e", "b"),
+        raw(3, "c", "e", "a"),
+        raw(4, "b", "e", "c"),
+        raw(9, "p", "x", "q"),  # every edge before it has expired
+        raw(10, "q", "e", "p"),
+    ]
+    cross_check(query, records, 5)
+    plan = plan_query(query, table_for(records), mode="single")
+    eng = Engine(query, plan.tree, 5, lazy=True)
+    for r in records[:2]:
+        eng.process(r)
+    assert {vid: (v.out_edges, v.in_edges) for vid, v in eng.graph._vertices.items()} == {
+        "a": ((), ()), "b": ((), ()), "c": ((), ())
+    }
+    emitted = [len(eng.process(r)) for r in records[2:]]
+    assert emitted == [0, 0, 1, 2, 0, 0]
+    assert list(eng.graph.out_edges("a")) == [] and sorted(eng.graph._vertices) == ["p", "q"]
+
+
 def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):
     # fresh host ids every 5 ticks, 10 edges a tick, window 20, and 7 of 10
     # labels outside the query: a vertex last touched by an edge of such a

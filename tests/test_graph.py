@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from random import Random
 
 import pytest
@@ -172,6 +173,39 @@ def test_each_unindexed_edge_renews_its_endpoints():
         g.add_edge(raw(7, "a", "x", "p", src_type="B"), False)
     g.add_edge(raw(8, "p", "x", "q"), False)
     assert sorted(v for v, _ in g.vertices()) == ["p", "q"]
+
+
+def test_a_vertex_gets_its_lists_with_its_first_indexed_edge():
+    # a vertex of unindexed edges alone holds no lists: 10,000 such edges
+    # between fresh vertices cost the table entries and the vertices, which
+    # with two empty deques each would take over 1.5 kB a vertex
+    records = [raw(0, f"v{i}", "x", f"w{i}") for i in range(10_000)]
+    g = DynamicGraph()
+    tracemalloc.start()
+    try:
+        for r in records:
+            g.add_edge(r, False)
+        used = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == 20_000
+    assert used / 20_000 < 200, used / 20_000
+    # its first indexed edge gives it both lists, whichever end it is at,
+    # a self-loop included, and they are read and evicted as any others
+    g = DynamicGraph(window=5)
+    for r in (raw(0, "a", "x", "b"), raw(0, "c", "x", "d")):
+        g.add_edge(r, False)
+    loop = g.add_edge(raw(1, "a", "e", "a"))
+    cb = g.add_edge(raw(2, "c", "e", "b"))
+    assert list(g.out_edges("a")) == list(g.in_edges("a")) == list(g.neighbors("a")) == [loop]
+    assert list(g.out_edges("c")) == list(g.in_edges("b")) == [cb]
+    assert list(g.in_edges("c")) == list(g.out_edges("b")) == []
+    assert g.out_edges("d") == g.in_edges("d") == ()
+    g.add_edge(raw(6, "p", "x", "q"), False)  # evicts the loop and a with it
+    assert sorted(v for v, _ in g.vertices()) == ["b", "c", "p", "q"]
+    assert "a" not in g._vertices and g.edges_evicted == 1
+    g.add_edge(raw(7, "p", "x", "q"), False)
+    assert sorted(g._vertices) == ["d", "p", "q"]  # d, dead, waits for a prune
 
 
 def test_dead_vertices_leave_the_table_by_the_doubling_prune():

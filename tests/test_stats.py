@@ -1,12 +1,14 @@
 """Frequency statistics: descriptors, 2-edge path counts, selectivity tables."""
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from random import Random
 
 import pytest
 
 from dgquery.errors import ContractError, ParseError, UnsupportedPrimitiveError
-from dgquery.generate import generate_stream, random_schema
+from dgquery.generate import generate_stream, netflow_schema, random_schema
 from dgquery.graph import DynamicGraph
 from dgquery.stats import (
     SelectivityTable,
@@ -119,6 +121,63 @@ def test_path_counts_handshake_identity(rng):
             d = sum(1 for _ in g.neighbors(vid, "any"))
             expected += d * (d - 1) // 2
         assert sum(got.values()) == expected
+
+
+def test_path_counts_numbering_edge_cases():
+    # the census numbers each center label's descriptors in the sorted order
+    # of what the hook returns; each case is checked against the oracle
+    assert count_2edge_paths(DynamicGraph()) == {}
+    g = DynamicGraph()
+    for r in [
+        raw(0, "a", "x", "b"),
+        raw(0, "a", "x", "b"),  # parallel to the one before
+        raw(0, "a", "a", "a"),  # a self-loop
+        raw(0, "a", "y", "b"),
+        raw(0, "a", "y", "c", dst_type="C"),
+        raw(0, "d", "z", "a"),
+        raw(0, "c", "z", "e", src_type="C", dst_type="C"),  # a second center label
+        raw(0, "f", "x", "c", dst_type="C"),
+        raw(0, "c", "y", "c", src_type="C", dst_type="C"),  # a self-loop there
+        raw(0, "k", "x", "m"),  # k holds one descriptor twice
+        raw(0, "k", "x", "n"),
+        raw(0, "p", "z", "q"),  # p and q hold one descriptor once
+    ]:
+        g.add_edge(r)
+    reverse = {"a": "z", "x": "y", "y": "x", "z": "a"}
+    hooks = [
+        None,
+        lambda d: (reverse[d[0]], d[1], d[2]),  # reverses the label order
+        lambda d: ("*", d[1], d[2]),  # merges descriptors at a and at c
+        lambda d: ("*", "*", d[2]),
+        lambda d: ("*", "*", "*"),  # every vertex holds one descriptor
+    ]
+    for i, hook in enumerate(hooks):
+        got = count_2edge_paths(g, hook)
+        assert got == brute_force_path_counts(g, hook), f"hook {i}"
+        assert {center for center, _, _ in got} == {"A", "C"}
+        assert all(d1 <= d2 for _, d1, d2 in got)
+    # merged, the parallel pair, the loop and the y-edge at a are one
+    # descriptor held 4 times, C(4,2) pairs, and k adds its one pair
+    assert count_2edge_paths(g, hooks[2])[("A", ("*", "A", "out"), ("*", "A", "out"))] == 6 + 1
+
+
+def test_path_census_holds_little_beyond_its_table():
+    # the census holds one tally entry per (vertex, descriptor), then flat
+    # lists in their place, and one row at a time: its peak above the graph
+    # stays near the size of the table it returns
+    g = DynamicGraph()
+    schema = netflow_schema(hosts=150, skew=1.5, protocols=256)
+    for r in generate_stream(schema, 20_000, Random(7), edges_per_tick=10):
+        g.add_edge(r)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        counts = count_2edge_paths(g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) > 10_000
+    assert peak <= 1.3 * kept, (peak, kept)
 
 
 # ---------------------------------------------------------------------- table

@@ -1,5 +1,6 @@
 """The benchmark's seed-301 streams, replayed as the benchmark sets them up,
-end in fixed engine counters and graph sizes and emit fixed matches.
+plan from fixed selectivity tables, end in fixed engine counters and graph
+sizes and emit fixed matches.
 
 The counters are deterministic, so a change that should only make the engine
 faster must leave every one of them as it is.  The emissions are pinned by
@@ -65,6 +66,24 @@ DIGEST_301 = {
     "social-fanout": "f505f825356fa2dd",
     "lowxi-chain": "16344ba424534c8d",
 }
+
+
+# the selectivity table each replay plans from: a digest of its JSON, with
+# its edge keys and path keys
+TABLE_301 = {
+    "netflow-path4": ("28216d9bd078ea09", 254, 52_735),
+    "social-fanout": ("a0c2e3560ff1fc58", 5, 31),
+    "lowxi-chain": ("b8200072e506fd28", 2, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_301))
+def test_seed_301_tables(name):
+    workload = load_workloads()[name]
+    lines = workload.stream(301)[: workload.sample]
+    table = collect_stats(parse_edge_line(line) for line in lines)
+    digest = hashlib.blake2b(table.to_json().encode(), digest_size=8).hexdigest()
+    assert (digest, len(table.arity1), len(table.arity2)) == TABLE_301[name]
 
 
 @pytest.mark.parametrize("name", sorted(SEED_301))
