@@ -124,8 +124,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    records = _read_stream(args.stream)
-    table = collect_stats(records)
+    # the lines are counted as they are read; a bad one ends the command
+    # before the table is written
+    if args.stream == "-":
+        table = collect_stats(read_edge_stream(sys.stdin, source="<stdin>"))
+    else:
+        with open(args.stream, encoding="utf-8") as fh:
+            table = collect_stats(read_edge_stream(fh, source=args.stream))
     table.save(args.out)
     print(
         f"stats: {table.sample_size} edges, {len(table.arity1)} edge keys, "
@@ -275,7 +280,7 @@ def build_parser() -> _Parser:
     gen.set_defaults(func=cmd_gen)
 
     st = sub.add_parser("stats", help="collect a selectivity table from a stream")
-    st.add_argument("--stream", required=True)
+    st.add_argument("--stream", required=True, help="stream path, or '-' for stdin")
     st.add_argument("--out", required=True, help="JSON table path")
     st.set_defaults(func=cmd_stats)
 

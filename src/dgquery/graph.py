@@ -10,8 +10,8 @@ becomes a record in its endpoints' adjacency lists; an unindexed one is
 checked and counted like any other, and keeps its endpoints live, but no
 list holds it, so no search can reach it.  The continuous-query engine
 ingests unindexed exactly the edges whose label no qedge of its query
-carries; every other user of the store (the rescan baseline, the oracle,
-the statistics sample) indexes every edge.
+carries; every other user of the store (the rescan baseline, the oracle)
+indexes every edge.
 
 A vertex is live while one of its lists is non-empty or an unindexed edge at
 it is inside the window: each vertex carries ``stamp``, the timestamp of the
@@ -105,6 +105,22 @@ class EdgeRecord(NamedTuple):
     timestamp: int
 
 
+# the errors of a rejected edge, built here for ``add_edge`` and for the
+# statistics sample, which checks a stream by the same rules without a store
+def disorder_error(ts: int, t_last: int) -> StreamOrderError:
+    return StreamOrderError(f"timestamp {ts} arrived after t_last={t_last}")
+
+
+def label_error(vid: str, seen: str, now: str) -> LabelConflictError:
+    return LabelConflictError(f"vertex {vid!r} seen as {seen!r}, now {now!r}")
+
+
+def loop_error(vid: str, src_type: str, dst_type: str) -> LabelConflictError:
+    return LabelConflictError(
+        f"self-loop on {vid!r} labels it both {src_type!r} and {dst_type!r}"
+    )
+
+
 # the fewest vertex-table entries worth a prune of the dead ones
 _VERTEX_MIN_PRUNE = 1 << 10
 
@@ -154,29 +170,23 @@ class DynamicGraph:
         ts, src, src_type, edge_type, dst, dst_type = raw
         t_last = self.t_last
         if t_last is not None and ts < t_last:
-            raise StreamOrderError(f"timestamp {ts} arrived after t_last={t_last}")
+            raise disorder_error(ts, t_last)
         vertices = self._vertices
         src_v = vertices.get(src)
         if src_v is None or src_v.label != src_type:
             if src_v is not None and self._live(src_v):
-                raise LabelConflictError(
-                    f"vertex {src!r} seen as {src_v.label!r}, now {src_type!r}"
-                )
+                raise label_error(src, src_v.label, src_type)
             # a new vertex, or a dead one taken as new, can only conflict
             # with itself, through a self-loop
             if src == dst and src_type != dst_type:
-                raise LabelConflictError(
-                    f"self-loop on {src!r} labels it both {src_type!r} and {dst_type!r}"
-                )
+                raise loop_error(src, src_type, dst_type)
             src_v = None
         dst_v = vertices.get(dst)
         if dst_v is not None and dst_v.label != dst_type:
             # dst_v is src_v: a self-loop at a dead vertex kept under the
             # source label, which the loop would label twice
             if self._live(dst_v) or dst_v is src_v:
-                raise LabelConflictError(
-                    f"vertex {dst!r} seen as {dst_v.label!r}, now {dst_type!r}"
-                )
+                raise label_error(dst, dst_v.label, dst_type)
             dst_v = None
 
         edge_id = self.edges_ingested

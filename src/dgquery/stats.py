@@ -13,7 +13,25 @@ Path counting tallies each center vertex's incident edge descriptors, then
 combines the counts pairwise — ``n*(n-1)/2`` within one descriptor,
 ``n1*n2`` across two.  Parallel edges therefore count with their
 multiplicities, and total work is linear in edges plus the pair-combination
-term, never quadratic in the vertex count.
+term, never quadratic in the vertex count.  The tallies come from one of two
+places, and both hand them to one pair sum:
+
+* ``count_2edge_paths`` walks a windowed graph's live edges, vertex by
+  vertex.
+* ``collect_stats`` tallies a stream sample as it streams, with no graph.  It
+  reads the sample a fixed-size chunk at a time and transposes each chunk
+  into columns.  It checks them in bulk, by the stream-order and label rules
+  of ``DynamicGraph.add_edge`` over a window where nothing expires: no
+  timestamp falls, and each vertex keeps its first label.  A chunk that fails
+  is walked again edge by edge, in ``add_edge``'s order, to raise its error
+  at the first bad edge.  The chunk is then counted by ``Counter.update`` into
+  two tallies: ``(src, edge_type, dst_type)`` for the out roles and ``(dst,
+  edge_type, src_type)`` for the in roles, self-loops left out, so a loop
+  counts once, as out, the way ``map_edge`` describes it.  After the last
+  chunk, the edge keys are summed from the out tally, and the two tallies
+  become each vertex's descriptor tally, the hook applied once per distinct
+  descriptor.  The sample's statistics hold one entry per vertex and per
+  (vertex, descriptor), never one per edge.
 
 The pairs are summed one center label at a time.  The label's descriptors are
 numbered in sorted order, so ids ``i < j`` name the canonical pair
@@ -22,18 +40,21 @@ descending, and their counts.  Row ``i``, every pair whose first descriptor is
 ``d_i``, is summed into a dict keyed by ``j`` over the vertices whose least
 unsummed id is ``i``; each of them then drops ``i`` and waits on its next id.
 Every pair is added once, by ints, and each key of the result is built once.
-Beyond the result, the census holds one entry per (vertex, descriptor) — the
-tallies, each dropped as its vertex is numbered, then the lists, which shrink
-as rows are summed — and the one row being summed.
+Beyond the result, the pair sum holds one entry per (vertex, descriptor) —
+the tallies, each dropped as its vertex is numbered, then the lists, which
+shrink as rows are summed — and the one row being summed.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import eq, le, ne
 from typing import Callable, Iterable
 
 from .errors import ContractError, ParseError, UnsupportedPrimitiveError
-from .graph import DynamicGraph, EdgeRecord, RawEdge
+from .graph import DynamicGraph, EdgeRecord, RawEdge, disorder_error, label_error, loop_error
 from .query import QueryGraph
 
 __all__ = [
@@ -53,6 +74,9 @@ PathKey = tuple[str, Descriptor, Descriptor]
 MapHook = Callable[[Descriptor], Descriptor]
 
 STATS_VERSION = 1
+
+# sample edges read, checked and counted at a time
+_CHUNK = 4096
 
 
 def map_edge(e: EdgeRecord, center: str, hook: MapHook | None = None) -> Descriptor:
@@ -82,6 +106,13 @@ def count_2edge_paths(graph: DynamicGraph, hook: MapHook | None = None) -> dict[
             local[desc] = local.get(desc, 0) + 1
         if sum(local.values()) > 1:
             tallies.setdefault(label, []).append(local)
+    return _sum_pairs(tallies)
+
+
+def _sum_pairs(tallies: dict[str, list[dict[Descriptor, int]]]) -> dict[PathKey, int]:
+    """The 2-edge path counts of the centers whose descriptor tallies
+    ``tallies`` lists by center label, one row at a time.  The tallies are
+    used up."""
     counts: dict[PathKey, int] = {}
     for label, group in tallies.items():
         # d_i < d_j exactly when i < j, so an id pair (i, j) with i < j is a
@@ -263,13 +294,100 @@ def primitive_key(query: QueryGraph, edge_ids: Iterable[int]) -> tuple[int, Edge
 
 
 def collect_stats(records: Iterable[RawEdge], hook: MapHook | None = None) -> SelectivityTable:
-    """Build the table from a stream sample (full window, nothing expires)."""
-    graph = DynamicGraph(window=None)
-    n = 0
+    """Build the table from a stream sample (full window, nothing expires).
+
+    Raises what ``DynamicGraph(window=None).add_edge`` raises at the sample's
+    first bad edge.  An error ``records`` raises is raised once the edges
+    read before it are checked.
+    """
+    labels, outs, ins = _tally(records)
     arity1: dict[EdgeKey, int] = {}
-    for raw in records:
-        rec = graph.add_edge(raw)
-        key = (rec.src_type, rec.edge_type, rec.dst_type)
-        arity1[key] = arity1.get(key, 0) + 1
-        n += 1
-    return SelectivityTable(sample_size=n, arity1=arity1, arity2=count_2edge_paths(graph, hook))
+    for (src, edge_type, dst_type), c in outs.items():
+        key = (labels[src], edge_type, dst_type)
+        arity1[key] = arity1.get(key, 0) + c
+    # each vertex's descriptor tally, the hook applied once per descriptor
+    mapped: dict[Descriptor, Descriptor] = {}
+    tallies: dict[str, dict[Descriptor, int]] = {}
+    for role, counted in (("out", outs), ("in", ins)):
+        for (vid, edge_type, far_type), c in counted.items():
+            desc = (edge_type, far_type, role)
+            try:
+                desc = mapped[desc]
+            except KeyError:
+                desc = mapped[desc] = hook(desc) if hook else desc
+            local = tallies.get(vid)
+            if local is None:
+                tallies[vid] = {desc: c}
+            else:
+                local[desc] = local.get(desc, 0) + c
+    groups: dict[str, list[dict[Descriptor, int]]] = {}
+    for vid, local in tallies.items():
+        if sum(local.values()) > 1:
+            groups.setdefault(labels[vid], []).append(local)
+    # the pair sum drops each vertex's tally as it numbers it, once nothing
+    # else holds the tally
+    del tallies
+    return SelectivityTable(
+        sample_size=sum(outs.values()), arity1=arity1, arity2=_sum_pairs(groups)
+    )
+
+
+def _tally(records: Iterable[RawEdge]) -> tuple[dict[str, str], Counter, Counter]:
+    """Check and count ``records`` a chunk at a time: each vertex's label,
+    the out tally ``(src, edge_type, dst_type)`` and the in tally ``(dst,
+    edge_type, src_type)`` of the edges that are not self-loops."""
+    labels: dict[str, str] = {}
+    outs: Counter = Counter()
+    ins: Counter = Counter()
+    t_last = None
+    records = iter(records)
+    while True:
+        chunk: list = []
+        failure = None
+        try:
+            # extend keeps the edges read before a failure
+            chunk.extend(islice(records, _CHUNK))
+        except Exception as exc:
+            failure = exc
+        if chunk:
+            ts, srcs, src_types, edge_types, dsts, dst_types = zip(*chunk, strict=True)
+            # the chunk's vertices, each with its last label in the chunk
+            seen = dict(zip(srcs, src_types))
+            seen.update(zip(dsts, dst_types))
+            if (
+                (t_last is None or t_last <= ts[0])
+                and all(map(le, ts, islice(ts, 1, None)))
+                and all(map(eq, map(seen.__getitem__, srcs), src_types))
+                and all(map(eq, map(seen.__getitem__, dsts), dst_types))
+                and all(map(eq, map(labels.get, seen, seen.values()), seen.values()))
+            ):
+                labels.update(seen)
+            else:
+                _check_edges(chunk, t_last, labels)
+            t_last = ts[-1]
+            outs.update(zip(srcs, edge_types, dst_types))
+            ins.update(compress(zip(dsts, edge_types, src_types), map(ne, srcs, dsts)))
+        if failure is not None:
+            raise failure
+        if len(chunk) < _CHUNK:
+            return labels, outs, ins
+
+
+def _check_edges(chunk: list[RawEdge], t_last: int | None, labels: dict[str, str]) -> None:
+    """Check ``chunk`` one edge at a time, by ``add_edge``'s rules and in its
+    order over a store where nothing expires, and raise its error at the
+    first bad edge; ``labels`` takes each vertex as it is met."""
+    for ts, src, src_type, _, dst, dst_type in chunk:
+        if t_last is not None and ts < t_last:
+            raise disorder_error(ts, t_last)
+        label = labels.get(src)
+        if label is None:
+            if src == dst and src_type != dst_type:
+                raise loop_error(src, src_type, dst_type)
+            labels[src] = src_type
+        elif label != src_type:
+            raise label_error(src, label, src_type)
+        label = labels.setdefault(dst, dst_type)
+        if label != dst_type:
+            raise label_error(dst, label, dst_type)
+        t_last = ts

@@ -1,6 +1,7 @@
 """End-to-end command line: gen -> stats -> plan -> run -> bench."""
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -62,6 +63,31 @@ def test_stats_command_writes_loadable_table(tmp_path, capsys):
     table = SelectivityTable.load(str(out))
     assert table.sample_size == 400
     assert "400 edges" in capsys.readouterr().err
+
+
+def test_stats_command_reads_stdin_as_it_reads_a_file(tmp_path, monkeypatch):
+    stream = _gen_stream(tmp_path)
+    from_file = tmp_path / "file.json"
+    from_stdin = tmp_path / "stdin.json"
+    assert main(["stats", "--stream", str(stream), "--out", str(from_file)]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream.read_text()))
+    assert main(["stats", "--stream", "-", "--out", str(from_stdin)]) == 0
+    assert from_stdin.read_bytes() == from_file.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_stats_command_stops_at_a_bad_line_and_writes_no_table(tmp_path, monkeypatch, capsys, source):
+    stream = _gen_stream(tmp_path)
+    lines = stream.read_text().splitlines(keepends=True)
+    lines[300] = "broken line\n"
+    stream.write_text("".join(lines))
+    out = tmp_path / "stats.json"
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream.read_text()))
+    rc = main(["stats", "--stream", "-" if source == "stdin" else str(stream), "--out", str(out)])
+    assert rc == 2
+    assert "line 301" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plan_command_writes_tree_and_sidecar(tmp_path, capsys):

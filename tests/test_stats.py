@@ -7,9 +7,16 @@ from random import Random
 
 import pytest
 
-from dgquery.errors import ContractError, ParseError, UnsupportedPrimitiveError
+from dgquery import stats
+from dgquery.errors import (
+    ContractError,
+    LabelConflictError,
+    ParseError,
+    StreamOrderError,
+    UnsupportedPrimitiveError,
+)
 from dgquery.generate import generate_stream, netflow_schema, random_schema
-from dgquery.graph import DynamicGraph
+from dgquery.graph import DynamicGraph, RawEdge
 from dgquery.stats import (
     SelectivityTable,
     collect_stats,
@@ -256,6 +263,182 @@ def test_collect_stats_counts_whole_sample():
     for r in records:
         g.add_edge(r)
     assert t.arity2 == count_2edge_paths(g)
+
+
+# ------------------------------------------------- collect_stats, differential
+
+CHUNK = stats._CHUNK
+
+
+def reference_stats(records, hook=None):
+    """collect_stats through the store: every record into a full-window
+    graph, then the graph's census and an edge-key tally."""
+    g = DynamicGraph(window=None)
+    arity1: dict = {}
+    n = 0
+    for r in records:
+        rec = g.add_edge(r)
+        key = (rec.src_type, rec.edge_type, rec.dst_type)
+        arity1[key] = arity1.get(key, 0) + 1
+        n += 1
+    return n, arity1, count_2edge_paths(g, hook)
+
+
+def outcome(build, records, hook=None):
+    """What ``build`` makes of ``records()``: its counts, or the type and
+    message of what it raised."""
+    try:
+        result = build(records(), hook)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, SelectivityTable):
+        return result.sample_size, result.arity1, result.arity2
+    return result
+
+
+def random_sample(rng: Random, n: int) -> list[RawEdge]:
+    """``n`` edges over 40 vertices of two labels and three edge labels, so
+    parallel edges abound; one in 20 is a self-loop."""
+    labels = {f"v{i}": rng.choice("AB") for i in range(40)}
+    names = sorted(labels)
+    out = []
+    ts = 10
+    for _ in range(n):
+        ts += rng.random() < 0.3
+        src = rng.choice(names)
+        dst = src if rng.random() < 0.05 else rng.choice(names)
+        out.append(RawEdge(ts, src, labels[src], rng.choice("xyz"), dst, labels[dst]))
+    return out
+
+
+def other(label: str) -> str:
+    return "B" if label == "A" else "A"
+
+
+def assert_same_outcome(records, hook=None):
+    want = outcome(reference_stats, lambda: iter(records), hook)
+    assert outcome(collect_stats, lambda: iter(records), hook) == want
+    return want
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_collect_stats_matches_the_graph_census(n):
+    rng = Random(1400 + n)
+    records = random_sample(rng, n)
+    for hook in (None, lambda d: (d[0], "*", d[2]), lambda d: ("*", "*", "*")):
+        got = assert_same_outcome(records, hook)
+        assert got[0] == n
+    if n > 1:
+        # both center labels hold paths, self-loops and parallel edges occur
+        assert {center for center, _, _ in assert_same_outcome(records)[2]} == {"A", "B"}
+        assert any(r.src == r.dst for r in records)
+        assert len({(r.src, r.edge_type, r.dst) for r in records}) < n
+
+
+@pytest.mark.parametrize("at", [2, 100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 3])
+def test_collect_stats_raises_what_the_store_raises(at):
+    # each case puts its bad edges at position ``at`` of a good stream
+    base = random_sample(Random(1500 + at), 2 * CHUNK + 3)
+    prior = next(r for r in base[:at] if r.src != r.dst)  # two vertices met before ``at``
+    a, a_type, b, b_type = prior.src, prior.src_type, prior.dst, prior.dst_type
+    ts = base[at].timestamp
+    cases = {
+        "disorder": (StreamOrderError, [base[at]._replace(timestamp=base[at - 1].timestamp - 1)]),
+        "source label": (LabelConflictError, [RawEdge(ts, a, other(a_type), "x", "fresh", "A")]),
+        "destination label": (LabelConflictError, [RawEdge(ts, "fresh", "A", "x", b, other(b_type))]),
+        # the source is checked first
+        "both labels": (LabelConflictError, [RawEdge(ts, a, other(a_type), "x", b, other(b_type))]),
+        "new two-label loop": (LabelConflictError, [RawEdge(ts, "fresh", "A", "x", "fresh", "B")]),
+        # the loop's source label agrees; its destination label is the conflict
+        "old vertex, two-label loop": (LabelConflictError, [RawEdge(ts, a, a_type, "x", a, other(a_type))]),
+        "old vertex, loop of its other label": (LabelConflictError, [
+            RawEdge(ts, a, other(a_type), "x", a, other(a_type))
+        ]),
+        # two faults: the first one is raised
+        "conflict, then disorder": (LabelConflictError, [
+            RawEdge(ts, a, other(a_type), "x", "fresh", "A"),
+            base[at]._replace(timestamp=0),
+        ]),
+        "disorder, then conflict": (StreamOrderError, [
+            base[at]._replace(timestamp=0),
+            RawEdge(ts, a, other(a_type), "x", "fresh", "A"),
+        ]),
+    }
+    messages = {}
+    for name, (error, bad) in cases.items():
+        got = assert_same_outcome(base[:at] + bad + base[at + 1:])
+        assert got[0] is error, name
+        messages[name] = got[1]
+    assert messages["both labels"] == f"vertex {a!r} seen as {a_type!r}, now {other(a_type)!r}"
+    assert messages["old vertex, two-label loop"] == messages["both labels"]
+    assert messages["new two-label loop"].startswith("self-loop on 'fresh'")
+    # a vertex met once, at the head of the stream, and not again before
+    # ``at`` (in an earlier chunk, once ``at`` is past the first)
+    records = [RawEdge(0, "early", "A", "x", "fresh", "A")] + base[1:at]
+    records += [RawEdge(ts, "other", "A", "x", "early", "B")] + base[at + 1:]
+    assert assert_same_outcome(records) == (LabelConflictError, "vertex 'early' seen as 'A', now 'B'")
+
+
+@pytest.mark.parametrize("at", [50, CHUNK - 1, CHUNK + 50])
+def test_collect_stats_checks_the_edges_read_before_a_failing_source(at):
+    # the store would have rejected a bad edge before the source failed, so
+    # a chunk cut short by a failure is still checked first
+    base = random_sample(Random(1600 + at), at)
+    prior = base[at // 2]
+
+    def failing(records):
+        yield from records
+        raise ParseError("unreadable", line=len(records) + 1)
+
+    conflicted = base[:]
+    conflicted[at - 10] = conflicted[at - 10]._replace(src=prior.src, src_type=other(prior.src_type))
+    for records, error in ((base, ParseError), (conflicted, LabelConflictError)):
+        # a generator is used up by one run, so each side gets its own
+        want = outcome(reference_stats, lambda: failing(records))
+        assert want[0] is error
+        assert outcome(collect_stats, lambda: failing(records)) == want
+
+
+def test_collect_stats_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("collect_stats used the store")
+
+    records = random_sample(Random(17), 300)
+    want = reference_stats(records)
+    summed = []
+    sum_pairs = stats._sum_pairs
+    monkeypatch.setattr(stats, "_sum_pairs", lambda tallies: summed.append(1) or sum_pairs(tallies))
+    monkeypatch.setattr(DynamicGraph, "__init__", refuse)
+    monkeypatch.setattr(DynamicGraph, "add_edge", refuse)
+    t = collect_stats(records)
+    assert (t.sample_size, t.arity1, t.arity2) == want
+    # the pairs are summed by the one function the graph census uses too
+    assert summed == [1]
+
+
+def saturating_stream(n: int):
+    """``n`` edges among 150 hosts over 7 protocols, made one at a time: every
+    key the statistics can hold turns up early."""
+    rng = Random(23)
+    hosts = [f"h{i}" for i in range(150)]
+    for i in range(n):
+        yield RawEdge(i // 8, rng.choice(hosts), "host", f"p{rng.randrange(7)}", rng.choice(hosts), "host")
+
+
+def test_collect_stats_memory_is_bounded_by_its_keys_not_the_sample():
+    def traced_peak(n: int) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = collect_stats(saturating_stream(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.sample_size == n
+        return peak
+
+    short = traced_peak(50_000)
+    assert traced_peak(200_000) <= 1.2 * short
 
 
 # -------------------------------------------------------------- primitive key
