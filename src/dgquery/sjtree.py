@@ -15,9 +15,9 @@ Every node owns the sub-pattern formed by the union of its leaves; an internal
 node's *cut* is the intersection of its children's sub-patterns and defines
 the join key.  Leaf pieces are edge-disjoint, so a cut holds only vertices.
 Matches are stored keyed by their bindings of the parent's cut, so a new match
-at one child probes its sibling's table with a plain hash lookup, joins
-pairwise, and propagates upward.  Complete matches surface at the root and
-are emitted.
+at one child probes its sibling's table with a plain hash lookup, merges with
+the whole bucket found there in one :func:`join` call, and propagates the
+results upward.  Complete matches surface at the root and are emitted.
 
 The leaf order fixes everything else, so :meth:`SJTree.from_leaf_pieces` is
 the one constructor, and the plan text that ``dgq plan`` writes lists only
@@ -32,8 +32,10 @@ then the query-width edge and vertex slots of
 qvertex ``qv`` at ``1 + E + qv``.  It holds only ints, strings and None, so
 CPython stops tracking it at the first collection that sees it, where a
 ``Match`` instance stays tracked; the caller of ``emit`` builds the output
-``Match`` from a complete tuple.  A join is one ``itemgetter`` call over
-the two sides laid end to end.
+``Match`` from a complete tuple.  A join works per probe: :func:`join`
+reads the node's slots once, walks the sibling's whole bucket, and builds
+each result with one ``itemgetter`` call over the two sides laid end to
+end.
 """
 from __future__ import annotations
 
@@ -122,31 +124,46 @@ class SJTreeNode:
         return self.left is None and self.right is None
 
 
-def join(m: Partial, m_s: Partial, node: SJTreeNode) -> Partial | None:
-    """Merge ``m``, stored at ``node``, with ``m_s`` from its sibling's
-    bucket under the same key; None when they cannot form one match.
+def join(
+    m: Partial, bucket: list[Partial], node: SJTreeNode, cutoff: int | None, out: Callable[[Partial], None]
+) -> int:
+    """Merge ``m``, stored at ``node``, with every match of ``bucket``, its
+    sibling's bucket under the same key; pass each joined match to ``out``
+    in bucket order and return the number of stale entries skipped.
 
-    All three are flat :data:`Partial` tuples, the result with the older of
-    the two ``t_min``.  The key already makes the shared qvertices agree, and
-    the two pieces share no qedge, so only the slots the sibling fills need
-    checks: its data edges must be new to ``m`` and the data vertices of the
+    All matches are flat :data:`Partial` tuples, each result with the older
+    of the two ``t_min``.  An entry with ``t_min <= cutoff`` is stale and
+    skipped; with ``cutoff`` None every entry is kept, whatever its
+    ``t_min``.  The key already makes the shared qvertices agree, and the two
+    pieces share no qedge, so only the slots the sibling fills need checks:
+    its data edges must be new to ``m`` and the data vertices of the
     qvertices only it binds must not already serve ``m``.  Each is looked up
     in ``m``'s own edge or vertex slice, never in the whole tuple: an edge id
-    may equal ``m``'s ``t_min``.  The result is one ``itemgetter`` call over
-    ``m + m_s`` that takes every slot from the side binding it.
+    may equal ``m``'s ``t_min``.  Those slices, the slot lists and the two
+    ``itemgetter`` objects are read once per probe; each result is one
+    ``itemgetter`` call over ``m + m_s`` that takes every slot from the side
+    binding it.
     """
-    edges = m[node.edge_slots]
-    for i in node.sibling_edges:
-        if m_s[i] in edges:
-            return None
-    if node.sibling_verts:
-        verts = m[node.vert_slots]
-        for i in node.sibling_verts:
-            if m_s[i] in verts:
-                return None
-    if m[0] <= m_s[0]:
-        return node.pick_own(m + m_s)
-    return node.pick_sib(m + m_s)
+    edges, verts = m[node.edge_slots], m[node.vert_slots]
+    sib_edges, sib_verts = node.sibling_edges, node.sibling_verts
+    pick_own, pick_sib = node.pick_own, node.pick_sib
+    t_min = m[0]
+    stale = 0
+    for m_s in bucket:
+        t_s = m_s[0]
+        if cutoff is not None and t_s <= cutoff:
+            stale += 1
+            continue
+        for i in sib_edges:
+            if m_s[i] in edges:
+                break
+        else:
+            for i in sib_verts:
+                if m_s[i] in verts:
+                    break
+            else:
+                out(pick_own(m + m_s) if t_min <= t_s else pick_sib(m + m_s))
+    return stale
 
 
 class SJTree:
@@ -233,15 +250,18 @@ class SJTree:
         m: Partial,
         cutoff: int | None,
         emit: Callable[[Partial], None],
-    ) -> int:
-        """Insert ``m`` at a node, probe the sibling, recurse on joins; return
-        the number of complete matches emitted downstream of this insert.
+    ) -> None:
+        """Insert ``m`` at a node: probe the sibling's bucket under its key
+        with one :func:`join` call, propagate the joins to the parent, then
+        store ``m``.
 
         ``m`` is a flat :data:`Partial` tuple, and ``emit`` receives each
-        complete match in the same form: a join whose parent is the root is
-        emitted from the probe loop itself.  It carries no ``t_max``: the
-        caller supplies it when it builds the output ``Match``, as the
-        newest edge's timestamp (see below).
+        complete match in the same form: when the parent is the root,
+        ``join`` hands its results to ``emit`` itself; otherwise it collects
+        them, and each is inserted at the parent, in bucket order, after the
+        walk.  ``m`` carries no ``t_max``: the caller supplies it when it
+        builds the output ``Match``, as the newest edge's timestamp (see
+        below).
 
         ``cutoff`` is the graph's eviction cutoff ``t_last - window`` (None:
         unbounded).  Every new complete match contains the newest edge, so a
@@ -261,30 +281,23 @@ class SJTree:
         """
         if node_id == self.root_id:
             emit(m)
-            return 1
+            return
         node = self.nodes[node_id]
         key = node.key_of(m)
         sibling = self.nodes[node.sibling]
-        parent = node.parent
-        to_root = parent == self.root_id
-        emitted = 0
-        # nothing mutates this bucket while it is walked: recursion only goes
-        # up to the parent, and on_store may only queue work
+        # nothing mutates this bucket while it is walked or before it is
+        # compacted: propagation only goes up to the parent, whose sibling
+        # is another node, and on_store may only queue work
         bucket = sibling.table.get(key)
         if bucket:
-            stale = 0
-            for m_s in bucket:
-                if cutoff is not None and m_s[0] <= cutoff:
-                    stale += 1
-                    continue
-                combined = join(m, m_s, node)
-                if combined is None:
-                    continue
-                if to_root:
-                    emit(combined)
-                    emitted += 1
-                else:
-                    emitted += self.insert_and_propagate(parent, combined, cutoff, emit)
+            parent = node.parent
+            if parent == self.root_id:
+                stale = join(m, bucket, node, cutoff, emit)
+            else:
+                joined: list[Partial] = []
+                stale = join(m, bucket, node, cutoff, joined.append)
+                for combined in joined:
+                    self.insert_and_propagate(parent, combined, cutoff, emit)
             if stale * 2 > len(bucket):
                 kept = [x for x in bucket if x[0] > cutoff]
                 if kept:
@@ -302,7 +315,6 @@ class SJTree:
             self.peak_stored = self.stored_count
         if self.on_store is not None:
             self.on_store(node, m)
-        return emitted
 
     def purge_stale(self, cutoff: int | None) -> int:
         """Drop stored matches with ``t_min <= cutoff``; return the count.

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from dgquery import engine
+from dgquery import engine, sjtree
 from dgquery import graph as graph_module
 from dgquery.baseline import RescanEngine
 from dgquery.engine import Engine, match_primitive, search_plan
@@ -578,6 +578,33 @@ def test_no_node_table_keeps_an_empty_bucket():
     for run, tree in windowed_social_runs():
         for node in tree.nodes:
             assert all(node.table.values()), (run, node.node_id)
+
+
+def test_probes_call_join_through_the_module_global(monkeypatch):
+    # the tree looks join up in its module at every probe, so a wrapper set
+    # on dgquery.sjtree.join, as a span tracer sets one, sees each probe and
+    # changes no emission
+    rng = Random(2)
+    schema = social_schema()
+    records = generate_stream(schema, 600, rng, edges_per_tick=4)
+    query = random_query(schema, 3, rng)
+    table = table_for(records)
+
+    def emissions():
+        eng = Engine(query, plan_query(query, table, mode="single").tree, 20, lazy=True)
+        return [signatures(eng.process(r)) for r in records]
+
+    plain = emissions()
+    probes = []
+    real = sjtree.join
+
+    def counting(*args):
+        probes.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(sjtree, "join", counting)
+    assert emissions() == plain
+    assert any(plain) and probes
 
 
 def test_engine_rejects_foreign_tree():

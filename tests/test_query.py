@@ -164,20 +164,57 @@ def test_match_equality_and_hash():
 
 
 # ----------------------------------------------------------------------- join
-# join(m, m_s, node) merges m, stored at a tree node, with m_s from the
-# sibling's bucket under the same key, so the shared qvertices already agree;
-# all three are the tree's flat (t_min, *edges, *verts) tuples.
+# join(m, bucket, node, cutoff, out) merges m, stored at a tree node, with
+# each match of its sibling's bucket under the same key, so the shared
+# qvertices already agree; all are the tree's flat (t_min, *edges, *verts)
+# tuples.  It passes each result to out and returns the stale count.
 
 def sibling_leaves(query, *edge_sets):
     pieces = [QueryPiece.from_edges(query, ids) for ids in edge_sets]
     return SJTree.from_leaf_pieces(query, pieces).leaves()
 
 
+def join_one(m, m_s, node):
+    """The join of ``m`` with the one-entry bucket ``[m_s]``: its result or None."""
+    out = []
+    assert join(m, [m_s], node, None, out.append) == 0
+    assert len(out) <= 1
+    return out[0] if out else None
+
+
+def pairwise_join(query, m, bucket, cutoff):
+    """Reference for ``join``, one bucket entry at a time and from the
+    definition of a match, not from the node's slots: (results, stale count).
+
+    An entry with ``t_min <= cutoff`` is stale (None: none is).  Otherwise
+    the two sides merge slot by slot, and the merge is a match when no slot
+    is bound two ways and no data edge or data vertex fills two slots."""
+    out, stale = [], 0
+    for m_s in bucket:
+        if cutoff is not None and m_s[0] <= cutoff:
+            stale += 1
+            continue
+        if any(a is not None and b is not None and a != b for a, b in zip(m[1:], m_s[1:])):
+            continue
+        slots = [b if a is None else a for a, b in zip(m[1:], m_s[1:])]
+        edges = [x for x in slots[: query.n_edges] if x is not None]
+        verts = [x for x in slots[query.n_edges :] if x is not None]
+        if len(set(edges)) == len(edges) and len(set(verts)) == len(verts):
+            out.append((min(m[0], m_s[0]), *slots))
+    return out, stale
+
+
+def join_all(m, bucket, node, cutoff):
+    out = []
+    stale = join(m, bucket, node, cutoff, out.append)
+    return out, stale
+
+
 def test_join_identity_and_commutativity():
     leaf0, leaf1 = sibling_leaves(PATH2, [0], [1])
     m0 = stored_form(Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}))
     m1 = stored_form(Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"}))
-    left, right = join(m0, m1, leaf0), join(m1, m0, leaf1)
+    left, right = join_one(m0, m1, leaf0), join_one(m1, m0, leaf1)
     assert left == right
     # each side's bound slots come through unchanged
     for m in (m0, m1):
@@ -188,9 +225,9 @@ def test_join_merges_disjoint_pieces():
     leaf0, leaf1 = sibling_leaves(PATH2, [0], [1])
     m0 = stored_form(Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}))
     m1 = stored_form(Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"}))
-    got = join(m0, m1, leaf0)
+    got = join_one(m0, m1, leaf0)
     # both sides' slots, and the older t_min, from either side
-    assert got == join(m1, m0, leaf1) == (3, 10, 20, "a", "b", "c")
+    assert got == join_one(m1, m0, leaf1) == (3, 10, 20, "a", "b", "c")
 
 
 def test_join_looks_up_only_the_edge_and_vertex_slots():
@@ -200,11 +237,11 @@ def test_join_looks_up_only_the_edge_and_vertex_slots():
     m0 = stored_form(Match.of(PATH2, [(0, 3, 10)], {0: "a", 1: "b"}))
     m1 = stored_form(Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "c"}))
     assert m0[0] == m1[2] == 10  # t_min and qedge 1, at slot 1 + 1
-    assert join(m0, m1, leaf0) == join(m1, m0, leaf1) == (10, 3, 10, "a", "b", "c")
+    assert join_one(m0, m1, leaf0) == join_one(m1, m0, leaf1) == (10, 3, 10, "a", "b", "c")
     # while a sibling vertex already bound in m is still refused
     taken = stored_form(Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "a"}))
-    assert join(m0, taken, leaf0) is None
-    assert join(taken, m0, leaf1) is None
+    assert join_one(m0, taken, leaf0) is None
+    assert join_one(taken, m0, leaf1) is None
 
 
 def test_join_conflicts():
@@ -213,9 +250,9 @@ def test_join_conflicts():
     leaf0, _ = sibling_leaves(PATH2, [0], [1])
     base = stored_form(Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}))
     # two distinct qedges sharing one data edge
-    assert join(base, stored_form(Match.of(PATH2, [(1, 10, 3)], {1: "b", 2: "c"})), leaf0) is None
+    assert join_one(base, stored_form(Match.of(PATH2, [(1, 10, 3)], {1: "b", 2: "c"})), leaf0) is None
     # distinct qvertices landing on one data vertex (injectivity)
-    assert join(base, stored_form(Match.of(PATH2, [(1, 20, 4)], {1: "b", 2: "a"})), leaf0) is None
+    assert join_one(base, stored_form(Match.of(PATH2, [(1, 20, 4)], {1: "b", 2: "a"})), leaf0) is None
 
 
 def test_join_randomized_commutes_and_validates():
@@ -237,7 +274,7 @@ def test_join_randomized_commutes_and_validates():
         left = Match.of(PATH3, l_items, l_bind)
         right = Match.of(PATH3, r_items, r_bind)
         ls, rs = stored_form(left), stored_form(right)
-        ab, ba = join(ls, rs, leaf0), join(rs, ls, leaf1)
+        ab, ba = join_one(ls, rs, leaf0), join_one(rs, ls, leaf1)
         try:
             want = stored_form(Match.of(PATH3, l_items + r_items, {**l_bind, **r_bind}))
         except ContractError:
@@ -247,3 +284,68 @@ def test_join_randomized_commutes_and_validates():
         if want is not None:
             joined += 1
     assert 0 < joined < 300
+
+
+def test_join_walks_a_mixed_bucket_like_the_pairwise_reference():
+    # one probe over a bucket holding stale entries at and below the cutoff,
+    # an edge-id clash, a vertex clash, and live entries older and newer
+    # than m: the stale ones are counted, the clashes dropped, and each
+    # result takes the older t_min, in bucket order
+    leaf0, _ = sibling_leaves(PATH2, [0], [1])
+    m = stored_form(Match.of(PATH2, [(0, 10, 5)], {0: "a", 1: "b"}))
+    bucket = [
+        (3, None, 30, None, "b", "c"),  # stale: t_min == cutoff
+        (7, None, 10, None, "b", "d"),  # edge 10 already serves m
+        (4, None, 33, None, "b", "e"),  # older than m
+        (1, None, 31, None, "b", "c"),  # stale: below the cutoff
+        (8, None, 32, None, "b", "a"),  # vertex a already serves m
+        (9, None, 34, None, "b", "f"),  # newer than m
+    ]
+    got = join_all(m, bucket, leaf0, 3)
+    assert got == ([(4, 10, 33, "a", "b", "e"), (5, 10, 34, "a", "b", "f")], 2)
+    assert got == pairwise_join(PATH2, m, bucket, 3)
+
+
+def test_join_without_cutoff_keeps_negative_timestamps():
+    # cutoff None keeps every entry, however old: it stands for no cutoff,
+    # not for some least timestamp
+    leaf0, _ = sibling_leaves(PATH2, [0], [1])
+    m = stored_form(Match.of(PATH2, [(0, 10, 5)], {0: "a", 1: "b"}))
+    oldest = -(2**70)
+    bucket = [(oldest, None, 30, None, "b", "c"), (-1, None, 31, None, "b", "d"), (0, None, 32, None, "b", "e")]
+    want = [(oldest, 10, 30, "a", "b", "c"), (-1, 10, 31, "a", "b", "d"), (0, 10, 32, "a", "b", "e")]
+    assert join_all(m, bucket, leaf0, None) == (want, 0) == pairwise_join(PATH2, m, bucket, None)
+    assert join_all(m, bucket, leaf0, -1) == (want[2:], 2)
+
+
+def test_join_randomized_against_the_pairwise_reference():
+    # random probes from either leaf of a two-leaf tree into random buckets
+    # of the other leaf, all agreeing on the cut vertex 2, with timestamps
+    # around a random cutoff (or none)
+    leaf0, leaf1 = sibling_leaves(PATH3, [0, 1], [2])
+    rng = Random(11)
+    pool = [f"v{i}" for i in range(5)]
+
+    def left(cut):
+        v0, v1 = rng.sample([v for v in pool if v != cut], 2)
+        e0, e1 = rng.sample(range(6), 2)
+        return (rng.randrange(-5, 20), e0, e1, None, v0, v1, cut, None)
+
+    def right(cut):
+        v3 = rng.choice([v for v in pool if v != cut])
+        return (rng.randrange(-5, 20), None, None, rng.randrange(6), None, None, cut, v3)
+
+    joined = stale = 0
+    for _ in range(400):
+        cut = rng.choice(pool)
+        cutoff = rng.choice([None, rng.randrange(-5, 20)])
+        n = rng.randrange(7)
+        if rng.random() < 0.5:
+            node, m, bucket = leaf0, left(cut), [right(cut) for _ in range(n)]
+        else:
+            node, m, bucket = leaf1, right(cut), [left(cut) for _ in range(n)]
+        got = join_all(m, bucket, node, cutoff)
+        assert got == pairwise_join(PATH3, m, bucket, cutoff)
+        joined += len(got[0])
+        stale += got[1]
+    assert joined > 100 and stale > 100
