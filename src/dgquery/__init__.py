@@ -54,7 +54,6 @@ from .sjtree import SJTree, SJTreeNode
 from .stats import (
     SelectivityTable,
     collect_stats,
-    count_2edge_paths,
     primitive_key,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     # statistics
     "SelectivityTable",
     "collect_stats",
-    "count_2edge_paths",
     "primitive_key",
     # planning
     "PrimitiveCatalog",

@@ -63,8 +63,8 @@ def _vertex_order(query: QueryGraph, seeded: tuple[int, ...]) -> list[int]:
 
 
 def _has_edge(graph: DynamicGraph, src: str, dst: str, label: str) -> bool:
-    for rec in graph.neighbors(src, "out", label):
-        if rec.dst == dst:
+    for rec in graph.out_edges(src):
+        if rec.dst == dst and rec.edge_type == label:
             return True
     return False
 
@@ -127,13 +127,13 @@ def _map_vertices(
     candidates: list[str] = []
     seen: set[str] = set()
     if qe.src == qv:  # qv --e--> mapped
-        for rec in graph.neighbors(pivot, "in", qe.label):
-            if rec.src not in seen:
+        for rec in graph.in_edges(pivot):
+            if rec.edge_type == qe.label and rec.src not in seen:
                 seen.add(rec.src)
                 candidates.append(rec.src)
     else:  # mapped --e--> qv
-        for rec in graph.neighbors(pivot, "out", qe.label):
-            if rec.dst not in seen:
+        for rec in graph.out_edges(pivot):
+            if rec.edge_type == qe.label and rec.dst not in seen:
                 seen.add(rec.dst)
                 candidates.append(rec.dst)
     for dv in candidates:
@@ -183,8 +183,8 @@ def _assign_edges(
             return
         e = query.edges[qe_id]
         s, d = core[e.src], core[e.dst]
-        for rec in graph.neighbors(s, "out", e.label):
-            if rec.dst != d or rec.edge_id in used_ids:
+        for rec in graph.out_edges(s):
+            if rec.dst != d or rec.edge_type != e.label or rec.edge_id in used_ids:
                 continue
             chosen[qe_id] = rec
             used_ids.add(rec.edge_id)

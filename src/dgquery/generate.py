@@ -58,9 +58,6 @@ class Schema:
         if len(self.weights) != len(self.triples):
             raise ContractError("one weight per triple required")
 
-    def vertex_types(self) -> list[str]:
-        return sorted(self.pools)
-
     def vertex_id(self, vtype: str, index: int) -> str:
         return f"{vtype}{index}"
 

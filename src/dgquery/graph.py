@@ -33,9 +33,8 @@ Design notes
   takes no branch for it.
 - Timestamps must be non-decreasing across calls; ties are fine.  This is the
   property that makes front-of-deque eviction sound.
-- A self-loop sits in both the out- and in-list of its vertex but is reported
-  once (as an out-edge) by any-direction iteration.  Its two endpoint labels
-  must agree.
+- A self-loop sits once in both the out- and in-list of its vertex.  Its two
+  endpoint labels must agree.
 - ``add_edge`` unpacks the raw edge once and runs every check (stream order,
   both endpoint labels against the live vertices, the self-loop's two labels)
   before it changes anything, so a rejected edge leaves the store as it was.
@@ -301,33 +300,6 @@ class DynamicGraph:
     def live_edges(self) -> Iterator[EdgeRecord]:
         """All live indexed edges, oldest first."""
         return iter(self._arrivals)
-
-    def neighbors(
-        self,
-        vid: str,
-        direction: str = "any",
-        edge_type: str | None = None,
-    ) -> Iterator[EdgeRecord]:
-        """Live edges incident to ``vid``, each exactly once, arrival order per role.
-
-        ``direction`` is "out", "in", or "any"; ``edge_type`` filters by label.
-        Unknown vertices yield nothing.
-        """
-        if direction not in ("out", "in", "any"):
-            raise ValueError(f"bad direction {direction!r}")
-        v = self._vertices.get(vid)
-        if v is None:
-            return
-        if direction in ("out", "any"):
-            for rec in v.out_edges:
-                if edge_type is None or rec.edge_type == edge_type:
-                    yield rec
-        if direction in ("in", "any"):
-            for rec in v.in_edges:
-                if direction == "any" and rec.src == rec.dst:
-                    continue  # self-loop already reported from the out pass
-                if edge_type is None or rec.edge_type == edge_type:
-                    yield rec
 
     def out_edges(self, vid: str) -> deque[EdgeRecord] | tuple[()]:
         """Live edges leaving ``vid``, oldest first; ``()`` for an unknown

@@ -228,10 +228,6 @@ class SJTree:
             left_id = internal.node_id
         return cls(query, nodes, root_id=left_id)
 
-    @property
-    def root(self) -> SJTreeNode:
-        return self.nodes[self.root_id]
-
     def leaves(self) -> list[SJTreeNode]:
         return [self.nodes[i] for i in self.leaf_ids]
 

@@ -1,4 +1,4 @@
-"""Frequency statistics over a graph window and the selectivity table built
+"""Frequency statistics over a stream sample and the selectivity table built
 from them.
 
 Two primitive families are profiled:
@@ -13,25 +13,21 @@ Path counting tallies each center vertex's incident edge descriptors, then
 combines the counts pairwise — ``n*(n-1)/2`` within one descriptor,
 ``n1*n2`` across two.  Parallel edges therefore count with their
 multiplicities, and total work is linear in edges plus the pair-combination
-term, never quadratic in the vertex count.  The tallies come from one of two
-places, and both hand them to one pair sum:
+term, never quadratic in the vertex count.
 
-* ``count_2edge_paths`` walks a windowed graph's live edges, vertex by
-  vertex.
-* ``collect_stats`` tallies a stream sample as it streams, with no graph.  It
-  reads the sample a fixed-size chunk at a time and transposes each chunk
-  into columns.  It checks them in bulk, by the stream-order and label rules
-  of ``DynamicGraph.add_edge`` over a window where nothing expires: no
-  timestamp falls, and each vertex keeps its first label.  A chunk that fails
-  is walked again edge by edge, in ``add_edge``'s order, to raise its error
-  at the first bad edge.  The chunk is then counted by ``Counter.update`` into
-  two tallies: ``(src, edge_type, dst_type)`` for the out roles and ``(dst,
-  edge_type, src_type)`` for the in roles, self-loops left out, so a loop
-  counts once, as out, the way ``map_edge`` describes it.  After the last
-  chunk, the edge keys are summed from the out tally, and the two tallies
-  become each vertex's descriptor tally, the hook applied once per distinct
-  descriptor.  The sample's statistics hold one entry per vertex and per
-  (vertex, descriptor), never one per edge.
+``collect_stats`` tallies a stream sample as it streams, with no graph.  It
+reads the sample a fixed-size chunk at a time and transposes each chunk into
+columns.  It checks them in bulk, by the stream-order and label rules of
+``DynamicGraph.add_edge`` over a window where nothing expires: no timestamp
+falls, and each vertex keeps its first label.  A chunk that fails is walked
+again edge by edge, in ``add_edge``'s order, to raise its error at the first
+bad edge.  The chunk is then counted by ``Counter.update`` into two tallies:
+``(src, edge_type, dst_type)`` for the out roles and ``(dst, edge_type,
+src_type)`` for the in roles, self-loops left out, so a self-loop is one
+descriptor at its vertex, in its out role.  After the last chunk, the edge
+keys are summed from the out tally, and the two tallies become each vertex's
+descriptor tally.  The sample's statistics hold one entry per vertex and per
+(vertex, descriptor), never one per edge.
 
 The pairs are summed one center label at a time.  The label's descriptors are
 numbered in sorted order, so ids ``i < j`` name the canonical pair
@@ -51,18 +47,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import eq, le, ne
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import ContractError, ParseError, UnsupportedPrimitiveError
-from .graph import DynamicGraph, EdgeRecord, RawEdge, disorder_error, label_error, loop_error
+from .errors import ParseError, UnsupportedPrimitiveError
+from .graph import RawEdge, disorder_error, label_error, loop_error
 from .query import QueryGraph
 
 __all__ = [
     "Descriptor",
     "EdgeKey",
     "PathKey",
-    "map_edge",
-    "count_2edge_paths",
     "SelectivityTable",
     "collect_stats",
 ]
@@ -71,42 +65,10 @@ Descriptor = tuple[str, str, str]          # (edge_type, far_type, "out"|"in")
 EdgeKey = tuple[str, str, str]             # (src_type, edge_type, dst_type)
 PathKey = tuple[str, Descriptor, Descriptor]
 
-MapHook = Callable[[Descriptor], Descriptor]
-
 STATS_VERSION = 1
 
 # sample edges read, checked and counted at a time
 _CHUNK = 4096
-
-
-def map_edge(e: EdgeRecord, center: str, hook: MapHook | None = None) -> Descriptor:
-    """Describe ``e`` as seen from ``center``: (edge label, far label, role).
-
-    A self-loop is described once, in its out role.  ``hook`` may rewrite the
-    descriptor (e.g. collapse labels); raising ContractError when center is
-    not an endpoint.
-    """
-    if e.src == center:
-        desc = (e.edge_type, e.dst_type, "out")
-    elif e.dst == center:
-        desc = (e.edge_type, e.src_type, "in")
-    else:
-        raise ContractError(f"vertex {center!r} is not an endpoint of edge {e.edge_id}")
-    return hook(desc) if hook else desc
-
-
-def count_2edge_paths(graph: DynamicGraph, hook: MapHook | None = None) -> dict[PathKey, int]:
-    """Count all 2-edge paths in the live window, grouped by canonical key."""
-    # every vertex with a pair of edges: its descriptor tally, by its label
-    tallies: dict[str, list[dict[Descriptor, int]]] = {}
-    for vid, label in graph.vertices():
-        local: dict[Descriptor, int] = {}
-        for e in graph.neighbors(vid, "any"):
-            desc = map_edge(e, vid, hook)
-            local[desc] = local.get(desc, 0) + 1
-        if sum(local.values()) > 1:
-            tallies.setdefault(label, []).append(local)
-    return _sum_pairs(tallies)
 
 
 def _sum_pairs(tallies: dict[str, list[dict[Descriptor, int]]]) -> dict[PathKey, int]:
@@ -293,7 +255,7 @@ def primitive_key(query: QueryGraph, edge_ids: Iterable[int]) -> tuple[int, Edge
     return 2, min(keyed_at(c) for c in sorted(shared))
 
 
-def collect_stats(records: Iterable[RawEdge], hook: MapHook | None = None) -> SelectivityTable:
+def collect_stats(records: Iterable[RawEdge]) -> SelectivityTable:
     """Build the table from a stream sample (full window, nothing expires).
 
     Raises what ``DynamicGraph(window=None).add_edge`` raises at the sample's
@@ -305,21 +267,16 @@ def collect_stats(records: Iterable[RawEdge], hook: MapHook | None = None) -> Se
     for (src, edge_type, dst_type), c in outs.items():
         key = (labels[src], edge_type, dst_type)
         arity1[key] = arity1.get(key, 0) + c
-    # each vertex's descriptor tally, the hook applied once per descriptor
-    mapped: dict[Descriptor, Descriptor] = {}
+    # each vertex's descriptor tally; the role keeps a vertex's out and in
+    # descriptors apart, so each is counted by one key of one tally
     tallies: dict[str, dict[Descriptor, int]] = {}
     for role, counted in (("out", outs), ("in", ins)):
         for (vid, edge_type, far_type), c in counted.items():
-            desc = (edge_type, far_type, role)
-            try:
-                desc = mapped[desc]
-            except KeyError:
-                desc = mapped[desc] = hook(desc) if hook else desc
             local = tallies.get(vid)
             if local is None:
-                tallies[vid] = {desc: c}
+                tallies[vid] = {(edge_type, far_type, role): c}
             else:
-                local[desc] = local.get(desc, 0) + c
+                local[(edge_type, far_type, role)] = c
     groups: dict[str, list[dict[Descriptor, int]]] = {}
     for vid, local in tallies.items():
         if sum(local.values()) > 1:

@@ -53,8 +53,17 @@ def stored_form(m: Match) -> tuple:
     return (m.t_min, *m.edges, *m.verts)
 
 
-def table_for(records, hook=None) -> SelectivityTable:
-    return collect_stats(records, hook)
+def table_for(records) -> SelectivityTable:
+    return collect_stats(records)
+
+
+def live_records(graph: DynamicGraph) -> list[RawEdge]:
+    """``graph``'s live edges as the stream elements that made them, in
+    arrival order."""
+    return [
+        RawEdge(r.timestamp, r.src, r.src_type, r.edge_type, r.dst, r.dst_type)
+        for r in graph.live_edges()
+    ]
 
 
 def engines_for(query, records, window, *, lazy_only: bool = False):

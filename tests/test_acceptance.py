@@ -29,9 +29,9 @@ from dgquery.graph import DynamicGraph, RawEdge
 from dgquery.planner import choose_strategy, plan_query
 from dgquery.query import QueryEdge, QueryGraph, QueryPiece
 from dgquery.sjtree import SJTree
-from dgquery.stats import SelectivityTable, collect_stats, count_2edge_paths, primitive_key
+from dgquery.stats import SelectivityTable, collect_stats, primitive_key
 
-from conftest import engines_for, raw, signatures
+from conftest import engines_for, live_records, raw, signatures
 from test_stats import brute_force_path_counts
 
 
@@ -187,9 +187,9 @@ def test_criterion_1_per_step_delta_equality():
 # ---------------------------------------------------------------- criterion 2
 
 def test_criterion_2_path_census_matches_pairwise_oracle():
-    """count_2edge_paths equals pairwise enumeration on 100 random graphs and
-    satisfies the handshake identity under a type-collapsing hook."""
-    collapse = lambda desc: ("*", "*", "*")  # noqa: E731
+    """collect_stats over each of 100 random graphs' live edges equals
+    pairwise enumeration, and its counts summed per center label satisfy the
+    handshake identity."""
     for i in range(100):
         rng = Random(31_337 * i + 5)
         schema = [
@@ -203,15 +203,19 @@ def test_criterion_2_path_census_matches_pairwise_oracle():
             schema, rng.randint(50, 500), rng, edges_per_tick=rng.choice([1, 4, 10])
         ):
             graph.add_edge(r)
-        counts = count_2edge_paths(graph)
+        counts = collect_stats(live_records(graph)).arity2
         assert counts == brute_force_path_counts(graph), f"graph {i}"
-        collapsed = count_2edge_paths(graph, collapse)
         by_label: dict[str, int] = {}
-        for (center_label, _, _), n in collapsed.items():
+        for (center_label, _, _), n in counts.items():
             by_label[center_label] = by_label.get(center_label, 0) + n
+        # a self-loop is one incident edge of its vertex
+        degree: dict[str, int] = {}
+        for e in graph.live_edges():
+            for vid in {e.src, e.dst}:
+                degree[vid] = degree.get(vid, 0) + 1
         handshake: dict[str, int] = {}
-        for vid, label in graph.vertices():
-            d = sum(1 for _ in graph.neighbors(vid, "any"))
+        for vid, d in degree.items():
+            label = graph.vertex_label(vid)
             handshake[label] = handshake.get(label, 0) + d * (d - 1) // 2
         assert by_label == {k: v for k, v in handshake.items() if v}, f"graph {i}"
     print("criterion 2: PASS — 100 graphs, census == pairwise oracle == handshake")
@@ -249,7 +253,7 @@ def test_criterion_3_decomposition_invariants():
             assert sorted(seen) == list(range(query.n_edges)), f"query {i} {mode}"
             assert len(seen) == len(set(seen)), f"query {i} {mode}: overlap"
             # left-deep: every internal right child is a leaf
-            node = tree.root
+            node = tree.nodes[tree.root_id]
             while not node.is_leaf:
                 assert tree.nodes[node.right].is_leaf, f"query {i} {mode}"
                 node = tree.nodes[node.left]
@@ -512,22 +516,17 @@ def test_criterion_8_window_boundary_is_strict():
 # ---------------------------------------------------------------- criterion 9
 
 def test_criterion_9_census_wall_time_is_linear():
-    """count_2edge_paths wall time per edge stays within 2x across stream
-    sizes 100k..800k (linear-in-E trend)."""
+    """collect_stats wall time per edge stays within 2x across stream sizes
+    100k..800k (linear-in-E trend)."""
     sizes = [100_000, 200_000, 400_000, 800_000]
     schema = netflow_schema(hosts=300, skew=1.0, protocols=7)
     records = generate_stream(schema, sizes[-1], Random(99), edges_per_tick=50)
-    graph = DynamicGraph(window=None)
-    it = iter(records)
-    done = 0
     per_edge: list[float] = []
     for size in sizes:
-        while done < size:
-            graph.add_edge(next(it))
-            done += 1
-        count_2edge_paths(graph)  # warm caches before timing
+        sample = records[:size]
+        collect_stats(sample)  # warm caches before timing
         best = min(
-            _timed(count_2edge_paths, graph) for _ in range(3)
+            _timed(collect_stats, sample) for _ in range(3)
         )
         per_edge.append(best / size)
     ratio = max(per_edge) / min(per_edge)

@@ -41,7 +41,7 @@ def test_enumerate_matches_unrestricted_vs_containing():
     assert full == {((0, 0), (1, 1)), ((0, 2), (1, 1))}
     partial = signatures(enumerate_matches(g, query, containing=rec))
     assert partial == full  # both matches use edge 1
-    g2_rec = next(iter(g.neighbors("d", "out")))
+    g2_rec = g.out_edges("d")[0]
     only_d = signatures(enumerate_matches(g, query, containing=g2_rec))
     assert only_d == {((0, 2), (1, 1))}
 

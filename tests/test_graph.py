@@ -117,7 +117,8 @@ def test_unindexed_edge_is_checked_and_counted_but_stored_nowhere():
     assert (g.edges_ingested, g.edge_count, g.t_last) == (3, 2, 2)
     assert [r.edge_id for r in g.live_edges()] == [0, 2]
     assert list(g.out_edges("b")) == [] and list(g.in_edges("b")) == [rec]
-    assert list(g.neighbors("c", "any")) == [r for r in g.live_edges() if r.src == "c"]
+    assert list(g.out_edges("c")) == [r for r in g.live_edges() if r.src == "c"]
+    assert list(g.in_edges("c")) == []
     with pytest.raises(StreamOrderError):
         g.add_edge(raw(1, "p", "x", "q"), False)
     # an unindexed edge moves t_last, so it evicts what expired
@@ -197,7 +198,7 @@ def test_a_vertex_gets_its_lists_with_its_first_indexed_edge():
         g.add_edge(r, False)
     loop = g.add_edge(raw(1, "a", "e", "a"))
     cb = g.add_edge(raw(2, "c", "e", "b"))
-    assert list(g.out_edges("a")) == list(g.in_edges("a")) == list(g.neighbors("a")) == [loop]
+    assert list(g.out_edges("a")) == list(g.in_edges("a")) == [loop]
     assert list(g.out_edges("c")) == list(g.in_edges("b")) == [cb]
     assert list(g.in_edges("c")) == list(g.out_edges("b")) == []
     assert g.out_edges("d") == g.in_edges("d") == ()
@@ -286,30 +287,23 @@ def test_vertices_live_only_while_touched():
     assert g.vertex_label("c") == "A"
 
 
-def test_neighbors_direction_and_label_filters():
+def test_out_and_in_edges_split_by_direction():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     g.add_edge(raw(0, "b", "e", "a"))
     g.add_edge(raw(0, "a", "f", "b"))
-    outs = [r.edge_id for r in g.neighbors("a", "out")]
-    ins = [r.edge_id for r in g.neighbors("a", "in")]
-    any_ = [r.edge_id for r in g.neighbors("a", "any")]
-    assert outs == [0, 2]
-    assert ins == [1]
-    assert any_ == [0, 2, 1]
-    assert [r.edge_id for r in g.neighbors("a", "out", "f")] == [2]
-    assert list(g.neighbors("missing", "any")) == []
-    with pytest.raises(ValueError):
-        list(g.neighbors("a", "sideways"))
+    assert [r.edge_id for r in g.out_edges("a")] == [0, 2]
+    assert [r.edge_id for r in g.in_edges("a")] == [1]
+    assert g.out_edges("missing") == g.in_edges("missing") == ()
 
 
 def test_self_loop_reported_once_and_counted_once():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "a"))
     g.add_edge(raw(0, "a", "e", "b"))
-    ids = [r.edge_id for r in g.neighbors("a", "any")]
-    assert ids == [0, 1]  # the loop shows up once
-    assert [r.edge_id for r in g.neighbors("a", "in")] == [0]
+    # the loop sits once in each list of its vertex
+    assert [r.edge_id for r in g.out_edges("a")] == [0, 1]
+    assert [r.edge_id for r in g.in_edges("a")] == [0]
     assert g.edge_count == 2 and g.vertex_count == 2  # the loop is one edge
 
 
@@ -317,7 +311,8 @@ def test_parallel_edges_are_distinct_records():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     g.add_edge(raw(1, "a", "e", "b"))
-    assert [r.edge_id for r in g.neighbors("a", "out", "e")] == [0, 1]
+    assert [r.edge_id for r in g.out_edges("a")] == [0, 1]
+    assert [r.edge_id for r in g.in_edges("b")] == [0, 1]
 
 
 def test_window_invariant_randomized():

@@ -30,7 +30,7 @@ def test_from_leaf_pieces_builds_left_deep():
     assert len(tree.nodes) == 5
     leaves = tree.leaves()
     assert [n.leaf_index for n in leaves] == [0, 1, 2]
-    root = tree.root
+    root = tree.nodes[tree.root_id]
     assert not root.is_leaf
     assert tree.nodes[root.right].is_leaf  # right child of every internal is a leaf
     inner = tree.nodes[root.left]
@@ -45,8 +45,9 @@ def test_from_leaf_pieces_builds_left_deep():
 def test_from_leaf_pieces_single_leaf():
     query = path_query(["e"])
     tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [0])])
-    assert tree.root.is_leaf
-    assert tree.root.leaf_index == 0
+    root = tree.nodes[tree.root_id]
+    assert root.is_leaf
+    assert root.leaf_index == 0
 
 
 @pytest.mark.parametrize(

@@ -1,34 +1,36 @@
-"""Frequency statistics: descriptors, 2-edge path counts, selectivity tables."""
+"""Frequency statistics: 2-edge path counts, selectivity tables."""
 from __future__ import annotations
 
 import gc
 import tracemalloc
+from collections import Counter
 from random import Random
 
 import pytest
 
 from dgquery import stats
 from dgquery.errors import (
-    ContractError,
     LabelConflictError,
     ParseError,
     StreamOrderError,
     UnsupportedPrimitiveError,
 )
 from dgquery.generate import generate_stream, netflow_schema, random_schema
-from dgquery.graph import DynamicGraph, RawEdge
-from dgquery.stats import (
-    SelectivityTable,
-    collect_stats,
-    count_2edge_paths,
-    map_edge,
-    primitive_key,
-)
+from dgquery.graph import DynamicGraph, EdgeRecord, RawEdge
+from dgquery.stats import SelectivityTable, collect_stats, primitive_key
 
-from conftest import path_query, q, raw
+from conftest import live_records, path_query, q, raw
 
 
-def brute_force_path_counts(graph: DynamicGraph, hook=None):
+def describe(e: EdgeRecord, center: str):
+    """``e`` as seen from ``center``, one of its endpoints: (edge label, far
+    label, role).  A self-loop is described once, in its out role."""
+    if e.src == center:
+        return (e.edge_type, e.dst_type, "out")
+    return (e.edge_type, e.src_type, "in")
+
+
+def brute_force_path_counts(graph: DynamicGraph):
     """Independent oracle: classify every unordered pair of live edges that
     shares an endpoint, once per shared center vertex."""
     counts: dict = {}
@@ -37,8 +39,8 @@ def brute_force_path_counts(graph: DynamicGraph, hook=None):
         for j in range(i + 1, len(edges)):
             e1, e2 = edges[i], edges[j]
             for center in {e1.src, e1.dst} & {e2.src, e2.dst}:
-                d1 = map_edge(e1, center, hook)
-                d2 = map_edge(e2, center, hook)
+                d1 = describe(e1, center)
+                d2 = describe(e2, center)
                 if d2 < d1:
                     d1, d2 = d2, d1
                 key = (graph.vertex_label(center), d1, d2)
@@ -46,27 +48,34 @@ def brute_force_path_counts(graph: DynamicGraph, hook=None):
     return counts
 
 
-# ----------------------------------------------------------------- map_edge
+def graph_census(graph: DynamicGraph):
+    """The 2-edge path counts of ``graph``'s live window, walked vertex by
+    vertex: each vertex's descriptor tally over its out- and in-lists (a
+    self-loop once, from the out-list), its pairs summed by a double loop."""
+    counts: dict = {}
+    for vid, label in graph.vertices():
+        tally = Counter(describe(e, vid) for e in graph.out_edges(vid))
+        tally.update(describe(e, vid) for e in graph.in_edges(vid) if e.src != e.dst)
+        descs = sorted(tally)
+        for i, d1 in enumerate(descs):
+            n = tally[d1]
+            for d2 in descs[i:]:
+                pairs = n * (n - 1) // 2 if d1 == d2 else n * tally[d2]
+                if pairs:
+                    key = (label, d1, d2)
+                    counts[key] = counts.get(key, 0) + pairs
+    return counts
 
-def test_map_edge_roles():
-    g = DynamicGraph()
-    rec = g.add_edge(raw(0, "a", "e", "b", src_type="A", dst_type="B"))
-    assert map_edge(rec, "a") == ("e", "B", "out")
-    assert map_edge(rec, "b") == ("e", "A", "in")
-    with pytest.raises(ContractError):
-        map_edge(rec, "c")
+
+def census(records) -> dict:
+    return collect_stats(records).arity2
 
 
-def test_map_edge_self_loop_is_out():
-    g = DynamicGraph()
-    rec = g.add_edge(raw(0, "a", "e", "a"))
-    assert map_edge(rec, "a") == ("e", "A", "out")
-
-
-def test_map_edge_hook_rewrites():
-    g = DynamicGraph()
-    rec = g.add_edge(raw(0, "a", "e", "b"))
-    assert map_edge(rec, "a", lambda d: ("*", "*", d[2])) == ("*", "*", "out")
+def graph_of(records, window=None) -> DynamicGraph:
+    g = DynamicGraph(window)
+    for r in records:
+        g.add_edge(r)
+    return g
 
 
 # ---------------------------------------------------------------- path counts
@@ -74,12 +83,9 @@ def test_map_edge_hook_rewrites():
 def test_star_path_counts_hand_derived():
     # center c with 3 out-edges 'e' to posts and 2 in-edges 'f' from users:
     # same-descriptor pairs C(3,2)=3 and C(2,2)=1, cross pairs 3*2=6
-    g = DynamicGraph()
-    for i in range(3):
-        g.add_edge(raw(0, "c", "e", f"p{i}", src_type="C", dst_type="P"))
-    for i in range(2):
-        g.add_edge(raw(0, f"u{i}", "f", "c", src_type="U", dst_type="C"))
-    got = count_2edge_paths(g)
+    records = [raw(0, "c", "e", f"p{i}", src_type="C", dst_type="P") for i in range(3)]
+    records += [raw(0, f"u{i}", "f", "c", src_type="U", dst_type="C") for i in range(2)]
+    got = census(records)
     out_d = ("e", "P", "out")
     in_d = ("f", "U", "in")
     assert got == {
@@ -91,12 +97,13 @@ def test_star_path_counts_hand_derived():
 
 
 def test_path_counts_parallel_and_loop_edges():
-    g = DynamicGraph()
-    g.add_edge(raw(0, "a", "e", "b"))
-    g.add_edge(raw(0, "a", "e", "b"))  # parallel: counted at both endpoints
-    g.add_edge(raw(0, "a", "e", "a"))  # loop: one descriptor at 'a'
-    got = count_2edge_paths(g)
-    assert got == brute_force_path_counts(g)
+    records = [
+        raw(0, "a", "e", "b"),
+        raw(0, "a", "e", "b"),  # parallel: counted at both endpoints
+        raw(0, "a", "e", "a"),  # loop: one descriptor at 'a'
+    ]
+    got = census(records)
+    assert got == brute_force_path_counts(graph_of(records))
     # a: descriptors {e-out-to-A: 2 parallel, e-A-out(loop): +1 same desc!} ->
     # the loop and the parallels share ("e","A","out"), so C(3,2)=3 pairs at a
     assert got[("A", ("e", "A", "out"), ("e", "A", "out"))] == 3
@@ -107,35 +114,28 @@ def test_path_counts_match_oracle_randomized(rng):
     for trial in range(25):
         schema = random_schema(rng)
         window = rng.choice((None, 6))
-        g = DynamicGraph(window)
-        for r in generate_stream(schema, rng.randrange(10, 120), rng, edges_per_tick=3):
-            g.add_edge(r)
-        assert count_2edge_paths(g) == brute_force_path_counts(g), f"trial {trial}"
+        g = graph_of(generate_stream(schema, rng.randrange(10, 120), rng, edges_per_tick=3), window)
+        assert census(live_records(g)) == brute_force_path_counts(g), f"trial {trial}"
 
 
 def test_path_counts_handshake_identity(rng):
-    # collapsing every descriptor to one symbol turns the count map into
-    # "unordered pairs of incident edges", i.e. sum over v of C(d(v), 2)
-    collapse = lambda d: ("*", "*", "*")
+    # summed over every key, the census counts the unordered pairs of
+    # incident edges, i.e. sum over v of C(d(v), 2), a self-loop once at v
     for _ in range(10):
         schema = random_schema(rng)
-        g = DynamicGraph(rng.choice((None, 9)))
-        for r in generate_stream(schema, 150, rng):
-            g.add_edge(r)
-        got = count_2edge_paths(g, collapse)
-        expected = 0
-        for vid, _ in g.vertices():
-            d = sum(1 for _ in g.neighbors(vid, "any"))
-            expected += d * (d - 1) // 2
-        assert sum(got.values()) == expected
+        g = graph_of(generate_stream(schema, 150, rng), rng.choice((None, 9)))
+        degree: Counter = Counter()
+        for e in g.live_edges():
+            degree.update({e.src, e.dst})
+        expected = sum(d * (d - 1) // 2 for d in degree.values())
+        assert sum(census(live_records(g)).values()) == expected
 
 
 def test_path_counts_numbering_edge_cases():
-    # the census numbers each center label's descriptors in the sorted order
-    # of what the hook returns; each case is checked against the oracle
-    assert count_2edge_paths(DynamicGraph()) == {}
-    g = DynamicGraph()
-    for r in [
+    # the census numbers each center label's descriptors in sorted order;
+    # each case is checked against the oracle
+    assert census([]) == {}
+    records = [
         raw(0, "a", "x", "b"),
         raw(0, "a", "x", "b"),  # parallel to the one before
         raw(0, "a", "a", "a"),  # a self-loop
@@ -148,38 +148,35 @@ def test_path_counts_numbering_edge_cases():
         raw(0, "k", "x", "m"),  # k holds one descriptor twice
         raw(0, "k", "x", "n"),
         raw(0, "p", "z", "q"),  # p and q hold one descriptor once
-    ]:
-        g.add_edge(r)
-    reverse = {"a": "z", "x": "y", "y": "x", "z": "a"}
-    hooks = [
-        None,
-        lambda d: (reverse[d[0]], d[1], d[2]),  # reverses the label order
-        lambda d: ("*", d[1], d[2]),  # merges descriptors at a and at c
-        lambda d: ("*", "*", d[2]),
-        lambda d: ("*", "*", "*"),  # every vertex holds one descriptor
     ]
-    for i, hook in enumerate(hooks):
-        got = count_2edge_paths(g, hook)
-        assert got == brute_force_path_counts(g, hook), f"hook {i}"
+    reverse = {"a": "z", "x": "y", "y": "x", "z": "a"}
+    relabelings = [
+        lambda label: label,
+        reverse.__getitem__,  # reverses the label order
+        lambda label: "*",  # merges descriptors at a and at c
+    ]
+    for i, relabel in enumerate(relabelings):
+        relabeled = [r._replace(edge_type=relabel(r.edge_type)) for r in records]
+        got = census(relabeled)
+        assert got == brute_force_path_counts(graph_of(relabeled)), f"relabeling {i}"
         assert {center for center, _, _ in got} == {"A", "C"}
         assert all(d1 <= d2 for _, d1, d2 in got)
-    # merged, the parallel pair, the loop and the y-edge at a are one
-    # descriptor held 4 times, C(4,2) pairs, and k adds its one pair
-    assert count_2edge_paths(g, hooks[2])[("A", ("*", "A", "out"), ("*", "A", "out"))] == 6 + 1
+    # merged (the last relabeling), the parallel pair, the loop and the
+    # y-edge at a are one descriptor held 4 times, C(4,2) pairs, and k adds
+    # its one pair
+    assert got[("A", ("*", "A", "out"), ("*", "A", "out"))] == 6 + 1
 
 
 def test_path_census_holds_little_beyond_its_table():
     # the census holds one tally entry per (vertex, descriptor), then flat
-    # lists in their place, and one row at a time: its peak above the graph
+    # lists in their place, and one row at a time: its peak above the sample
     # stays near the size of the table it returns
-    g = DynamicGraph()
     schema = netflow_schema(hosts=150, skew=1.5, protocols=256)
-    for r in generate_stream(schema, 20_000, Random(7), edges_per_tick=10):
-        g.add_edge(r)
+    records = generate_stream(schema, 20_000, Random(7), edges_per_tick=10)
     gc.collect()
     tracemalloc.start()
     try:
-        counts = count_2edge_paths(g)
+        counts = census(records)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,10 +256,7 @@ def test_collect_stats_counts_whole_sample():
     assert t.total1 == 3
     # nothing expires while sampling: the ts=0 edge still pairs at b and a
     assert t.arity1 == {("A", "e", "A"): 2, ("A", "f", "A"): 1}
-    g = DynamicGraph(window=None)
-    for r in records:
-        g.add_edge(r)
-    assert t.arity2 == count_2edge_paths(g)
+    assert t.arity2 == graph_census(graph_of(records))
 
 
 # ------------------------------------------------- collect_stats, differential
@@ -270,9 +264,9 @@ def test_collect_stats_counts_whole_sample():
 CHUNK = stats._CHUNK
 
 
-def reference_stats(records, hook=None):
+def reference_stats(records):
     """collect_stats through the store: every record into a full-window
-    graph, then the graph's census and an edge-key tally."""
+    graph, then a walk of the graph's census and an edge-key tally."""
     g = DynamicGraph(window=None)
     arity1: dict = {}
     n = 0
@@ -281,14 +275,14 @@ def reference_stats(records, hook=None):
         key = (rec.src_type, rec.edge_type, rec.dst_type)
         arity1[key] = arity1.get(key, 0) + 1
         n += 1
-    return n, arity1, count_2edge_paths(g, hook)
+    return n, arity1, graph_census(g)
 
 
-def outcome(build, records, hook=None):
+def outcome(build, records):
     """What ``build`` makes of ``records()``: its counts, or the type and
     message of what it raised."""
     try:
-        result = build(records(), hook)
+        result = build(records())
     except Exception as exc:
         return type(exc), str(exc)
     if isinstance(result, SelectivityTable):
@@ -315,9 +309,9 @@ def other(label: str) -> str:
     return "B" if label == "A" else "A"
 
 
-def assert_same_outcome(records, hook=None):
-    want = outcome(reference_stats, lambda: iter(records), hook)
-    assert outcome(collect_stats, lambda: iter(records), hook) == want
+def assert_same_outcome(records):
+    want = outcome(reference_stats, lambda: iter(records))
+    assert outcome(collect_stats, lambda: iter(records)) == want
     return want
 
 
@@ -325,12 +319,11 @@ def assert_same_outcome(records, hook=None):
 def test_collect_stats_matches_the_graph_census(n):
     rng = Random(1400 + n)
     records = random_sample(rng, n)
-    for hook in (None, lambda d: (d[0], "*", d[2]), lambda d: ("*", "*", "*")):
-        got = assert_same_outcome(records, hook)
-        assert got[0] == n
+    got = assert_same_outcome(records)
+    assert got[0] == n
     if n > 1:
         # both center labels hold paths, self-loops and parallel edges occur
-        assert {center for center, _, _ in assert_same_outcome(records)[2]} == {"A", "B"}
+        assert {center for center, _, _ in got[2]} == {"A", "B"}
         assert any(r.src == r.dst for r in records)
         assert len({(r.src, r.edge_type, r.dst) for r in records}) < n
 
@@ -405,15 +398,10 @@ def test_collect_stats_builds_no_graph(monkeypatch):
 
     records = random_sample(Random(17), 300)
     want = reference_stats(records)
-    summed = []
-    sum_pairs = stats._sum_pairs
-    monkeypatch.setattr(stats, "_sum_pairs", lambda tallies: summed.append(1) or sum_pairs(tallies))
     monkeypatch.setattr(DynamicGraph, "__init__", refuse)
     monkeypatch.setattr(DynamicGraph, "add_edge", refuse)
     t = collect_stats(records)
     assert (t.sample_size, t.arity1, t.arity2) == want
-    # the pairs are summed by the one function the graph census uses too
-    assert summed == [1]
 
 
 def saturating_stream(n: int):
