@@ -29,7 +29,16 @@ keys are summed from the out tally, and the two tallies become each vertex's
 descriptor tally.  The sample's statistics hold one entry per vertex and per
 (vertex, descriptor), never one per edge.
 
-The pairs are summed one center label at a time.  The label's descriptors are
+The table ``collect_stats`` returns keeps those tallies, grouped by center
+label, in place of the path counts, since a planner reads only a few path
+keys.  A key read from it (``frequency``, ``path_selectivity``) is summed over
+the tallies of its center label alone, and kept.  ``total2`` needs no key: a
+center holding ``s`` descriptors, a self-loop once, centers ``C(s, 2)`` paths
+(the handshake identity), so it is summed as the table is built.  Every key
+is summed, and the tallies dropped, when ``arity2`` is first read, as
+``to_json`` reads it.
+
+The full pair sum runs one center label at a time.  The label's descriptors are
 numbered in sorted order, so ids ``i < j`` name the canonical pair
 ``(d_i, d_j)``, and each vertex's tally becomes two flat lists: its ids,
 descending, and their counts.  Row ``i``, every pair whose first descriptor is
@@ -44,7 +53,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import eq, le, ne
 from typing import Iterable
@@ -117,23 +125,60 @@ def _canonical_path_key(center_label: str, d1: Descriptor, d2: Descriptor) -> Pa
     return (center_label, d1, d2)
 
 
-@dataclass
 class SelectivityTable:
     """Primitive frequencies plus the totals that normalize them.
 
-    The totals are summed once, when the table is built: build it whole from
-    its counts, and do not change them afterwards.
+    A table built from its counts (the constructor, ``from_json``) sums its
+    totals once, when it is built: build it whole from its counts, and do not
+    change them afterwards.  A table from ``collect_stats`` holds the sample's
+    descriptor tallies in place of its path counts (see the module
+    docstring): it reads a path key off the tallies when the key is asked
+    for, and sums every key into ``arity2`` when ``arity2`` is first read.
     """
 
-    sample_size: int
-    arity1: dict[EdgeKey, int] = field(default_factory=dict)
-    arity2: dict[PathKey, int] = field(default_factory=dict)
-    total1: int = field(init=False)
-    total2: int = field(init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        sample_size: int,
+        arity1: dict[EdgeKey, int] | None = None,
+        arity2: dict[PathKey, int] | None = None,
+    ) -> None:
+        self.sample_size = sample_size
+        self.arity1 = {} if arity1 is None else arity1
+        # the path counts; while ``_tallies`` is held, the keys read so far
+        self._arity2 = {} if arity2 is None else arity2
+        self._tallies: dict[str, list[dict[Descriptor, int]]] | None = None
         self.total1 = sum(self.arity1.values())
-        self.total2 = sum(self.arity2.values())
+        self.total2 = sum(self._arity2.values())
+
+    @property
+    def arity2(self) -> dict[PathKey, int]:
+        if self._tallies is not None:
+            self._arity2 = _sum_pairs(self._tallies)
+            self._tallies = None
+        return self._arity2
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SelectivityTable):
+            return NotImplemented
+        mine = (self.sample_size, self.arity1, self.arity2)
+        return mine == (other.sample_size, other.arity1, other.arity2)
+
+    def _path_count(self, key: PathKey) -> int:
+        counts = self._arity2
+        tallies = self._tallies
+        if tallies is None or key in counts:
+            return counts.get(key, 0)
+        label, d1, d2 = key
+        group = tallies.get(label, ())
+        if d1 == d2:
+            # pairs within one descriptor: C(n, 2) at each center
+            c = sum(n * (n - 1) for local in group if (n := local.get(d1, 0)) > 1) // 2
+        elif d1 < d2:
+            c = sum(local.get(d1, 0) * local.get(d2, 0) for local in group)
+        else:
+            c = 0  # not canonical, so never a key of the summed table
+        counts[key] = c
+        return c
 
     # ------------------------------------------------------------ selectivity
 
@@ -147,11 +192,12 @@ class SelectivityTable:
         total = self.total2
         if total == 0:
             return 0.0
-        return self.arity2.get(key, 0) / total
+        return self._path_count(key) / total
 
     def frequency(self, arity: int, key: EdgeKey | PathKey) -> int:
-        table = self.arity1 if arity == 1 else self.arity2
-        return table.get(key, 0)  # type: ignore[arg-type]
+        if arity == 1:
+            return self.arity1.get(key, 0)  # type: ignore[arg-type]
+        return self._path_count(key)  # type: ignore[arg-type]
 
     def subgraph_selectivity(self, query: QueryGraph, edge_ids: Iterable[int]) -> float:
         """Selectivity of a 1- or 2-edge sub-pattern of ``query``."""
@@ -277,16 +323,22 @@ def collect_stats(records: Iterable[RawEdge]) -> SelectivityTable:
                 tallies[vid] = {(edge_type, far_type, role): c}
             else:
                 local[(edge_type, far_type, role)] = c
+    # the tallies of the vertices that center a path, by label; a vertex
+    # holding s descriptors centers C(s, 2) paths, whatever their keys
     groups: dict[str, list[dict[Descriptor, int]]] = {}
+    total2 = 0
     for vid, local in tallies.items():
-        if sum(local.values()) > 1:
+        s = sum(local.values())
+        if s > 1:
             groups.setdefault(labels[vid], []).append(local)
+            total2 += s * (s - 1) // 2
     # the pair sum drops each vertex's tally as it numbers it, once nothing
     # else holds the tally
     del tallies
-    return SelectivityTable(
-        sample_size=sum(outs.values()), arity1=arity1, arity2=_sum_pairs(groups)
-    )
+    table = SelectivityTable(sample_size=sum(outs.values()), arity1=arity1)
+    table._tallies = groups
+    table.total2 = total2
+    return table
 
 
 def _tally(records: Iterable[RawEdge]) -> tuple[dict[str, str], Counter, Counter]:

@@ -15,7 +15,7 @@ from dgquery.engine import Engine
 from dgquery.graph import DynamicGraph, RawEdge
 from dgquery.planner import plan_query
 from dgquery.query import Match, QueryGraph, parse_query
-from dgquery.stats import SelectivityTable, collect_stats
+from dgquery.stats import collect_stats
 
 
 def q(text: str) -> QueryGraph:
@@ -53,8 +53,19 @@ def stored_form(m: Match) -> tuple:
     return (m.t_min, *m.edges, *m.verts)
 
 
-def table_for(records) -> SelectivityTable:
-    return collect_stats(records)
+def plan_facts(plan) -> tuple:
+    """What a ``Plan`` says: its plan text, strategy, selectivities, the
+    candidates they were chosen from, its warnings and estimated sizes."""
+    return (
+        plan.tree.serialize(),
+        plan.catalog_mode,
+        plan.strategy,
+        plan.expected,
+        plan.relative,
+        plan.candidates,
+        plan.warnings,
+        plan.estimated_sizes,
+    )
 
 
 def live_records(graph: DynamicGraph) -> list[RawEdge]:

@@ -7,14 +7,15 @@ from dgquery.baseline import RescanEngine
 from dgquery.bench import STRATEGIES, bin_reports, make_engine, run_sweep
 from dgquery.engine import Engine
 from dgquery.errors import ContractError
+from dgquery.stats import collect_stats
 
-from conftest import path_query, raw, table_for
+from conftest import path_query, raw
 
 
 def _workload():
     query = path_query(["e", "f"], vertex_label="A")
     records = [raw(i, f"v{i % 4}", "ef"[i % 2], f"v{(i + 1) % 4}") for i in range(24)]
-    return query, records, table_for(records)
+    return query, records, collect_stats(records)
 
 
 # ------------------------------------------------------------------ factory

@@ -24,7 +24,7 @@ from dgquery.graph import DynamicGraph
 from dgquery.planner import plan_query
 from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree
-from dgquery.stats import SelectivityTable
+from dgquery.stats import SelectivityTable, collect_stats
 
 from conftest import (
     cross_check,
@@ -34,7 +34,6 @@ from conftest import (
     raw,
     signatures,
     stored_form,
-    table_for,
     watch_searches,
 )
 
@@ -131,7 +130,7 @@ def test_per_edge_deltas_hand_checked():
         raw(2, "d", "e", "b"),
         raw(3, "b", "f", "g"),
     ]
-    plan = plan_query(query, table_for(records), mode="single")
+    plan = plan_query(query, collect_stats(records), mode="single")
     eng = Engine(query, plan.tree, window=None)
     deltas = [signatures(eng.process(r)) for r in records]
     assert deltas[0] == set()
@@ -240,7 +239,7 @@ def test_purge_interval_equivalence(monkeypatch):
     schema = random_schema(rng)
     records = generate_stream(schema, 150, rng, edges_per_tick=3)
     query = random_query(schema, 2, rng)
-    table = table_for(records)
+    table = collect_stats(records)
     runs = []
     for interval in (0, 1, 64):
         monkeypatch.setattr(engine, "PURGE_INTERVAL", interval)
@@ -275,7 +274,7 @@ def test_gated_multi_edge_leaf_stores_each_match_once(monkeypatch):
     # its newest edge
     query = path_query(["a", "b", "c", "d"], vertex_label="A")
     records = [raw(0, "y", "c", "z"), raw(1, "z", "d", "u"), raw(2, "w", "a", "x"), raw(3, "x", "b", "y")]
-    plan = plan_query(query, table_for(records), mode="path")
+    plan = plan_query(query, collect_stats(records), mode="path")
     leaf1 = plan.tree.leaves()[1]
     assert leaf1.piece.edges == {2, 3}
     eng = Engine(query, plan.tree, None, lazy=True)
@@ -341,7 +340,7 @@ def test_lazy_engine_searches_each_edge_once_per_leaf(mode):
     else:
         streams = _small_streams(Random(6), paths + others, 200)
     for trial, (query, records, window) in enumerate(streams):
-        plan = plan_query(query, table_for(records), mode=mode)
+        plan = plan_query(query, collect_stats(records), mode=mode)
         leaves = plan.tree.leaves()
         runs = []
         for lazy in (True, False):
@@ -446,7 +445,7 @@ def test_label_conflict_seen_only_through_a_non_query_edge():
         raw(6, "c", "x", "b"),  # and is live as B: rejected
         raw(7, "c", "e", "b", dst_type="B"),
     ]
-    plan = plan_query(query, table_for([records[0], records[6]]), mode="single")
+    plan = plan_query(query, collect_stats([records[0], records[6]]), mode="single")
     engines = [Engine(query, plan.tree, 5, lazy=True), RescanEngine(query, 5)]
     outcomes = []
     for eng in engines:
@@ -478,7 +477,7 @@ def test_vertex_made_by_a_non_query_edge_is_searched_and_evicted():
         raw(10, "q", "e", "p"),
     ]
     cross_check(query, records, 5)
-    plan = plan_query(query, table_for(records), mode="single")
+    plan = plan_query(query, collect_stats(records), mode="single")
     eng = Engine(query, plan.tree, 5, lazy=True)
     for r in records[:2]:
         eng.process(r)
@@ -534,7 +533,7 @@ def windowed_social_runs():
     schema = social_schema()
     records = generate_stream(schema, 600, rng, edges_per_tick=4)
     query = random_query(schema, 3, rng)
-    table = table_for(records)
+    table = collect_stats(records)
     for mode in ("single", "path"):
         for lazy in (True, False):
             plan = plan_query(query, table, mode=mode)
@@ -588,7 +587,7 @@ def test_probes_call_join_through_the_module_global(monkeypatch):
     schema = social_schema()
     records = generate_stream(schema, 600, rng, edges_per_tick=4)
     query = random_query(schema, 3, rng)
-    table = table_for(records)
+    table = collect_stats(records)
 
     def emissions():
         eng = Engine(query, plan_query(query, table, mode="single").tree, 20, lazy=True)

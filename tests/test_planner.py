@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from dgquery import stats
 from dgquery.generate import generate_stream, random_query, random_schema, social_schema
 from dgquery.planner import (
     DP_MAX_LEAVES,
@@ -23,7 +24,7 @@ from dgquery.planner import _greedy_tree, _SpineCost
 from dgquery.sjtree import SJTree
 from dgquery.stats import SelectivityTable, collect_stats, primitive_key
 
-from conftest import path_query, q, table_for
+from conftest import path_query, plan_facts, q
 
 
 def skewed_table(extra1=None):
@@ -343,3 +344,29 @@ def test_decomposition_advisories_flag_common_constituents():
     assert decomposition_advisories(tree, table, mean_degree=None) == []
     single_tree = plan_query(query, table, mode="single").tree
     assert decomposition_advisories(single_tree, table, mean_degree=1.0) == []
+
+
+def test_planning_reads_path_keys_without_the_pair_sum(monkeypatch, rng):
+    """plan_query and decomposition_advisories read a collect_stats table's
+    path keys one at a time: the sum of every path key never runs, and the
+    plans and notes equal those from the full table."""
+    def refuse(tallies):
+        raise AssertionError("planning summed every path key")
+
+    path_leaves = 0
+    for trial in range(30):
+        schema = random_schema(rng)
+        records = generate_stream(schema, 400, rng)
+        query = random_query(schema, rng.randint(1, 6), rng)
+        full = SelectivityTable.from_json(collect_stats(records).to_json())
+        with monkeypatch.context() as patched:
+            patched.setattr(stats, "_sum_pairs", refuse)
+            table = collect_stats(records)
+            for mode in ("single", "path", "auto"):
+                plan = plan_query(query, table, mode=mode)
+                assert plan_facts(plan) == plan_facts(plan_query(query, full, mode)), f"trial {trial} {mode}"
+                notes = decomposition_advisories(plan.tree, table, mean_degree=1.0)
+                assert notes == decomposition_advisories(plan.tree, full, mean_degree=1.0)
+                path_leaves += sum(len(leaf.piece.edges) == 2 for leaf in plan.tree.leaves())
+        assert table == full
+    assert path_leaves > 0

@@ -203,6 +203,9 @@ def test_table_selectivities():
     assert t.path_selectivity(("A", ("e", "A", "out"), ("f", "B", "out"))) == pytest.approx(1.0)
     assert t.frequency(1, ("A", "f", "B")) == 4
     assert t.frequency(2, ("A", ("e", "A", "out"), ("f", "B", "out"))) == 5
+    assert t.frequency(2, ("A", ("f", "B", "out"), ("e", "A", "out"))) == 0  # not canonical
+    assert t == make_table()
+    assert t != SelectivityTable(sample_size=10, arity1=t.arity1, arity2={})
 
 
 def test_table_empty_totals_give_zero_selectivity():
@@ -404,6 +407,52 @@ def test_collect_stats_builds_no_graph(monkeypatch):
     assert (t.sample_size, t.arity1, t.arity2) == want
 
 
+# ------------------------------------------------------ path keys on demand
+
+def key_universe(records):
+    """Every path key, canonical or not, over the labels of ``records`` plus
+    an unseen edge label "q" and an unseen vertex label "Z"."""
+    vertex_labels = sorted({r.src_type for r in records} | {r.dst_type for r in records} | {"Z"})
+    edge_labels = sorted({r.edge_type for r in records} | {"q"})
+    descs = [(e, far, role) for e in edge_labels for far in vertex_labels for role in ("in", "out")]
+    return [(center, d1, d2) for center in vertex_labels for d1 in descs for d2 in descs]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 60, CHUNK + 1, 2 * CHUNK + 7])
+def test_path_keys_read_on_demand_equal_the_full_table(n, monkeypatch):
+    # parallel edges, self-loops and chunk boundaries (random_sample), read
+    # from a fresh table with the sum of every key refused
+    def refuse(tallies):
+        raise AssertionError("a path key read summed every key")
+
+    records = random_sample(Random(1700 + n), n)
+    keys = key_universe(records)
+    with monkeypatch.context() as patched:
+        patched.setattr(stats, "_sum_pairs", refuse)
+        table = collect_stats(records)
+        read = {key: table.frequency(2, key) for key in keys}
+        total2 = table.total2
+        selectivity = {key: table.path_selectivity(key) for key in keys}
+    full = table.arity2
+    assert full == collect_stats(records).arity2 == graph_census(graph_of(records))
+    assert set(full) <= set(keys)
+    # every built key and every absent one: an unseen descriptor, an unseen
+    # center label, d1 == d2, and a key out of canonical order
+    assert read == {key: full.get(key, 0) for key in keys}
+    assert total2 == sum(full.values()) == table.total2
+    assert selectivity == {key: full.get(key, 0) / total2 if total2 else 0.0 for key in keys}
+    if n > 2:
+        absent = [key for key in keys if key not in full]
+        assert any(center == "Z" for center, _, _ in absent)
+        assert any(d1[0] == "q" for _, d1, _ in absent)
+        assert any(d1 == d2 for _, d1, d2 in absent)
+        assert any(d2 < d1 and (center, d2, d1) in full for center, d1, d2 in absent)
+    # the table that read on demand saves and compares as the full one
+    again = SelectivityTable.from_json(table.to_json())
+    assert again == table == collect_stats(records)
+    assert (again.total1, again.total2) == (table.total1, table.total2)
+
+
 def saturating_stream(n: int):
     """``n`` edges among 150 hosts over 7 protocols, made one at a time: every
     key the statistics can hold turns up early."""
@@ -419,6 +468,7 @@ def test_collect_stats_memory_is_bounded_by_its_keys_not_the_sample():
         tracemalloc.start()
         try:
             table = collect_stats(saturating_stream(n))
+            table.arity2  # the full table, as ``dgq stats`` writes it
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
