@@ -28,6 +28,7 @@ from .graph import (
     DynamicGraph,
     EdgeRecord,
     RawEdge,
+    WireEdge,
     format_edge_line,
     parse_edge_line,
     read_edge_stream,
@@ -63,6 +64,7 @@ __all__ = [
     "__version__",
     # graph
     "RawEdge",
+    "WireEdge",
     "EdgeRecord",
     "DynamicGraph",
     "parse_edge_line",

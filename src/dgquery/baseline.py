@@ -11,6 +11,9 @@ Two separate routes, deliberately sharing no search code with the engine:
   lists built from full edge-list scans, combined by backtracking with
   injectivity checks.  It touches no adjacency index and no engine helper, so
   it cannot inherit an engine bug.
+
+Both read a stored edge, the store's plain ``EdgeRecord`` tuple, by
+unpacking or by position, in its field order.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .engine import Counters
 from .errors import ContractError
-from .graph import DynamicGraph, EdgeRecord, RawEdge
+from .graph import DynamicGraph, EdgeRecord, WireEdge
 from .query import Match, QueryGraph
 
 __all__ = [
@@ -64,7 +67,7 @@ def _vertex_order(query: QueryGraph, seeded: tuple[int, ...]) -> list[int]:
 
 def _has_edge(graph: DynamicGraph, src: str, dst: str, label: str) -> bool:
     for rec in graph.out_edges(src):
-        if rec.dst == dst and rec.edge_type == label:
+        if rec[2] == dst and rec[5] == label:
             return True
     return False
 
@@ -74,22 +77,23 @@ def vf2_matches_containing(
 ) -> list[Match]:
     """All full-query matches in the live window that contain ``anchor``."""
     adj = _query_adjacency(query)
+    _, src, dst, src_type, dst_type, label, _ = anchor
     results: list[Match] = []
     for role, qe in enumerate(query.edges):
         if (
-            qe.label != anchor.edge_type
-            or query.vertex_labels[qe.src] != anchor.src_type
-            or query.vertex_labels[qe.dst] != anchor.dst_type
+            qe.label != label
+            or query.vertex_labels[qe.src] != src_type
+            or query.vertex_labels[qe.dst] != dst_type
         ):
             continue
         if qe.src == qe.dst:
-            if anchor.src != anchor.dst:
+            if src != dst:
                 continue
-            core = {qe.src: anchor.src}
+            core = {qe.src: src}
         else:
-            if anchor.src == anchor.dst:
+            if src == dst:
                 continue
-            core = {qe.src: anchor.src, qe.dst: anchor.dst}
+            core = {qe.src: src, qe.dst: dst}
         order = _vertex_order(query, tuple(core))
         used = set(core.values())
         _map_vertices(graph, query, adj, order, 0, core, used, role, anchor, results)
@@ -127,15 +131,15 @@ def _map_vertices(
     candidates: list[str] = []
     seen: set[str] = set()
     if qe.src == qv:  # qv --e--> mapped
-        for rec in graph.in_edges(pivot):
-            if rec.edge_type == qe.label and rec.src not in seen:
-                seen.add(rec.src)
-                candidates.append(rec.src)
+        for _, src, _, _, _, label, _ in graph.in_edges(pivot):
+            if label == qe.label and src not in seen:
+                seen.add(src)
+                candidates.append(src)
     else:  # mapped --e--> qv
-        for rec in graph.out_edges(pivot):
-            if rec.edge_type == qe.label and rec.dst not in seen:
-                seen.add(rec.dst)
-                candidates.append(rec.dst)
+        for _, _, dst, _, _, label, _ in graph.out_edges(pivot):
+            if label == qe.label and dst not in seen:
+                seen.add(dst)
+                candidates.append(dst)
     for dv in candidates:
         if dv in used or graph.vertex_label(dv) != want_label:
             continue
@@ -170,12 +174,12 @@ def _assign_edges(
     """Enumerate concrete edge assignments for one completed vertex mapping."""
     n = query.n_edges
     chosen: dict[int, EdgeRecord] = {seed_role: anchor}
-    used_ids = {anchor.edge_id}
+    used_ids = {anchor[0]}
 
     def rec_assign(qe_id: int) -> None:
         if qe_id == n:
             results.append(
-                Match.of(query, [(q, r.edge_id, r.timestamp) for q, r in chosen.items()], core)
+                Match.of(query, [(q, r[0], r[6]) for q, r in chosen.items()], core)
             )
             return
         if qe_id == seed_role:
@@ -184,18 +188,19 @@ def _assign_edges(
         e = query.edges[qe_id]
         s, d = core[e.src], core[e.dst]
         for rec in graph.out_edges(s):
-            if rec.dst != d or rec.edge_type != e.label or rec.edge_id in used_ids:
+            edge_id = rec[0]
+            if rec[2] != d or rec[5] != e.label or edge_id in used_ids:
                 continue
             chosen[qe_id] = rec
-            used_ids.add(rec.edge_id)
+            used_ids.add(edge_id)
             rec_assign(qe_id + 1)
-            used_ids.discard(rec.edge_id)
+            used_ids.discard(edge_id)
             del chosen[qe_id]
 
     # the seed must actually fit this mapping (it does by construction of the
     # search, but a parallel-edge mapping may route the anchor elsewhere)
     e = query.edges[seed_role]
-    if core[e.src] != anchor.src or core[e.dst] != anchor.dst:
+    if core[e.src] != anchor[1] or core[e.dst] != anchor[2]:
         return
     rec_assign(0)
 
@@ -211,7 +216,7 @@ class RescanEngine:
         self.counters = Counters()
         self._seen: set[tuple[tuple[int, int], ...]] = set()
 
-    def process(self, raw: RawEdge) -> list[Match]:
+    def process(self, raw: WireEdge) -> list[Match]:
         rec = self.graph.add_edge(raw)
         self.counters.edges += 1
         fresh: list[Match] = []
@@ -273,18 +278,18 @@ def enumerate_matches(
         compatible[qe_id] = [
             rec
             for rec in all_edges
-            if rec.edge_type == e.label
-            and rec.src_type == s_lbl
-            and rec.dst_type == d_lbl
-            and (e.src != e.dst or rec.src == rec.dst)
-            and (e.src == e.dst or rec.src != rec.dst)
+            if rec[5] == e.label
+            and rec[3] == s_lbl
+            and rec[4] == d_lbl
+            and (e.src != e.dst or rec[1] == rec[2])
+            and (e.src == e.dst or rec[1] != rec[2])
         ]
 
     results: list[Match] = []
     window = graph.window
 
     def admit(binding: dict[int, str], chosen: dict[int, EdgeRecord]) -> None:
-        m = Match.of(query, [(q, r.edge_id, r.timestamp) for q, r in chosen.items()], binding)
+        m = Match.of(query, [(q, r[0], r[6]) for q, r in chosen.items()], binding)
         if window is not None and m.time_span() >= window:
             return
         results.append(m)
@@ -297,11 +302,12 @@ def enumerate_matches(
         qe_id = order[depth]
         e = query.edges[qe_id]
         for rec in compatible[qe_id]:
-            if rec.edge_id in used:
+            edge_id = rec[0]
+            if edge_id in used:
                 continue
             ok = True
             trail: list[tuple[int, str]] = []
-            for qv, dv in ((e.src, rec.src), (e.dst, rec.dst)):
+            for qv, dv in ((e.src, rec[1]), (e.dst, rec[2])):
                 bound = binding.get(qv)
                 if bound is not None:
                     if bound != dv:
@@ -317,9 +323,9 @@ def enumerate_matches(
                     binding[qv] = dv
                     rev[dv] = qv
                 chosen[qe_id] = rec
-                used.add(rec.edge_id)
+                used.add(edge_id)
                 extend(order, depth + 1, binding, rev, chosen, used)
-                used.discard(rec.edge_id)
+                used.discard(edge_id)
                 del chosen[qe_id]
                 for qv, dv in trail:
                     del binding[qv]
@@ -330,21 +336,22 @@ def enumerate_matches(
         extend(order, 0, {}, {}, {}, set())
         return results
 
+    anchor_id, src, dst = containing[:3]
     for role in range(query.n_edges):
-        if not any(rec.edge_id == containing.edge_id for rec in compatible[role]):
+        if not any(rec[0] == anchor_id for rec in compatible[role]):
             continue
         e = query.edges[role]
         binding: dict[int, str] = {}
         if e.src == e.dst:
-            binding[e.src] = containing.src
+            binding[e.src] = src
         else:
-            binding[e.src] = containing.src
-            binding[e.dst] = containing.dst
+            binding[e.src] = src
+            binding[e.dst] = dst
         rev = {dv: qv for qv, dv in binding.items()}
         if len(rev) != len(binding):
             continue
         order = _oracle_order(query, role)
-        extend(order[1:], 0, binding, rev, {role: containing}, {containing.edge_id})
+        extend(order[1:], 0, binding, rev, {role: containing}, {anchor_id})
     return results
 
 

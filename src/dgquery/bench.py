@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .baseline import RescanEngine
 from .engine import Engine
 from .errors import ContractError, MismatchError
-from .graph import RawEdge
+from .graph import WireEdge
 from .planner import Plan, plan_query
 from .query import QueryGraph
 from .stats import SelectivityTable, collect_stats
@@ -91,7 +91,7 @@ def make_engine(
 def run_strategy(
     strategy: str,
     query: QueryGraph,
-    records: Sequence[RawEdge],
+    records: Sequence[WireEdge],
     window: int | None,
     table: SelectivityTable,
 ) -> tuple[BenchReport, set]:
@@ -118,7 +118,7 @@ def run_strategy(
 
 def run_sweep(
     query: QueryGraph,
-    records: Sequence[RawEdge],
+    records: Sequence[WireEdge],
     window: int | None,
     strategies: Iterable[str] = STRATEGIES,
     table: SelectivityTable | None = None,

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import UnsupportedPrimitiveError
-from .graph import DynamicGraph, EdgeRecord, RawEdge
+from .graph import DynamicGraph, EdgeRecord, WireEdge
 from .query import Match, QueryGraph, QueryPiece
 from .sjtree import Partial, SJTree, SJTreeNode
 
@@ -178,18 +178,19 @@ def match_primitive(graph: DynamicGraph, plan: SearchPlan, anchor: EdgeRecord) -
     vertices and edges.
     """
     n_edges, n_verts, roles = plan
+    edge_id, src, dst, src_label, dst_label, label, ts = anchor
     results: list[Partial] = []
     edges: list[int | None] = [None] * n_edges
     verts: list[str | None] = [None] * n_verts
-    for role, src_type, dst_type, qs, qd, steps in roles.get(anchor.edge_type, ()):
-        if src_type != anchor.src_type or dst_type != anchor.dst_type:
+    for role, src_type, dst_type, qs, qd, steps in roles.get(label, ()):
+        if src_type != src_label or dst_type != dst_label:
             continue
-        if (qs == qd) != (anchor.src == anchor.dst):
+        if (qs == qd) != (src == dst):
             continue  # a loop qedge takes exactly the data loops
-        verts[qs] = anchor.src
-        verts[qd] = anchor.dst
-        edges[role] = anchor.edge_id
-        _extend(graph, steps, 0, edges, verts, anchor.timestamp, results)
+        verts[qs] = src
+        verts[qd] = dst
+        edges[role] = edge_id
+        _extend(graph, steps, 0, edges, verts, ts, results)
         edges[role] = None
         verts[qs] = verts[qd] = None
     return results
@@ -205,7 +206,8 @@ def _extend(
     out: list[Partial],
 ) -> None:
     """Bind ``steps[depth:]`` in turn, filling ``edges``/``verts`` in place
-    and clearing each slot again on the way back."""
+    and clearing each slot again on the way back.  Records are read by
+    position, in ``EdgeRecord``'s field order."""
     if depth == len(steps):
         out.append((t_min, *edges, *verts))
         return
@@ -216,27 +218,27 @@ def _extend(
         # is forward and closes on its bound destination
         target = verts[end]
         for rec in recs:
-            if rec.edge_type != label or rec.dst != target or rec.edge_id in edges:
+            if rec[5] != label or rec[2] != target or rec[0] in edges:
                 continue
-            edges[qe_id] = rec.edge_id
-            ts = rec.timestamp
+            edges[qe_id] = rec[0]
+            ts = rec[6]
             _extend(graph, steps, depth + 1, edges, verts, ts if ts < t_min else t_min, out)
             edges[qe_id] = None
         return
     for rec in recs:
-        if rec.edge_type != label:
+        if rec[5] != label:
             continue
         if forward:
-            far, far_type = rec.dst, rec.dst_type
+            far, far_type = rec[2], rec[4]
         else:
-            far, far_type = rec.src, rec.src_type
+            far, far_type = rec[1], rec[3]
         # injectivity on vertices; it also turns away a data loop, whose far
         # end is the bound vertex
-        if far_type != want or far in verts or rec.edge_id in edges:
+        if far_type != want or far in verts or rec[0] in edges:
             continue
         verts[end] = far
-        edges[qe_id] = rec.edge_id
-        ts = rec.timestamp
+        edges[qe_id] = rec[0]
+        ts = rec[6]
         _extend(graph, steps, depth + 1, edges, verts, ts if ts < t_min else t_min, out)
         verts[end] = None
         edges[qe_id] = None
@@ -252,7 +254,7 @@ def _opens(gate: RoleGate, rec: EdgeRecord) -> bool:
     the edge with its source and destination each in the qedge's set, where
     the qedge has one (None: that end is outside the cut)."""
     for src_ok, dst_ok in gate:
-        if (src_ok is None or rec.src in src_ok) and (dst_ok is None or rec.dst in dst_ok):
+        if (src_ok is None or rec[1] in src_ok) and (dst_ok is None or rec[2] in dst_ok):
             return True
     return False
 
@@ -376,8 +378,10 @@ class Engine:
 
     # ------------------------------------------------------------------ stream
 
-    def process(self, raw: RawEdge) -> list[Match]:
-        """Ingest one edge; return the newly appeared complete matches.
+    def process(self, raw: WireEdge) -> list[Match]:
+        """Ingest one edge, any 6-tuple in wire order (a ``RawEdge`` or what
+        ``parse_edge_line`` returns); return the newly appeared complete
+        matches.
 
         An edge whose label no leaf's piece uses can hold no qedge, so no
         search ever reads it: the graph ingests it unindexed, which checks
@@ -459,12 +463,12 @@ class Engine:
             passing = []
             for adjacent in walks:
                 for rec in adjacent(v):
-                    gate = gates.get(rec.edge_type)
+                    gate = gates.get(rec[5])  # rec[5]: the edge label
                     if gate is not None and _opens(gate, rec):
                         passing.append(rec)
             if passing:
                 allowed.remove(v)
-                fresh = [rec for rec in passing if rec is not arriving and not _opens(gates[rec.edge_type], rec)]
+                fresh = [rec for rec in passing if rec is not arriving and not _opens(gates[rec[5]], rec)]
                 allowed.add(v)
                 if len(walks) > 1:
                     fresh = dict.fromkeys(fresh)  # a self-loop at v sits in both walks
@@ -474,7 +478,7 @@ class Engine:
                     self.counters.match_calls += 1
                     hits = match_primitive(self.graph, self._plans[idx], rec)
                     if len(slots) > 1:
-                        newest = rec.edge_id
+                        newest = rec[0]
                         hits = [m for m in hits if all(m[s] <= newest for s in slots)]
                     if hits:
                         self._feed(leaf.node_id, hits)

@@ -54,9 +54,15 @@ Design notes
   blank or comment line is, and which leaves no room for a sign).  Any other
   line is parsed rule by rule, so both give the same edge or the same
   ``ParseError``.
-- ``RawEdge`` and ``EdgeRecord`` are built with ``tuple.__new__`` straight
-  from their fields, skipping the Python-level ``__new__`` of a NamedTuple
-  call.
+- Edges are plain tuples: ``parse_edge_line`` returns a 6-tuple in wire
+  order and ``add_edge`` stores a 7-tuple in ``EdgeRecord``'s field order,
+  and every reader takes fields by position or by unpacking.  ``RawEdge``
+  names the wire order for callers that build edges by name; ``add_edge``
+  and the engines take it through the same code.  An exact tuple beats a
+  NamedTuple on each edge in CPython: it is one allocation, not two; the
+  interpreter's fast paths for indexing and unpacking accept only exact
+  tuples; and a tuple of ints and strings leaves the garbage collector's
+  tracking at its first collection, while a NamedTuple stays tracked.
 """
 from __future__ import annotations
 
@@ -68,6 +74,7 @@ from .errors import LabelConflictError, ParseError, StreamOrderError
 
 __all__ = [
     "RawEdge",
+    "WireEdge",
     "EdgeRecord",
     "DynamicGraph",
     "parse_edge_line",
@@ -76,13 +83,14 @@ __all__ = [
 ]
 
 
-# builds a RawEdge or EdgeRecord from one sequence of its fields, without the
-# Python-level __new__ frame a NamedTuple call goes through
-_new_tuple = tuple.__new__
-
-
 class RawEdge(NamedTuple):
-    """One stream element, field order matching the TSV wire format."""
+    """One stream element, field order matching the TSV wire format.
+
+    Only callers that build edges by name make these, ``generate_stream``
+    among them.  ``parse_edge_line`` hands out plain tuples in the same
+    order, and everything that takes an edge takes either form (see
+    ``WireEdge``); the store hands out plain ``EdgeRecord`` tuples.
+    """
 
     timestamp: int
     src: str
@@ -92,16 +100,15 @@ class RawEdge(NamedTuple):
     dst_type: str
 
 
-class EdgeRecord(NamedTuple):
-    """A stored edge.  ``edge_id`` is assigned at ingest and strictly increases."""
+# any stream element: a 6-tuple in RawEdge's (wire) order, a RawEdge or the
+# plain tuple parse_edge_line returns
+WireEdge = tuple[int, str, str, str, str, str]
 
-    edge_id: int
-    src: str
-    dst: str
-    src_type: str
-    dst_type: str
-    edge_type: str
-    timestamp: int
+# A stored edge, as the plain 7-tuple ``add_edge`` returns and the adjacency
+# lists hold, read by position: ``(edge_id, src, dst, src_type, dst_type,
+# edge_type, timestamp)`` at 0 to 6.  ``edge_id`` is assigned at ingest and
+# strictly increases.
+EdgeRecord = tuple[int, str, str, str, str, str, int]
 
 
 # the errors of a rejected edge, built here for ``add_edge`` and for the
@@ -154,7 +161,7 @@ class DynamicGraph:
 
     # ------------------------------------------------------------------ ingest
 
-    def add_edge(self, raw: RawEdge, index: bool = True) -> EdgeRecord | None:
+    def add_edge(self, raw: WireEdge, index: bool = True) -> EdgeRecord | None:
         """Ingest one edge, then eagerly evict everything that just expired.
 
         With ``index`` the edge is stored and its record returned; without,
@@ -206,7 +213,7 @@ class DynamicGraph:
                     dst_v = vertices[dst] = _Vertex(dst_type, ts)
         arrivals = self._arrivals
         if index:
-            rec = _new_tuple(EdgeRecord, (edge_id, src, dst, src_type, dst_type, edge_type, ts))
+            rec = (edge_id, src, dst, src_type, dst_type, edge_type, ts)
             # the () a vertex holds before its first indexed edge has no
             # append: the vertex gets its deques there
             try:
@@ -223,7 +230,7 @@ class DynamicGraph:
             src_v.stamp = dst_v.stamp = ts
 
         window = self.window
-        if window is not None and arrivals and arrivals[0].timestamp <= ts - window:
+        if window is not None and arrivals and arrivals[0][6] <= ts - window:  # [6]: timestamp
             self.evict_expired()
         return rec
 
@@ -236,9 +243,9 @@ class DynamicGraph:
         arrivals = self._arrivals
         vertices = self._vertices
         evicted = 0
-        while arrivals and arrivals[0].timestamp <= cutoff:
+        while arrivals and arrivals[0][6] <= cutoff:  # [6]: timestamp
             rec = arrivals.popleft()
-            src, dst = rec.src, rec.dst
+            src, dst = rec[1], rec[2]
             src_v = vertices[src]
             dst_v = vertices[dst]
             # one record object sits in all three deques, oldest first
@@ -319,8 +326,9 @@ class DynamicGraph:
 _FIELDS = 6
 
 
-def parse_edge_line(line: str, line_no: int | None = None, source: str | None = None) -> RawEdge | None:
-    """Parse one TSV stream line; returns None for comments and blank lines.
+def parse_edge_line(line: str, line_no: int | None = None, source: str | None = None) -> WireEdge | None:
+    """Parse one TSV stream line into a plain 6-tuple in wire order (the
+    order ``RawEdge`` names); returns None for comments and blank lines.
 
     Format: ``timestamp<TAB>src_id<TAB>src_type<TAB>edge_type<TAB>dst_id<TAB>dst_type``.
 
@@ -337,11 +345,11 @@ def parse_edge_line(line: str, line_no: int | None = None, source: str | None = 
         except ValueError:
             pass
         else:
-            return _new_tuple(RawEdge, parts)
+            return tuple(parts)
     return _parse_checked(line, line_no, source)
 
 
-def _parse_checked(line: str, line_no: int | None, source: str | None) -> RawEdge | None:
+def _parse_checked(line: str, line_no: int | None, source: str | None) -> WireEdge | None:
     """:func:`parse_edge_line` one rule at a time, each failure its own error."""
     stripped = line.rstrip("\n")
     if not stripped.strip() or stripped.lstrip().startswith("#"):
@@ -362,17 +370,17 @@ def _parse_checked(line: str, line_no: int | None, source: str | None) -> RawEdg
         raise ParseError(f"negative timestamp {ts}", line=line_no, source=source)
     if not (src and src_type and edge_type and dst and dst_type):
         raise ParseError("empty field", line=line_no, source=source)
-    return _new_tuple(RawEdge, (ts, src, src_type, edge_type, dst, dst_type))
+    return (ts, src, src_type, edge_type, dst, dst_type)
 
 
-def format_edge_line(edge: RawEdge) -> str:
-    return "\t".join(
-        (str(edge.timestamp), edge.src, edge.src_type, edge.edge_type, edge.dst, edge.dst_type)
-    )
+def format_edge_line(edge: WireEdge) -> str:
+    ts, src, src_type, edge_type, dst, dst_type = edge
+    return "\t".join((str(ts), src, src_type, edge_type, dst, dst_type))
 
 
-def read_edge_stream(lines: Iterable[str] | IO[str], source: str | None = None) -> Iterator[RawEdge]:
-    """Yield RawEdge for every data line, raising ParseError with line numbers."""
+def read_edge_stream(lines: Iterable[str] | IO[str], source: str | None = None) -> Iterator[WireEdge]:
+    """Yield the edge of every data line, as ``parse_edge_line`` gives it,
+    raising ParseError with line numbers."""
     for line_no, line in enumerate(lines, start=1):
         raw = parse_edge_line(line, line_no, source)
         if raw is not None:

@@ -58,7 +58,7 @@ from operator import eq, le, ne
 from typing import Iterable
 
 from .errors import ParseError, UnsupportedPrimitiveError
-from .graph import RawEdge, disorder_error, label_error, loop_error
+from .graph import WireEdge, disorder_error, label_error, loop_error
 from .query import QueryGraph
 
 __all__ = [
@@ -301,7 +301,7 @@ def primitive_key(query: QueryGraph, edge_ids: Iterable[int]) -> tuple[int, Edge
     return 2, min(keyed_at(c) for c in sorted(shared))
 
 
-def collect_stats(records: Iterable[RawEdge]) -> SelectivityTable:
+def collect_stats(records: Iterable[WireEdge]) -> SelectivityTable:
     """Build the table from a stream sample (full window, nothing expires).
 
     Raises what ``DynamicGraph(window=None).add_edge`` raises at the sample's
@@ -341,7 +341,7 @@ def collect_stats(records: Iterable[RawEdge]) -> SelectivityTable:
     return table
 
 
-def _tally(records: Iterable[RawEdge]) -> tuple[dict[str, str], Counter, Counter]:
+def _tally(records: Iterable[WireEdge]) -> tuple[dict[str, str], Counter, Counter]:
     """Check and count ``records`` a chunk at a time: each vertex's label,
     the out tally ``(src, edge_type, dst_type)`` and the in tally ``(dst,
     edge_type, src_type)`` of the edges that are not self-loops."""
@@ -382,7 +382,7 @@ def _tally(records: Iterable[RawEdge]) -> tuple[dict[str, str], Counter, Counter
             return labels, outs, ins
 
 
-def _check_edges(chunk: list[RawEdge], t_last: int | None, labels: dict[str, str]) -> None:
+def _check_edges(chunk: list[WireEdge], t_last: int | None, labels: dict[str, str]) -> None:
     """Check ``chunk`` one edge at a time, by ``add_edge``'s rules and in its
     order over a store where nothing expires, and raise its error at the
     first bad edge; ``labels`` takes each vertex as it is met."""

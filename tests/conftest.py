@@ -72,8 +72,8 @@ def live_records(graph: DynamicGraph) -> list[RawEdge]:
     """``graph``'s live edges as the stream elements that made them, in
     arrival order."""
     return [
-        RawEdge(r.timestamp, r.src, r.src_type, r.edge_type, r.dst, r.dst_type)
-        for r in graph.live_edges()
+        RawEdge(ts, src, src_type, edge_type, dst, dst_type)
+        for _, src, dst, src_type, dst_type, edge_type, ts in graph.live_edges()
     ]
 
 
@@ -112,7 +112,7 @@ def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, i
     timestamp: dict[int, int] = {}  # data edge id -> its timestamp
     for step, r in enumerate(records):
         rec = shadow.add_edge(r)
-        timestamp[rec.edge_id] = rec.timestamp
+        timestamp[rec[0]] = rec[6]
         expected = oracle.step(shadow, rec)
         for name, eng in engines:
             delta = eng.process(r)
@@ -144,7 +144,7 @@ def watch_searches(monkeypatch, eng: Engine) -> list[tuple[int, int]]:
 
     def watched(graph, plan, anchor):
         if graph is eng.graph:
-            searches.append((leaf_of[id(plan)], anchor.edge_id))
+            searches.append((leaf_of[id(plan)], anchor[0]))
         return search(graph, plan, anchor)
 
     monkeypatch.setattr(engine_module, "match_primitive", watched)

@@ -211,7 +211,7 @@ def test_criterion_2_path_census_matches_pairwise_oracle():
         # a self-loop is one incident edge of its vertex
         degree: dict[str, int] = {}
         for e in graph.live_edges():
-            for vid in {e.src, e.dst}:
+            for vid in {e[1], e[2]}:
                 degree[vid] = degree.get(vid, 0) + 1
         handshake: dict[str, int] = {}
         for vid, d in degree.items():

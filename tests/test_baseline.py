@@ -28,7 +28,7 @@ def test_vf2_agrees_with_enumeration_randomized(rng):
             rec = g.add_edge(r)
             a = signatures(vf2_matches_containing(g, query, rec))
             b = signatures(enumerate_matches(g, query, containing=rec))
-            assert a == b, f"trial {trial}, edge {rec.edge_id}"
+            assert a == b, f"trial {trial}, edge {rec[0]}"
 
 
 def test_enumerate_matches_unrestricted_vs_containing():
@@ -108,7 +108,7 @@ def test_delta_oracle_accumulates_and_audits(rng):
             assert fresh.isdisjoint(set().union(*deltas) if deltas else set())
             deltas.append(fresh)
             # cumulative-novelty lemma: whatever is live now was seen by now
-            assert oracle.full_check(g), f"trial {trial}, edge {rec.edge_id}"
+            assert oracle.full_check(g), f"trial {trial}, edge {rec[0]}"
 
 
 def test_delta_oracle_matches_rescan_engine(rng):

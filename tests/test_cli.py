@@ -35,7 +35,7 @@ def test_gen_stream_is_parseable_and_seeded(tmp_path):
     with open(a) as fh:
         records = list(read_edge_stream(fh))
     assert len(records) == 400
-    ts = [r.timestamp for r in records]
+    ts = [r[0] for r in records]
     assert ts == sorted(ts)
 
 
@@ -295,5 +295,5 @@ def test_schema_pool_override(tmp_path):
                "--edges", "60", "--seed", "1", "--out", str(out)])
     assert rc == 0
     with open(out) as fh:
-        hosts = {r.src for r in read_edge_stream(fh)}
+        hosts = {r[1] for r in read_edge_stream(fh)}
     assert hosts <= {f"ip{i}" for i in range(5)}

@@ -20,7 +20,7 @@ from dgquery.generate import (
     random_schema,
     social_schema,
 )
-from dgquery.graph import DynamicGraph
+from dgquery.graph import DynamicGraph, format_edge_line, parse_edge_line
 from dgquery.planner import plan_query
 from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree
@@ -526,9 +526,9 @@ def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):
     assert unpruned.graph.vertex_count == eng.graph.vertex_count
 
 
-def windowed_social_runs():
-    """Trees after a seeded windowed social stream that emits, per plan mode
-    and engine mode."""
+def windowed_social_engines():
+    """Engines after a seeded windowed social stream that emits, per plan
+    mode and engine mode."""
     rng = Random(2)
     schema = social_schema()
     records = generate_stream(schema, 600, rng, edges_per_tick=4)
@@ -541,7 +541,13 @@ def windowed_social_runs():
             for r in records:
                 eng.process(r)
             assert eng.counters.emitted > 0
-            yield (mode, lazy), plan.tree
+            yield (mode, lazy), eng
+
+
+def windowed_social_runs():
+    """The join trees of :func:`windowed_social_engines`."""
+    for run, eng in windowed_social_engines():
+        yield run, eng.tree
 
 
 def test_stored_signatures_track_stored_matches():
@@ -569,6 +575,46 @@ def test_stored_matches_leave_the_garbage_collector():
         assert stored, run
         for m in stored:
             assert type(m) is tuple and not gc.is_tracked(m), (run, m)
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython", reason="tuple untracking is CPython's"
+)
+def test_stored_edges_leave_the_garbage_collector():
+    # the store keeps each indexed edge as one exact tuple of ints and
+    # strings, which the first collection that sees it stops tracking
+    for run, eng in windowed_social_engines():
+        gc.collect()
+        graph = eng.graph
+        listed = [rec for vid, _ in graph.vertices() for rec in (*graph.out_edges(vid), *graph.in_edges(vid))]
+        live = list(graph.live_edges())
+        assert listed and live, run
+        for rec in listed + live:
+            assert type(rec) is tuple and not gc.is_tracked(rec), (run, rec)
+
+
+def test_raw_edges_and_parsed_lines_run_alike():
+    # every engine reads an edge by position or by unpacking, so the RawEdge
+    # a generator builds and the plain tuple parse_edge_line gives for its
+    # line make the same emissions, step by step, and the same counters
+    for seed in range(4):
+        rng = Random(1800 + seed)
+        schema = social_schema() if seed % 2 else random_schema(rng)
+        records = generate_stream(schema, 300, rng, edges_per_tick=4)
+        query = random_query(schema, 3, rng)
+        parsed = [parse_edge_line(format_edge_line(r)) for r in records]
+        assert parsed == records and {type(p) for p in parsed} == {tuple}
+        # format_edge_line unpacks its edge, so it takes the plain tuple too
+        assert [format_edge_line(p) for p in parsed] == [format_edge_line(r) for r in records]
+        runs = []
+        for edges in (records, parsed):
+            engines = engines_for(query, edges, 20) + [("vf2", RescanEngine(query, 20))]
+            runs.append([
+                (name, [[(m.flat, m.t_max) for m in eng.process(r)] for r in edges], vars(eng.counters))
+                for name, eng in engines
+            ])
+        assert runs[0] == runs[1], seed
+        assert all(counters["emitted"] > 0 for _, _, counters in runs[0]), seed
 
 
 def test_no_node_table_keeps_an_empty_bucket():

@@ -28,7 +28,7 @@ def test_add_edge_assigns_increasing_ids():
     r0 = g.add_edge(raw(0, "a", "e", "b"))
     r1 = g.add_edge(raw(0, "b", "e", "c"))
     r2 = g.add_edge(raw(3, "a", "f", "c"))
-    assert (r0.edge_id, r1.edge_id, r2.edge_id) == (0, 1, 2)
+    assert (r0[0], r1[0], r2[0]) == (0, 1, 2)
     assert g.edges_ingested == 3
     assert g.edge_count == 3
     assert g.vertex_count == 3
@@ -113,17 +113,17 @@ def test_unindexed_edge_is_checked_and_counted_but_stored_nowhere():
     g = DynamicGraph(window=5)
     rec = g.add_edge(raw(0, "a", "e", "b"))
     assert g.add_edge(raw(1, "b", "x", "c"), False) is None
-    assert g.add_edge(raw(2, "c", "e", "a")).edge_id == 2  # the unindexed edge used id 1
+    assert g.add_edge(raw(2, "c", "e", "a"))[0] == 2  # the unindexed edge used id 1
     assert (g.edges_ingested, g.edge_count, g.t_last) == (3, 2, 2)
-    assert [r.edge_id for r in g.live_edges()] == [0, 2]
+    assert [r[0] for r in g.live_edges()] == [0, 2]
     assert list(g.out_edges("b")) == [] and list(g.in_edges("b")) == [rec]
-    assert list(g.out_edges("c")) == [r for r in g.live_edges() if r.src == "c"]
+    assert list(g.out_edges("c")) == [r for r in g.live_edges() if r[1] == "c"]
     assert list(g.in_edges("c")) == []
     with pytest.raises(StreamOrderError):
         g.add_edge(raw(1, "p", "x", "q"), False)
     # an unindexed edge moves t_last, so it evicts what expired
     g.add_edge(raw(6, "p", "x", "q"), False)
-    assert [r.edge_id for r in g.live_edges()] == [2] and g.edges_evicted == 1
+    assert [r[0] for r in g.live_edges()] == [2] and g.edges_evicted == 1
 
 
 def test_vertex_kept_live_only_by_an_unindexed_edge():
@@ -292,8 +292,8 @@ def test_out_and_in_edges_split_by_direction():
     g.add_edge(raw(0, "a", "e", "b"))
     g.add_edge(raw(0, "b", "e", "a"))
     g.add_edge(raw(0, "a", "f", "b"))
-    assert [r.edge_id for r in g.out_edges("a")] == [0, 2]
-    assert [r.edge_id for r in g.in_edges("a")] == [1]
+    assert [r[0] for r in g.out_edges("a")] == [0, 2]
+    assert [r[0] for r in g.in_edges("a")] == [1]
     assert g.out_edges("missing") == g.in_edges("missing") == ()
 
 
@@ -302,8 +302,8 @@ def test_self_loop_reported_once_and_counted_once():
     g.add_edge(raw(0, "a", "e", "a"))
     g.add_edge(raw(0, "a", "e", "b"))
     # the loop sits once in each list of its vertex
-    assert [r.edge_id for r in g.out_edges("a")] == [0, 1]
-    assert [r.edge_id for r in g.in_edges("a")] == [0]
+    assert [r[0] for r in g.out_edges("a")] == [0, 1]
+    assert [r[0] for r in g.in_edges("a")] == [0]
     assert g.edge_count == 2 and g.vertex_count == 2  # the loop is one edge
 
 
@@ -311,8 +311,8 @@ def test_parallel_edges_are_distinct_records():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     g.add_edge(raw(1, "a", "e", "b"))
-    assert [r.edge_id for r in g.out_edges("a")] == [0, 1]
-    assert [r.edge_id for r in g.in_edges("b")] == [0, 1]
+    assert [r[0] for r in g.out_edges("a")] == [0, 1]
+    assert [r[0] for r in g.in_edges("b")] == [0, 1]
 
 
 def test_window_invariant_randomized():
@@ -329,7 +329,7 @@ def test_window_invariant_randomized():
         alive.append((next_id, ts))
         next_id += 1
         alive = [(i, t) for i, t in alive if t > ts - 7]
-        assert [r.edge_id for r in g.live_edges()] == [i for i, _ in alive]
+        assert [r[0] for r in g.live_edges()] == [i for i, _ in alive]
 
 
 # ---------------------------------------------------------------------- wire
@@ -382,7 +382,7 @@ def test_read_edge_stream_reports_line():
     assert "line 2" in str(ei.value)
 
 
-def _reference_parse(line: str, line_no: int | None = None, source: str | None = None) -> RawEdge | None:
+def _reference_parse(line: str, line_no: int | None = None, source: str | None = None) -> tuple | None:
     """The stream format's rules, one at a time, as the parser had them
     before it took well-formed lines in one pass."""
     stripped = line.rstrip("\n")
@@ -400,7 +400,7 @@ def _reference_parse(line: str, line_no: int | None = None, source: str | None =
         raise ParseError(f"negative timestamp {ts}", line=line_no, source=source)
     if not (src and src_type and edge_type and dst and dst_type):
         raise ParseError("empty field", line=line_no, source=source)
-    return RawEdge(ts, src, src_type, edge_type, dst, dst_type)
+    return (ts, src, src_type, edge_type, dst, dst_type)
 
 
 def _outcome(parse, line: str):

@@ -25,9 +25,10 @@ from conftest import live_records, path_query, q, raw
 def describe(e: EdgeRecord, center: str):
     """``e`` as seen from ``center``, one of its endpoints: (edge label, far
     label, role).  A self-loop is described once, in its out role."""
-    if e.src == center:
-        return (e.edge_type, e.dst_type, "out")
-    return (e.edge_type, e.src_type, "in")
+    _, src, _, src_type, dst_type, edge_type, _ = e
+    if src == center:
+        return (edge_type, dst_type, "out")
+    return (edge_type, src_type, "in")
 
 
 def brute_force_path_counts(graph: DynamicGraph):
@@ -38,7 +39,7 @@ def brute_force_path_counts(graph: DynamicGraph):
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
             e1, e2 = edges[i], edges[j]
-            for center in {e1.src, e1.dst} & {e2.src, e2.dst}:
+            for center in {e1[1], e1[2]} & {e2[1], e2[2]}:
                 d1 = describe(e1, center)
                 d2 = describe(e2, center)
                 if d2 < d1:
@@ -55,7 +56,7 @@ def graph_census(graph: DynamicGraph):
     counts: dict = {}
     for vid, label in graph.vertices():
         tally = Counter(describe(e, vid) for e in graph.out_edges(vid))
-        tally.update(describe(e, vid) for e in graph.in_edges(vid) if e.src != e.dst)
+        tally.update(describe(e, vid) for e in graph.in_edges(vid) if e[1] != e[2])
         descs = sorted(tally)
         for i, d1 in enumerate(descs):
             n = tally[d1]
@@ -126,7 +127,7 @@ def test_path_counts_handshake_identity(rng):
         g = graph_of(generate_stream(schema, 150, rng), rng.choice((None, 9)))
         degree: Counter = Counter()
         for e in g.live_edges():
-            degree.update({e.src, e.dst})
+            degree.update({e[1], e[2]})
         expected = sum(d * (d - 1) // 2 for d in degree.values())
         assert sum(census(live_records(g)).values()) == expected
 
@@ -275,7 +276,7 @@ def reference_stats(records):
     n = 0
     for r in records:
         rec = g.add_edge(r)
-        key = (rec.src_type, rec.edge_type, rec.dst_type)
+        key = (rec[3], rec[5], rec[4])
         arity1[key] = arity1.get(key, 0) + 1
         n += 1
     return n, arity1, graph_census(g)
