@@ -36,12 +36,9 @@ from .graph import (
 from .planner import (
     STRATEGY_THRESHOLD,
     Plan,
-    PrimitiveCatalog,
     choose_strategy,
     decomposition_advisories,
-    expected_selectivity,
     plan_query,
-    relative_selectivity,
 )
 from .query import (
     Match,
@@ -85,12 +82,9 @@ __all__ = [
     "collect_stats",
     "primitive_key",
     # planning
-    "PrimitiveCatalog",
     "plan_query",
     "Plan",
     "choose_strategy",
-    "expected_selectivity",
-    "relative_selectivity",
     "decomposition_advisories",
     "STRATEGY_THRESHOLD",
     # engines

@@ -5,13 +5,11 @@ tables), ``plan`` (a join tree's leaf order), ``run`` (continuous matching over
 a stream), ``bench`` (strategy comparison).
 
 Exit codes: 0 success, 1 usage error, 2 data or contract error, 3 strategy
-disagreement.  The ``DGQ_SEED`` environment variable overrides any ``--seed``
-flag, which helps drive reproducible sweeps from shell wrappers.
+disagreement.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from random import Random
 from typing import Sequence
@@ -58,16 +56,6 @@ def _parse_window(text: str) -> int | None:
     return _positive_int(text)
 
 
-def _seed(args: argparse.Namespace) -> int:
-    env = os.environ.get("DGQ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"DGQ_SEED must be an integer, got {env!r}")
-    return args.seed
-
-
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -105,7 +93,7 @@ def _format_match(seq: int, m: Match) -> str:
 # ------------------------------------------------------------------ commands
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    rng = Random(_seed(args))
+    rng = Random(args.seed)
     schema = _schema_from_args(args)
     out, close = _open_out(args.out)
     try:
@@ -201,7 +189,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if s not in bench_mod.STRATEGIES:
             raise ParseError(f"unknown strategy {s!r}")
 
-    rng = Random(_seed(args))
+    rng = Random(args.seed)
     if args.stream is not None:
         records = _read_stream(args.stream)
     else:
@@ -263,7 +251,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", metavar="command")
 
     def add_seed(sp) -> None:
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed (DGQ_SEED overrides)")
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     def add_schema(sp) -> None:
         sp.add_argument("--schema", choices=sorted(SCHEMAS), default="social")
@@ -273,7 +261,7 @@ def build_parser() -> _Parser:
     gen.add_argument("kind", choices=("stream", "query"))
     add_schema(gen)
     gen.add_argument("--edges", type=int, default=1000, help="stream length or query size")
-    gen.add_argument("--edges-per-tick", type=int, default=4)
+    gen.add_argument("--edges-per-tick", type=_positive_int, default=4)
     gen.add_argument("--skew", type=float, default=None, help="netflow edge-type skew exponent")
     add_seed(gen)
     gen.add_argument("--out", default=None, help="output path (default stdout)")
@@ -310,7 +298,7 @@ def build_parser() -> _Parser:
     be.add_argument("--stream", default=None, help="stream file (default: generated)")
     add_schema(be)
     be.add_argument("--edges", type=int, default=5000)
-    be.add_argument("--edges-per-tick", type=int, default=4)
+    be.add_argument("--edges-per-tick", type=_positive_int, default=4)
     be.add_argument("--skew", type=float, default=None)
     be.add_argument("--query", default=None, help="query file (default: random)")
     be.add_argument("--queries", type=int, default=1, help="random query count")

@@ -1,9 +1,12 @@
 """Decomposition planning: a greedy leaf set in a cost-based left-deep order.
 
-The leaf set comes from a greedy pass: the globally rarest primitive becomes
-leaf 0, and every later leaf is the rarest primitive instance that touches
-the vertices already covered (the frontier).  The expected selectivity, and
-so the strategy choice, depends on that set only.
+Each decomposition family ranks every primitive instance in the query, a
+tuple of qedge ids, cheapest first: by selectivity, then ``repr`` of its
+statistics key, then its qedges.  The leaf set comes from one greedy pass
+over that list: leaf 0 is the first instance, and every later leaf is the
+first instance whose qedges are all still free and that touches a covered
+qvertex, or the first free instance when none does.  The expected
+selectivity, and so the strategy choice, depends on that set only.
 
 The order of the leaves after leaf 0 is then chosen by cost: a Selinger-style
 DP over leaf subsets minimises the sum of the estimated stored sizes of the
@@ -15,9 +18,9 @@ order stands unless the DP's is strictly cheaper.
 
 Catalog modes:
 
-* ``single`` — 1-edge primitives only;
-* ``path``   — 2-edge path primitives preferred, 1-edge fallback for leftover
-  isolated edges;
+* ``single`` — the 1-edge instances only;
+* ``path``   — every 2-edge path instance ranks before any 1-edge instance,
+  which is left as the fallback for isolated edges;
 * ``auto``   — plan both, compare their expected selectivities, and pick the
   runtime strategy by the relative-selectivity threshold.
 """
@@ -26,18 +29,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import ContractError
 from .query import QueryGraph, QueryPiece
 from .sjtree import SJTree
 from .stats import EdgeKey, PathKey, SelectivityTable, primitive_key
 
 __all__ = [
-    "CatalogEntry",
-    "PrimitiveCatalog",
-    "expected_selectivity",
-    "relative_selectivity",
     "choose_strategy",
     "Plan",
     "plan_query",
@@ -51,114 +48,50 @@ DP_MAX_LEAVES = 8
 
 CATALOG_MODES = ("single", "path", "auto")
 
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    arity: int
-    key: EdgeKey | PathKey
-    selectivity: float
+# a ranked primitive instance: (selectivity, repr(key), qedges, key)
+_Ranked = tuple[float, str, tuple[int, ...], EdgeKey | PathKey]
 
 
-class PrimitiveCatalog:
-    """The primitive templates present in one query, cheapest-to-match first.
-
-    Entries are sorted ascending by selectivity with a lexicographic key
-    tie-break; in path mode every 2-edge template sorts before any 1-edge
-    fallback template.
-    """
-
-    def __init__(self, mode: str, entries: list[CatalogEntry], unseen: list[CatalogEntry]):
-        if mode not in ("single", "path"):
-            raise ValueError(f"bad catalog mode {mode!r}")
-        self.mode = mode
-        self.entries = entries
-        self.unseen = unseen  # entries with zero observed frequency (advisory)
-
-    @classmethod
-    def from_query(cls, query: QueryGraph, table: SelectivityTable, mode: str) -> "PrimitiveCatalog":
-        keys1: set[EdgeKey] = set()
-        keys2: set[PathKey] = set()
-        for qe in range(query.n_edges):
-            keys1.add(primitive_key(query, [qe])[1])  # type: ignore[arg-type]
-        if mode == "path":
-            for qe1 in range(query.n_edges):
-                e1 = query.edges[qe1]
-                for qe2 in range(qe1 + 1, query.n_edges):
-                    e2 = query.edges[qe2]
-                    if {e1.src, e1.dst} & {e2.src, e2.dst}:
-                        keys2.add(primitive_key(query, [qe1, qe2])[1])  # type: ignore[arg-type]
-
-        def order(entries: Iterable[CatalogEntry]) -> list[CatalogEntry]:
-            return sorted(entries, key=lambda c: (c.selectivity, repr(c.key)))
-
-        tier2 = order(CatalogEntry(2, k, table.path_selectivity(k)) for k in keys2)
-        tier1 = order(CatalogEntry(1, k, table.edge_selectivity(k)) for k in keys1)
-        entries = tier2 + tier1 if mode == "path" else tier1
-        unseen = [c for c in entries if c.selectivity == 0.0]
-        return cls(mode, entries, unseen)
+def _adjacent_pairs(query: QueryGraph) -> list[tuple[int, int]]:
+    """Every qedge pair ``(a, b)``, ``a < b``, sharing a qvertex, sorted."""
+    ends = [{e.src, e.dst} for e in query.edges]
+    return [
+        (a, b)
+        for a in range(query.n_edges)
+        for b in range(a + 1, query.n_edges)
+        if ends[a] & ends[b]
+    ]
 
 
-def _instances(query: QueryGraph, entry: CatalogEntry, remaining: set[int]) -> list[tuple[int, ...]]:
-    """All instances of a catalog template among the remaining qedges, sorted."""
-    found: list[tuple[int, ...]] = []
-    if entry.arity == 1:
-        for qe in sorted(remaining):
-            if primitive_key(query, [qe])[1] == entry.key:
-                found.append((qe,))
-        return found
-    rem = sorted(remaining)
-    for i, qe1 in enumerate(rem):
-        e1 = query.edges[qe1]
-        for qe2 in rem[i + 1:]:
-            e2 = query.edges[qe2]
-            if not ({e1.src, e1.dst} & {e2.src, e2.dst}):
-                continue
-            if primitive_key(query, [qe1, qe2])[1] == entry.key:
-                found.append((qe1, qe2))
-    return found
+def _ranked(
+    query: QueryGraph, table: SelectivityTable, instances: list[tuple[int, ...]]
+) -> list[_Ranked]:
+    """``instances`` cheapest first: by selectivity, ``repr(key)``, qedges."""
+    ranked = []
+    for qedges in instances:
+        arity, key = primitive_key(query, qedges)
+        sel = (table.edge_selectivity if arity == 1 else table.path_selectivity)(key)  # type: ignore[operator]
+        ranked.append((sel, repr(key), qedges, key))
+    ranked.sort(key=lambda r: r[:3])
+    return ranked
 
 
-def _greedy_tree(query: QueryGraph, catalog: PrimitiveCatalog) -> SJTree:
-    """The greedy leaf set, left-deep in extraction order.
-
-    Leaf 0 is the globally rarest primitive instance; each later leaf is the
-    rarest instance touching the covered vertices, or the rarest left when
-    none does.  Deterministic: same query and catalog, same tree.
-    """
-    remaining = set(range(query.n_edges))
-    frontier: dict[int, None] = {}  # ordered set of covered qvertices
-    pieces: list[QueryPiece] = []
-
-    def touches_frontier(inst: tuple[int, ...]) -> bool:
-        for qe in inst:
-            e = query.edges[qe]
-            if e.src in frontier or e.dst in frontier:
-                return True
-        return False
-
-    while remaining:
-        chosen: tuple[int, ...] | None = None
-        if frontier:
-            for entry in catalog.entries:
-                cands = [i for i in _instances(query, entry, remaining) if touches_frontier(i)]
-                if cands:
-                    chosen = cands[0]
-                    break
-        if chosen is None:
-            # first leaf, or nothing touches the frontier: global rarest pick
-            for entry in catalog.entries:
-                cands = _instances(query, entry, remaining)
-                if cands:
-                    chosen = cands[0]
-                    break
-        if chosen is None:
-            raise ContractError("catalog does not cover the query")  # unreachable by construction
-        piece = QueryPiece.from_edges(query, chosen)
-        pieces.append(piece)
-        remaining -= piece.edges
-        for qv in sorted(piece.vertices):
-            frontier.setdefault(qv)
-    return SJTree.from_leaf_pieces(query, pieces)
+def _greedy_pieces(query: QueryGraph, ranked: list[_Ranked]) -> list[QueryPiece]:
+    """The greedy leaf set over a ranked list, in extraction order: each leaf
+    is the first instance whose qedges are all free and that touches a
+    covered qvertex, or the first free instance when none does."""
+    pieces = [QueryPiece.from_edges(query, qedges) for _, _, qedges, _ in ranked]
+    free = set(range(query.n_edges))
+    covered: frozenset[int] = frozenset()
+    chosen: list[QueryPiece] = []
+    while free:
+        usable = [p for p in pieces if p.edges <= free]
+        # every free qedge is a 1-edge instance of its own, so usable is never empty
+        piece = next((p for p in usable if p.vertices & covered), usable[0])
+        chosen.append(piece)
+        free -= piece.edges
+        covered |= piece.vertices
+    return chosen
 
 
 class _SpineCost:
@@ -182,13 +115,10 @@ class _SpineCost:
         self.count1 = [
             max(table.frequency(*primitive_key(query, [qe])), 1) for qe in range(query.n_edges)
         ]
-        self.count2: dict[tuple[int, int], int] = {}
-        for a in range(query.n_edges):
-            ea = query.edges[a]
-            for b in range(a + 1, query.n_edges):
-                eb = query.edges[b]
-                if {ea.src, ea.dst} & {eb.src, eb.dst}:
-                    self.count2[(a, b)] = max(table.frequency(*primitive_key(query, [a, b])), 1)
+        self.count2 = {
+            pair: max(table.frequency(*primitive_key(query, pair)), 1)
+            for pair in _adjacent_pairs(query)
+        }
         self.own = [max(table.frequency(*primitive_key(query, p.edges)), 1) for p in pieces]
 
     def factor(self, i: int, mask: int) -> float:
@@ -257,8 +187,10 @@ class _SpineCost:
         return [0] + g(1)[1]
 
 
-def _cheapest_order(tree: SJTree, table: SelectivityTable) -> tuple[SJTree, list[float]]:
-    """``tree``'s leaves in their cheapest left-deep order, with its estimates.
+def _cheapest_order(
+    query: QueryGraph, pieces: list[QueryPiece], table: SelectivityTable
+) -> tuple[list[QueryPiece], list[float]]:
+    """``pieces`` in their cheapest left-deep order, with its estimates.
 
     Leaf 0 and the leaf set stay; the rest keep their order unless the DP's
     order costs strictly less (beyond float rounding), the cost being the sum
@@ -266,43 +198,29 @@ def _cheapest_order(tree: SJTree, table: SelectivityTable) -> tuple[SJTree, list
     leaves the DP's 2^(k-1) subsets cost more than planning should, and the
     greedy order stands.
     """
-    pieces = [leaf.piece for leaf in tree.leaves()]
-    spine = _SpineCost(tree.query, pieces, table)
+    spine = _SpineCost(query, pieces, table)
     sizes = spine.sizes(list(range(len(pieces))))
     if 2 < len(pieces) <= DP_MAX_LEAVES:
         order = spine.best_order()
         dp_sizes = spine.sizes(order)
         if sum(dp_sizes[:-1]) < sum(sizes[:-1]) * (1.0 - 1e-9):
-            return SJTree.from_leaf_pieces(tree.query, [pieces[i] for i in order]), dp_sizes
-    return tree, sizes
+            return [pieces[i] for i in order], dp_sizes
+    return pieces, sizes
 
 
-def expected_selectivity(tree: SJTree, table: SelectivityTable) -> float:
+def _expected_selectivity(query: QueryGraph, pieces: list[QueryPiece], table: SelectivityTable) -> float:
     """Product of the leaf primitive selectivities."""
     prod = 1.0
-    for leaf in tree.leaves():
-        prod *= table.subgraph_selectivity(tree.query, leaf.piece.edges)
+    for piece in pieces:
+        prod *= table.subgraph_selectivity(query, piece.edges)
     return prod
 
 
-def relative_selectivity(tree: SJTree, single_tree: SJTree, table: SelectivityTable) -> float:
-    """Expected selectivity of ``tree`` relative to the 1-edge decomposition.
-
-    A zero baseline means the query uses an edge pattern the sample never
-    produced; no decomposition can then be distinguished on the evidence, so
-    the ratio defaults to 1.0 (callers warn about the unseen primitive).
-    """
-    base = expected_selectivity(single_tree, table)
-    if base == 0.0:
-        return 1.0
-    return expected_selectivity(tree, table) / base
-
-
-def choose_strategy(xi: float, threshold: float = STRATEGY_THRESHOLD) -> str:
+def choose_strategy(xi: float) -> str:
     """PathLazy below the relative-selectivity threshold, SingleLazy otherwise."""
     if math.isnan(xi) or xi < 0.0:
         raise ValueError(f"bad relative selectivity {xi!r}")
-    return "PathLazy" if xi < threshold else "SingleLazy"
+    return "PathLazy" if xi < STRATEGY_THRESHOLD else "SingleLazy"
 
 
 @dataclass
@@ -329,9 +247,8 @@ class Plan:
             "strategy": self.strategy,
             "catalog_mode": self.catalog_mode,
             "estimated_sizes": self.estimated_sizes,
+            "candidates": self.candidates,
         }
-        if self.candidates:
-            doc["candidates"] = self.candidates
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -339,37 +256,38 @@ def plan_query(query: QueryGraph, table: SelectivityTable, mode: str = "auto") -
     """Plan a query under the requested catalog mode.
 
     ``single`` and ``path`` force the decomposition family (recommending the
-    matching lazy strategy); ``auto`` builds both and chooses by threshold.
-    The selectivities are read off the greedy trees; only the chosen tree's
-    leaves are then put in their cheapest order, which leaves them unchanged.
+    matching lazy strategy); ``auto`` plans both and chooses by threshold.
+    The selectivities are read off the greedy leaf sets; only the chosen set
+    is then put in its cheapest order, which leaves them unchanged.
     """
     if mode not in CATALOG_MODES:
         raise ValueError(f"bad catalog mode {mode!r}; want one of {CATALOG_MODES}")
-    warnings: list[str] = []
-
-    single_cat = PrimitiveCatalog.from_query(query, table, "single")
-    tree = _greedy_tree(query, single_cat)
-    expected = expected_selectivity(tree, table)
+    single = _ranked(query, table, [(qe,) for qe in range(query.n_edges)])
+    ranked = single
+    pieces = _greedy_pieces(query, single)
+    expected = _expected_selectivity(query, pieces, table)
     xi = 1.0
     metrics = {"single": {"expected_selectivity": expected, "relative_selectivity": xi}}
-    catalogs = [single_cat]
     strategy = "SingleLazy"
 
     if mode != "single":
-        path_cat = PrimitiveCatalog.from_query(query, table, "path")
-        catalogs.append(path_cat)
-        path_tree = _greedy_tree(query, path_cat)
-        s_path = expected_selectivity(path_tree, table)
-        xi = relative_selectivity(path_tree, tree, table)
+        pairs = _ranked(query, table, _adjacent_pairs(query))
+        ranked = single + pairs
+        path_pieces = _greedy_pieces(query, pairs + single)
+        s_path = _expected_selectivity(query, path_pieces, table)
+        # a zero baseline means the query uses an edge pattern the sample
+        # never produced: no decomposition can then be told apart on the
+        # evidence, so the ratio is neutral (and the warnings name the edge)
+        xi = s_path / expected if expected else 1.0
         metrics["path"] = {"expected_selectivity": s_path, "relative_selectivity": xi}
         strategy = "PathLazy" if mode == "path" else choose_strategy(xi)
         if strategy == "PathLazy":
-            tree, expected = path_tree, s_path
+            pieces, expected = path_pieces, s_path
 
-    for cat in catalogs:
-        for entry in cat.unseen:
-            warnings.append(f"primitive {entry.key!r} was never observed in the sample")
-    tree, sizes = _cheapest_order(tree, table)
+    unseen = dict.fromkeys(key for sel, _, _, key in ranked if sel == 0.0)
+    warnings = [f"primitive {key!r} was never observed in the sample" for key in unseen]
+    pieces, sizes = _cheapest_order(query, pieces, table)
+    tree = SJTree.from_leaf_pieces(query, pieces)
     return Plan(tree, mode, strategy, expected, xi, metrics, warnings, sizes)
 
 

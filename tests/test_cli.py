@@ -45,17 +45,6 @@ def test_gen_query_is_parseable(tmp_path):
     assert query.n_edges == 3
 
 
-def test_dgq_seed_env_overrides_flag(tmp_path, monkeypatch):
-    direct = tmp_path / "direct.tsv"
-    main(["gen", "stream", "--edges", "50", "--seed", "42", "--out", str(direct)])
-    monkeypatch.setenv("DGQ_SEED", "42")
-    env = tmp_path / "env.tsv"
-    main(["gen", "stream", "--edges", "50", "--seed", "7", "--out", str(env)])
-    assert direct.read_text() == env.read_text()
-    monkeypatch.setenv("DGQ_SEED", "not-a-number")
-    assert main(["gen", "stream", "--edges", "5", "--out", str(tmp_path / "x.tsv")]) == 2
-
-
 def test_stats_command_writes_loadable_table(tmp_path, capsys):
     stream = _gen_stream(tmp_path)
     out = tmp_path / "stats.json"
@@ -272,6 +261,16 @@ def test_bench_rejects_selectivity_bins_below_one(tmp_path, capsys, queries):
     assert ei.value.code == 1
     assert "--selectivity-bins" in capsys.readouterr().err
     assert not (tmp_path / "b.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["gen stream --edges 10", "bench --edges 10"])
+def test_edges_per_tick_below_one_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "x.tsv"
+    with pytest.raises(SystemExit) as ei:
+        main([*command.split(), "--edges-per-tick", "0", "--out", str(out)])
+    assert ei.value.code == 1
+    assert "--edges-per-tick" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Planner: primitive catalogs, greedy leaf set, cost-based leaf order, strategy choice."""
+"""Planner: ranked primitive instances, greedy leaf set, cost-based leaf order, strategy choice."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -13,14 +14,17 @@ from dgquery.generate import generate_stream, random_query, random_schema, socia
 from dgquery.planner import (
     DP_MAX_LEAVES,
     STRATEGY_THRESHOLD,
-    PrimitiveCatalog,
     choose_strategy,
     decomposition_advisories,
-    expected_selectivity,
     plan_query,
-    relative_selectivity,
 )
-from dgquery.planner import _greedy_tree, _SpineCost
+from dgquery.planner import (
+    _adjacent_pairs,
+    _expected_selectivity,
+    _greedy_pieces,
+    _ranked,
+    _SpineCost,
+)
 from dgquery.sjtree import SJTree
 from dgquery.stats import SelectivityTable, collect_stats, primitive_key
 
@@ -40,37 +44,70 @@ def skewed_table(extra1=None):
     )
 
 
-# -------------------------------------------------------------------- catalog
+# ------------------------------------------------------------- ranked lists
+
+def singles(query):
+    return [(qe,) for qe in range(query.n_edges)]
+
 
 def test_catalog_single_mode_orders_by_selectivity():
     query = path_query(["s", "r", "s"], vertex_label="A")
-    cat = PrimitiveCatalog.from_query(query, skewed_table(), "single")
-    assert [c.arity for c in cat.entries] == [1, 1]
-    assert cat.entries[0].key == ("A", "r", "A")
-    assert cat.entries[0].selectivity < cat.entries[1].selectivity
-    assert cat.unseen == []
+    table = skewed_table()
+    ranked = _ranked(query, table, singles(query))
+    assert [qedges for _, _, qedges, _ in ranked] == [(1,), (0,), (2,)]
+    assert ranked[0][3] == ("A", "r", "A")
+    sels = [sel for sel, *_ in ranked]
+    assert sels == sorted(sels) and sels[0] < sels[1]
+    assert plan_query(query, table, mode="single").warnings == []  # every edge seen
+    # pairs rank by selectivity too; the unseen s.r pair ranks first
+    pairs = _ranked(query, table, _adjacent_pairs(query))
+    assert [(qedges, sel) for sel, _, qedges, _ in pairs] == [((0, 1), 0.0), ((1, 2), 1 / 41)]
+    # a tie on selectivity and key falls to the qedges
+    query = path_query(["s", "s", "s"], vertex_label="A")
+    pairs = _ranked(query, table, _adjacent_pairs(query)[::-1])
+    assert [qedges for _, _, qedges, _ in pairs] == [(0, 1), (1, 2)]
+    assert pairs[0][:2] == pairs[1][:2]
 
 
 def test_catalog_path_mode_tiers_pairs_first():
+    # the 'r' edge (0.02) is rarer than the r.s pair (1/41), yet the pair is
+    # leaf 0; the edge no pair can take is left to a 1-edge fallback leaf
+    table = skewed_table()
     query = path_query(["r", "s"], vertex_label="A")
-    cat = PrimitiveCatalog.from_query(query, skewed_table(), "path")
-    assert cat.entries[0].arity == 2
-    assert cat.entries[-1].arity == 1
-    aritys = [c.arity for c in cat.entries]
-    assert aritys == sorted(aritys, reverse=True)  # every pair before any single
+    assert table.edge_selectivity(("A", "r", "A")) < 1 / 41
+    plan = plan_query(query, table, mode="path")
+    assert [leaf.piece.edges for leaf in plan.tree.leaves()] == [{0, 1}]
+    query = path_query(["r", "s", "s"], vertex_label="A")
+    plan = plan_query(query, table, mode="path")
+    assert sorted(len(leaf.piece.edges) for leaf in plan.tree.leaves()) == [1, 2]
+    assert len(plan.tree.leaves()[0].piece.edges) == 2
 
 
 def test_catalog_flags_unseen_primitives():
     query = path_query(["r", "zz"], vertex_label="A")
-    cat = PrimitiveCatalog.from_query(query, skewed_table(), "single")
-    assert [c.key for c in cat.unseen] == [("A", "zz", "A")]
-    # unseen entries sort first: zero frequency is the global minimum
-    assert cat.entries[0].key == ("A", "zz", "A")
+    plan = plan_query(query, skewed_table(), mode="single")
+    assert plan.warnings == ["primitive ('A', 'zz', 'A') was never observed in the sample"]
+    # the unseen edge is leaf 0: zero frequency is the global minimum
+    assert plan.tree.leaves()[0].piece.edges == {1}
+
+
+def test_plan_warns_once_per_unseen_primitive():
+    # the unseen edge ranks in the 1-edge list and again as the path list's
+    # fallback; it is named once, and the unseen pair after it
+    query = path_query(["r", "zz"], vertex_label="A")
+    for mode in ("path", "auto"):
+        plan = plan_query(query, skewed_table(), mode=mode)
+        assert plan.warnings == [
+            "primitive ('A', 'zz', 'A') was never observed in the sample",
+            "primitive ('A', ('r', 'A', 'in'), ('zz', 'A', 'out')) was never observed in the sample",
+        ], mode
 
 
 def test_catalog_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        PrimitiveCatalog("auto", [], [])
+    query = path_query(["r", "s"], vertex_label="A")
+    for mode in ("greedy", "SINGLE", "", None):
+        with pytest.raises(ValueError):
+            plan_query(query, skewed_table(), mode=mode)
 
 
 # ------------------------------------------------------------------ tree build
@@ -213,7 +250,7 @@ def test_order_past_the_dp_cap_keeps_the_greedy_order():
 
 
 def test_order_only_reorders_and_is_the_cheapest(rng):
-    """Random queries, both catalogs: the plan keeps the greedy leaf set,
+    """Random queries, both families: the plan keeps the greedy leaf set,
     leaf 0 and every selectivity, and its cost equals a brute-force minimum
     over all orders that keep leaf 0."""
     reordered = 0
@@ -221,18 +258,20 @@ def test_order_only_reorders_and_is_the_cheapest(rng):
         schema = random_schema(rng)
         table = collect_stats(generate_stream(schema, 400, rng))
         query = random_query(schema, rng.randint(1, 6), rng)
+        single = _ranked(query, table, singles(query))
         greedy = {
-            mode: _greedy_tree(query, PrimitiveCatalog.from_query(query, table, mode))
-            for mode in ("single", "path")
+            "single": _greedy_pieces(query, single),
+            "path": _greedy_pieces(query, _ranked(query, table, _adjacent_pairs(query)) + single),
         }
-        xi = relative_selectivity(greedy["path"], greedy["single"], table)
+        expected = {mode: _expected_selectivity(query, pieces, table) for mode, pieces in greedy.items()}
+        xi = expected["path"] / expected["single"] if expected["single"] else 1.0
         for mode in ("single", "path"):
             plan = plan_query(query, table, mode=mode)
-            pieces = [leaf.piece for leaf in greedy[mode].leaves()]
+            pieces = greedy[mode]
             planned = [leaf.piece.edges for leaf in plan.tree.leaves()]
             assert planned[0] == pieces[0].edges, f"trial {trial} {mode}"
             assert sorted(map(sorted, planned)) == sorted(sorted(p.edges) for p in pieces)
-            assert plan.expected == expected_selectivity(greedy[mode], table)
+            assert plan.expected == expected[mode]
             assert plan.relative == (xi if mode == "path" else 1.0)
             spine = _SpineCost(query, pieces, table)
             best = min(
@@ -248,9 +287,27 @@ def test_order_only_reorders_and_is_the_cheapest(rng):
             reordered += order != sorted(order)
         auto = plan_query(query, table, mode="auto")
         assert auto.strategy == choose_strategy(xi)
-        chosen = greedy["path" if auto.strategy == "PathLazy" else "single"]
-        assert auto.expected == expected_selectivity(chosen, table)
+        assert auto.expected == expected["path" if auto.strategy == "PathLazy" else "single"]
     assert reordered, "no random query exercised a reorder"
+
+
+def test_plan_builds_one_tree(monkeypatch, rng):
+    built = []
+    from_leaf_pieces = SJTree.from_leaf_pieces
+
+    def counted(query, pieces):
+        built.append(query)
+        return from_leaf_pieces(query, pieces)
+
+    monkeypatch.setattr(SJTree, "from_leaf_pieces", counted)
+    for trial in range(20):
+        schema = random_schema(rng)
+        table = collect_stats(generate_stream(schema, 400, rng))
+        query = random_query(schema, rng.randint(1, 6), rng)
+        for mode in ("single", "path", "auto"):
+            built.clear()
+            plan_query(query, table, mode=mode)
+            assert len(built) == 1, f"trial {trial} {mode}"
 
 
 # ---------------------------------------------------------------- selectivity
@@ -258,26 +315,27 @@ def test_order_only_reorders_and_is_the_cheapest(rng):
 def test_expected_selectivity_is_leaf_product():
     query = path_query(["r", "s"], vertex_label="A")
     table = skewed_table()
-    tree = plan_query(query, table, mode="single").tree
+    plan = plan_query(query, table, mode="single")
     prod = 1.0
-    for leaf in tree.leaves():
+    for leaf in plan.tree.leaves():
         prod *= table.subgraph_selectivity(query, leaf.piece.edges)
-    assert expected_selectivity(tree, table) == pytest.approx(prod)
+    assert plan.expected == pytest.approx(prod)
+    assert plan.candidates["single"]["expected_selectivity"] == plan.expected
     assert prod == pytest.approx(0.02 * 0.98)
+    # one 2-edge leaf in path mode: the pair's own selectivity
+    assert plan_query(query, table, mode="path").expected == pytest.approx(1 / 41)
 
 
 def test_relative_selectivity_ratio_and_zero_baseline():
     query = path_query(["r", "s"], vertex_label="A")
     table = skewed_table()
-    single = plan_query(query, table, mode="single").tree
-    path = plan_query(query, table, mode="path").tree
-    xi = relative_selectivity(path, single, table)
-    assert xi == pytest.approx((1 / 41) / (0.02 * 0.98))
+    plan = plan_query(query, table, mode="path")
+    assert plan.relative == pytest.approx((1 / 41) / (0.02 * 0.98))
+    assert plan.candidates["path"]["relative_selectivity"] == plan.relative
     # a never-observed single edge zeroes the baseline -> neutral ratio
     empty = SelectivityTable(sample_size=0)
-    s0 = plan_query(query, empty, mode="single").tree
-    p0 = plan_query(query, empty, mode="path").tree
-    assert relative_selectivity(p0, s0, empty) == 1.0
+    for mode in ("path", "auto"):
+        assert plan_query(query, empty, mode=mode).relative == 1.0
 
 
 def test_choose_strategy_threshold_boundary():
@@ -370,3 +428,30 @@ def test_planning_reads_path_keys_without_the_pair_sum(monkeypatch, rng):
                 path_leaves += sum(len(leaf.piece.edges) == 2 for leaf in plan.tree.leaves())
         assert table == full
     assert path_leaves > 0
+
+
+# ----------------------------------------------------------------- plan pin
+
+# blake2b-64 of the plan facts of every ``pinned_cases`` case in every mode,
+# warnings de-duplicated in first-seen order
+PINNED_PLANS_DIGEST = "3a2b1af96a2f196e"
+
+
+def pinned_cases():
+    """300 seeded (query, table) cases: random and social schemas, samples of
+    30, 400 and 2000 edges, 1- to 8-edge queries."""
+    for seed in range(300):
+        rng = Random(seed)
+        schema = random_schema(rng) if seed % 2 else social_schema()
+        table = collect_stats(generate_stream(schema, (30, 400, 2000)[seed % 3], rng))
+        yield random_query(schema, rng.randint(1, 8), rng), table
+
+
+def test_plans_equal_the_pinned_plans():
+    digest = hashlib.blake2b(digest_size=8)
+    for query, table in pinned_cases():
+        for mode in ("single", "path", "auto"):
+            *facts, warnings, sizes = plan_facts(plan_query(query, table, mode))
+            facts += [list(dict.fromkeys(warnings)), sizes]
+            digest.update(repr(facts).encode())
+    assert digest.hexdigest() == PINNED_PLANS_DIGEST

@@ -45,6 +45,14 @@ def load_workloads() -> dict:
     return load_perfbench("workloads").WORKLOADS
 
 
+# the auto-mode plan each replay runs: its plan text and strategy
+PLAN_301 = {
+    "netflow-path4": ("sjtree\nleaf 0\nleaf 3\nleaf 2\nleaf 1\n", "SingleLazy"),
+    "social-fanout": ("sjtree\nleaf 2\nleaf 0\nleaf 1\n", "SingleLazy"),
+    "lowxi-chain": ("sjtree\nleaf 0 1\n", "PathLazy"),
+}
+
+
 # edges, match_calls, emitted, purged, peak_stored, stored_count
 SEED_301 = {
     "netflow-path4": (50_000, 1_769, 1_749, 2_963, 3_393, 1_695),
@@ -86,6 +94,14 @@ def test_seed_301_tables(name):
     table = collect_stats(parse_edge_line(line) for line in lines)
     digest = hashlib.blake2b(table.to_json().encode(), digest_size=8).hexdigest()
     assert (digest, len(table.arity1), len(table.arity2)) == TABLE_301[name]
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_301))
+def test_seed_301_plans(name):
+    workload = load_workloads()[name]
+    lines = workload.stream(301)[: workload.sample]
+    plan = plan_query(workload.query, collect_stats(parse_edge_line(line) for line in lines), mode="auto")
+    assert (plan.tree.serialize(), plan.strategy) == PLAN_301[name]
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_301))
