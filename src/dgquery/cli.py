@@ -260,7 +260,7 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a synthetic stream or query")
     gen.add_argument("kind", choices=("stream", "query"))
     add_schema(gen)
-    gen.add_argument("--edges", type=int, default=1000, help="stream length or query size")
+    gen.add_argument("--edges", type=_positive_int, default=1000, help="stream length or query size")
     gen.add_argument("--edges-per-tick", type=_positive_int, default=4)
     gen.add_argument("--skew", type=float, default=None, help="netflow edge-type skew exponent")
     add_seed(gen)
@@ -297,12 +297,12 @@ def build_parser() -> _Parser:
     be = sub.add_parser("bench", help="compare strategies on one workload")
     be.add_argument("--stream", default=None, help="stream file (default: generated)")
     add_schema(be)
-    be.add_argument("--edges", type=int, default=5000)
+    be.add_argument("--edges", type=_positive_int, default=5000)
     be.add_argument("--edges-per-tick", type=_positive_int, default=4)
     be.add_argument("--skew", type=float, default=None)
     be.add_argument("--query", default=None, help="query file (default: random)")
-    be.add_argument("--queries", type=int, default=1, help="random query count")
-    be.add_argument("--query-edges", type=int, default=3)
+    be.add_argument("--queries", type=_positive_int, default=1, help="random query count")
+    be.add_argument("--query-edges", type=_positive_int, default=3)
     be.add_argument("--window", type=_parse_window, default=None)
     be.add_argument("--strategies", default="singlelazy,vf2")
     be.add_argument("--stats", default=None)

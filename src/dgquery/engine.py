@@ -62,14 +62,20 @@ so the prune changes no live edge's gate.
 Eager mode is the same loop with every leaf always live: nothing is gated,
 nothing is allowed, and every leaf is searched at every arriving edge.
 
-Each leaf's search plan is built once, with the engine, and an arriving edge
-goes only to the leaves whose piece uses its label: one dict lookup per edge
-gives those leaves in leaf order, each with its role gate for that label, a
-tuple of (source set or None, destination set or None) per qedge, or None
-when the leaf is always on.  The lookup runs before ingest: an edge whose
-label no qedge carries finds no leaf, and the graph ingests it unindexed.
-It is checked like any edge and keeps its endpoints live, but no adjacency
-list holds it, so searches, sweeps and eviction never walk it.
+Each leaf's search plan is built once, with the engine: every qedge of the
+piece an anchor can hold (its role) compiles to one plain function with a
+nested ``for`` per further qedge and every test written out, so a search
+runs no interpreter of steps.  Labels and vertex types come from query
+files, so they are data to the generated code: each reaches it as a
+numbered constant in the namespace it runs in, and no label or type text is
+ever part of its source.  An arriving edge goes only to the leaves whose
+piece uses its label: one dict lookup per edge gives those leaves in leaf
+order, each with its search plan and its role gate for that label, a tuple
+of (source set or None, destination set or None) per qedge, or None when
+the leaf is always on.  The lookup runs before ingest: an edge whose label
+no qedge carries finds no leaf, and the graph ingests it unindexed.  It is
+checked like any edge and keeps its endpoints live, but no adjacency list
+holds it, so searches, sweeps and eviction never walk it.
 
 The retroactive sweeps run off a flat worklist rather than recursing.
 Each leaf searches each edge at most once, as the eager engine does, which
@@ -83,7 +89,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import UnsupportedPrimitiveError
 from .graph import DynamicGraph, EdgeRecord, WireEdge
@@ -124,22 +130,82 @@ def _extension_steps(query: QueryGraph, edge_ids: list[int], role: int) -> tuple
     return tuple(steps)
 
 
-class SearchPlan(NamedTuple):
-    """How to search one piece of one query: the query's qedge and qvertex
-    counts (the widths of a result), and per edge label the qedges of the
-    piece an anchor with that label can hold, each with its end vertex
-    labels, its end qvertices, and the steps that bind the piece's other
-    qedges."""
+# a compiled role search: (graph, anchor, out) appends each match to out
+Search = Callable[[DynamicGraph, EdgeRecord, list], None]
 
-    n_edges: int
-    n_verts: int
-    roles: dict[str, tuple[tuple, ...]]
+
+def _compile_search(query: QueryGraph, role: int, steps: tuple[tuple, ...]) -> Search:
+    """The search of an anchor held as qedge ``role``, as straight-line
+    Python: the anchor's type and loop checks, one nested ``for`` per step
+    and one flat result tuple per hit.  A label or vertex type appears in
+    the source only as the name of a constant ``K<i>`` in its namespace."""
+    consts: list[str] = []
+
+    def const(text: str) -> str:
+        consts.append(text)
+        return f"K{len(consts) - 1}"
+
+    qe, types = query.edges[role], query.vertex_labels
+    loop = qe.src == qe.dst
+    far = "loop_end" if loop else f"v{qe.dst}"  # a loop qedge's one qvertex takes the source
+    lines = [
+        "def search(graph, anchor, out):",
+        f"    e{role}, v{qe.src}, {far}, src_type, dst_type, _, t0 = anchor",
+        f"    if src_type != {const(types[qe.src])} or dst_type != {const(types[qe.dst])}"
+        f" or v{qe.src} {'!=' if loop else '=='} {far}:",
+        "        return",
+    ]
+    edges, verts = [role], {qe.src, qe.dst}
+    pad = "    "
+    for d, (qe_id, label, forward, start, end, end_bound, want) in enumerate(steps, 1):
+        lines.append(f"{pad}for r{d} in graph.{'out_edges' if forward else 'in_edges'}(v{start}):")
+        pad += "    "
+        if end_bound:
+            # a step walks backward only from an unbound source, so this one
+            # is forward and closes on its bound destination
+            tests = [f"r{d}[5] != {const(label)}", f"r{d}[2] != v{end}"] + [f"r{d}[0] == e{e}" for e in edges]
+            lines += [f"{pad}if {' or '.join(tests)}:", f"{pad}    continue"]
+        else:
+            # injectivity on vertices; it also turns away a data loop, whose
+            # far end is the bound vertex.  An edge to an unbound vertex is
+            # no bound edge, so it needs no edge test
+            lines += [
+                f"{pad}if r{d}[5] != {const(label)} or r{d}[{4 if forward else 3}] != {const(want)}:",
+                f"{pad}    continue",
+                f"{pad}v{end} = r{d}[{2 if forward else 1}]",
+                f"{pad}if {' or '.join(f'v{end} == v{v}' for v in sorted(verts))}:",
+                f"{pad}    continue",
+            ]
+            verts.add(end)
+        edges.append(qe_id)
+        lines += [
+            f"{pad}e{qe_id} = r{d}[0]",
+            f"{pad}t{d} = r{d}[6]",
+            f"{pad}if t{d} > t{d - 1}:",
+            f"{pad}    t{d} = t{d - 1}",
+        ]
+    slots = [f"e{i}" if i in edges else "None" for i in range(query.n_edges)]
+    slots += [f"v{i}" if i in verts else "None" for i in range(query.n_vertices)]
+    lines.append(f"{pad}out.append((t{len(steps)}, {', '.join(slots)}))")
+    namespace = {"__builtins__": {}, **{f"K{i}": text for i, text in enumerate(consts)}}
+    exec(compile("\n".join(lines), f"<search of qedge {role}>", "exec"), namespace)
+    return namespace["search"]
+
+
+class SearchPlan(NamedTuple):
+    """How to search one piece of one query: per edge label, one compiled
+    search per qedge of the piece an anchor with that label can hold, and
+    those qedges' (source, destination) qvertices, in the same order."""
+
+    searches: dict[str, tuple[Search, ...]]
+    ends: dict[str, tuple[tuple[int, int], ...]]
 
 
 def search_plan(query: QueryGraph, piece: QueryPiece) -> SearchPlan:
     """The plan :func:`match_primitive` follows for ``piece``; raises
     ``UnsupportedPrimitiveError`` unless the piece is 1–3 connected qedges.
-    The engine builds one per leaf, once."""
+    The engine builds one per leaf, once, and each of its role searches is
+    compiled then."""
     edge_ids = sorted(piece.edges)
     if not edge_ids:
         raise UnsupportedPrimitiveError("empty primitive")
@@ -147,101 +213,32 @@ def search_plan(query: QueryGraph, piece: QueryPiece) -> SearchPlan:
         raise UnsupportedPrimitiveError(
             f"primitive has {len(edge_ids)} edges; max is {MAX_PRIMITIVE_EDGES}"
         )
-    roles: dict[str, list[tuple]] = {}
+    searches: dict[str, tuple[Search, ...]] = {}
+    ends: dict[str, tuple[tuple[int, int], ...]] = {}
     for role in edge_ids:
         qe = query.edges[role]
-        steps = _extension_steps(query, edge_ids, role)
-        roles.setdefault(qe.label, []).append(
-            (role, query.vertex_labels[qe.src], query.vertex_labels[qe.dst], qe.src, qe.dst, steps)
-        )
-    return SearchPlan(
-        len(query.edges),
-        len(query.vertex_labels),
-        {label: tuple(r) for label, r in roles.items()},
-    )
+        search = _compile_search(query, role, _extension_steps(query, edge_ids, role))
+        searches[qe.label] = searches.get(qe.label, ()) + (search,)
+        ends[qe.label] = ends.get(qe.label, ()) + ((qe.src, qe.dst),)
+    return SearchPlan(searches, ends)
 
 
 def match_primitive(graph: DynamicGraph, plan: SearchPlan, anchor: EdgeRecord) -> list[Partial]:
-    """All matches of a 1–3 edge sub-pattern that include ``anchor``, searched
-    by the pattern's :func:`search_plan`, as the join tree's flat ``(t_min,
-    e_0 ... e_{E-1}, v_0 ... v_{V-1})`` tuples: the oldest bound timestamp,
-    then a data edge id or None per qedge and a data vertex or None per
-    qvertex.  No ``t_max`` is kept: the engine stamps each complete match
-    with the newest edge's timestamp when it emits it.
+    """All matches of a 1–3 edge sub-pattern that include ``anchor``, by the
+    pattern's :func:`search_plan`, as the join tree's flat ``(t_min, e_0 ...
+    e_{E-1}, v_0 ... v_{V-1})`` tuples: the oldest bound timestamp, then a
+    data edge id or None per qedge and a data vertex or None per qvertex.
+    No ``t_max`` is kept: the engine stamps each complete match with the
+    newest edge's timestamp when it emits it.
 
-    The search fills separate ``edges`` and ``verts`` scratch lists, so each
-    injectivity test compares like with like, and lays them out flat once
-    per result.
-
-    The anchor is tried in every compatible qedge role, so automorphic
-    placements surface as distinct matches.  Bindings are injective on
-    vertices and edges.
+    The anchor is tried in every qedge role its label allows, in qedge
+    order, so automorphic placements surface as distinct matches.  Bindings
+    are injective on vertices and edges.
     """
-    n_edges, n_verts, roles = plan
-    edge_id, src, dst, src_label, dst_label, label, ts = anchor
     results: list[Partial] = []
-    edges: list[int | None] = [None] * n_edges
-    verts: list[str | None] = [None] * n_verts
-    for role, src_type, dst_type, qs, qd, steps in roles.get(label, ()):
-        if src_type != src_label or dst_type != dst_label:
-            continue
-        if (qs == qd) != (src == dst):
-            continue  # a loop qedge takes exactly the data loops
-        verts[qs] = src
-        verts[qd] = dst
-        edges[role] = edge_id
-        _extend(graph, steps, 0, edges, verts, ts, results)
-        edges[role] = None
-        verts[qs] = verts[qd] = None
+    for search in plan.searches.get(anchor[5], ()):  # anchor[5]: the edge label
+        search(graph, anchor, results)
     return results
-
-
-def _extend(
-    graph: DynamicGraph,
-    steps: tuple[tuple, ...],
-    depth: int,
-    edges: list[int | None],
-    verts: list[str | None],
-    t_min: int,
-    out: list[Partial],
-) -> None:
-    """Bind ``steps[depth:]`` in turn, filling ``edges``/``verts`` in place
-    and clearing each slot again on the way back.  Records are read by
-    position, in ``EdgeRecord``'s field order."""
-    if depth == len(steps):
-        out.append((t_min, *edges, *verts))
-        return
-    qe_id, label, forward, start, end, end_bound, want = steps[depth]
-    recs = graph.out_edges(verts[start]) if forward else graph.in_edges(verts[start])
-    if end_bound:
-        # a step walks backward only from an unbound source, so this one
-        # is forward and closes on its bound destination
-        target = verts[end]
-        for rec in recs:
-            if rec[5] != label or rec[2] != target or rec[0] in edges:
-                continue
-            edges[qe_id] = rec[0]
-            ts = rec[6]
-            _extend(graph, steps, depth + 1, edges, verts, ts if ts < t_min else t_min, out)
-            edges[qe_id] = None
-        return
-    for rec in recs:
-        if rec[5] != label:
-            continue
-        if forward:
-            far, far_type = rec[2], rec[4]
-        else:
-            far, far_type = rec[1], rec[3]
-        # injectivity on vertices; it also turns away a data loop, whose far
-        # end is the bound vertex
-        if far_type != want or far in verts or rec[0] in edges:
-            continue
-        verts[end] = far
-        edges[qe_id] = rec[0]
-        ts = rec[6]
-        _extend(graph, steps, depth + 1, edges, verts, ts if ts < t_min else t_min, out)
-        verts[end] = None
-        edges[qe_id] = None
 
 
 # per qedge of a gated leaf's piece with one edge label: the allowed set of
@@ -333,8 +330,8 @@ class Engine:
             allowed = {c: set() for c in tree.nodes[leaf.parent].cut_verts}
             self._allowed.append(allowed)
             self._gates.append({
-                label: tuple((allowed.get(qs), allowed.get(qd)) for _, _, _, qs, qd, _ in roles)
-                for label, roles in plan.roles.items()
+                label: tuple((allowed.get(qs), allowed.get(qd)) for qs, qd in ends)
+                for label, ends in plan.ends.items()
             })
         self._allowed_count = 0
         self._allowed_cap = GATE_MIN_PRUNE
@@ -342,13 +339,13 @@ class Engine:
         # there, the adjacency lists to walk at it)
         self._pending: deque[tuple[int, set[str], str, tuple]] = deque()
         # per edge label, the leaves an edge with it can anchor (those whose
-        # piece uses the label), in leaf order, as (leaf, leaf index, its
-        # role gate for the label or None when always on)
-        by_label: dict[str, list[tuple[SJTreeNode, int, RoleGate | None]]] = {}
+        # piece uses the label), in leaf order, as (the leaf's node id, its
+        # search plan, its role gate for the label or None when always on)
+        by_label: dict[str, list[tuple[int, SearchPlan, RoleGate | None]]] = {}
         for leaf, plan, gates in zip(self._leaves, self._plans, self._gates):
-            for label in plan.roles:
+            for label in plan.searches:
                 gate = None if gates is None else gates[label]
-                by_label.setdefault(label, []).append((leaf, leaf.leaf_index, gate))
+                by_label.setdefault(label, []).append((leaf.node_id, plan, gate))
         self._by_label = {label: tuple(entries) for label, entries in by_label.items()}
         # node -> the gated leaf its matches open, as that leaf's index and,
         # per cut qvertex, its slot in a match, its allowed set and what a
@@ -387,7 +384,7 @@ class Engine:
         search ever reads it: the graph ingests it unindexed, which checks
         it as any edge and keeps its endpoints live, but stores no record.
         """
-        graph = self.graph
+        graph, counters = self.graph, self.counters
         entries = self._by_label.get(raw[3])  # raw[3]: the edge label
         if entries is None:
             graph.add_edge(raw, False)  # unindexed; positional, so a wrapper of add_edge may take *args
@@ -395,21 +392,21 @@ class Engine:
         else:
             rec = graph.add_edge(raw)
             self._delta = delta = []
-            for leaf, idx, gate in entries:
+            for node_id, plan, gate in entries:
                 # always on, or gated and passing now: the edge is the newest
                 # edge of every hit, so each hit is kept
                 if gate is None or _opens(gate, rec):
-                    self.counters.match_calls += 1
-                    hits = match_primitive(graph, self._plans[idx], rec)
+                    counters.match_calls += 1
+                    hits = match_primitive(graph, plan, rec)
                     if hits:
-                        self._feed(leaf.node_id, hits)
+                        self._feed(node_id, hits)
                 # run any retroactive sweeps before the next leaf reads its gate,
                 # so leaves are searched strictly one after the other
                 if self._pending:
                     self._drain(rec)
-        self.counters.edges += 1
-        if PURGE_INTERVAL and self.counters.edges % PURGE_INTERVAL == 0:
-            self.counters.purged += self.tree.purge_stale(self._cutoff())
+        counters.edges += 1
+        if PURGE_INTERVAL and counters.edges % PURGE_INTERVAL == 0:
+            counters.purged += self.tree.purge_stale(self._cutoff())
         return delta
 
     def _cutoff(self) -> int | None:

@@ -273,6 +273,22 @@ def test_edges_per_tick_below_one_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "gen query --edges 0",
+    "gen stream --edges -3",
+    "bench --edges 0",
+    "bench --queries 0",
+    "bench --query-edges 0",
+])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, command):
+    out = tmp_path / "x.txt"
+    with pytest.raises(SystemExit) as ei:
+        main([*command.split(), "--out", str(out)])
+    assert ei.value.code == 1
+    assert command.split()[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     rc = main(["run", "--query", missing, "--stream", missing])

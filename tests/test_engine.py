@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import platform
+from collections import Counter
 from random import Random
 
 import pytest
@@ -22,7 +24,7 @@ from dgquery.generate import (
 )
 from dgquery.graph import DynamicGraph, format_edge_line, parse_edge_line
 from dgquery.planner import plan_query
-from dgquery.query import Match, QueryPiece
+from dgquery.query import Match, QueryEdge, QueryGraph, QueryPiece
 from dgquery.sjtree import SJTree
 from dgquery.stats import SelectivityTable, collect_stats
 
@@ -107,6 +109,117 @@ def test_match_primitive_self_loops():
     path_q = path_query(["e"], vertex_label="A")
     ppiece = QueryPiece.from_edges(path_q, [0])
     assert match_primitive(g, search_plan(path_q, ppiece), looped) == []
+
+
+def _connected_shapes(max_edges: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every connected directed multigraph of 1 to ``max_edges`` edges, loops
+    allowed, up to renaming its vertices, as (src, dst) pairs over dense
+    vertex ids."""
+    shapes = set()
+    for n_edges in range(1, max_edges + 1):
+        for n_verts in range(1, n_edges + 2):
+            pairs = list(itertools.product(range(n_verts), repeat=2))
+            for edges in itertools.product(pairs, repeat=n_edges):
+                if {v for e in edges for v in e} != set(range(n_verts)):
+                    continue
+                reach, grew = {0}, True
+                while grew:
+                    grew = False
+                    for s, d in edges:
+                        if (s in reach) != (d in reach):
+                            reach.update((s, d))
+                            grew = True
+                if len(reach) < n_verts:
+                    continue
+                shapes.add(min(
+                    tuple(sorted((p[s], p[d]) for s, d in edges))
+                    for p in itertools.permutations(range(n_verts))
+                ))
+    return sorted(shapes, key=lambda s: (len(s), s))
+
+
+PIECE_SHAPES = _connected_shapes(3)
+
+
+def _brute_force_bindings(query, piece_edges, graph):
+    """Every injective binding of ``piece_edges`` to live edges of ``graph``,
+    as the flat tuple ``match_primitive`` returns, by trying every
+    combination of edges whose labels fit."""
+    qes = sorted(piece_edges)
+    labels = query.vertex_labels
+    live = list(graph.live_edges())
+    cands = [
+        [r for r in live if (r[5], r[3], r[4]) == (e.label, labels[e.src], labels[e.dst])]
+        for e in (query.edges[qe] for qe in qes)
+    ]
+    found = []
+    for combo in itertools.product(*cands):
+        ids = [r[0] for r in combo]
+        if len(set(ids)) < len(ids):
+            continue
+        verts: dict[int, str] = {}
+        if any(
+            verts.setdefault(qv, dv) != dv
+            for qe, r in zip(qes, combo)
+            for qv, dv in ((query.edges[qe].src, r[1]), (query.edges[qe].dst, r[2]))
+        ):
+            continue
+        if len(set(verts.values())) < len(verts):
+            continue
+        edges = [None] * query.n_edges
+        for qe, eid in zip(qes, ids):
+            edges[qe] = eid
+        flat_verts = [verts.get(qv) for qv in range(query.n_vertices)]
+        found.append((min(r[6] for r in combo), *edges, *flat_verts))
+    return found
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_match_primitive_equals_brute_force_on_every_small_piece(seed):
+    # the shapes include paths in each orientation, in- and out-stars, both
+    # triangle orientations, parallel and antiparallel pairs, and loops alone
+    # and with a neighbour
+    assert {
+        ((0, 1), (1, 2)), ((0, 1), (2, 1)), ((0, 1), (1, 2), (2, 3)), ((0, 1), (1, 2), (3, 2)),
+        ((0, 1), (0, 2), (0, 3)), ((0, 1), (2, 1), (3, 1)), ((0, 1), (1, 2), (2, 0)), ((0, 1), (0, 2), (1, 2)),
+        ((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 0),), ((0, 0), (0, 1)), ((0, 0), (1, 0)),
+    } <= set(PIECE_SHAPES)
+    rng = Random(seed)
+    # a small multigraph with parallel edges, antiparallel edges and loops,
+    # on mostly one vertex type so that automorphic roles come up often
+    kinds = {"a": "A", "b": "A", "c": "A", "d": "A", "x": "B"}
+    records = []
+    for ts in range(40):
+        src = rng.choice(sorted(kinds))
+        dst = src if rng.random() < 0.15 else rng.choice(sorted(kinds))
+        records.append(raw(ts // 2, src, rng.choice("ef"), dst, kinds[src], kinds[dst]))
+    records.append(raw(20, "a", "e", "b"))
+    records.append(raw(20, "a", "e", "b"))  # a parallel pair, same label
+    graph = DynamicGraph(window=16)  # the oldest edges leave
+    for r in records:
+        graph.add_edge(r)
+    anchors = list(graph.live_edges())
+    assert any(r[1] == r[2] for r in anchors)
+    checked = 0
+    for shape in PIECE_SHAPES:
+        n_verts = 1 + max(v for e in shape for v in e)
+        for uniform in (True, False):
+            # the piece's qedges take shuffled ids in a query with one more
+            # qedge and qvertex, so results keep unbound slots
+            vlabels = ["A"] * n_verts if uniform else [rng.choice("AAB") for _ in range(n_verts)]
+            qedges = [QueryEdge(s, d, "e" if uniform else rng.choice("ef")) for s, d in shape]
+            qedges.append(QueryEdge(0, n_verts, "f"))
+            rng.shuffle(qedges)
+            query = QueryGraph(vlabels + ["A"], qedges)
+            piece = [i for i, e in enumerate(qedges) if e.dst != n_verts]
+            plan = search_plan(query, QueryPiece.from_edges(query, piece))
+            every = _brute_force_bindings(query, piece, graph)
+            for anchor in anchors:
+                got = match_primitive(graph, plan, anchor)
+                want = [m for m in every if anchor[0] in m[1:1 + query.n_edges]]
+                assert Counter(got) == Counter(want), (shape, qedges, anchor)
+                checked += len(want)
+    assert checked > 0
 
 
 def test_match_primitive_guards():
@@ -670,6 +783,40 @@ def test_randomized_strategies_match_oracle(rng):
         calls = cross_check(query, records, window)
         assert calls["singlelazy"] <= calls["single"], f"trial {trial}"
         assert calls["pathlazy"] <= calls["path"], f"trial {trial}"
+
+
+def test_labels_that_read_as_code_are_matched_as_data(monkeypatch):
+    # quotes, a backslash, a comment mark, braces and a call: the searches
+    # must treat every label and vertex type as a plain string
+    odd = ['a"b', "c'd\\", "#e", "{f}", "__import__('os')"]
+    sources = []
+
+    def compiling(source, *rest):
+        sources.append(source)
+        return compile(source, *rest)
+
+    monkeypatch.setattr(engine, "compile", compiling, raising=False)
+    query = QueryGraph(
+        [odd[4], odd[2], odd[3], odd[0]],
+        [QueryEdge(0, 1, odd[0]), QueryEdge(1, 2, odd[1]), QueryEdge(3, 2, odd[3]), QueryEdge(2, 2, odd[4])],
+    )
+    rng = Random(29)
+    kinds = {f"{t}{i}": t for t in query.vertex_labels for i in range(3)}
+    of_kind = {t: [v for v in sorted(kinds) if kinds[v] == t] for t in query.vertex_labels}
+    records = []
+    for ts in range(300):
+        # mostly edges that fit some qedge, with a few that fit none
+        e = rng.choice(query.edges)
+        src = rng.choice(of_kind[query.vertex_labels[e.src]])
+        dst = src if e.src == e.dst else rng.choice(of_kind[query.vertex_labels[e.dst]])
+        label = e.label if rng.random() < 0.9 else rng.choice(odd)
+        records.append(raw(ts // 3, src, label, dst, kinds[src], kinds[dst]))
+    cross_check(query, records, 30)
+    # the generated searches name no label or type
+    assert sources and not [src for src in sources for text in odd if text in src]
+    eng = engines_for(query, records, 30)[1][1]  # path leaves: 2-edge searches
+    assert any(len(leaf.piece.edges) == 2 for leaf in eng.tree.leaves())
+    assert sum(len(eng.process(r)) for r in records) > 0
 
 
 def test_kpartite_template_matches_oracle(rng):
