@@ -95,11 +95,10 @@ def run_strategy(
     window: int | None,
     table: SelectivityTable,
 ) -> tuple[BenchReport, set]:
-    """Run one strategy over the stream; return its report and signature set."""
+    """Run one strategy; return its report and the signatures ``process`` returned."""
     eng, plan, _ = make_engine(strategy, query, window, table)
     start = time.perf_counter()
-    for raw in records:
-        eng.process(raw)
+    deltas = [eng.process(raw) for raw in records]
     wall = time.perf_counter() - start
     report = BenchReport(
         strategy=strategy,
@@ -113,7 +112,7 @@ def run_strategy(
         report.peak_stored = eng.tree.peak_stored
         report.expected_selectivity = plan.expected
         report.relative_selectivity = plan.relative
-    return report, {m.pairs for m in eng.log}
+    return report, {m.pairs for delta in deltas for m in delta}
 
 
 def run_sweep(

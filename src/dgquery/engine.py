@@ -99,7 +99,7 @@ from .sjtree import Partial, SJTree, SJTreeNode
 __all__ = ["SearchPlan", "search_plan", "match_primitive", "Counters", "Engine"]
 
 MAX_PRIMITIVE_EDGES = 3
-PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps; 0 disables them
+PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps
 GATE_MIN_PRUNE = 1 << 10  # the fewest gate entries worth a prune
 
 
@@ -297,7 +297,6 @@ class Engine:
             raise ValueError("tree was built for a different query")
         self.query = query
         self.tree = tree
-        self.window = window
         self.graph = DynamicGraph(window)
         self.log: list[Match] = []
         self.counters = Counters()
@@ -405,17 +404,13 @@ class Engine:
                 if self._pending:
                     self._drain(rec)
         counters.edges += 1
-        if PURGE_INTERVAL and counters.edges % PURGE_INTERVAL == 0:
-            counters.purged += self.tree.purge_stale(self._cutoff())
+        if counters.edges % PURGE_INTERVAL == 0:
+            counters.purged += self.tree.purge_stale(graph.cutoff)
         return delta
-
-    def _cutoff(self) -> int | None:
-        """The graph's eviction cutoff: edges at or before it are gone."""
-        return None if self.window is None else self.graph.t_last - self.window
 
     def _feed(self, node_id: int, hits: list[Partial]) -> None:
         """Insert each leaf match at its leaf and propagate it up the tree."""
-        cutoff = self._cutoff()
+        cutoff = self.graph.cutoff
         for m in hits:
             self.tree.insert_and_propagate(node_id, m, cutoff, self._emit)
 

@@ -2,8 +2,10 @@
 
 The store keeps exactly the indexed edges of the current time window: after
 ingesting an edge with timestamp t, every retained edge satisfies
-``timestamp > t - window``.  Parallel edges (same endpoints, same or
-different type) are distinct records.
+``timestamp > cutoff``, where ``cutoff = t - window`` is read by the join
+tree too.  An unbounded window is ``math.inf``, and ``t_last`` and the cutoff
+start at ``-math.inf``.  Parallel edges (same endpoints, same or different
+type) are distinct records.
 
 An edge is ingested indexed (the default) or unindexed.  An indexed edge
 becomes a record in its endpoints' adjacency lists; an unindexed one is
@@ -66,6 +68,7 @@ Design notes
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -143,16 +146,16 @@ class _Vertex:
 class DynamicGraph:
     """Time-windowed dynamic multigraph.
 
-    ``window=None`` means an unbounded window (nothing ever expires).
+    ``window=None`` means an unbounded window, kept as ``math.inf``.
     ``edge_count`` and ``edges_evicted`` count indexed edges only;
     ``edges_ingested`` counts every edge.
     """
 
     def __init__(self, window: int | None = None):
-        if window is not None and window <= 0:
+        self.window: float = math.inf if window is None else window
+        if self.window <= 0:
             raise ValueError("window must be positive or None")
-        self.window = window
-        self.t_last: int | None = None
+        self.t_last: float = -math.inf
         self.edges_ingested = 0
         self.edges_evicted = 0
         self._vertices: dict[str, _Vertex] = {}
@@ -174,9 +177,8 @@ class DynamicGraph:
         anything changes, so a rejected edge leaves the store as it was.
         """
         ts, src, src_type, edge_type, dst, dst_type = raw
-        t_last = self.t_last
-        if t_last is not None and ts < t_last:
-            raise disorder_error(ts, t_last)
+        if ts < self.t_last:
+            raise disorder_error(ts, self.t_last)
         vertices = self._vertices
         src_v = vertices.get(src)
         if src_v is None or src_v.label != src_type:
@@ -229,17 +231,15 @@ class DynamicGraph:
             rec = None
             src_v.stamp = dst_v.stamp = ts
 
-        window = self.window
-        if window is not None and arrivals and arrivals[0][6] <= ts - window:  # [6]: timestamp
+        # [6]: timestamp; ts - window is the new cutoff, without a property call
+        if arrivals and arrivals[0][6] <= ts - self.window:
             self.evict_expired()
         return rec
 
     def evict_expired(self) -> None:
         """Drop every edge with ``timestamp <= t_last - window``, and every
         vertex that leaves with no edge in its lists and an expired stamp."""
-        if self.window is None or self.t_last is None:
-            return
-        cutoff = self.t_last - self.window
+        cutoff = self.cutoff
         arrivals = self._arrivals
         vertices = self._vertices
         evicted = 0
@@ -265,8 +265,7 @@ class DynamicGraph:
         hold only live edges), or the unindexed one its stamp records."""
         if v.out_edges or v.in_edges:
             return True
-        window = self.window
-        return window is None or v.stamp > self.t_last - window
+        return v.stamp > self.cutoff
 
     def _prune_vertices(self, *keep: str) -> None:
         """Delete every dead vertex but those in ``keep``, in place (the
@@ -279,6 +278,11 @@ class DynamicGraph:
         self._vertex_cap = max(2 * len(vertices), _VERTEX_MIN_PRUNE)
 
     # ------------------------------------------------------------------ access
+
+    @property
+    def cutoff(self) -> float:
+        """``t_last - window``: an edge at or before it has left the window."""
+        return self.t_last - self.window
 
     @property
     def edge_count(self) -> int:

@@ -39,6 +39,7 @@ end.
 """
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -125,7 +126,7 @@ class SJTreeNode:
 
 
 def join(
-    m: Partial, bucket: list[Partial], node: SJTreeNode, cutoff: int | None, out: Callable[[Partial], None]
+    m: Partial, bucket: list[Partial], node: SJTreeNode, cutoff: float, out: Callable[[Partial], None]
 ) -> int:
     """Merge ``m``, stored at ``node``, with every match of ``bucket``, its
     sibling's bucket under the same key; pass each joined match to ``out``
@@ -133,8 +134,7 @@ def join(
 
     All matches are flat :data:`Partial` tuples, each result with the older
     of the two ``t_min``.  An entry with ``t_min <= cutoff`` is stale and
-    skipped; with ``cutoff`` None every entry is kept, whatever its
-    ``t_min``.  The key already makes the shared qvertices agree, and the two
+    skipped.  The key already makes the shared qvertices agree, and the two
     pieces share no qedge, so only the slots the sibling fills need checks:
     its data edges must be new to ``m`` and the data vertices of the
     qvertices only it binds must not already serve ``m``.  Each is looked up
@@ -151,7 +151,7 @@ def join(
     stale = 0
     for m_s in bucket:
         t_s = m_s[0]
-        if cutoff is not None and t_s <= cutoff:
+        if t_s <= cutoff:
             stale += 1
             continue
         for i in sib_edges:
@@ -244,7 +244,7 @@ class SJTree:
         self,
         node_id: int,
         m: Partial,
-        cutoff: int | None,
+        cutoff: float,
         emit: Callable[[Partial], None],
     ) -> None:
         """Insert ``m`` at a node: probe the sibling's bucket under its key
@@ -259,14 +259,14 @@ class SJTree:
         builds the output ``Match``, as the newest edge's timestamp (see
         below).
 
-        ``cutoff`` is the graph's eviction cutoff ``t_last - window`` (None:
-        unbounded).  Every new complete match contains the newest edge, so a
-        stored match can join into an emission only while its oldest edge is
-        live: entries with ``t_min <= cutoff`` are skipped, and swept out of
-        the bucket once they are its majority.  Leaf matches come from the
-        live graph and a join of live matches is live, so a root match has
-        ``cutoff < t_min <= t_max <= t_last``: its span is inside the window,
-        and its ``t_max`` is ``t_last``, for it holds the newest edge.
+        ``cutoff`` is the graph's eviction cutoff, ``DynamicGraph.cutoff``.
+        Every new complete match contains the newest edge, so a stored match
+        can join into an emission only while its oldest edge is live: entries
+        with ``t_min <= cutoff`` are skipped, and swept out of the bucket once
+        they are its majority.  Leaf matches come from the live graph and a
+        join of live matches is live, so a root match has ``cutoff < t_min <=
+        t_max <= t_last``: its span is inside the window, and its ``t_max`` is
+        ``t_last``, for it holds the newest edge.
 
         The caller inserts each leaf match once.  A match above the leaves is
         then one (left, right) pair, joined once, when the later of the two is
@@ -312,13 +312,13 @@ class SJTree:
         if self.on_store is not None:
             self.on_store(node, m)
 
-    def purge_stale(self, cutoff: int | None) -> int:
+    def purge_stale(self, cutoff: float) -> int:
         """Drop stored matches with ``t_min <= cutoff``; return the count.
 
         Their oldest edge has left the graph, so, as in
         ``insert_and_propagate``, they can never join into an emission.
         """
-        if cutoff is None:
+        if cutoff == -math.inf:
             return 0
         removed = 0
         for node in self.nodes:

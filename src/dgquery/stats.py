@@ -52,6 +52,7 @@ shrink as rows are summed — and the one row being summed.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from itertools import compress, islice
 from operator import eq, le, ne
@@ -348,7 +349,7 @@ def _tally(records: Iterable[WireEdge]) -> tuple[dict[str, str], Counter, Counte
     labels: dict[str, str] = {}
     outs: Counter = Counter()
     ins: Counter = Counter()
-    t_last = None
+    t_last = -math.inf
     records = iter(records)
     while True:
         chunk: list = []
@@ -364,7 +365,7 @@ def _tally(records: Iterable[WireEdge]) -> tuple[dict[str, str], Counter, Counte
             seen = dict(zip(srcs, src_types))
             seen.update(zip(dsts, dst_types))
             if (
-                (t_last is None or t_last <= ts[0])
+                t_last <= ts[0]
                 and all(map(le, ts, islice(ts, 1, None)))
                 and all(map(eq, map(seen.__getitem__, srcs), src_types))
                 and all(map(eq, map(seen.__getitem__, dsts), dst_types))
@@ -382,12 +383,12 @@ def _tally(records: Iterable[WireEdge]) -> tuple[dict[str, str], Counter, Counte
             return labels, outs, ins
 
 
-def _check_edges(chunk: list[WireEdge], t_last: int | None, labels: dict[str, str]) -> None:
+def _check_edges(chunk: list[WireEdge], t_last: float, labels: dict[str, str]) -> None:
     """Check ``chunk`` one edge at a time, by ``add_edge``'s rules and in its
     order over a store where nothing expires, and raise its error at the
     first bad edge; ``labels`` takes each vertex as it is met."""
     for ts, src, src_type, _, dst, dst_type in chunk:
-        if t_last is not None and ts < t_last:
+        if ts < t_last:
             raise disorder_error(ts, t_last)
         label = labels.get(src)
         if label is None:

@@ -209,15 +209,25 @@ def test_streamed_run_stops_at_a_bad_line_after_writing_the_lines_before(tmp_pat
     assert "line 301" in captured.err
 
 
-def test_run_accepts_unbounded_window(tmp_path):
+def test_run_accepts_unbounded_window(tmp_path, capsys):
+    # 'inf' is the infinite window under the same expiry rule: a run writes
+    # what a window one tick longer than the stream's span writes
     stream = _gen_stream(tmp_path)
     query_path = _gen_query(tmp_path)
-    rc = main([
-        "run", "--query", str(query_path), "--stream", str(stream),
-        "--window", "inf", "--strategy", "singlelazy",
-        "--out", str(tmp_path / "o.tsv"),
-    ])
-    assert rc == 0
+    with open(stream) as fh:
+        ts = [r[0] for r in read_edge_stream(fh)]
+    for strategy in ("singlelazy", "auto", "vf2"):
+        outs = []
+        for window in ("inf", str(ts[-1] - ts[0] + 1)):
+            out = tmp_path / f"{strategy}.{window}.tsv"
+            rc = main([
+                "run", "--query", str(query_path), "--stream", str(stream),
+                "--window", window, "--strategy", strategy, "--out", str(out),
+            ])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] and outs[0] == outs[1], strategy
+    capsys.readouterr()
 
 
 def test_bench_command_reports_all_strategies(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import platform
 from collections import Counter
 from random import Random
@@ -354,13 +355,39 @@ def test_purge_interval_equivalence(monkeypatch):
     query = random_query(schema, 2, rng)
     table = collect_stats(records)
     runs = []
-    for interval in (0, 1, 64):
+    # 1 << 30 is longer than the stream: that run never purges
+    for interval in (1 << 30, 1, 64):
         monkeypatch.setattr(engine, "PURGE_INTERVAL", interval)
         plan = plan_query(query, table, mode="single")
         eng = Engine(query, plan.tree, 5, lazy=True)
         sigs = [signatures(eng.process(r)) for r in records]
         runs.append(sigs)
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_unbounded_window_equals_an_over_long_one(rng, monkeypatch):
+    # the unbounded window is the infinite one under the same expiry rule: a
+    # window one tick longer than the stream's span keeps every edge too, so
+    # every engine emits the same matches at every step under both, ends
+    # with the same edges and purges nothing, though with a short purge
+    # interval its purges run at a finite cutoff
+    monkeypatch.setattr(engine, "PURGE_INTERVAL", 8)
+    emitted = 0
+    for trial in range(8):
+        schema = random_schema(rng)
+        records = generate_stream(schema, rng.randrange(40, 120), rng, edges_per_tick=3)
+        query = random_query(schema, rng.randint(1, 4), rng)
+        runs = []
+        for window in (None, records[-1][0] - records[0][0] + 1):
+            engines = [*engines_for(query, records, window), ("vf2", RescanEngine(query, window))]
+            runs.append({
+                name: ([signatures(eng.process(r)) for r in records], eng.graph.edge_count, eng.counters.purged)
+                for name, eng in engines
+            })
+        assert runs[0] == runs[1], f"trial {trial}"
+        assert all(purged == 0 for _, _, purged in runs[0].values()), f"trial {trial}"
+        emitted += sum(map(len, runs[0]["vf2"][0]))
+    assert emitted
 
 
 def test_sweep_at_an_old_edge_joins_only_live_matches(monkeypatch):
@@ -417,7 +444,7 @@ def test_gated_leaf_stores_the_b_c_match_once_from_its_newest_edge(monkeypatch):
     stored = [m for bucket in leaf1.table.values() for m in bucket]
     assert stored == [stored_form(Match.of(query, [(1, 0, 0), (2, 1, 1)], {1: "y", 2: "z", 3: "u"}))]
     assert [len(d) for d in deltas] == [0, 0, 1]
-    tree.insert_and_propagate(leaf1.node_id, stored[0], None, lambda m: None)
+    tree.insert_and_propagate(leaf1.node_id, stored[0], -math.inf, lambda m: None)
     assert sum(len(b) for b in leaf1.table.values()) == 2
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 from random import Random
 
@@ -49,6 +50,19 @@ def test_window_eviction_boundary():
     g.add_edge(raw(10, "x", "e", "y"))  # cutoff 5: evicts ts=4 and ts=5
     assert g.edge_count == 1
     assert g.edges_evicted == 3
+
+
+@pytest.mark.parametrize("window", [5, None])
+def test_fresh_graph_cutoff_is_minus_infinity(window):
+    # before the first edge t_last is -inf, and so is the cutoff, bounded
+    # window or not: nothing has expired, and a first edge at 0 is in order
+    g = DynamicGraph(window)
+    assert g.cutoff == -math.inf
+    g.evict_expired()
+    assert (g.edge_count, g.edges_evicted, g.vertex_count, g.t_last) == (0, 0, 0, -math.inf)
+    g.add_edge(raw(0, "a", "e", "b"))
+    assert (g.edge_count, g.edges_evicted, g.t_last) == (1, 0, 0)
+    assert g.cutoff == (-math.inf if window is None else -5)
 
 
 def test_unbounded_window_keeps_everything():

@@ -1,6 +1,7 @@
 """Query patterns, pieces, matches, and the join of sibling matches."""
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
@@ -177,7 +178,7 @@ def sibling_leaves(query, *edge_sets):
 def join_one(m, m_s, node):
     """The join of ``m`` with the one-entry bucket ``[m_s]``: its result or None."""
     out = []
-    assert join(m, [m_s], node, None, out.append) == 0
+    assert join(m, [m_s], node, -math.inf, out.append) == 0
     assert len(out) <= 1
     return out[0] if out else None
 
@@ -186,12 +187,12 @@ def pairwise_join(query, m, bucket, cutoff):
     """Reference for ``join``, one bucket entry at a time and from the
     definition of a match, not from the node's slots: (results, stale count).
 
-    An entry with ``t_min <= cutoff`` is stale (None: none is).  Otherwise
+    An entry with ``t_min <= cutoff`` is stale.  Otherwise
     the two sides merge slot by slot, and the merge is a match when no slot
     is bound two ways and no data edge or data vertex fills two slots."""
     out, stale = [], 0
     for m_s in bucket:
-        if cutoff is not None and m_s[0] <= cutoff:
+        if m_s[0] <= cutoff:
             stale += 1
             continue
         if any(a is not None and b is not None and a != b for a, b in zip(m[1:], m_s[1:])):
@@ -307,21 +308,21 @@ def test_join_walks_a_mixed_bucket_like_the_pairwise_reference():
 
 
 def test_join_without_cutoff_keeps_negative_timestamps():
-    # cutoff None keeps every entry, however old: it stands for no cutoff,
-    # not for some least timestamp
+    # cutoff -inf, the unbounded window's, keeps every entry, however old:
+    # it is below every timestamp
     leaf0, _ = sibling_leaves(PATH2, [0], [1])
     m = stored_form(Match.of(PATH2, [(0, 10, 5)], {0: "a", 1: "b"}))
     oldest = -(2**70)
     bucket = [(oldest, None, 30, None, "b", "c"), (-1, None, 31, None, "b", "d"), (0, None, 32, None, "b", "e")]
     want = [(oldest, 10, 30, "a", "b", "c"), (-1, 10, 31, "a", "b", "d"), (0, 10, 32, "a", "b", "e")]
-    assert join_all(m, bucket, leaf0, None) == (want, 0) == pairwise_join(PATH2, m, bucket, None)
+    assert join_all(m, bucket, leaf0, -math.inf) == (want, 0) == pairwise_join(PATH2, m, bucket, -math.inf)
     assert join_all(m, bucket, leaf0, -1) == (want[2:], 2)
 
 
 def test_join_randomized_against_the_pairwise_reference():
     # random probes from either leaf of a two-leaf tree into random buckets
     # of the other leaf, all agreeing on the cut vertex 2, with timestamps
-    # around a random cutoff (or none)
+    # around a random cutoff (or -inf, the unbounded window's)
     leaf0, leaf1 = sibling_leaves(PATH3, [0, 1], [2])
     rng = Random(11)
     pool = [f"v{i}" for i in range(5)]
@@ -338,7 +339,7 @@ def test_join_randomized_against_the_pairwise_reference():
     joined = stale = 0
     for _ in range(400):
         cut = rng.choice(pool)
-        cutoff = rng.choice([None, rng.randrange(-5, 20)])
+        cutoff = rng.choice([-math.inf, rng.randrange(-5, 20)])
         n = rng.randrange(7)
         if rng.random() < 0.5:
             node, m, bucket = leaf0, left(cut), [right(cut) for _ in range(n)]

@@ -1,6 +1,7 @@
 """Decomposition tree: structure, join keys, propagation, plan text."""
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
@@ -83,7 +84,7 @@ def test_insert_joins_across_siblings():
     leaf0, leaf1 = tree.leaves()
     m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
     m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
-    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
+    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
     assert got == [stored_form(Match.of(query, [(0, 10, 1), (1, 20, 2)], {0: "a", 1: "b", 2: "c"}))]
     assert tree.stored_count == 2  # both leaf matches; the root stores nothing
     # a one-vertex cut keys by that vertex's binding itself
@@ -100,7 +101,7 @@ def test_join_key_orders_cut_elements():
     m0 = Match.of(query, [(0, 10, 1)], {1: "y", 0: "x"})
     swapped = Match.of(query, [(1, 20, 2)], {0: "y", 1: "x"})
     m1 = Match.of(query, [(1, 21, 3)], {0: "x", 1: "y"})
-    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, swapped), (leaf1.node_id, m1)], None)
+    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, swapped), (leaf1.node_id, m1)], -math.inf)
     assert list(leaf0.table) == [("x", "y")]
     assert list(leaf1.table) == [("y", "x"), ("x", "y")]
     assert got == [stored_form(Match.of(query, [(0, 10, 1), (1, 21, 3)], {0: "x", 1: "y"}))]
@@ -119,7 +120,7 @@ def test_join_key_empty_cut_is_shared():
         (leaf1.node_id, Match.of(query, [(2, 3, 0)], {2: "c", 3: "d"})),
         (leaf2.node_id, Match.of(query, [(1, 2, 0)], {1: "b", 2: "c"})),
     ]
-    got = emitted_via(tree, inserts, None)
+    got = emitted_via(tree, inserts, -math.inf)
     assert list(leaf0.table) == list(leaf1.table) == [()]
     cross = tree.nodes[leaf0.parent]
     assert sum(len(bucket) for bucket in cross.table.values()) == 2
@@ -132,7 +133,7 @@ def test_insert_mismatched_cut_does_not_join():
     leaf0, leaf1 = tree.leaves()
     m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
     m1 = Match.of(query, [(1, 20, 2)], {1: "x", 2: "c"})  # different shared vertex
-    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
+    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
     assert got == []
 
 
@@ -147,11 +148,11 @@ def test_window_span_strictly_inside():
             (leaf0.node_id, Match.of(query, [(0, 10, t0)], {0: "a", 1: "b"})),
             (leaf1.node_id, Match.of(query, [(1, 20, t1)], {1: "b", 2: "c"})),
         ]
-        return len(emitted_via(tree, inserts, None if window is None else t1 - window))
+        return len(emitted_via(tree, inserts, t1 - window))
 
     assert run(0, 4, 5) == 1  # span 4 < 5: t_min 0 > cutoff -1
     assert run(0, 5, 5) == 0  # span 5 is out: t_min 0 <= cutoff 0, the window is half-open
-    assert run(0, 5, None) == 1  # no window, no limit
+    assert run(0, 5, math.inf) == 1  # an unbounded window: cutoff -inf, no limit
 
 
 def test_peak_stored_tracks_maximum():
@@ -159,7 +160,7 @@ def test_peak_stored_tracks_maximum():
     leaf0, _ = tree.leaves()
     for i in range(4):
         m = Match.of(query, [(0, i, i)], {0: f"a{i}", 1: f"b{i}"})
-        tree.insert_and_propagate(leaf0.node_id, stored_form(m), None, lambda m: None)
+        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -math.inf, lambda m: None)
     assert tree.stored_count == 4
     assert tree.peak_stored == 4
     assert tree.purge_stale(cutoff=90) == 4
@@ -178,16 +179,32 @@ def test_purge_stale_boundary_and_reinsert():
     fresh = Match.of(query, [(0, 12, 6), (1, 13, 7)], bind)
     straddle = Match.of(query, [(0, 14, 0), (1, 15, 6)], bind)
     for m in (old, fresh, straddle):
-        tree.insert_and_propagate(leaf0.node_id, stored_form(m), None, lambda m: None)
+        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -math.inf, lambda m: None)
     # t_min <= cutoff goes, t_max aside: the boundary value 0 <= 0 is stale,
     # and the straddling match has lost its oldest edge
     assert tree.purge_stale(cutoff=0) == 2
     assert tree.stored_count == 1
     assert leaf0.table["c"] == [stored_form(fresh)]
-    assert tree.purge_stale(cutoff=None) == 0
+    assert tree.purge_stale(cutoff=-math.inf) == 0
     # the tree keeps no record of a purged match: it may be inserted again
-    tree.insert_and_propagate(leaf0.node_id, stored_form(old), None, lambda m: None)
+    tree.insert_and_propagate(leaf0.node_id, stored_form(old), -math.inf, lambda m: None)
     assert tree.stored_count == 2
+
+
+def test_purge_at_minus_infinity_keeps_every_table():
+    # -inf, the cutoff of an unbounded window and of a graph before its
+    # first edge, is below every t_min, however old
+    query, tree = two_leaf_tree()
+    leaf0, leaf1 = tree.leaves()
+    for i, t in enumerate((-(2**70), -1, 0)):
+        m = Match.of(query, [(0, i, t)], {0: f"a{i}", 1: "b"})
+        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -math.inf, lambda m: None)
+    m = Match.of(query, [(1, 9, -3)], {1: "x", 2: "c"})
+    tree.insert_and_propagate(leaf1.node_id, stored_form(m), -math.inf, lambda m: None)
+    before = [{key: list(bucket) for key, bucket in n.table.items()} for n in tree.nodes]
+    assert tree.purge_stale(-math.inf) == 0
+    assert [n.table for n in tree.nodes] == before
+    assert tree.stored_count == 4
 
 
 def test_stale_bucket_is_compacted_on_probe():
@@ -210,12 +227,12 @@ def test_reset_clears_state_keeps_shape():
     leaf0, leaf1 = tree.leaves()
     m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
     m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
-    emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
+    emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
     tree.reset()
     assert tree.stored_count == 0 and tree.peak_stored == 0
     assert all(not n.table for n in tree.nodes)
     # the same insert sequence emits again after a reset
-    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
+    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
     assert len(got) == 1
 
 
@@ -226,7 +243,7 @@ def test_on_store_fires_for_stored_matches():
     tree.on_store = lambda node, m: seen.append((node.node_id, m))
     m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
     m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
-    emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], None)
+    emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
     assert (leaf0.node_id, stored_form(m0)) in seen
     assert (leaf1.node_id, stored_form(m1)) in seen
 
