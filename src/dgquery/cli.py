@@ -19,7 +19,7 @@ from .errors import DgqError, MismatchError, ParseError
 from .generate import SCHEMAS, generate_stream, random_query
 from .graph import format_edge_line, read_edge_stream
 from .planner import decomposition_advisories, plan_query
-from .query import Match, format_query, parse_query
+from .query import QueryGraph, format_query, parse_query
 from .stats import SelectivityTable, collect_stats
 
 __all__ = ["main"]
@@ -85,9 +85,10 @@ def _schema_from_args(args: argparse.Namespace):
     return factory(**kwargs)
 
 
-def _format_match(seq: int, m: Match) -> str:
-    pairs = ";".join(f"{qe}={eid}" for qe, eid in m.pairs)
-    return f"{seq}\t{m.t_min}\t{m.t_max}\t{pairs}"
+def _line_format(query: QueryGraph) -> str:
+    """The ``%`` format of a ``dgq run`` line, from ``(seq, t_min, t_max, e_0
+    ... e_{E-1})``: an emitted match binds every qedge, so each pair is fixed."""
+    return "%s\t%s\t%s\t" + ";".join(f"{qe}=%s" for qe in range(query.n_edges)) + "\n"
 
 
 # ------------------------------------------------------------------ commands
@@ -166,10 +167,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         eng, _, strategy = bench_mod.make_engine(args.strategy, query, args.window, table)
         out, close = _open_out(args.out)
         try:
+            line, ends = _line_format(query), 1 + query.n_edges
             seq = 0
             for raw in records:
                 for m in eng.process(raw):
-                    out.write(_format_match(seq, m) + "\n")
+                    out.write(line % (seq, m.flat[0], m.t_max, *m.flat[1:ends]))
                     seq += 1
         finally:
             if close:

@@ -32,10 +32,12 @@ then the query-width edge and vertex slots of
 qvertex ``qv`` at ``1 + E + qv``.  It holds only ints, strings and None, so
 CPython stops tracking it at the first collection that sees it, where a
 ``Match`` instance stays tracked; the caller of ``emit`` builds the output
-``Match`` from a complete tuple.  A join works per probe: :func:`join`
-reads the node's slots once, walks the sibling's whole bucket, and builds
-each result with one ``itemgetter`` call over the two sides laid end to
-end.
+``Match`` from a complete tuple.  A join works per probe, by a function
+compiled for each (node, sibling) pair when the tree is built: it reads
+``m``'s bound slots once, then, per entry of the sibling's bucket, tests
+the cutoff, compares with ``==`` each slot only the sibling fills against
+``m``'s own slots of the same kind, and builds the result as one tuple
+display.  The generated source holds slot numbers, never data.
 """
 from __future__ import annotations
 
@@ -55,6 +57,8 @@ JoinKey = str | tuple[str, ...]
 # timestamp, then a data edge id or None per qedge and a data vertex or None
 # per qvertex
 Partial = tuple[int | str | None, ...]
+# (m, bucket, cutoff, out) -> the stale count: a node's compiled probe
+JoinFn = Callable[[Partial, list[Partial], float, Callable[[Partial], None]], int]
 
 
 def _key_getter(slots: tuple[int, ...]) -> Callable[[Partial], JoinKey]:
@@ -73,12 +77,7 @@ class SJTreeNode:
         "right",
         "leaf_index",
         "sibling",
-        "sibling_edges",
-        "sibling_verts",
-        "edge_slots",
-        "vert_slots",
-        "pick_own",
-        "pick_sib",
+        "join_fn",
         "cut_verts",
         "key_of",
         "table",
@@ -100,17 +99,10 @@ class SJTreeNode:
         self.left = left
         self.right = right
         self.leaf_index = leaf_index
-        # the other child of the parent, and the slots of the qedges it binds
-        # and of the qvertices only it binds: the slots a join fills from it;
-        # set by SJTree, like everything below that a join reads
+        # the other child of the parent, and the compiled probe of a match
+        # stored here into the sibling's bucket (see join); set by SJTree
         self.sibling: int | None = None
-        self.sibling_edges: tuple[int, ...] = ()
-        self.sibling_verts: tuple[int, ...] = ()
-        # a match's edge slots and its vertex slots, as slices
-        self.edge_slots = self.vert_slots = slice(0)
-        # m + m_s -> the joined match, with t_min from m or from m_s
-        self.pick_own: Callable[[tuple], Partial] | None = None
-        self.pick_sib: Callable[[tuple], Partial] | None = None
+        self.join_fn: JoinFn | None = None
         # the cut, the qvertices both children bind, sorted: the order of
         # the cut vertices in a JoinKey; () at a leaf
         self.cut_verts = cut_verts
@@ -125,6 +117,40 @@ class SJTreeNode:
         return self.left is None and self.right is None
 
 
+def _compile_join(query: QueryGraph, own: QueryPiece, sib: QueryPiece) -> JoinFn:
+    """The probe of a match binding ``own`` into a bucket of matches binding
+    ``sib``, as straight-line Python (see :func:`join`)."""
+    verts_at = 1 + query.n_edges
+    bound = [f"e{i}" if i in own.edges else "_" for i in range(query.n_edges)]
+    bound += [f"v{i}" if i in own.vertices else "_" for i in range(query.n_vertices)]
+    lines = [
+        "def join(m, bucket, cutoff, out):",
+        f"    t_min, {', '.join(bound)} = m",
+        "    stale = 0",
+        "    for s in bucket:",
+        "        t = s[0]",
+        "        if t <= cutoff:",
+        "            stale += 1",
+        "            continue",
+    ]
+    # a data edge of the sibling must be new to m, and a data vertex of a
+    # qvertex only the sibling binds must not serve a qvertex only m binds:
+    # the key makes the cut agree, and the sibling's own match is injective
+    mine = sorted(own.vertices - sib.vertices)
+    checks = [(f"e{qe}", 1 + qe, [f"e{i}" for i in sorted(own.edges)]) for qe in sorted(sib.edges)]
+    checks += [(f"v{qv}", verts_at + qv, [f"v{i}" for i in mine]) for qv in sorted(sib.vertices - own.vertices)]
+    for name, slot, against in checks:
+        lines.append(f"        {name} = s[{slot}]")
+        if against:
+            lines += [f"        if {' or '.join(f'{name} == {x}' for x in against)}:", "            continue"]
+    slots = [f"e{i}" if i in own.edges | sib.edges else "None" for i in range(query.n_edges)]
+    slots += [f"v{i}" if i in own.vertices | sib.vertices else "None" for i in range(query.n_vertices)]
+    lines += [f"        out((t_min if t_min <= t else t, {', '.join(slots)}))", "    return stale"]
+    namespace = {"__builtins__": {}}
+    exec(compile("\n".join(lines), f"<join of {sorted(own.edges)} with {sorted(sib.edges)}>", "exec"), namespace)
+    return namespace["join"]
+
+
 def join(
     m: Partial, bucket: list[Partial], node: SJTreeNode, cutoff: float, out: Callable[[Partial], None]
 ) -> int:
@@ -136,34 +162,14 @@ def join(
     of the two ``t_min``.  An entry with ``t_min <= cutoff`` is stale and
     skipped.  The key already makes the shared qvertices agree, and the two
     pieces share no qedge, so only the slots the sibling fills need checks:
-    its data edges must be new to ``m`` and the data vertices of the
-    qvertices only it binds must not already serve ``m``.  Each is looked up
-    in ``m``'s own edge or vertex slice, never in the whole tuple: an edge id
-    may equal ``m``'s ``t_min``.  Those slices, the slot lists and the two
-    ``itemgetter`` objects are read once per probe; each result is one
-    ``itemgetter`` call over ``m + m_s`` that takes every slot from the side
-    binding it.
+    its data edges must be new to ``m``, and the data vertices of the
+    qvertices only it binds must not already serve ``m``.  Each is compared
+    with ``m``'s edge or vertex slots only, never with ``t_min``: an edge id
+    may equal a timestamp.  The work is ``node.join_fn``, compiled for the
+    node when the tree is built; this module global stays the one entry, so
+    a wrapper set on it sees every probe.
     """
-    edges, verts = m[node.edge_slots], m[node.vert_slots]
-    sib_edges, sib_verts = node.sibling_edges, node.sibling_verts
-    pick_own, pick_sib = node.pick_own, node.pick_sib
-    t_min = m[0]
-    stale = 0
-    for m_s in bucket:
-        t_s = m_s[0]
-        if t_s <= cutoff:
-            stale += 1
-            continue
-        for i in sib_edges:
-            if m_s[i] in edges:
-                break
-        else:
-            for i in sib_verts:
-                if m_s[i] in verts:
-                    break
-            else:
-                out(pick_own(m + m_s) if t_min <= t_s else pick_sib(m + m_s))
-    return stale
+    return node.join_fn(m, bucket, cutoff, out)
 
 
 class SJTree:
@@ -175,21 +181,13 @@ class SJTree:
         self.root_id = root_id
         self.leaf_ids = [n.node_id for n in nodes if n.is_leaf]
         verts_at = 1 + query.n_edges
-        width = verts_at + query.n_vertices
         for n in nodes:
             if not n.is_leaf:
                 key_of = _key_getter(tuple(verts_at + qv for qv in n.cut_verts))
                 for a, b in ((nodes[n.left], nodes[n.right]), (nodes[n.right], nodes[n.left])):
                     a.key_of = key_of
                     a.sibling = b.node_id
-                    a.sibling_edges = tuple(1 + qe for qe in sorted(b.piece.edges))
-                    a.sibling_verts = tuple(verts_at + qv for qv in sorted(b.piece.vertices - a.piece.vertices))
-                    a.edge_slots, a.vert_slots = slice(1, verts_at), slice(verts_at, None)
-                    # in m + m_s, slot i of m_s is at width + i
-                    from_sib = set(a.sibling_edges + a.sibling_verts)
-                    slots = [width + i if i in from_sib else i for i in range(1, width)]
-                    a.pick_own = itemgetter(0, *slots)
-                    a.pick_sib = itemgetter(width, *slots)
+                    a.join_fn = _compile_join(query, a.piece, b.piece)
         self.stored_count = 0
         self.peak_stored = 0
         # optional hook fired after a match is stored at a non-root node;

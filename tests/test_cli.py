@@ -6,12 +6,15 @@ import json
 
 import pytest
 
+from dgquery import bench as bench_mod
 from dgquery.baseline import RescanEngine
-from dgquery.cli import _format_match, main
+from dgquery.cli import main
 from dgquery.graph import read_edge_stream
 from dgquery.query import parse_query
 from dgquery.sjtree import SJTree
 from dgquery.stats import SelectivityTable
+
+from test_workload_counters import load_workloads
 
 
 def _gen_stream(tmp_path, name="stream.tsv", extra=()):
@@ -146,6 +149,17 @@ def test_run_vf2_counts_no_statistics(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def pairs_text(matches) -> bytes:
+    """The reference for what ``dgq run`` writes: per match, built from
+    ``Match.pairs``, its sequence number, t_min, t_max and ``qedge=edge``
+    pairs, tab-separated."""
+    lines = []
+    for seq, m in enumerate(matches):
+        pairs = ";".join(f"{qe}={eid}" for qe, eid in m.pairs)
+        lines.append(f"{seq}\t{m.t_min}\t{m.t_max}\t{pairs}\n")
+    return "".join(lines).encode()
+
+
 def _run_out(tmp_path, stream, query_path, name, *extra):
     out = tmp_path / name
     rc = main(["run", "--query", str(query_path), "--stream", str(stream), "--window", "50",
@@ -177,7 +191,7 @@ def test_streamed_run_writes_what_the_list_run_writes(tmp_path, capsys):
         records = list(read_edge_stream(fh))
     rescan = RescanEngine(query, 50)
     matches = [m for r in records for m in rescan.process(r)]
-    expected = "".join(_format_match(seq, m) + "\n" for seq, m in enumerate(matches)).encode()
+    expected = pairs_text(matches)
     rc, vf2 = _run_out(tmp_path, stream, query_path, "vf2.tsv", "--strategy", "vf2")
     assert rc == 0 and vf2 == expected
     assert f"edges=400 emitted={len(matches)}" in capsys.readouterr().err
@@ -322,3 +336,67 @@ def test_schema_pool_override(tmp_path):
     with open(out) as fh:
         hosts = {r[1] for r in read_edge_stream(fh)}
     assert hosts <= {f"ip{i}" for i in range(5)}
+
+
+def run_emitting(monkeypatch, tmp_path, query_path, stream, window, strategy):
+    """Run ``dgq run`` to a file; return the bytes written and every match
+    its engine emitted, in order."""
+    emitted, make = [], bench_mod.make_engine
+
+    def recording_engine(*args):
+        eng, plan, name = make(*args)
+        process = eng.process
+
+        def recording(raw):
+            out = process(raw)
+            emitted.extend(out)
+            return out
+
+        eng.process = recording
+        return eng, plan, name
+
+    monkeypatch.setattr(bench_mod, "make_engine", recording_engine)
+    out = tmp_path / f"{strategy}.tsv"
+    rc = main(["run", "--query", str(query_path), "--stream", str(stream), "--window", str(window),
+               "--strategy", strategy, "--out", str(out)])
+    assert rc == 0
+    return out.read_bytes(), emitted
+
+
+@pytest.fixture(scope="module")
+def readme_example(tmp_path_factory):
+    # the stream and query of README's command-line example, as written there
+    root = tmp_path_factory.mktemp("readme")
+    main(["gen", "stream", "--schema", "netflow", "--edges", "50000", "--skew", "1.5", "--seed", "7",
+          "--out", str(root / "flows.tsv")])
+    main(["gen", "query", "--schema", "netflow", "--edges", "3", "--seed", "7", "--out", str(root / "query.txt")])
+    return root / "query.txt", root / "flows.tsv"
+
+
+@pytest.mark.parametrize("strategy", ["auto", *bench_mod.STRATEGIES])
+def test_run_writes_the_pairs_formatting_on_the_readme_example(readme_example, tmp_path, monkeypatch, capsys,
+                                                               strategy):
+    query_path, stream = readme_example
+    written, emitted = run_emitting(monkeypatch, tmp_path, query_path, stream, 500, strategy)
+    assert emitted and written == pairs_text(emitted)
+    capsys.readouterr()
+
+
+# the rescan baseline searches the whole window at each edge, so it reads
+# only this many lines of each workload stream
+RESCAN_LINES = 25_000
+
+
+@pytest.mark.parametrize("strategy", ["auto", *bench_mod.STRATEGIES])
+@pytest.mark.parametrize("name", ["netflow-path4", "social-fanout", "lowxi-chain"])
+def test_run_writes_the_pairs_formatting_on_the_workload_streams(tmp_path, monkeypatch, capsys, name, strategy):
+    workload = load_workloads()[name]
+    lines = workload.stream(301)
+    if strategy == "vf2":
+        lines = lines[:RESCAN_LINES]
+    stream, query_path = tmp_path / "stream.tsv", tmp_path / "query.txt"
+    stream.write_text("".join(line + "\n" for line in lines))
+    query_path.write_text(workload.query_text)
+    written, emitted = run_emitting(monkeypatch, tmp_path, query_path, stream, workload.window, strategy)
+    assert emitted and written == pairs_text(emitted)
+    capsys.readouterr()

@@ -7,6 +7,8 @@ from random import Random
 import pytest
 
 from dgquery.errors import ContractError, ParseError
+from dgquery.generate import generate_stream, random_query, random_schema
+from dgquery.planner import CATALOG_MODES, plan_query
 from dgquery.query import (
     Match,
     QueryEdge,
@@ -17,6 +19,7 @@ from dgquery.query import (
 )
 
 from dgquery.sjtree import SJTree, join
+from dgquery.stats import collect_stats
 
 from conftest import path_query, q, stored_form
 
@@ -350,3 +353,77 @@ def test_join_randomized_against_the_pairwise_reference():
         joined += len(got[0])
         stale += got[1]
     assert joined > 100 and stale > 100
+
+
+def random_leaves(query, rng):
+    """A random left-to-right list of connected leaves of 1–3 qedges that
+    covers ``query``; a leaf may share no vertex with the ones before it."""
+    left, pieces = set(range(query.n_edges)), []
+    while left:
+        ids = [rng.choice(sorted(left))]
+        for _ in range(rng.randrange(3)):
+            touching = sorted(
+                qe for qe in left - set(ids)
+                if {query.edges[qe].src, query.edges[qe].dst} & QueryPiece.from_edges(query, ids).vertices
+            )
+            if touching:
+                ids.append(rng.choice(touching))
+        left -= set(ids)
+        pieces.append(QueryPiece.from_edges(query, ids))
+    rng.shuffle(pieces)
+    return pieces
+
+
+def random_stored(query, piece, rng, fixed):
+    """A random stored match of ``piece`` as a flat tuple: the qvertices in
+    ``fixed`` bound as given, the others injectively to vertices of a small
+    pool, qedges injectively to small data edge ids, and a t_min in the same
+    small range, so an edge id often equals a timestamp."""
+    flat = [None] * (1 + query.n_edges + query.n_vertices)
+    flat[0] = rng.randrange(8)
+    for qe, eid in zip(sorted(piece.edges), rng.sample(range(8), len(piece.edges))):
+        flat[1 + qe] = eid
+    verts = dict(fixed)
+    free = sorted(piece.vertices - verts.keys())
+    pool = [v for v in "abcdefgh" if v not in verts.values()]
+    verts.update(zip(free, rng.sample(pool, len(free))))
+    for qv in piece.vertices:
+        flat[1 + query.n_edges + qv] = verts[qv]
+    return tuple(flat)
+
+
+def test_compiled_joins_against_the_pairwise_reference_on_planned_trees():
+    # every (node, sibling) of planner trees in each catalog mode and of
+    # random leaf lists (1–3-qedge leaves, cross joins among them): probes
+    # into buckets under m's key that mix stale and live entries, clashes
+    # and edge ids equal to m's t_min, with cutoffs down to -inf
+    rng = Random(23)
+    probes = results = stale = dropped = cross = tied = 0
+    for trial in range(40):
+        schema = random_schema(rng)
+        table = collect_stats(generate_stream(schema, 300, rng))
+        query = random_query(schema, rng.randint(2, 6), rng)
+        trees = [plan_query(query, table, mode=mode).tree for mode in CATALOG_MODES]
+        trees.append(SJTree.from_leaf_pieces(query, random_leaves(query, rng)))
+        for tree in trees:
+            for node in tree.nodes:
+                if node.sibling is None:
+                    continue
+                code = node.join_fn.__code__
+                assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
+                sib = tree.nodes[node.sibling]
+                cross += not tree.nodes[node.parent].cut_verts
+                for _ in range(10):
+                    m = random_stored(query, node.piece, rng, {})
+                    cut = {qv: m[1 + query.n_edges + qv] for qv in tree.nodes[node.parent].cut_verts}
+                    bucket = [random_stored(query, sib.piece, rng, cut) for _ in range(rng.randrange(6))]
+                    assert all(node.key_of(m) == sib.key_of(x) for x in bucket)
+                    cutoff = rng.choice([-math.inf, rng.randrange(-1, 8)])
+                    got = join_all(m, bucket, node, cutoff)
+                    assert got == pairwise_join(query, m, bucket, cutoff), f"trial {trial}: {tree.serialize()}"
+                    probes += 1
+                    results += len(got[0])
+                    stale += got[1]
+                    dropped += len(bucket) - got[1] - len(got[0])
+                    tied += any(m[0] in x[1:1 + query.n_edges] for x in bucket)
+    assert probes > 1000 and min(results, stale, dropped) > 500 and cross > 10 and tied > 200

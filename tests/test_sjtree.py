@@ -10,7 +10,7 @@ from dgquery.errors import PlanError
 from dgquery.generate import generate_stream, random_query, random_schema
 from dgquery.planner import plan_query
 from dgquery.query import Match, QueryPiece
-from dgquery.sjtree import SJTree
+from dgquery.sjtree import SJTree, join
 from dgquery.stats import collect_stats
 
 from conftest import path_query, q, stored_form
@@ -260,12 +260,14 @@ def test_serialize_round_trips_byte_identical():
     assert again.root_id == tree.root_id
     assert [n.piece.edges for n in again.nodes] == [n.piece.edges for n in tree.nodes]
     assert [n.sibling for n in again.nodes] == [n.sibling for n in tree.nodes] == [1, 0, None]
-    # per child, the slots a join fills from the sibling: the sibling's
-    # qedges and the qvertices only the sibling binds, qedge qe at slot
-    # 1 + qe and qvertex qv at 1 + 3 + qv of the flat tuple
-    spec = [(n.sibling_edges, n.sibling_verts) for n in again.nodes]
-    assert spec == [(n.sibling_edges, n.sibling_verts) for n in tree.nodes]
-    assert spec == [((3,), (7,)), ((1, 2), (4, 5)), ((), ())]
+    assert [n.cut_verts for n in again.nodes] == [n.cut_verts for n in tree.nodes] == [(), (), (2,)]
+    # per child, what a join fills from the sibling: the sibling's qedges
+    # and the qvertices only the sibling binds, qedge qe at slot 1 + qe and
+    # qvertex qv at 1 + 3 + qv of the flat tuple
+    assert probe_results(again) == probe_results(tree)
+    left, right = probe_results(tree)[:2]
+    assert left == ("v2", [(0, 0, 1, 102, "v0", "v1", "v2", "w3")], 1)
+    assert right == ("v2", [(2, 100, 101, 2, "w0", "w1", "v2", "v3")], 1)
 
 
 def test_serialize_mentions_structure():
@@ -294,12 +296,53 @@ def test_deserialize_reads_hand_written_text():
     assert tree.serialize() == "sjtree\nleaf 3\nleaf 0 1\nleaf 2\n"
 
 
+def probe_results(tree):
+    """Per child node, its key and one join's (results, stale count) on a
+    fixed probe.  ``m`` binds the node's piece: qedge qe to data edge qe,
+    qvertex qv to "v<qv>", t_min its first qedge's id.  The bucket holds
+    sibling matches that agree with ``m`` on the cut and bind qedge qe to
+    data edge 100 + qe and every other qvertex qv to "w<qv>": one live, one
+    stale, one reusing ``m``'s first data edge, and one binding its first
+    qvertex outside the cut to ``m``'s first vertex outside the cut."""
+    n_edges = tree.query.n_edges
+    width = 1 + n_edges + tree.query.n_vertices
+    got = []
+    for n in tree.nodes:
+        if n.sibling is None:
+            continue
+        own, sib = n.piece, tree.nodes[n.sibling].piece
+        m = [None] * width
+        m[0] = min(own.edges)
+        for qe in own.edges:
+            m[1 + qe] = qe
+        for qv in own.vertices:
+            m[1 + n_edges + qv] = f"v{qv}"
+
+        def entry(t, clash_edge=False, clash_vert=False):
+            s = [None] * width
+            s[0] = t
+            for qe in sib.edges:
+                s[1 + qe] = 100 + qe
+            for qv in sib.vertices:
+                s[1 + n_edges + qv] = f"v{qv}" if qv in own.vertices else f"w{qv}"
+            if clash_edge:
+                s[1 + min(sib.edges)] = min(own.edges)
+            if clash_vert and own.vertices - sib.vertices and sib.vertices - own.vertices:
+                s[1 + n_edges + min(sib.vertices - own.vertices)] = f"v{min(own.vertices - sib.vertices)}"
+            return tuple(s)
+
+        bucket = [entry(2), entry(-1), entry(3, clash_edge=True), entry(4, clash_vert=True)]
+        out = []
+        stale = join(tuple(m), bucket, n, 0, out.append)
+        got.append((n.key_of(tuple(m)), out, stale))
+    return got
+
+
 def node_fields(tree):
     return [
-        (n.node_id, n.piece, n.parent, n.left, n.right, n.leaf_index, n.cut_verts,
-         n.sibling, n.sibling_edges, n.sibling_verts)
+        (n.node_id, n.piece, n.parent, n.left, n.right, n.leaf_index, n.cut_verts, n.sibling)
         for n in tree.nodes
-    ]
+    ] + probe_results(tree)
 
 
 def test_deserialize_rebuilds_planner_trees_node_for_node():
