@@ -210,7 +210,6 @@ class RescanEngine:
 
     def __init__(self, query: QueryGraph, window: int | None = None):
         self.query = query
-        self.window = window
         self.graph = DynamicGraph(window)
         self.log: list[Match] = []
         self.counters = Counters()
@@ -221,7 +220,7 @@ class RescanEngine:
         self.counters.edges += 1
         fresh: list[Match] = []
         for m in vf2_matches_containing(self.graph, self.query, rec):
-            if self.window is not None and m.time_span() >= self.window:
+            if m.time_span() >= self.graph.window:
                 continue  # defensive: live edges already imply an in-window span
             if m.pairs in self._seen:
                 continue
@@ -290,7 +289,7 @@ def enumerate_matches(
 
     def admit(binding: dict[int, str], chosen: dict[int, EdgeRecord]) -> None:
         m = Match.of(query, [(q, r[0], r[6]) for q, r in chosen.items()], binding)
-        if window is not None and m.time_span() >= window:
+        if m.time_span() >= window:
             return
         results.append(m)
 

@@ -65,8 +65,9 @@ nothing is allowed, and every leaf is searched at every arriving edge.
 Each leaf's search plan is built once, with the engine: every qedge of the
 piece an anchor can hold (its role) compiles to one plain function with a
 nested ``for`` per further qedge and every test written out, so a search
-runs no interpreter of steps.  Labels and vertex types come from query
-files, so they are data to the generated code: each reaches it as a
+runs no interpreter of steps, and the plan maps each edge label to the
+searches of the roles with that label.  Labels and vertex types come from
+query files, so they are data to the generated code: each reaches it as a
 numbered constant in the namespace it runs in, and no label or type text is
 ever part of its source.  An arriving edge goes only to the leaves whose
 piece uses its label: one dict lookup per edge gives those leaves in leaf
@@ -76,6 +77,10 @@ the leaf is always on.  The lookup runs before ingest: an edge whose label
 no qedge carries finds no leaf, and the graph ingests it unindexed.  It is
 checked like any edge and keeps its endpoints live, but no adjacency list
 holds it, so searches, sweeps and eviction never walk it.
+
+One pass over the leaves builds all of this, and keeps what a sweep at a
+gated leaf needs (its node id, plan, role gates and edge slots) under the
+leaf's sibling, the spine node whose stored matches open it.
 
 The retroactive sweeps run off a flat worklist rather than recursing.
 Each leaf searches each edge at most once, as the eager engine does, which
@@ -89,7 +94,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import UnsupportedPrimitiveError
 from .graph import DynamicGraph, EdgeRecord, WireEdge
@@ -192,13 +197,9 @@ def _compile_search(query: QueryGraph, role: int, steps: tuple[tuple, ...]) -> S
     return namespace["search"]
 
 
-class SearchPlan(NamedTuple):
-    """How to search one piece of one query: per edge label, one compiled
-    search per qedge of the piece an anchor with that label can hold, and
-    those qedges' (source, destination) qvertices, in the same order."""
-
-    searches: dict[str, tuple[Search, ...]]
-    ends: dict[str, tuple[tuple[int, int], ...]]
+# per edge label, one compiled search per qedge of the piece an anchor with
+# that label can hold, in qedge order
+SearchPlan = dict[str, tuple[Search, ...]]
 
 
 def search_plan(query: QueryGraph, piece: QueryPiece) -> SearchPlan:
@@ -213,14 +214,12 @@ def search_plan(query: QueryGraph, piece: QueryPiece) -> SearchPlan:
         raise UnsupportedPrimitiveError(
             f"primitive has {len(edge_ids)} edges; max is {MAX_PRIMITIVE_EDGES}"
         )
-    searches: dict[str, tuple[Search, ...]] = {}
-    ends: dict[str, tuple[tuple[int, int], ...]] = {}
+    plan: SearchPlan = {}
     for role in edge_ids:
-        qe = query.edges[role]
+        label = query.edges[role].label
         search = _compile_search(query, role, _extension_steps(query, edge_ids, role))
-        searches[qe.label] = searches.get(qe.label, ()) + (search,)
-        ends[qe.label] = ends.get(qe.label, ()) + ((qe.src, qe.dst),)
-    return SearchPlan(searches, ends)
+        plan[label] = plan.get(label, ()) + (search,)
+    return plan
 
 
 def match_primitive(graph: DynamicGraph, plan: SearchPlan, anchor: EdgeRecord) -> list[Partial]:
@@ -236,7 +235,7 @@ def match_primitive(graph: DynamicGraph, plan: SearchPlan, anchor: EdgeRecord) -
     are injective on vertices and edges.
     """
     results: list[Partial] = []
-    for search in plan.searches.get(anchor[5], ()):  # anchor[5]: the edge label
+    for search in plan.get(anchor[5], ()):  # anchor[5]: the edge label
         search(graph, anchor, results)
     return results
 
@@ -254,6 +253,11 @@ def _opens(gate: RoleGate, rec: EdgeRecord) -> bool:
         if (src_ok is None or rec[1] in src_ok) and (dst_ok is None or rec[2] in dst_ok):
             return True
     return False
+
+
+# what a sweep at a gated leaf needs: its node id, its search plan, its
+# RoleGate per edge label and its edge slots in a match
+Sweep = tuple[int, SearchPlan, dict[str, RoleGate], tuple[int, ...]]
 
 
 @dataclass
@@ -274,11 +278,11 @@ class Counters:
 class Engine:
     """Continuous-query engine over one decomposition tree.
 
-    ``lazy=True`` puts every leaf but the always-on ones behind the role
-    gates described in the module docstring; ``lazy=False`` makes every leaf
-    always on.  Either way ``process`` returns the complete matches that
-    became visible at that edge, exactly once each, and ``log`` lists every
-    match emitted so far.
+    ``lazy=True`` puts every leaf after leaf 0 whose parent's cut is not
+    empty behind the role gates described in the module docstring;
+    ``lazy=False`` makes every leaf always on.  Either way ``process``
+    returns the complete matches that became visible at that edge, exactly
+    once each, and ``log`` lists every match emitted so far.
 
     The engine's ``graph`` indexes only the edges whose label some qedge
     carries: the others are checked and keep their endpoints live, but no
@@ -295,6 +299,9 @@ class Engine:
     ):
         if tree.query != query:
             raise ValueError("tree was built for a different query")
+        if tree.driven:
+            # the tree holds that engine's match state and calls its hook
+            raise ValueError("tree already drives an engine; plan a new tree for this one")
         self.query = query
         self.tree = tree
         self.graph = DynamicGraph(window)
@@ -303,74 +310,56 @@ class Engine:
         self._delta: list[Match] = []
         self._n_edges = query.n_edges
 
-        tree.reset()
-        self._leaves = tree.leaves()
-        self._plans = [search_plan(query, leaf.piece) for leaf in self._leaves]
-        if lazy:
-            self._always_on = {0}
-            for leaf in self._leaves[1:]:
-                if not tree.nodes[leaf.parent].cut_verts:
-                    # a cross-join leaf shares no vertex with its prefix: no
-                    # binding could ever gate it soundly, so it stays live
-                    self._always_on.add(leaf.leaf_index)
-        else:
-            self._always_on = set(range(len(self._leaves)))
-        # per gated leaf, {cut qvertex: the data vertices stored spine
-        # matches bind it to} and its RoleGate per edge label; {} and None
-        # for an always-on leaf.  The sets are pruned of dead vertices
-        # whenever their entries pass _allowed_cap
+        # per leaf, {cut qvertex: the data vertices stored spine matches bind
+        # it to}, {} for an always-on leaf.  The sets are pruned of dead
+        # vertices whenever their entries pass _allowed_cap
         self._allowed: list[dict[int, set[str]]] = []
-        self._gates: list[dict[str, RoleGate] | None] = []
-        for leaf, plan in zip(self._leaves, self._plans):
-            if leaf.leaf_index in self._always_on:
-                self._allowed.append({})
-                self._gates.append(None)
-                continue
-            allowed = {c: set() for c in tree.nodes[leaf.parent].cut_verts}
-            self._allowed.append(allowed)
-            self._gates.append({
-                label: tuple((allowed.get(qs), allowed.get(qd)) for qs, qd in ends)
-                for label, ends in plan.ends.items()
-            })
         self._allowed_count = 0
         self._allowed_cap = GATE_MIN_PRUNE
-        # sweeps to run: (leaf index, the allowed set, the vertex to allow
-        # there, the adjacency lists to walk at it)
-        self._pending: deque[tuple[int, set[str], str, tuple]] = deque()
         # per edge label, the leaves an edge with it can anchor (those whose
         # piece uses the label), in leaf order, as (the leaf's node id, its
         # search plan, its role gate for the label or None when always on)
         by_label: dict[str, list[tuple[int, SearchPlan, RoleGate | None]]] = {}
-        for leaf, plan, gates in zip(self._leaves, self._plans, self._gates):
-            for label in plan.searches:
-                gate = None if gates is None else gates[label]
-                by_label.setdefault(label, []).append((leaf.node_id, plan, gate))
-        self._by_label = {label: tuple(entries) for label, entries in by_label.items()}
-        # node -> the gated leaf its matches open, as that leaf's index and,
-        # per cut qvertex, its slot in a match, its allowed set and what a
+        # spine node -> the Sweep of the gated leaf its stored matches open,
+        # and per cut qvertex its slot in a match, its allowed set and what a
         # sweep at a vertex newly allowed there walks: the out-edges when the
         # qvertex is the source of a qedge of the piece, the in-edges when it
-        # is a destination.  None off the spine (whose nodes are leaf 0 and
-        # the internal ones), at its top, and before an always-on leaf
+        # is a destination
+        self._unlocks: dict[int, tuple[Sweep, tuple[tuple[int, set[str], tuple], ...]]] = {}
         verts_at = 1 + query.n_edges
-        self._unlocks: dict[int, tuple[int, tuple[tuple[int, set[str], tuple], ...]] | None] = {}
-        for node in tree.nodes:
-            spine = not node.is_leaf or node.leaf_index == 0
-            nxt = (node.leaf_index if node.is_leaf else tree.nodes[node.right].leaf_index) + 1
-            if spine and nxt < len(self._leaves) and nxt not in self._always_on:
-                ends = [query.edges[qe] for qe in self._leaves[nxt].piece.edges]
-                cuts = []
-                for c, allowed in self._allowed[nxt].items():
+        for leaf in tree.leaves():
+            plan = search_plan(query, leaf.piece)
+            # leaf 0 is always on, and so is a cross-join leaf, whose empty
+            # cut shares no vertex with its prefix: no binding could ever
+            # gate it soundly
+            cuts = tree.nodes[leaf.parent].cut_verts if lazy and leaf.leaf_index else ()
+            allowed = {c: set() for c in cuts}
+            self._allowed.append(allowed)
+            edge_ids = sorted(leaf.piece.edges)
+            ends = [query.edges[qe] for qe in edge_ids]
+            gates: dict[str, RoleGate] = {}
+            for e in ends:
+                gates[e.label] = gates.get(e.label, ()) + ((allowed.get(e.src), allowed.get(e.dst)),)
+            for label in plan:
+                by_label.setdefault(label, []).append((leaf.node_id, plan, gates[label] if cuts else None))
+            if cuts:
+                cut_walks = []
+                for c in cuts:
                     walks: tuple = ()
                     if any(e.src == c for e in ends):
                         walks += (self.graph.out_edges,)
                     if any(e.dst == c for e in ends):
                         walks += (self.graph.in_edges,)
-                    cuts.append((verts_at + c, allowed, walks))
-                self._unlocks[node.node_id] = (nxt, tuple(cuts))
-            else:
-                self._unlocks[node.node_id] = None
+                    cut_walks.append((verts_at + c, allowed[c], walks))
+                sweep = (leaf.node_id, plan, gates, tuple(1 + qe for qe in edge_ids))
+                # the leaf's sibling is the spine node covering the leaves before it
+                self._unlocks[leaf.sibling] = (sweep, tuple(cut_walks))
+        self._by_label = {label: tuple(entries) for label, entries in by_label.items()}
+        # sweeps to run: (the leaf's Sweep, the allowed set, the vertex to
+        # allow there, the adjacency lists to walk at it)
+        self._pending: deque[tuple[Sweep, set[str], str, tuple]] = deque()
         tree.on_store = self._on_store if lazy else None
+        tree.driven = True
 
     # ------------------------------------------------------------------ stream
 
@@ -427,14 +416,14 @@ class Engine:
     def _on_store(self, node: SJTreeNode, m: Partial) -> None:
         """Tree callback: a spine match queues a sweep for each cut binding
         not yet allowed at the next leaf; the sweep allows it."""
-        unlock = self._unlocks[node.node_id]
+        unlock = self._unlocks.get(node.node_id)
         if unlock is None:
-            return
-        idx, cuts = unlock
+            return  # off the spine, at its top, or before an always-on leaf
+        sweep, cuts = unlock
         for slot, allowed, walks in cuts:
             v = m[slot]
             if v not in allowed:
-                self._pending.append((idx, allowed, v, walks))
+                self._pending.append((sweep, allowed, v, walks))
 
     def _drain(self, arriving: EdgeRecord) -> None:
         """Run queued sweeps until none are left, without recursing: a sweep
@@ -446,12 +435,11 @@ class Engine:
         A sweep search keeps a hit of a multi-edge leaf only when the anchor
         is the hit's newest edge: that edge's own search finds it too."""
         while self._pending:
-            idx, allowed, v, walks = self._pending.popleft()
+            (node_id, plan, gates, slots), allowed, v, walks = self._pending.popleft()
             if v in allowed:
                 continue  # a sweep earlier in the queue allowed it
             allowed.add(v)
             self._allowed_count += 1
-            gates = self._gates[idx]
             passing = []
             for adjacent in walks:
                 for rec in adjacent(v):
@@ -464,16 +452,14 @@ class Engine:
                 allowed.add(v)
                 if len(walks) > 1:
                     fresh = dict.fromkeys(fresh)  # a self-loop at v sits in both walks
-                leaf = self._leaves[idx]
-                slots = [1 + qe for qe in leaf.piece.edges]
                 for rec in fresh:
                     self.counters.match_calls += 1
-                    hits = match_primitive(self.graph, self._plans[idx], rec)
+                    hits = match_primitive(self.graph, plan, rec)
                     if len(slots) > 1:
                         newest = rec[0]
                         hits = [m for m in hits if all(m[s] <= newest for s in slots)]
                     if hits:
-                        self._feed(leaf.node_id, hits)
+                        self._feed(node_id, hits)
             if self._allowed_count > self._allowed_cap:
                 self._prune_allowed()
 

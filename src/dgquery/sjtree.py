@@ -193,6 +193,9 @@ class SJTree:
         # optional hook fired after a match is stored at a non-root node;
         # the lazy engine uses it to grow its search frontier
         self.on_store: Callable[[SJTreeNode, Partial], None] | None = None
+        # set by the Engine built over this tree, which keeps its match
+        # state here: a tree drives one engine
+        self.driven = False
 
     # ------------------------------------------------------------- construction
 
@@ -228,13 +231,6 @@ class SJTree:
 
     def leaves(self) -> list[SJTreeNode]:
         return [self.nodes[i] for i in self.leaf_ids]
-
-    def reset(self) -> None:
-        """Drop all runtime match state, keeping the structure."""
-        for n in self.nodes:
-            n.table.clear()
-        self.stored_count = 0
-        self.peak_stored = 0
 
     # ------------------------------------------------------------------ updates
 

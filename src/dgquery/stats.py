@@ -120,6 +120,14 @@ def _sum_pairs(tallies: dict[str, list[dict[Descriptor, int]]]) -> dict[PathKey,
     return counts
 
 
+def _count(value: object, what: str, source: str | None) -> int:
+    """``value`` of a stats document as a count, or a ParseError naming
+    ``what``: JSON parses a count to an int, and a bool is no count."""
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{what} must be a count (an int >= 0), not {value!r}", source=source)
+    return value
+
+
 def _canonical_path_key(center_label: str, d1: Descriptor, d2: Descriptor) -> PathKey:
     if d2 < d1:
         d1, d2 = d2, d1
@@ -249,18 +257,20 @@ class SelectivityTable:
         try:
             for row in doc["arity1"]:
                 key = (row["src_type"], row["edge_type"], row["dst_type"])
-                arity1[key] = int(row["count"])
+                arity1[key] = _count(row["count"], "row count", source)
             for row in doc["arity2"]:
                 d1 = (row["d1"]["edge_type"], row["d1"]["far_type"], row["d1"]["dir"])
                 d2 = (row["d2"]["edge_type"], row["d2"]["far_type"], row["d2"]["dir"])
-                arity2[_canonical_path_key(row["center_type"], d1, d2)] = int(row["count"])
+                key2 = _canonical_path_key(row["center_type"], d1, d2)
+                arity2[key2] = _count(row["count"], "row count", source)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed stats row: {exc}", source=source) from None
-        table = cls(sample_size=int(doc["N"]), arity1=arity1, arity2=arity2)
+        table = cls(sample_size=_count(doc["N"], "N", source), arity1=arity1, arity2=arity2)
         totals = doc["totals"]
         if not isinstance(totals, dict) or "arity1" not in totals or "arity2" not in totals:
             raise ParseError("totals must carry arity1 and arity2", source=source)
-        if int(totals["arity1"]) != table.total1 or int(totals["arity2"]) != table.total2:
+        total1, total2 = (_count(totals[k], f"totals {k}", source) for k in ("arity1", "arity2"))
+        if total1 != table.total1 or total2 != table.total2:
             raise ParseError("totals do not match the row sums", source=source)
         return table
 

@@ -139,7 +139,8 @@ def watch_searches(monkeypatch, eng: Engine) -> list[tuple[int, int]]:
     index, anchor edge id), in the order they run.  Calls stack: each
     engine watched gets its own list."""
     searches: list[tuple[int, int]] = []
-    leaf_of = {id(plan): i for i, plan in enumerate(eng._plans)}
+    # a leaf's node id is its leaf index
+    leaf_of = {id(plan): node_id for entries in eng._by_label.values() for node_id, plan, _ in entries}
     search = engine_module.match_primitive
 
     def watched(graph, plan, anchor):

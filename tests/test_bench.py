@@ -34,7 +34,7 @@ def test_make_engine_builds_every_strategy(strategy):
             assert eng.tree.on_store is not None
         else:  # eager: every leaf always on, no gating hook
             assert eng.tree.on_store is None
-            assert eng._always_on == set(range(len(plan.tree.leaves())))
+            assert eng._allowed == [{}] * len(plan.tree.leaves())
 
 
 def test_make_engine_auto_resolves_to_the_planned_strategy():

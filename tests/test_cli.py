@@ -325,7 +325,12 @@ def test_data_errors_exit_two(tmp_path, capsys):
     rc = main(["gen", "stream", "--schema", "social", "--skew", "2.0",
                "--out", str(tmp_path / "y.tsv")])
     assert rc == 2  # --skew is a netflow knob
-    capsys.readouterr()
+    bad_stats = tmp_path / "bad.json"
+    bad_stats.write_text(SelectivityTable(1, {("A", "e", "A"): 1}).to_json().replace('"count": 1', '"count": "x"'))
+    out = tmp_path / "plan.txt"
+    rc = main(["plan", "--query", str(_gen_query(tmp_path)), "--stats", str(bad_stats), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert "row count must be a count" in capsys.readouterr().err
 
 
 def test_schema_pool_override(tmp_path):

@@ -335,7 +335,7 @@ def test_cross_join_leaf_stays_live():
     pieces = [QueryPiece.from_edges(query, ids) for ids in ([0], [2], [1])]
     tree = SJTree.from_leaf_pieces(query, pieces)
     lazy = Engine(query, tree, None, lazy=True)
-    assert lazy._always_on == {0, 1}
+    assert [i for i, cuts in enumerate(lazy._allowed) if not cuts] == [0, 1]  # always on
     records = [
         raw(0, "c", "g", "d"),
         raw(1, "b", "f", "c"),
@@ -481,11 +481,13 @@ def test_lazy_engine_searches_each_edge_once_per_leaf(mode):
         streams = _small_streams(Random(6), paths + others, 200)
     for trial, (query, records, window) in enumerate(streams):
         plan = plan_query(query, collect_stats(records), mode=mode)
-        leaves = plan.tree.leaves()
+        pieces = [leaf.piece for leaf in plan.tree.leaves()]
         runs = []
         for lazy in (True, False):
             with pytest.MonkeyPatch.context() as mp:
-                eng = Engine(query, plan.tree, window, lazy=lazy)
+                # a tree drives one engine: each builds its own from the same leaves
+                eng = Engine(query, SJTree.from_leaf_pieces(query, pieces), window, lazy=lazy)
+                leaves = eng.tree.leaves()
                 searches = watch_searches(mp, eng)
                 deltas = []
                 for step, r in enumerate(records):
@@ -798,6 +800,20 @@ def test_engine_rejects_foreign_tree():
     tree = SJTree.from_leaf_pieces(other, [QueryPiece.from_edges(other, [0])])
     with pytest.raises(ValueError):
         Engine(query, tree, None)
+
+
+@pytest.mark.parametrize("second_lazy", [False, True])
+def test_a_tree_drives_one_engine(second_lazy):
+    # the tree holds the first engine's match state and calls its hook, so
+    # a second engine over it is refused and the first emits as if alone
+    query = path_query(["r", "s"], vertex_label="A")
+    plan = plan_query(query, rare_first_table(), mode="single")
+    lazy = Engine(query, plan.tree, None, lazy=True)
+    assert signatures(lazy.process(raw(0, "a", "r", "b"))) == set()
+    with pytest.raises(ValueError, match="already drives an engine"):
+        Engine(query, plan.tree, None, lazy=second_lazy)
+    assert signatures(lazy.process(raw(1, "b", "s", "c"))) == {((0, 0), (1, 1))}
+    assert lazy.tree.stored_count == 2
 
 
 def test_randomized_strategies_match_oracle(rng):

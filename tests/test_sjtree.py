@@ -138,12 +138,11 @@ def test_insert_mismatched_cut_does_not_join():
 
 
 def test_window_span_strictly_inside():
-    query, tree = two_leaf_tree()
-    leaf0, leaf1 = tree.leaves()
-
     def run(t0, t1, window):
-        # t1 arrives last, so the graph's cutoff is t1 - window
-        tree.reset()
+        # t1 arrives last, so the graph's cutoff is t1 - window; each run
+        # builds its tree from the same leaves
+        query, tree = two_leaf_tree()
+        leaf0, leaf1 = tree.leaves()
         inserts = [
             (leaf0.node_id, Match.of(query, [(0, 10, t0)], {0: "a", 1: "b"})),
             (leaf1.node_id, Match.of(query, [(1, 20, t1)], {1: "b", 2: "c"})),
@@ -220,20 +219,6 @@ def test_stale_bucket_is_compacted_on_probe():
     tree.insert_and_propagate(leaf1.node_id, stored_form(probe), 95, lambda m: None)
     assert tree.stored_count == 1  # only the probe itself remains
     assert "b" not in leaf0.table  # the emptied bucket goes
-
-
-def test_reset_clears_state_keeps_shape():
-    query, tree = two_leaf_tree()
-    leaf0, leaf1 = tree.leaves()
-    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
-    emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
-    tree.reset()
-    assert tree.stored_count == 0 and tree.peak_stored == 0
-    assert all(not n.table for n in tree.nodes)
-    # the same insert sequence emits again after a reset
-    got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
-    assert len(got) == 1
 
 
 def test_on_store_fires_for_stored_matches():

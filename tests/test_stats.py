@@ -233,10 +233,21 @@ def test_table_json_round_trip(tmp_path):
         (lambda d: "[]", "must be an object"),
         (lambda d: d.replace('"version": 1', '"version": 9'), "unsupported stats version"),
         (lambda d: d.replace('"count": 6', '"count": 7', 1), "totals do not match"),
+        (lambda d: d.replace('"count": 6', '"count": "x"'), "row count must be a count"),
+        (lambda d: d.replace('"count": 5', '"count": Infinity'), "row count must be a count"),
+        (lambda d: d.replace('"count": 6', '"count": 6.9'), "row count must be a count"),
+        (lambda d: d.replace('"N": 10', '"N": true'), "N must be a count"),
+        (lambda d: d.replace('"N": 10', '"N": "many"'), "N must be a count"),
+        (lambda d: d.replace('"arity2": 5', '"arity2": "x"'), "totals arity2 must be a count"),
+        # negative counts are refused even when the totals match them
+        (lambda d: d.replace('"count": 6', '"count": -4').replace('"arity1": 10', '"arity1": 0'),
+         "row count must be a count"),
+        (lambda d: d.replace('"N": 10', '"N": -1'), "N must be a count"),
     ],
 )
 def test_table_json_validation(mangle, fragment):
     text = mangle(make_table().to_json())
+    assert text != make_table().to_json()
     with pytest.raises(ParseError) as ei:
         SelectivityTable.from_json(text)
     assert fragment in str(ei.value)
