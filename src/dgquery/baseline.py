@@ -211,7 +211,6 @@ class RescanEngine:
     def __init__(self, query: QueryGraph, window: int | None = None):
         self.query = query
         self.graph = DynamicGraph(window)
-        self.log: list[Match] = []
         self.counters = Counters()
         self._seen: set[tuple[tuple[int, int], ...]] = set()
 
@@ -225,7 +224,6 @@ class RescanEngine:
             if m.pairs in self._seen:
                 continue
             self._seen.add(m.pairs)
-            self.log.append(m)
             self.counters.emitted += 1
             fresh.append(m)
         return fresh

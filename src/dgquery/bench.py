@@ -20,7 +20,7 @@ from .errors import ContractError, MismatchError
 from .graph import WireEdge
 from .planner import Plan, plan_query
 from .query import QueryGraph
-from .stats import SelectivityTable, collect_stats
+from .stats import SelectivityTable
 
 __all__ = ["STRATEGIES", "BenchReport", "make_engine", "run_strategy", "run_sweep", "bin_reports"]
 
@@ -119,12 +119,10 @@ def run_sweep(
     query: QueryGraph,
     records: Sequence[WireEdge],
     window: int | None,
-    strategies: Iterable[str] = STRATEGIES,
-    table: SelectivityTable | None = None,
+    strategies: Iterable[str],
+    table: SelectivityTable,
 ) -> list[BenchReport]:
     """Run several strategies and require signature-identical results."""
-    if table is None:
-        table = collect_stats(records)
     reports: list[BenchReport] = []
     sigs: dict[str, set] = {}
     for strategy in strategies:

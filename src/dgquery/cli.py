@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from random import Random
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 from . import bench as bench_mod
 from .errors import DgqError, MismatchError, ParseError
@@ -62,14 +62,22 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8"), True
 
 
+def _utf8_lines(fh: IO[str], source: str) -> Iterator[str]:
+    """Yield the lines of an input file opened with ``errors="surrogateescape"``,
+    which reads an undecodable byte as a lone surrogate: UTF-8 text never holds
+    one, so it ends the input with a ParseError at its own line."""
+    for line_no, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("not UTF-8 text", line=line_no, source=source) from None
+        yield line
+
+
 def _read_query(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_query(fh.read(), source=path)
-
-
-def _read_stream(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return list(read_edge_stream(fh, source=path))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_query(_utf8_lines(fh, path), source=path)
 
 
 def _schema_from_args(args: argparse.Namespace):
@@ -116,10 +124,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     # the lines are counted as they are read; a bad one ends the command
     # before the table is written
     if args.stream == "-":
-        table = collect_stats(read_edge_stream(sys.stdin, source="<stdin>"))
+        table = collect_stats(read_edge_stream(_utf8_lines(sys.stdin, "<stdin>"), source="<stdin>"))
     else:
-        with open(args.stream, encoding="utf-8") as fh:
-            table = collect_stats(read_edge_stream(fh, source=args.stream))
+        with open(args.stream, encoding="utf-8", errors="surrogateescape") as fh:
+            table = collect_stats(read_edge_stream(_utf8_lines(fh, args.stream), source=args.stream))
     table.save(args.out)
     print(
         f"stats: {table.sample_size} edges, {len(table.arity1)} edge keys, "
@@ -155,12 +163,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     table = None if args.stats is None else SelectivityTable.load(args.stats)
-    with open(args.stream, encoding="utf-8") as fh:
+    with open(args.stream, encoding="utf-8", errors="surrogateescape") as fh:
         # read one line at a time, so a bad line ends the run after the
         # matches of the lines before it are written; only a plan from
         # statistics over the whole stream needs it all first (the rescan
         # baseline plans nothing)
-        records = read_edge_stream(fh, source=args.stream)
+        records = read_edge_stream(_utf8_lines(fh, args.stream), source=args.stream)
         if table is None and args.strategy != "vf2":
             records = list(records)
             table = collect_stats(records)
@@ -193,7 +201,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     rng = Random(args.seed)
     if args.stream is not None:
-        records = _read_stream(args.stream)
+        with open(args.stream, encoding="utf-8", errors="surrogateescape") as fh:
+            records = list(read_edge_stream(_utf8_lines(fh, args.stream), source=args.stream))
     else:
         schema = _schema_from_args(args)
         records = generate_stream(
@@ -327,10 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MismatchError as exc:
         print(f"dgq: mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except DgqError as exc:
-        print(f"dgq: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DgqError, OSError, UnicodeDecodeError) as exc:
         print(f"dgq: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

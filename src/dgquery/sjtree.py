@@ -172,6 +172,19 @@ def join(
     return node.join_fn(m, bucket, cutoff, out)
 
 
+def _drop_stale(table: dict[JoinKey, list[Partial]], key: JoinKey, cutoff: float) -> int:
+    """Keep the entries of ``table[key]`` with ``t_min > cutoff``, deleting
+    the key when none is left; return how many were dropped."""
+    bucket = table[key]
+    kept = [m for m in bucket if m[0] > cutoff]
+    dropped = len(bucket) - len(kept)
+    if not kept:
+        del table[key]
+    elif dropped:
+        bucket[:] = kept
+    return dropped
+
+
 class SJTree:
     """The decomposition tree plus all runtime match state."""
 
@@ -289,12 +302,7 @@ class SJTree:
                 for combined in joined:
                     self.insert_and_propagate(parent, combined, cutoff, emit)
             if stale * 2 > len(bucket):
-                kept = [x for x in bucket if x[0] > cutoff]
-                if kept:
-                    bucket[:] = kept
-                else:
-                    del sibling.table[key]
-                self.stored_count -= stale
+                self.stored_count -= _drop_stale(sibling.table, key, cutoff)
         own = node.table.get(key)
         if own is None:
             node.table[key] = [m]
@@ -317,14 +325,7 @@ class SJTree:
         removed = 0
         for node in self.nodes:
             for key in list(node.table):
-                bucket = node.table[key]
-                kept = [m for m in bucket if m[0] > cutoff]
-                if len(kept) != len(bucket):
-                    removed += len(bucket) - len(kept)
-                    if kept:
-                        node.table[key] = kept
-                    else:
-                        del node.table[key]
+                removed += _drop_stale(node.table, key, cutoff)
         self.stored_count -= removed
         return removed
 

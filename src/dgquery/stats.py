@@ -68,6 +68,7 @@ __all__ = [
     "PathKey",
     "SelectivityTable",
     "collect_stats",
+    "primitive_key",
 ]
 
 Descriptor = tuple[str, str, str]          # (edge_type, far_type, "out"|"in")
@@ -281,7 +282,10 @@ class SelectivityTable:
     @classmethod
     def load(cls, path: str) -> "SelectivityTable":
         with open(path, encoding="utf-8") as fp:
-            return cls.from_json(fp.read(), source=path)
+            try:
+                return cls.from_json(fp.read(), source=path)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text: {exc}", source=path) from None
 
 
 def primitive_key(query: QueryGraph, edge_ids: Iterable[int]) -> tuple[int, EdgeKey | PathKey]:

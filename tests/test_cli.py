@@ -313,7 +313,7 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_data_errors_exit_two(tmp_path, capsys):
+def test_data_errors_exit_two(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "nope.txt")
     rc = main(["run", "--query", missing, "--stream", missing])
     assert rc == 2
@@ -331,6 +331,48 @@ def test_data_errors_exit_two(tmp_path, capsys):
     rc = main(["plan", "--query", str(_gen_query(tmp_path)), "--stats", str(bad_stats), "--out", str(out)])
     assert rc == 2 and not out.exists()
     assert "row count must be a count" in capsys.readouterr().err
+    # a file that is not UTF-8, in each role an input file plays
+    query, table = _gen_query(tmp_path), tmp_path / "table.json"
+    assert main(["stats", "--stream", str(stream), "--out", str(table)]) == 0
+    lines = stream.read_bytes().splitlines(keepends=True)
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff" + b"".join(lines))
+    capsys.readouterr()
+    for command in (
+        ["stats", "--stream", str(binary), "--out", str(tmp_path / "x.json")],
+        ["plan", "--query", str(query), "--stats", str(binary), "--out", str(out)],
+        ["plan", "--query", str(binary), "--stats", str(table), "--out", str(out)],
+        ["run", "--query", str(binary), "--stream", str(stream)],
+        ["run", "--query", str(query), "--stream", str(binary)],
+        ["run", "--query", str(query), "--stream", str(stream), "--stats", str(binary)],
+        ["bench", "--stream", str(binary), "--query", str(query)],
+        ["bench", "--stream", str(stream), "--query", str(query), "--stats", str(binary)],
+    ):
+        assert main(command) == 2, command
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"dgq: error: {binary}: "), (command, err)
+    # standard input, as Python reads it in the C locale (an undecodable byte
+    # becomes a lone surrogate) and in a UTF-8 one (strictly)
+    for stdin, message in (
+        (io.StringIO("1\ta\udcff\tA\te\tb\tB\n"), "dgq: error: <stdin>: line 1: not UTF-8 text"),
+        (io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"), "dgq: error: 'utf-8' codec can't decode"),
+    ):
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["stats", "--stream", "-", "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message), err
+        assert not (tmp_path / "x.json").exists()
+    # a run streamed line by line writes the matches of the lines before the bad one
+    prefix, broken = tmp_path / "prefix.tsv", tmp_path / "broken.tsv"
+    prefix.write_bytes(b"".join(lines[:300]))
+    broken.write_bytes(b"".join(lines[:300]) + b"\xff\n" + b"".join(lines[300:]))
+    for extra in (["--strategy", "vf2"], ["--stats", str(table)]):
+        run = ["run", "--query", str(query), "--window", "100", *extra]
+        assert main([*run, "--stream", str(prefix), "--out", str(tmp_path / "want.tsv")]) == 0
+        assert main([*run, "--stream", str(broken), "--out", str(tmp_path / "got.tsv")]) == 2
+        assert f"dgq: error: {broken}: line 301: not UTF-8 text" in capsys.readouterr().err
+        want = (tmp_path / "want.tsv").read_bytes()
+        assert want and (tmp_path / "got.tsv").read_bytes() == want
 
 
 def test_schema_pool_override(tmp_path):
