@@ -78,17 +78,25 @@ no qedge carries finds no leaf, and the graph ingests it unindexed.  It is
 checked like any edge and keeps its endpoints live, but no adjacency list
 holds it, so searches, sweeps and eviction never walk it.
 
-One pass over the leaves builds all of this, and keeps what a sweep at a
-gated leaf needs (its node id, plan, role gates and edge slots) under the
-leaf's sibling, the spine node whose stored matches open it.
+One pass over the leaves builds all of this.  Per cut qvertex of a gated
+leaf it makes one gate for the tree: the qvertex, its allowed set, and the
+sweep a new binding there queues, which holds what the sweep needs (the
+leaf's node id, plan, role gates and edge slots, the set, and the adjacency
+lists to walk).  The gates go under the leaf's sibling, the spine node whose
+stored matches open it, and the engine then drives the tree
+(:meth:`~dgquery.sjtree.SJTree.drive`): the tree's compiled insert at that
+spine node tests each cut binding of a match it stores and queues the sweep
+only for one not yet allowed, which is rule 1 above.
 
 The retroactive sweeps run off a flat worklist rather than recursing.
 Each leaf searches each edge at most once, as the eager engine does, which
 bounds the lazy engine's primitive searches by the eager engine's count.
 
 Below the root, partial matches are the join tree's flat ``(t_min, e_0 ...
-e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``); each emission
-wraps its tuple in a :class:`~dgquery.query.Match`.
+e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``).  The driven tree
+builds each emission's :class:`~dgquery.query.Match` itself and appends it
+to ``log`` and to the arriving edge's delta, so no engine code runs per
+emission; ``process`` counts the delta once per edge.
 """
 from __future__ import annotations
 
@@ -99,7 +107,7 @@ from typing import Callable
 from .errors import UnsupportedPrimitiveError
 from .graph import DynamicGraph, EdgeRecord, WireEdge
 from .query import Match, QueryGraph, QueryPiece
-from .sjtree import Partial, SJTree, SJTreeNode
+from .sjtree import Gate, Partial, SJTree
 
 __all__ = ["SearchPlan", "search_plan", "match_primitive", "Counters", "Engine"]
 
@@ -255,9 +263,12 @@ def _opens(gate: RoleGate, rec: EdgeRecord) -> bool:
     return False
 
 
-# what a sweep at a gated leaf needs: its node id, its search plan, its
-# RoleGate per edge label and its edge slots in a match
-Sweep = tuple[int, SearchPlan, dict[str, RoleGate], tuple[int, ...]]
+# what a sweep at a gated leaf and cut qvertex needs: the leaf's node id, its
+# search plan, its RoleGate per edge label and its edge slots in a match, then
+# the qvertex's allowed set and the adjacency lists a sweep at a vertex newly
+# allowed there walks: the out-edges when the qvertex is the source of a qedge
+# of the piece, the in-edges when it is a destination
+Sweep = tuple[int, SearchPlan, dict[str, RoleGate], tuple[int, ...], set[str], tuple]
 
 
 @dataclass
@@ -282,7 +293,9 @@ class Engine:
     empty behind the role gates described in the module docstring;
     ``lazy=False`` makes every leaf always on.  Either way ``process``
     returns the complete matches that became visible at that edge, exactly
-    once each, and ``log`` lists every match emitted so far.
+    once each, and ``log`` lists every match emitted so far.  The engine
+    drives ``tree``, which then holds its match state: a tree drives one
+    engine, and a second ``Engine`` over it raises ``ValueError``.
 
     The engine's ``graph`` indexes only the edges whose label some qedge
     carries: the others are checked and keep their endpoints live, but no
@@ -299,16 +312,12 @@ class Engine:
     ):
         if tree.query != query:
             raise ValueError("tree was built for a different query")
-        if tree.driven:
-            # the tree holds that engine's match state and calls its hook
-            raise ValueError("tree already drives an engine; plan a new tree for this one")
         self.query = query
         self.tree = tree
         self.graph = DynamicGraph(window)
         self.log: list[Match] = []
         self.counters = Counters()
         self._delta: list[Match] = []
-        self._n_edges = query.n_edges
 
         # per leaf, {cut qvertex: the data vertices stored spine matches bind
         # it to}, {} for an always-on leaf.  The sets are pruned of dead
@@ -320,13 +329,9 @@ class Engine:
         # piece uses the label), in leaf order, as (the leaf's node id, its
         # search plan, its role gate for the label or None when always on)
         by_label: dict[str, list[tuple[int, SearchPlan, RoleGate | None]]] = {}
-        # spine node -> the Sweep of the gated leaf its stored matches open,
-        # and per cut qvertex its slot in a match, its allowed set and what a
-        # sweep at a vertex newly allowed there walks: the out-edges when the
-        # qvertex is the source of a qedge of the piece, the in-edges when it
-        # is a destination
-        self._unlocks: dict[int, tuple[Sweep, tuple[tuple[int, set[str], tuple], ...]]] = {}
-        verts_at = 1 + query.n_edges
+        # spine node -> the tree's Gate per cut qvertex of the gated leaf its
+        # stored matches open, each queueing that leaf's Sweep at the qvertex
+        spine_gates: dict[int, tuple[Gate, ...]] = {}
         for leaf in tree.leaves():
             plan = search_plan(query, leaf.piece)
             # leaf 0 is always on, and so is a cross-join leaf, whose empty
@@ -343,23 +348,23 @@ class Engine:
             for label in plan:
                 by_label.setdefault(label, []).append((leaf.node_id, plan, gates[label] if cuts else None))
             if cuts:
-                cut_walks = []
+                cut_gates = []
                 for c in cuts:
                     walks: tuple = ()
                     if any(e.src == c for e in ends):
                         walks += (self.graph.out_edges,)
                     if any(e.dst == c for e in ends):
                         walks += (self.graph.in_edges,)
-                    cut_walks.append((verts_at + c, allowed[c], walks))
-                sweep = (leaf.node_id, plan, gates, tuple(1 + qe for qe in edge_ids))
+                    sweep = (leaf.node_id, plan, gates, tuple(1 + qe for qe in edge_ids), allowed[c], walks)
+                    cut_gates.append((c, allowed[c], sweep))
                 # the leaf's sibling is the spine node covering the leaves before it
-                self._unlocks[leaf.sibling] = (sweep, tuple(cut_walks))
+                spine_gates[leaf.sibling] = tuple(cut_gates)
         self._by_label = {label: tuple(entries) for label, entries in by_label.items()}
-        # sweeps to run: (the leaf's Sweep, the allowed set, the vertex to
-        # allow there, the adjacency lists to walk at it)
-        self._pending: deque[tuple[Sweep, set[str], str, tuple]] = deque()
-        tree.on_store = self._on_store if lazy else None
-        tree.driven = True
+        # sweeps to run, as the tree queues them: (a Sweep, the vertex to allow)
+        self._pending: deque[tuple[Sweep, str]] = deque()
+        # raises when the tree already drives an engine: it holds that
+        # engine's match state and sinks
+        tree.drive(self.graph, self.log, spine_gates, self._pending.append)
 
     # ------------------------------------------------------------------ stream
 
@@ -393,37 +398,19 @@ class Engine:
                 if self._pending:
                     self._drain(rec)
         counters.edges += 1
+        counters.emitted += len(delta)
         if counters.edges % PURGE_INTERVAL == 0:
             counters.purged += self.tree.purge_stale(graph.cutoff)
         return delta
 
     def _feed(self, node_id: int, hits: list[Partial]) -> None:
-        """Insert each leaf match at its leaf and propagate it up the tree."""
-        cutoff = self.graph.cutoff
+        """Insert each leaf match at its leaf; the tree propagates it up,
+        and each emission goes to the log and to this edge's delta."""
+        insert, cutoff, emit = self.tree.insert_and_propagate, self.graph.cutoff, self._delta.append
         for m in hits:
-            self.tree.insert_and_propagate(node_id, m, cutoff, self._emit)
-
-    def _emit(self, m: Partial) -> None:
-        # every new complete match holds the edge that just arrived, the
-        # newest one, so its t_max is the graph's t_last
-        match = Match(m, self._n_edges, self.graph.t_last)
-        self.log.append(match)
-        self.counters.emitted += 1
-        self._delta.append(match)
+            insert(node_id, m, cutoff, emit)
 
     # -------------------------------------------------------------- lazy gates
-
-    def _on_store(self, node: SJTreeNode, m: Partial) -> None:
-        """Tree callback: a spine match queues a sweep for each cut binding
-        not yet allowed at the next leaf; the sweep allows it."""
-        unlock = self._unlocks.get(node.node_id)
-        if unlock is None:
-            return  # off the spine, at its top, or before an always-on leaf
-        sweep, cuts = unlock
-        for slot, allowed, walks in cuts:
-            v = m[slot]
-            if v not in allowed:
-                self._pending.append((sweep, allowed, v, walks))
 
     def _drain(self, arriving: EdgeRecord) -> None:
         """Run queued sweeps until none are left, without recursing: a sweep
@@ -435,7 +422,7 @@ class Engine:
         A sweep search keeps a hit of a multi-edge leaf only when the anchor
         is the hit's newest edge: that edge's own search finds it too."""
         while self._pending:
-            (node_id, plan, gates, slots), allowed, v, walks = self._pending.popleft()
+            (node_id, plan, gates, slots, allowed, walks), v = self._pending.popleft()
             if v in allowed:
                 continue  # a sweep earlier in the queue allowed it
             allowed.add(v)

@@ -336,20 +336,18 @@ def parse_edge_line(line: str, line_no: int | None = None, source: str | None = 
 
     Format: ``timestamp<TAB>src_id<TAB>src_type<TAB>edge_type<TAB>dst_id<TAB>dst_type``.
 
-    A line of six non-empty fields whose timestamp starts with an ASCII
-    digit and parses is taken in one pass: it is neither blank nor a
-    comment, and a timestamp with no sign is never negative.  Every other
-    line goes through :func:`_parse_checked`, which gives the same edge or
-    the ``ParseError`` that names what is wrong.
+    A line of six non-empty fields whose timestamp is ASCII digits alone is
+    taken in one pass: it is neither blank nor a comment, and its timestamp
+    parses and is not negative.  Every other line goes through
+    :func:`_parse_checked`, which gives the same edge or the ``ParseError``
+    that names what is wrong.
     """
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) == _FIELDS and "0" <= parts[0][:1] <= "9" and "" not in parts:
-        try:
-            parts[0] = int(parts[0], 10)
-        except ValueError:
-            pass
-        else:
-            return tuple(parts)
+    try:
+        ts, src, src_type, edge_type, dst, dst_type = line.rstrip("\n").split("\t")
+        if ts.isdecimal() and ts.isascii() and src and src_type and edge_type and dst and dst_type:
+            return (int(ts), src, src_type, edge_type, dst, dst_type)
+    except ValueError:  # not six fields, or more digits than int takes
+        pass
     return _parse_checked(line, line_no, source)
 
 

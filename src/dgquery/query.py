@@ -155,7 +155,8 @@ class Match:
     None when no edge is bound.  Keeping the tuple the engine emits, rather
     than slicing it, leaves one object fewer per emission for the garbage
     collector to track.  The constructor trusts its caller; use :meth:`of`
-    to build a match from unchecked parts.
+    to build a match from unchecked parts.  A driven join tree builds each
+    emission without it, setting these three slots one by one.
     """
 
     __slots__ = ("flat", "n_edges", "t_max")

@@ -16,8 +16,8 @@ node's *cut* is the intersection of its children's sub-patterns and defines
 the join key.  Leaf pieces are edge-disjoint, so a cut holds only vertices.
 Matches are stored keyed by their bindings of the parent's cut, so a new match
 at one child probes its sibling's table with a plain hash lookup, merges with
-the whole bucket found there in one :func:`join` call, and propagates the
-results upward.  Complete matches surface at the root and are emitted.
+the whole bucket found there, and passes each result up to the parent.
+Complete matches surface at the root and are emitted.
 
 The leaf order fixes everything else, so :meth:`SJTree.from_leaf_pieces` is
 the one constructor, and the plan text that ``dgq plan`` writes lists only
@@ -31,24 +31,34 @@ then the query-width edge and vertex slots of
 :class:`~dgquery.query.Match`, so qedge ``qe`` sits at ``1 + qe`` and
 qvertex ``qv`` at ``1 + E + qv``.  It holds only ints, strings and None, so
 CPython stops tracking it at the first collection that sees it, where a
-``Match`` instance stays tracked; the caller of ``emit`` builds the output
-``Match`` from a complete tuple.  A join works per probe, by a function
-compiled for each (node, sibling) pair when the tree is built: it reads
-``m``'s bound slots once, then, per entry of the sibling's bucket, tests
-the cutoff, compares with ``==`` each slot only the sibling fills against
-``m``'s own slots of the same kind, and builds the result as one tuple
-display.  The generated source holds slot numbers, never data.
+``Match`` instance stays tracked; only an emission becomes a ``Match``.
+
+A tree holds the match state of the one engine it drives, and
+:meth:`SJTree.drive` hands it that engine's sinks and gates.  It then
+compiles one insert per node, as straight-line Python whose source holds
+slot numbers, never data (labels, vertices and sinks reach it as names in
+the namespace it runs in).  A non-root node's insert reads ``m``'s bound
+slots into locals once and its key from them, walks the sibling's bucket
+under that key (per entry: the cutoff test, an ``==`` test of each slot
+only the sibling fills against ``m``'s own slots of the same kind, and the
+result as one tuple display), passes each result straight to the parent's
+insert, or at a child of the root builds its ``Match`` and hands it to the
+engine's log and to ``emit``, then compacts the bucket when it is mostly
+stale, stores ``m`` and counts it.  At a spine node under a gated leaf it
+then tests each cut binding against the leaf's allowed set, and queues the
+leaf's sweep only for a binding not in it.  The root has an insert only in
+a one-leaf plan, where it is the leaf, and it emits.  :func:`join` runs the
+same probe alone.
 """
 from __future__ import annotations
 
 import math
-from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import PlanError
-from .query import QueryGraph, QueryPiece
+from .query import Match, QueryGraph, QueryPiece
 
-__all__ = ["JoinKey", "Partial", "SJTreeNode", "SJTree", "join"]
+__all__ = ["JoinKey", "Partial", "Gate", "SJTreeNode", "SJTree", "join"]
 
 # the cut's vertex binding, or for a cut of several vertices a tuple of them
 # in qvertex-id order; () for an empty cut
@@ -57,15 +67,14 @@ JoinKey = str | tuple[str, ...]
 # timestamp, then a data edge id or None per qedge and a data vertex or None
 # per qvertex
 Partial = tuple[int | str | None, ...]
-# (m, bucket, cutoff, out) -> the stale count: a node's compiled probe
+# (m, cutoff, emit): a node's compiled insert (see SJTree.insert_and_propagate)
+InsertFn = Callable[[Partial, float, Callable[[Match], None]], None]
+# (m, bucket, cutoff, out) -> the stale count: a node's compiled probe (see join)
 JoinFn = Callable[[Partial, list[Partial], float, Callable[[Partial], None]], int]
-
-
-def _key_getter(slots: tuple[int, ...]) -> Callable[[Partial], JoinKey]:
-    """The function that reads a JoinKey off a match: its cut vertex slots."""
-    if not slots:
-        return lambda m: ()
-    return itemgetter(*slots)
+# what a driven tree tests after it stores a match at a spine node under a
+# gated leaf, per cut qvertex of that leaf: (the qvertex, the leaf's allowed
+# set for it, the sweep to queue, as (sweep, binding), for a binding not in it)
+Gate = tuple[int, set[str], Any]
 
 
 class SJTreeNode:
@@ -77,10 +86,10 @@ class SJTreeNode:
         "right",
         "leaf_index",
         "sibling",
-        "join_fn",
         "cut_verts",
-        "key_of",
         "table",
+        "insert",
+        "join_fn",
     )
 
     def __init__(
@@ -99,33 +108,46 @@ class SJTreeNode:
         self.left = left
         self.right = right
         self.leaf_index = leaf_index
-        # the other child of the parent, and the compiled probe of a match
-        # stored here into the sibling's bucket (see join); set by SJTree
+        # the other child of the parent; set by SJTree
         self.sibling: int | None = None
-        self.join_fn: JoinFn | None = None
         # the cut, the qvertices both children bind, sorted: the order of
         # the cut vertices in a JoinKey; () at a leaf
         self.cut_verts = cut_verts
-        # match -> the key this node's matches are stored and probed under,
-        # read from the parent's cut; set by SJTree
-        self.key_of: Callable[[Partial], JoinKey] | None = None
         # the root stores nothing
         self.table: dict[JoinKey, list[Partial]] = {}
+        # the compiled insert, set by SJTree.drive at every node but the
+        # root of a tree of several leaves, where no match is inserted
+        self.insert: InsertFn | None = None
+        # the probe join runs, compiled on its first call; set by SJTree
+        self.join_fn: JoinFn | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None and self.right is None
 
 
-def _compile_join(query: QueryGraph, own: QueryPiece, sib: QueryPiece) -> JoinFn:
-    """The probe of a match binding ``own`` into a bucket of matches binding
-    ``sib``, as straight-line Python (see :func:`join`)."""
-    verts_at = 1 + query.n_edges
-    bound = [f"e{i}" if i in own.edges else "_" for i in range(query.n_edges)]
-    bound += [f"v{i}" if i in own.vertices else "_" for i in range(query.n_vertices)]
+def _define(lines: list[str], title: str, namespace: dict[str, Any]) -> Callable:
+    """Compile the one function ``lines`` define, with ``namespace`` (and no
+    builtins) as its globals."""
+    namespace["__builtins__"] = {}
+    exec(compile("\n".join(lines), title, "exec"), namespace)
+    return namespace[lines[0][4:lines[0].index("(")]]
+
+
+def _bind_line(query: QueryGraph, piece: QueryPiece) -> str:
+    """The line that unpacks ``m`` into ``t_min`` and a local per slot the
+    piece binds: ``e<qe>`` and ``v<qv>``."""
+    names = [f"e{i}" if i in piece.edges else "_" for i in range(query.n_edges)]
+    names += [f"v{i}" if i in piece.vertices else "_" for i in range(query.n_vertices)]
+    return f"    t_min, {', '.join(names)} = m"
+
+
+def _probe_lines(query: QueryGraph, own: QueryPiece, sib: QueryPiece, take: Callable[[str], list[str]]) -> list[str]:
+    """The walk of ``bucket``, matches binding ``sib`` under the key of
+    ``m``, a match binding ``own`` read by :func:`_bind_line`: it counts
+    the stale entries in ``stale`` and runs ``take(result)``, the lines
+    that pass on one joined match given as a tuple display (see :func:`join`)."""
     lines = [
-        "def join(m, bucket, cutoff, out):",
-        f"    t_min, {', '.join(bound)} = m",
         "    stale = 0",
         "    for s in bucket:",
         "        t = s[0]",
@@ -136,6 +158,7 @@ def _compile_join(query: QueryGraph, own: QueryPiece, sib: QueryPiece) -> JoinFn
     # a data edge of the sibling must be new to m, and a data vertex of a
     # qvertex only the sibling binds must not serve a qvertex only m binds:
     # the key makes the cut agree, and the sibling's own match is injective
+    verts_at = 1 + query.n_edges
     mine = sorted(own.vertices - sib.vertices)
     checks = [(f"e{qe}", 1 + qe, [f"e{i}" for i in sorted(own.edges)]) for qe in sorted(sib.edges)]
     checks += [(f"v{qv}", verts_at + qv, [f"v{i}" for i in mine]) for qv in sorted(sib.vertices - own.vertices)]
@@ -145,10 +168,22 @@ def _compile_join(query: QueryGraph, own: QueryPiece, sib: QueryPiece) -> JoinFn
             lines += [f"        if {' or '.join(f'{name} == {x}' for x in against)}:", "            continue"]
     slots = [f"e{i}" if i in own.edges | sib.edges else "None" for i in range(query.n_edges)]
     slots += [f"v{i}" if i in own.vertices | sib.vertices else "None" for i in range(query.n_vertices)]
-    lines += [f"        out((t_min if t_min <= t else t, {', '.join(slots)}))", "    return stale"]
-    namespace = {"__builtins__": {}}
-    exec(compile("\n".join(lines), f"<join of {sorted(own.edges)} with {sorted(sib.edges)}>", "exec"), namespace)
-    return namespace["join"]
+    return lines + [f"        {line}" for line in take(f"(t_min if t_min <= t else t, {', '.join(slots)})")]
+
+
+def _emit_lines(n_edges: int, flat: str) -> list[str]:
+    """A driven tree's emission of the complete match ``flat``: its
+    ``Match``, stamped with the graph's ``t_last``, goes to the engine's log
+    and to ``emit``.  The ``Match`` gets its slots one by one, which skips
+    the frame of its constructor."""
+    return [
+        "match = new(Match)",
+        f"match.flat = {flat}",
+        f"match.n_edges = {n_edges}",
+        "match.t_max = graph.t_last",
+        "log_append(match)",
+        "emit(match)",
+    ]
 
 
 def join(
@@ -165,11 +200,25 @@ def join(
     its data edges must be new to ``m``, and the data vertices of the
     qvertices only it binds must not already serve ``m``.  Each is compared
     with ``m``'s edge or vertex slots only, never with ``t_min``: an edge id
-    may equal a timestamp.  The work is ``node.join_fn``, compiled for the
-    node when the tree is built; this module global stays the one entry, so
-    a wrapper set on it sees every probe.
+    may equal a timestamp.
+
+    A driven tree's inserts run this probe inline and never call ``join``;
+    its own probe is compiled from the same lines on its first call.
     """
     return node.join_fn(m, bucket, cutoff, out)
+
+
+def _join_on_first_call(query: QueryGraph, node: SJTreeNode, sib: QueryPiece) -> JoinFn:
+    """``node.join_fn`` until the first :func:`join` at ``node``, which
+    compiles the probe and puts it in its place."""
+
+    def first(m: Partial, bucket: list[Partial], cutoff: float, out: Callable[[Partial], None]) -> int:
+        lines = ["def join(m, bucket, cutoff, out):", _bind_line(query, node.piece)]
+        lines += _probe_lines(query, node.piece, sib, lambda result: [f"out({result})"])
+        node.join_fn = _define(lines + ["    return stale"], f"<join of {sorted(node.piece.edges)}>", {})
+        return node.join_fn(m, bucket, cutoff, out)
+
+    return first
 
 
 def _drop_stale(table: dict[JoinKey, list[Partial]], key: JoinKey, cutoff: float) -> int:
@@ -193,22 +242,13 @@ class SJTree:
         self.nodes = nodes
         self.root_id = root_id
         self.leaf_ids = [n.node_id for n in nodes if n.is_leaf]
-        verts_at = 1 + query.n_edges
         for n in nodes:
             if not n.is_leaf:
-                key_of = _key_getter(tuple(verts_at + qv for qv in n.cut_verts))
                 for a, b in ((nodes[n.left], nodes[n.right]), (nodes[n.right], nodes[n.left])):
-                    a.key_of = key_of
                     a.sibling = b.node_id
-                    a.join_fn = _compile_join(query, a.piece, b.piece)
+                    a.join_fn = _join_on_first_call(query, a, b.piece)
         self.stored_count = 0
         self.peak_stored = 0
-        # optional hook fired after a match is stored at a non-root node;
-        # the lazy engine uses it to grow its search frontier
-        self.on_store: Callable[[SJTreeNode, Partial], None] | None = None
-        # set by the Engine built over this tree, which keeps its match
-        # state here: a tree drives one engine
-        self.driven = False
 
     # ------------------------------------------------------------- construction
 
@@ -247,24 +287,87 @@ class SJTree:
 
     # ------------------------------------------------------------------ updates
 
+    def drive(
+        self,
+        graph: Any,
+        log: list[Match],
+        gates: dict[int, tuple[Gate, ...]],
+        queue: Callable[[tuple[Any, str]], None],
+    ) -> None:
+        """Take on one engine's match state: compile each node's insert
+        (the module docstring) with that engine's sinks and gates.
+
+        An emission is a ``Match`` whose ``t_max`` is ``graph.t_last``; it
+        is appended to ``log`` and passed to the ``emit`` of the insert that
+        made it.  ``gates`` maps a spine node's id to the gates of the leaf
+        it opens, and each sweep goes to ``queue``.  A tree drives one
+        engine: a second call raises ``ValueError``.
+        """
+        if self.nodes[self.leaf_ids[0]].insert is not None:
+            raise ValueError("tree already drives an engine; plan a new tree for this one")
+        query = self.query
+        sinks = {"Match": Match, "new": object.__new__, "graph": graph, "log_append": log.append}
+        root = self.nodes[self.root_id]
+        if root.is_leaf:  # a one-leaf plan, whose leaf matches are complete
+            lines = ["def insert(m, cutoff, emit):", *(f"    {line}" for line in _emit_lines(query.n_edges, "m"))]
+            root.insert = _define(lines, "<emission at the root>", sinks)
+            return
+        # a parent's insert is compiled before its children's, which call
+        # it: node ids grow up the tree
+        for node in reversed(self.nodes):
+            if node is root:
+                continue
+            parent, sib = self.nodes[node.parent], self.nodes[node.sibling]
+            namespace: dict[str, Any] = {
+                **sinks, "tree": self, "up": parent.insert, "own_table": node.table, "sib_table": sib.table,
+                "drop_stale": _drop_stale, "len": len, "NO_KEY": (), "queue": queue,
+            }
+            cut = [f"v{c}" for c in parent.cut_verts]
+            key = cut[0] if len(cut) == 1 else f"({', '.join(cut)})" if cut else "NO_KEY"
+            if parent is root:
+                take = lambda result: _emit_lines(query.n_edges, result)
+            else:
+                take = lambda result: [f"up({result}, cutoff, emit)"]
+            probe = [f"    {line}" for line in _probe_lines(query, node.piece, sib.piece, take)]
+            lines = [
+                "def insert(m, cutoff, emit):",
+                _bind_line(query, node.piece),
+                f"    key = {key}",
+                "    bucket = sib_table.get(key)",
+                "    if bucket:",
+                *probe,
+                "        if stale + stale > len(bucket):",
+                "            tree.stored_count -= drop_stale(sib_table, key, cutoff)",
+                "    own = own_table.get(key)",
+                "    if own is None:",
+                "        own_table[key] = [m]",
+                "    else:",
+                "        own.append(m)",
+                "    n = tree.stored_count + 1",
+                "    tree.stored_count = n",
+                "    if n > tree.peak_stored:",
+                "        tree.peak_stored = n",
+            ]
+            for i, (c, allowed, sweep) in enumerate(gates.get(node.node_id, ())):
+                namespace[f"allowed{i}"], namespace[f"sweep{i}"] = allowed, sweep
+                lines += [f"    if v{c} not in allowed{i}:", f"        queue((sweep{i}, v{c}))"]
+            node.insert = _define(lines, f"<insert at node {node.node_id}>", namespace)
+
     def insert_and_propagate(
         self,
         node_id: int,
         m: Partial,
         cutoff: float,
-        emit: Callable[[Partial], None],
+        emit: Callable[[Match], None],
     ) -> None:
-        """Insert ``m`` at a node: probe the sibling's bucket under its key
-        with one :func:`join` call, propagate the joins to the parent, then
-        store ``m``.
+        """Insert ``m`` at a node of a driven tree: probe the sibling's
+        bucket under its key, pass each joined match up to the parent in
+        bucket order, then store ``m``.
 
-        ``m`` is a flat :data:`Partial` tuple, and ``emit`` receives each
-        complete match in the same form: when the parent is the root,
-        ``join`` hands its results to ``emit`` itself; otherwise it collects
-        them, and each is inserted at the parent, in bucket order, after the
-        walk.  ``m`` carries no ``t_max``: the caller supplies it when it
-        builds the output ``Match``, as the newest edge's timestamp (see
-        below).
+        ``m`` is a flat :data:`Partial` tuple.  Each complete match becomes
+        a ``Match`` that goes to the driven engine's log and to ``emit``.
+        ``m`` carries no ``t_max``: every new complete match holds the
+        newest edge, so the emission stamps it with the graph's ``t_last``.
 
         ``cutoff`` is the graph's eviction cutoff, ``DynamicGraph.cutoff``.
         Every new complete match contains the newest edge, so a stored match
@@ -272,47 +375,21 @@ class SJTree:
         with ``t_min <= cutoff`` are skipped, and swept out of the bucket once
         they are its majority.  Leaf matches come from the live graph and a
         join of live matches is live, so a root match has ``cutoff < t_min <=
-        t_max <= t_last``: its span is inside the window, and its ``t_max`` is
-        ``t_last``, for it holds the newest edge.
+        t_max <= t_last``: its span is inside the window.
 
         The caller inserts each leaf match once.  A match above the leaves is
         then one (left, right) pair, joined once, when the later of the two is
         stored — the earlier one probed before the later existed, and each
         stores itself only after its probe — and distinct pairs join to
         distinct matches, because the children's pieces are edge-disjoint.
-        No node needs signatures.
+        No node needs signatures.  Nothing mutates a bucket while it is
+        walked: a result goes up to the parent, whose sibling is another
+        node, and a gate only queues a sweep.
+
+        This is the one call per leaf match, so a wrapper set on it sees
+        every one; the climb above the leaf runs in the compiled inserts.
         """
-        if node_id == self.root_id:
-            emit(m)
-            return
-        node = self.nodes[node_id]
-        key = node.key_of(m)
-        sibling = self.nodes[node.sibling]
-        # nothing mutates this bucket while it is walked or before it is
-        # compacted: propagation only goes up to the parent, whose sibling
-        # is another node, and on_store may only queue work
-        bucket = sibling.table.get(key)
-        if bucket:
-            parent = node.parent
-            if parent == self.root_id:
-                stale = join(m, bucket, node, cutoff, emit)
-            else:
-                joined: list[Partial] = []
-                stale = join(m, bucket, node, cutoff, joined.append)
-                for combined in joined:
-                    self.insert_and_propagate(parent, combined, cutoff, emit)
-            if stale * 2 > len(bucket):
-                self.stored_count -= _drop_stale(sibling.table, key, cutoff)
-        own = node.table.get(key)
-        if own is None:
-            node.table[key] = [m]
-        else:
-            own.append(m)
-        self.stored_count += 1
-        if self.stored_count > self.peak_stored:
-            self.peak_stored = self.stored_count
-        if self.on_store is not None:
-            self.on_store(node, m)
+        self.nodes[node_id].insert(m, cutoff, emit)
 
     def purge_stale(self, cutoff: float) -> int:
         """Drop stored matches with ``t_min <= cutoff``; return the count.

@@ -6,6 +6,7 @@ build their own ``random.Random``.
 from __future__ import annotations
 
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,6 +52,24 @@ def signatures(matches) -> set[tuple[tuple[int, int], ...]]:
 def stored_form(m: Match) -> tuple:
     """``m`` as the join tree holds it: one flat (t_min, *edges, *verts) tuple."""
     return (m.t_min, *m.edges, *m.verts)
+
+
+def key_of(tree, node, m: tuple):
+    """The JoinKey ``node`` stores and probes the flat match ``m`` under:
+    its bindings of the parent's cut, one vertex bare, several as a tuple."""
+    verts_at = 1 + tree.query.n_edges
+    key = tuple(m[verts_at + c] for c in tree.nodes[node.parent].cut_verts)
+    return key[0] if len(key) == 1 else key
+
+
+def drive_alone(tree, t_last: int = 0, gates: dict | None = None) -> tuple[list, list]:
+    """Drive ``tree`` as an engine would, with no engine: a stand-in graph at
+    ``t_last`` stamps the emissions, which go to the returned log, and the
+    sweeps ``gates`` ({spine node id: gates}) queue go to the returned list."""
+    log: list = []
+    queue: list = []
+    tree.drive(SimpleNamespace(t_last=t_last), log, gates or {}, queue.append)
+    return log, queue
 
 
 def plan_facts(plan) -> tuple:

@@ -20,6 +20,17 @@ def _workload():
 
 # ------------------------------------------------------------------ factory
 
+def gated_cuts(eng):
+    """Per leaf, the cut qvertices its role gates hold allowed sets for."""
+    return [tuple(sorted(cuts)) for cuts in eng._allowed]
+
+
+def planned_cuts(tree):
+    """Per leaf, the cut qvertices a lazy engine gates it at: none at leaf
+    0, the parent's cut at every later leaf."""
+    return [tree.nodes[leaf.parent].cut_verts if leaf.leaf_index else () for leaf in tree.leaves()]
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_make_engine_builds_every_strategy(strategy):
     query, records, table = _workload()
@@ -30,11 +41,10 @@ def test_make_engine_builds_every_strategy(strategy):
     else:
         assert isinstance(eng, Engine) and eng.tree is plan.tree
         assert plan.catalog_mode == strategy.removesuffix("lazy")
-        if strategy.endswith("lazy"):
-            assert eng.tree.on_store is not None
-        else:  # eager: every leaf always on, no gating hook
-            assert eng.tree.on_store is None
-            assert eng._allowed == [{}] * len(plan.tree.leaves())
+        # lazy: every leaf after leaf 0 whose parent's cut is not empty is
+        # gated at its cut qvertices; eager: every leaf always on
+        eager = [()] * len(plan.tree.leaves())
+        assert gated_cuts(eng) == (planned_cuts(plan.tree) if strategy.endswith("lazy") else eager)
 
 
 def test_make_engine_auto_resolves_to_the_planned_strategy():
@@ -42,7 +52,7 @@ def test_make_engine_auto_resolves_to_the_planned_strategy():
     eng, plan, name = make_engine("auto", query, 5, table)
     assert plan.catalog_mode == "auto"
     assert name == plan.strategy.lower() and name in STRATEGIES
-    assert eng.tree.on_store is not None  # the planner only recommends lazy strategies
+    assert gated_cuts(eng) == planned_cuts(plan.tree)  # the planner only recommends lazy strategies
 
 
 def test_make_engine_rejects_unknown_strategy():

@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from dgquery import engine, sjtree
+from dgquery import engine
 from dgquery import graph as graph_module
 from dgquery.baseline import RescanEngine
 from dgquery.engine import Engine, match_primitive, search_plan
@@ -767,31 +767,58 @@ def test_no_node_table_keeps_an_empty_bucket():
             assert all(node.table.values()), (run, node.node_id)
 
 
-def test_probes_call_join_through_the_module_global(monkeypatch):
-    # the tree looks join up in its module at every probe, so a wrapper set
-    # on dgquery.sjtree.join, as a span tracer sets one, sees each probe and
-    # changes no emission
+def test_a_wrapper_on_insert_and_propagate_sees_every_leaf_match(monkeypatch):
+    # the engine makes one tree call per leaf match, looked up on the class
+    # at every feed, so a wrapper set on SJTree.insert_and_propagate, as a
+    # span tracer sets one, sees every leaf match and changes no emission;
+    # the climb above the leaf runs inside the compiled inserts
     rng = Random(2)
     schema = social_schema()
     records = generate_stream(schema, 600, rng, edges_per_tick=4)
     query = random_query(schema, 3, rng)
     table = collect_stats(records)
 
-    def emissions():
-        eng = Engine(query, plan_query(query, table, mode="single").tree, 20, lazy=True)
-        return [signatures(eng.process(r)) for r in records]
+    def run():
+        eng = Engine(query, plan_query(query, table, mode="single").tree, None, lazy=True)
+        return eng, [signatures(eng.process(r)) for r in records]
 
-    plain = emissions()
-    probes = []
-    real = sjtree.join
+    _, plain = run()
+    seen = []
+    real = SJTree.insert_and_propagate
 
-    def counting(*args):
-        probes.append(len(args[1]))
-        return real(*args)
+    def recording(tree, node_id, m, cutoff, emit):
+        seen.append((node_id, m))
+        return real(tree, node_id, m, cutoff, emit)
 
-    monkeypatch.setattr(sjtree, "join", counting)
-    assert emissions() == plain
-    assert any(plain) and probes
+    monkeypatch.setattr(SJTree, "insert_and_propagate", recording)
+    eng, wrapped = run()
+    assert wrapped == plain and any(plain)
+    # an unbounded window purges and compacts nothing, so each leaf still
+    # holds every match inserted there, and nothing was inserted elsewhere
+    stored = Counter((leaf.node_id, m) for leaf in eng.tree.leaves() for b in leaf.table.values() for m in b)
+    assert Counter(seen) == stored and len(eng.tree.leaves()) == 3
+
+
+def test_emitted_counts_the_log_and_the_edge_deltas(rng):
+    # process counts an edge's emissions once, from its delta, so the count,
+    # the log and the deltas agree over random streams, eager and lazy,
+    # on multi-leaf plans and on one-leaf plans, whose leaf is the root
+    one_leaf = many_leaves = 0
+    for _ in range(30):
+        schema = random_schema(rng)
+        records = generate_stream(schema, rng.randrange(40, 160), rng, edges_per_tick=3)
+        query = random_query(schema, rng.randint(1, 4), rng)
+        table = collect_stats(records)
+        window = rng.choice((4, None))
+        for mode, lazy in itertools.product(("single", "path"), (False, True)):
+            eng = Engine(query, plan_query(query, table, mode=mode).tree, window, lazy=lazy)
+            deltas = [eng.process(r) for r in records]
+            assert eng.counters.emitted == len(eng.log) == sum(map(len, deltas))
+            assert eng.log == [m for delta in deltas for m in delta]
+            if eng.log:
+                one_leaf += len(eng.tree.nodes) == 1
+                many_leaves += len(eng.tree.nodes) > 1
+    assert one_leaf > 10 and many_leaves > 10
 
 
 def test_engine_rejects_foreign_tree():

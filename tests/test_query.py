@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -21,7 +22,7 @@ from dgquery.query import (
 from dgquery.sjtree import SJTree, join
 from dgquery.stats import collect_stats
 
-from conftest import path_query, q, stored_form
+from conftest import drive_alone, key_of, path_query, q, stored_form
 
 
 TRIANGLE = """
@@ -171,7 +172,9 @@ def test_match_equality_and_hash():
 # join(m, bucket, node, cutoff, out) merges m, stored at a tree node, with
 # each match of its sibling's bucket under the same key, so the shared
 # qvertices already agree; all are the tree's flat (t_min, *edges, *verts)
-# tuples.  It passes each result to out and returns the stale count.
+# tuples.  It passes each result to out and returns the stale count.  A
+# driven tree's inserts run the same probe inline: check_insert runs the
+# pairwise reference through them too.
 
 def sibling_leaves(query, *edge_sets):
     pieces = [QueryPiece.from_edges(query, ids) for ids in edge_sets]
@@ -212,6 +215,51 @@ def join_all(m, bucket, node, cutoff):
     out = []
     stale = join(m, bucket, node, cutoff, out.append)
     return out, stale
+
+
+T_LAST = 50  # the stand-in graph's t_last, which stamps the emissions
+
+
+def driven_tree(query, *edge_sets):
+    """The tree over leaves of ``edge_sets``, driven with no engine, and its log."""
+    tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, ids) for ids in edge_sets])
+    log, _ = drive_alone(tree, T_LAST)
+    return tree, log
+
+
+def check_insert(tree, log, node, m, bucket, cutoff):
+    """Empty every table of the driven ``tree``, seed the sibling's with
+    ``bucket`` under ``m``'s key, insert ``m`` at ``node``, and check it
+    against ``pairwise_join``: the joined matches reach the root's sink and
+    ``log``, stamped ``T_LAST``, in bucket order, or the parent's table; the
+    sibling's bucket is compacted to its live entries exactly when its stale
+    entries are the majority; ``m`` is stored; ``stored_count`` and
+    ``peak_stored`` count all of it.  Returns whether it compacted."""
+    want, stale = pairwise_join(tree.query, m, bucket, cutoff)
+    for n in tree.nodes:
+        n.table.clear()  # in place: the compiled inserts hold the tables
+    log.clear()
+    key, sib, parent = key_of(tree, node, m), tree.nodes[node.sibling], tree.nodes[node.parent]
+    if bucket:
+        sib.table[key] = list(bucket)
+    tree.stored_count = tree.peak_stored = len(bucket)
+    out = []
+    tree.insert_and_propagate(node.node_id, m, cutoff, out.append)
+    if parent.node_id == tree.root_id:
+        assert [x.flat for x in out] == want and out == log
+        assert all(x.t_max == T_LAST and x.n_edges == tree.query.n_edges for x in out)
+        up = 0
+    else:
+        assert out == log == []
+        assert Counter(x for b in parent.table.values() for x in b) == Counter(want)
+        up = len(want)
+    compacted = stale * 2 > len(bucket)
+    assert sib.table.get(key, []) == ([x for x in bucket if x[0] > cutoff] if compacted else bucket)
+    assert node.table == {key: [m]}
+    dropped = stale if compacted else 0
+    assert tree.stored_count == len(bucket) + up - dropped + 1
+    assert tree.peak_stored == len(bucket) + up + (dropped == 0)
+    return compacted
 
 
 def test_join_identity_and_commutativity():
@@ -308,6 +356,8 @@ def test_join_walks_a_mixed_bucket_like_the_pairwise_reference():
     got = join_all(m, bucket, leaf0, 3)
     assert got == ([(4, 10, 33, "a", "b", "e"), (5, 10, 34, "a", "b", "f")], 2)
     assert got == pairwise_join(PATH2, m, bucket, 3)
+    tree, log = driven_tree(PATH2, [0], [1])
+    assert not check_insert(tree, log, tree.leaves()[0], m, bucket, 3)  # 2 stale of 6 stay
 
 
 def test_join_without_cutoff_keeps_negative_timestamps():
@@ -320,13 +370,17 @@ def test_join_without_cutoff_keeps_negative_timestamps():
     want = [(oldest, 10, 30, "a", "b", "c"), (-1, 10, 31, "a", "b", "d"), (0, 10, 32, "a", "b", "e")]
     assert join_all(m, bucket, leaf0, -math.inf) == (want, 0) == pairwise_join(PATH2, m, bucket, -math.inf)
     assert join_all(m, bucket, leaf0, -1) == (want[2:], 2)
+    tree, log = driven_tree(PATH2, [0], [1])
+    assert not check_insert(tree, log, tree.leaves()[0], m, bucket, -math.inf)
+    assert check_insert(tree, log, tree.leaves()[0], m, bucket, -1)  # 2 stale of 3 go
 
 
 def test_join_randomized_against_the_pairwise_reference():
     # random probes from either leaf of a two-leaf tree into random buckets
     # of the other leaf, all agreeing on the cut vertex 2, with timestamps
     # around a random cutoff (or -inf, the unbounded window's)
-    leaf0, leaf1 = sibling_leaves(PATH3, [0, 1], [2])
+    tree, log = driven_tree(PATH3, [0, 1], [2])
+    leaf0, leaf1 = tree.leaves()
     rng = Random(11)
     pool = [f"v{i}" for i in range(5)]
 
@@ -339,7 +393,7 @@ def test_join_randomized_against_the_pairwise_reference():
         v3 = rng.choice([v for v in pool if v != cut])
         return (rng.randrange(-5, 20), None, None, rng.randrange(6), None, None, cut, v3)
 
-    joined = stale = 0
+    joined = stale = compacted = 0
     for _ in range(400):
         cut = rng.choice(pool)
         cutoff = rng.choice([-math.inf, rng.randrange(-5, 20)])
@@ -350,9 +404,10 @@ def test_join_randomized_against_the_pairwise_reference():
             node, m, bucket = leaf1, right(cut), [left(cut) for _ in range(n)]
         got = join_all(m, bucket, node, cutoff)
         assert got == pairwise_join(PATH3, m, bucket, cutoff)
+        compacted += check_insert(tree, log, node, m, bucket, cutoff)
         joined += len(got[0])
         stale += got[1]
-    assert joined > 100 and stale > 100
+    assert joined > 100 and stale > 100 and compacted > 50
 
 
 def random_leaves(query, rng):
@@ -396,9 +451,10 @@ def test_compiled_joins_against_the_pairwise_reference_on_planned_trees():
     # every (node, sibling) of planner trees in each catalog mode and of
     # random leaf lists (1–3-qedge leaves, cross joins among them): probes
     # into buckets under m's key that mix stale and live entries, clashes
-    # and edge ids equal to m's t_min, with cutoffs down to -inf
+    # and edge ids equal to m's t_min, with cutoffs down to -inf, by join
+    # and through the driven tree's inserts; no generated code holds data
     rng = Random(23)
-    probes = results = stale = dropped = cross = tied = 0
+    probes = results = stale = dropped = cross = tied = compacted = 0
     for trial in range(40):
         schema = random_schema(rng)
         table = collect_stats(generate_stream(schema, 300, rng))
@@ -406,24 +462,28 @@ def test_compiled_joins_against_the_pairwise_reference_on_planned_trees():
         trees = [plan_query(query, table, mode=mode).tree for mode in CATALOG_MODES]
         trees.append(SJTree.from_leaf_pieces(query, random_leaves(query, rng)))
         for tree in trees:
+            log, _ = drive_alone(tree, T_LAST)
             for node in tree.nodes:
                 if node.sibling is None:
                     continue
-                code = node.join_fn.__code__
-                assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
                 sib = tree.nodes[node.sibling]
                 cross += not tree.nodes[node.parent].cut_verts
                 for _ in range(10):
                     m = random_stored(query, node.piece, rng, {})
                     cut = {qv: m[1 + query.n_edges + qv] for qv in tree.nodes[node.parent].cut_verts}
                     bucket = [random_stored(query, sib.piece, rng, cut) for _ in range(rng.randrange(6))]
-                    assert all(node.key_of(m) == sib.key_of(x) for x in bucket)
+                    assert all(key_of(tree, node, m) == key_of(tree, sib, x) for x in bucket)
                     cutoff = rng.choice([-math.inf, rng.randrange(-1, 8)])
                     got = join_all(m, bucket, node, cutoff)
                     assert got == pairwise_join(query, m, bucket, cutoff), f"trial {trial}: {tree.serialize()}"
+                    compacted += check_insert(tree, log, node, m, bucket, cutoff)
                     probes += 1
                     results += len(got[0])
                     stale += got[1]
                     dropped += len(bucket) - got[1] - len(got[0])
                     tied += any(m[0] in x[1:1 + query.n_edges] for x in bucket)
-    assert probes > 1000 and min(results, stale, dropped) > 500 and cross > 10 and tied > 200
+            codes = [n.insert.__code__ for n in tree.nodes if n.insert is not None]
+            codes += [n.join_fn.__code__ for n in tree.nodes if n.sibling is not None]  # compiled by now
+            for code in codes:
+                assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
+    assert probes > 1000 and min(results, stale, dropped) > 500 and cross > 10 and tied > 200 and compacted > 200

@@ -13,7 +13,7 @@ from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree, join
 from dgquery.stats import collect_stats
 
-from conftest import path_query, q, stored_form
+from conftest import drive_alone, key_of, path_query, q, stored_form
 
 
 def two_leaf_tree():
@@ -71,12 +71,14 @@ def test_from_leaf_pieces_validation(edge_sets, fragment):
 # ----------------------------------------------------------------- propagation
 
 def emitted_via(tree, inserts, cutoff):
-    """Insert each (node id, Match) in the tree's stored form; return what
-    reaches the root, in the same form."""
+    """Drive the tree and insert each (node id, Match) in its stored form;
+    return what reaches the root, in the same form."""
+    log, _ = drive_alone(tree)
     out = []
     for node_id, m in inserts:
         tree.insert_and_propagate(node_id, stored_form(m), cutoff, out.append)
-    return out
+    assert out == log  # each emission goes to the log and to emit
+    return [match.flat for match in out]
 
 
 def test_insert_joins_across_siblings():
@@ -156,6 +158,7 @@ def test_window_span_strictly_inside():
 
 def test_peak_stored_tracks_maximum():
     query, tree = two_leaf_tree()
+    drive_alone(tree)
     leaf0, _ = tree.leaves()
     for i in range(4):
         m = Match.of(query, [(0, i, i)], {0: f"a{i}", 1: f"b{i}"})
@@ -172,6 +175,7 @@ def test_purge_stale_boundary_and_reinsert():
     query = path_query(["e", "f", "g"], vertex_label="A")
     pieces = [QueryPiece.from_edges(query, [0, 1]), QueryPiece.from_edges(query, [2])]
     tree = SJTree.from_leaf_pieces(query, pieces)
+    drive_alone(tree)
     leaf0, _ = tree.leaves()
     bind = {0: "a", 1: "b", 2: "c"}
     old = Match.of(query, [(0, 10, 0), (1, 11, 0)], bind)
@@ -194,6 +198,7 @@ def test_purge_at_minus_infinity_keeps_every_table():
     # -inf, the cutoff of an unbounded window and of a graph before its
     # first edge, is below every t_min, however old
     query, tree = two_leaf_tree()
+    drive_alone(tree)
     leaf0, leaf1 = tree.leaves()
     for i, t in enumerate((-(2**70), -1, 0)):
         m = Match.of(query, [(0, i, t)], {0: f"a{i}", 1: "b"})
@@ -208,6 +213,7 @@ def test_purge_at_minus_infinity_keeps_every_table():
 
 def test_stale_bucket_is_compacted_on_probe():
     query, tree = two_leaf_tree()
+    drive_alone(tree)
     leaf0, leaf1 = tree.leaves()
     for i in range(6):
         m = Match.of(query, [(0, i, 0)], {0: f"a{i}", 1: "b"})
@@ -221,16 +227,56 @@ def test_stale_bucket_is_compacted_on_probe():
     assert "b" not in leaf0.table  # the emptied bucket goes
 
 
-def test_on_store_fires_for_stored_matches():
-    query, tree = two_leaf_tree()
-    leaf0, leaf1 = tree.leaves()
-    seen: list[tuple[int, tuple]] = []
-    tree.on_store = lambda node, m: seen.append((node.node_id, m))
-    m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
-    m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
-    emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
-    assert (leaf0.node_id, stored_form(m0)) in seen
-    assert (leaf1.node_id, stored_form(m1)) in seen
+def test_a_driven_tree_queues_a_sweep_per_spine_match_with_a_new_cut_binding():
+    # path e, f, g in three leaves: leaf 0 opens leaf 1 at qvertex 1, and
+    # the spine node over leaves 0 and 1 opens leaf 2 at qvertex 2.  Each
+    # match stored at a spine node queues its gate's sweep once when its
+    # cut binding is not in the allowed set, and never when it is; the tree
+    # only queues, so a binding twice missing is queued twice, and a match
+    # stored at leaf 1 or 2, which open nothing, queues nothing
+    query = path_query(["e", "f", "g"], vertex_label="A")
+    tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
+    leaf0, leaf1, leaf2 = tree.leaves()
+    spine = leaf1.parent
+    allowed1, allowed2 = {"b"}, {"d"}
+    gates = {leaf0.node_id: ((1, allowed1, "sweep at 1"),), spine: ((2, allowed2, "sweep at 2"),)}
+    _, queue = drive_alone(tree, gates=gates)
+    inserts = [
+        (leaf0, [(0, 1, 0)], {0: "a", 1: "b"}),  # allowed
+        (leaf0, [(0, 2, 1)], {0: "a", 1: "x"}),
+        (leaf0, [(0, 3, 2)], {0: "w", 1: "x"}),
+        (leaf1, [(1, 4, 3)], {1: "x", 2: "c"}),  # two spine matches at c
+        (leaf1, [(1, 5, 4)], {1: "x", 2: "d"}),  # two at d, allowed
+        (leaf2, [(2, 6, 5)], {2: "y", 3: "z"}),
+    ]
+    emitted = []
+    for leaf, items, bind in inserts:
+        tree.insert_and_propagate(leaf.node_id, stored_form(Match.of(query, items, bind)), -math.inf, emitted.append)
+    assert emitted == []
+    assert queue == [("sweep at 1", "x")] * 2 + [("sweep at 2", "c")] * 2
+    assert sum(map(len, tree.nodes[spine].table.values())) == 4
+    assert allowed1 == {"b"} and allowed2 == {"d"}  # the engine's sweeps allow, not the tree
+
+
+@pytest.mark.parametrize("leaves", [1, 3])
+def test_drive_compiles_one_insert_per_node_once(leaves):
+    # one per node a match is inserted at: every node but the root of a
+    # tree of several leaves; a one-leaf tree's root is its leaf
+    query = path_query(["e", "f", "g"], vertex_label="A")
+    splits = {1: [[0, 1, 2]], 3: [[0], [1], [2]]}[leaves]
+    tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, ids) for ids in splits])
+    assert all(n.insert is None for n in tree.nodes)
+    log, _ = drive_alone(tree, t_last=9)
+    inserted = [n for n in tree.nodes if n.node_id != tree.root_id or n.is_leaf]
+    assert len({n.insert for n in inserted}) == len(inserted) == {1: 1, 3: 4}[leaves]
+    assert tree.nodes[tree.root_id].insert is (None if leaves > 1 else tree.nodes[0].insert)
+    with pytest.raises(ValueError, match="already drives an engine"):
+        drive_alone(tree)
+    if leaves == 1:  # the root emits what it is given, stamped with t_last
+        m = stored_form(Match.of(query, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], {0: "a", 1: "b", 2: "c", 3: "d"}))
+        out = []
+        tree.insert_and_propagate(tree.root_id, m, 1, out.append)
+        assert out == log and [(x.flat, x.n_edges, x.t_max) for x in out] == [(m, 3, 9)]
 
 
 # ------------------------------------------------------------------- plan text
@@ -317,9 +363,10 @@ def probe_results(tree):
             return tuple(s)
 
         bucket = [entry(2), entry(-1), entry(3, clash_edge=True), entry(4, clash_vert=True)]
+        m = tuple(m)
         out = []
-        stale = join(tuple(m), bucket, n, 0, out.append)
-        got.append((n.key_of(tuple(m)), out, stale))
+        stale = join(m, bucket, n, 0, out.append)
+        got.append((key_of(tree, n, m), out, stale))
     return got
 
 
