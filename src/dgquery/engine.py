@@ -69,14 +69,20 @@ runs no interpreter of steps, and the plan maps each edge label to the
 searches of the roles with that label.  Labels and vertex types come from
 query files, so they are data to the generated code: each reaches it as a
 numbered constant in the namespace it runs in, and no label or type text is
-ever part of its source.  An arriving edge goes only to the leaves whose
-piece uses its label: one dict lookup per edge gives those leaves in leaf
-order, each with its search plan and its role gate for that label, a tuple
-of (source set or None, destination set or None) per qedge, or None when
-the leaf is always on.  The lookup runs before ingest: an edge whose label
-no qedge carries finds no leaf, and the graph ingests it unindexed.  It is
-checked like any edge and keeps its endpoints live, but no adjacency list
-holds it, so searches, sweeps and eviction never walk it.
+ever part of its source.  Each step reads its adjacency list straight from
+the graph's ``vertex_table``, one ``dict.get`` and one slot read, so a
+search calls no graph method, and a vertex the table lacks has no edges.
+
+An arriving edge goes only to the leaves whose piece uses its label: one
+dict lookup per edge gives those leaves in leaf order, each with its role
+searches for that label and its role gate for it, a tuple of (source set or
+None, destination set or None) per qedge, or None when the leaf is always
+on.  A search is then two Python frames, :func:`match_primitive` and the
+compiled search; a sweep passes the searches of the swept edge's label the
+same way.  The lookup runs before ingest: an edge whose label no qedge
+carries finds no leaf, and the graph ingests it unindexed.  It is checked
+like any edge and keeps its endpoints live, but no adjacency list holds it,
+so searches, sweeps and eviction never walk it.
 
 One pass over the leaves builds all of this.  Per cut qvertex of a gated
 leaf it makes one gate for the tree: the qvertex, its allowed set, and the
@@ -105,7 +111,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnsupportedPrimitiveError
-from .graph import DynamicGraph, EdgeRecord, WireEdge
+from .graph import NO_VERTEX, DynamicGraph, EdgeRecord, WireEdge
 from .query import Match, QueryGraph, QueryPiece
 from .sjtree import Gate, Partial, SJTree
 
@@ -168,10 +174,13 @@ def _compile_search(query: QueryGraph, role: int, steps: tuple[tuple, ...]) -> S
         f" or v{qe.src} {'!=' if loop else '=='} {far}:",
         "        return",
     ]
+    if steps:
+        lines.append("    vertices = graph.vertex_table")
     edges, verts = [role], {qe.src, qe.dst}
     pad = "    "
     for d, (qe_id, label, forward, start, end, end_bound, want) in enumerate(steps, 1):
-        lines.append(f"{pad}for r{d} in graph.{'out_edges' if forward else 'in_edges'}(v{start}):")
+        # a vertex the table lacks reads as NO_VERTEX, whose lists are empty
+        lines.append(f"{pad}for r{d} in vertices.get(v{start}, NO_VERTEX).{'outgoing' if forward else 'incoming'}:")
         pad += "    "
         if end_bound:
             # a step walks backward only from an unbound source, so this one
@@ -200,7 +209,7 @@ def _compile_search(query: QueryGraph, role: int, steps: tuple[tuple, ...]) -> S
     slots = [f"e{i}" if i in edges else "None" for i in range(query.n_edges)]
     slots += [f"v{i}" if i in verts else "None" for i in range(query.n_vertices)]
     lines.append(f"{pad}out.append((t{len(steps)}, {', '.join(slots)}))")
-    namespace = {"__builtins__": {}, **{f"K{i}": text for i, text in enumerate(consts)}}
+    namespace = {"__builtins__": {}, "NO_VERTEX": NO_VERTEX, **{f"K{i}": text for i, text in enumerate(consts)}}
     exec(compile("\n".join(lines), f"<search of qedge {role}>", "exec"), namespace)
     return namespace["search"]
 
@@ -230,20 +239,25 @@ def search_plan(query: QueryGraph, piece: QueryPiece) -> SearchPlan:
     return plan
 
 
-def match_primitive(graph: DynamicGraph, plan: SearchPlan, anchor: EdgeRecord) -> list[Partial]:
-    """All matches of a 1–3 edge sub-pattern that include ``anchor``, by the
-    pattern's :func:`search_plan`, as the join tree's flat ``(t_min, e_0 ...
-    e_{E-1}, v_0 ... v_{V-1})`` tuples: the oldest bound timestamp, then a
-    data edge id or None per qedge and a data vertex or None per qvertex.
-    No ``t_max`` is kept: the engine stamps each complete match with the
-    newest edge's timestamp when it emits it.
+def match_primitive(graph: DynamicGraph, searches: tuple[Search, ...], anchor: EdgeRecord) -> list[Partial]:
+    """All matches of a 1–3 edge sub-pattern that include ``anchor``, as the
+    join tree's flat ``(t_min, e_0 ... e_{E-1}, v_0 ... v_{V-1})`` tuples:
+    the oldest bound timestamp, then a data edge id or None per qedge and a
+    data vertex or None per qvertex.  No ``t_max`` is kept: the engine
+    stamps each complete match with the newest edge's timestamp when it
+    emits it.
 
-    The anchor is tried in every qedge role its label allows, in qedge
-    order, so automorphic placements surface as distinct matches.  Bindings
-    are injective on vertices and edges.
+    ``searches`` are the role searches the pattern's :func:`search_plan`
+    holds for the anchor's label (``plan.get(anchor[5], ())``); the engine
+    keeps them with each leaf it dispatches a label to, so it looks them up
+    once per edge with the leaves.  Each reads the graph's adjacency lists
+    straight from ``graph.vertex_table``, and an anchor endpoint the table
+    lacks has no edges.  The anchor is tried in every qedge role its label
+    allows, in qedge order, so automorphic placements surface as distinct
+    matches.  Bindings are injective on vertices and edges.
     """
     results: list[Partial] = []
-    for search in plan.get(anchor[5], ()):  # anchor[5]: the edge label
+    for search in searches:
         search(graph, anchor, results)
     return results
 
@@ -327,8 +341,9 @@ class Engine:
         self._allowed_cap = GATE_MIN_PRUNE
         # per edge label, the leaves an edge with it can anchor (those whose
         # piece uses the label), in leaf order, as (the leaf's node id, its
-        # search plan, its role gate for the label or None when always on)
-        by_label: dict[str, list[tuple[int, SearchPlan, RoleGate | None]]] = {}
+        # role searches for the label, its role gate for the label or None
+        # when always on)
+        by_label: dict[str, list[tuple[int, tuple[Search, ...], RoleGate | None]]] = {}
         # spine node -> the tree's Gate per cut qvertex of the gated leaf its
         # stored matches open, each queueing that leaf's Sweep at the qvertex
         spine_gates: dict[int, tuple[Gate, ...]] = {}
@@ -345,8 +360,8 @@ class Engine:
             gates: dict[str, RoleGate] = {}
             for e in ends:
                 gates[e.label] = gates.get(e.label, ()) + ((allowed.get(e.src), allowed.get(e.dst)),)
-            for label in plan:
-                by_label.setdefault(label, []).append((leaf.node_id, plan, gates[label] if cuts else None))
+            for label, searches in plan.items():
+                by_label.setdefault(label, []).append((leaf.node_id, searches, gates[label] if cuts else None))
             if cuts:
                 cut_gates = []
                 for c in cuts:
@@ -385,12 +400,12 @@ class Engine:
         else:
             rec = graph.add_edge(raw)
             self._delta = delta = []
-            for node_id, plan, gate in entries:
+            for node_id, searches, gate in entries:
                 # always on, or gated and passing now: the edge is the newest
                 # edge of every hit, so each hit is kept
                 if gate is None or _opens(gate, rec):
                     counters.match_calls += 1
-                    hits = match_primitive(graph, plan, rec)
+                    hits = match_primitive(graph, searches, rec)
                     if hits:
                         self._feed(node_id, hits)
                 # run any retroactive sweeps before the next leaf reads its gate,
@@ -441,7 +456,7 @@ class Engine:
                     fresh = dict.fromkeys(fresh)  # a self-loop at v sits in both walks
                 for rec in fresh:
                     self.counters.match_calls += 1
-                    hits = match_primitive(self.graph, plan, rec)
+                    hits = match_primitive(self.graph, plan[rec[5]], rec)
                     if len(slots) > 1:
                         newest = rec[0]
                         hits = [m for m in hits if all(m[s] <= newest for s in slots)]

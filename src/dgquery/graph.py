@@ -52,9 +52,10 @@ Design notes
   in the stream; ``edge_count``, ``live_edges`` and ``edges_evicted`` count
   and list indexed edges only.
 - ``parse_edge_line`` takes a well-formed data line in one pass: six
-  non-empty tab-separated fields, the first led by an ASCII digit (which no
-  blank or comment line is, and which leaves no room for a sign).  Any other
-  line is parsed rule by rule, so both give the same edge or the same
+  non-empty tab-separated fields, the first a timestamp that ``int`` takes
+  and finds not negative (no blank or comment line has one).  Any other
+  line is parsed rule by rule, which reads the timestamp with the same
+  ``int`` and sign rule, so both give the same edge or the same
   ``ParseError``.
 - Edges are plain tuples: ``parse_edge_line`` returns a 6-tuple in wire
   order and ``add_edge`` stores a 7-tuple in ``EdgeRecord``'s field order,
@@ -80,6 +81,7 @@ __all__ = [
     "WireEdge",
     "EdgeRecord",
     "DynamicGraph",
+    "NO_VERTEX",
     "parse_edge_line",
     "format_edge_line",
     "read_edge_stream",
@@ -138,9 +140,16 @@ _VERTEX_MIN_PRUNE = 1 << 10
 class _Vertex:
     label: str
     stamp: int  # newest unindexed edge at the vertex, or the edge that made it
+    # the live indexed edges leaving and entering the vertex, oldest first:
     # both () until the vertex's first indexed edge, then both deques
-    out_edges: deque | tuple[()] = ()
-    in_edges: deque | tuple[()] = ()
+    outgoing: deque | tuple[()] = ()
+    incoming: deque | tuple[()] = ()
+
+
+# what a read of the vertex table takes for a vertex it does not hold:
+# ``table.get(vid, NO_VERTEX).outgoing`` is ``()``.  It is in no table, so no
+# ingest ever changes it
+NO_VERTEX = _Vertex("", 0)
 
 
 class DynamicGraph:
@@ -149,6 +158,14 @@ class DynamicGraph:
     ``window=None`` means an unbounded window, kept as ``math.inf``.
     ``edge_count`` and ``edges_evicted`` count indexed edges only;
     ``edges_ingested`` counts every edge.
+
+    ``vertex_table`` maps each vertex id the store holds to its record, whose
+    ``outgoing`` and ``incoming`` slots are the adjacency lists that
+    :meth:`out_edges` and :meth:`in_edges` return.  It is the store's own
+    table, there for the engine's compiled searches, which read a list with
+    one ``dict.get`` and one slot read: read it, never change it.  It may
+    hold dead vertices (a prune drops them), whose lists are empty, and a
+    vertex it lacks reads as :data:`NO_VERTEX`.
     """
 
     def __init__(self, window: int | None = None):
@@ -158,7 +175,7 @@ class DynamicGraph:
         self.t_last: float = -math.inf
         self.edges_ingested = 0
         self.edges_evicted = 0
-        self._vertices: dict[str, _Vertex] = {}
+        self.vertex_table: dict[str, _Vertex] = {}
         self._vertex_cap = _VERTEX_MIN_PRUNE
         self._arrivals: deque = deque()  # indexed EdgeRecords, oldest first
 
@@ -179,7 +196,7 @@ class DynamicGraph:
         ts, src, src_type, edge_type, dst, dst_type = raw
         if ts < self.t_last:
             raise disorder_error(ts, self.t_last)
-        vertices = self._vertices
+        vertices = self.vertex_table
         src_v = vertices.get(src)
         if src_v is None or src_v.label != src_type:
             if src_v is not None and self._live(src_v):
@@ -219,13 +236,13 @@ class DynamicGraph:
             # the () a vertex holds before its first indexed edge has no
             # append: the vertex gets its deques there
             try:
-                src_v.out_edges.append(rec)
+                src_v.outgoing.append(rec)
             except AttributeError:
-                src_v.out_edges, src_v.in_edges = deque((rec,)), deque()
+                src_v.outgoing, src_v.incoming = deque((rec,)), deque()
             try:
-                dst_v.in_edges.append(rec)
+                dst_v.incoming.append(rec)
             except AttributeError:
-                dst_v.out_edges, dst_v.in_edges = deque(), deque((rec,))
+                dst_v.outgoing, dst_v.incoming = deque(), deque((rec,))
             arrivals.append(rec)
         else:
             rec = None
@@ -241,7 +258,7 @@ class DynamicGraph:
         vertex that leaves with no edge in its lists and an expired stamp."""
         cutoff = self.cutoff
         arrivals = self._arrivals
-        vertices = self._vertices
+        vertices = self.vertex_table
         evicted = 0
         while arrivals and arrivals[0][6] <= cutoff:  # [6]: timestamp
             rec = arrivals.popleft()
@@ -249,21 +266,21 @@ class DynamicGraph:
             src_v = vertices[src]
             dst_v = vertices[dst]
             # one record object sits in all three deques, oldest first
-            popped = src_v.out_edges.popleft()
+            popped = src_v.outgoing.popleft()
             assert popped is rec
-            popped = dst_v.in_edges.popleft()
+            popped = dst_v.incoming.popleft()
             assert popped is rec
             evicted += 1
-            if not src_v.out_edges and not src_v.in_edges and src_v.stamp <= cutoff:
+            if not src_v.outgoing and not src_v.incoming and src_v.stamp <= cutoff:
                 del vertices[src]
-            if src != dst and not dst_v.out_edges and not dst_v.in_edges and dst_v.stamp <= cutoff:
+            if src != dst and not dst_v.outgoing and not dst_v.incoming and dst_v.stamp <= cutoff:
                 del vertices[dst]
         self.edges_evicted += evicted
 
     def _live(self, v: _Vertex) -> bool:
         """Whether ``v`` has an edge in the window: one in its lists (which
         hold only live edges), or the unindexed one its stamp records."""
-        if v.out_edges or v.in_edges:
+        if v.outgoing or v.incoming:
             return True
         return v.stamp > self.cutoff
 
@@ -271,7 +288,7 @@ class DynamicGraph:
         """Delete every dead vertex but those in ``keep``, in place (the
         caller holds the table), and let the table double before the next
         prune."""
-        vertices = self._vertices
+        vertices = self.vertex_table
         live = self._live
         for vid in [vid for vid, v in vertices.items() if not live(v) and vid not in keep]:
             del vertices[vid]
@@ -289,14 +306,9 @@ class DynamicGraph:
         """Live indexed edges."""
         return len(self._arrivals)
 
-    @property
-    def vertex_count(self) -> int:
-        """Live vertices."""
-        return sum(1 for _ in self.vertices())
-
     def vertex_label(self, vid: str) -> str:
         """The label of a live vertex; KeyError for any other."""
-        v = self._vertices[vid]
+        v = self.vertex_table[vid]
         if not self._live(v):
             raise KeyError(vid)
         return v.label
@@ -304,7 +316,7 @@ class DynamicGraph:
     def vertices(self) -> Iterator[tuple[str, str]]:
         """Yield (vertex id, label) for every live vertex."""
         live = self._live
-        for vid, v in self._vertices.items():
+        for vid, v in self.vertex_table.items():
             if live(v):
                 yield vid, v.label
 
@@ -316,13 +328,11 @@ class DynamicGraph:
         """Live edges leaving ``vid``, oldest first; ``()`` for an unknown
         vertex or one that never had an indexed edge.  This is the store's
         own deque: read it, never change it."""
-        v = self._vertices.get(vid)
-        return () if v is None else v.out_edges
+        return self.vertex_table.get(vid, NO_VERTEX).outgoing
 
     def in_edges(self, vid: str) -> deque[EdgeRecord] | tuple[()]:
         """Live edges entering ``vid``, oldest first, as :meth:`out_edges`."""
-        v = self._vertices.get(vid)
-        return () if v is None else v.in_edges
+        return self.vertex_table.get(vid, NO_VERTEX).incoming
 
 
 # ---------------------------------------------------------------------- wire
@@ -336,17 +346,19 @@ def parse_edge_line(line: str, line_no: int | None = None, source: str | None = 
 
     Format: ``timestamp<TAB>src_id<TAB>src_type<TAB>edge_type<TAB>dst_id<TAB>dst_type``.
 
-    A line of six non-empty fields whose timestamp is ASCII digits alone is
-    taken in one pass: it is neither blank nor a comment, and its timestamp
-    parses and is not negative.  Every other line goes through
-    :func:`_parse_checked`, which gives the same edge or the ``ParseError``
-    that names what is wrong.
+    A line of six non-empty fields whose timestamp ``int`` takes and finds
+    not negative is taken in one pass: such a timestamp holds a digit and no
+    ``#``, so the line is neither blank nor a comment, and
+    :func:`_parse_checked` reads it with the same ``int`` and the same sign
+    rule.  Every other line goes through :func:`_parse_checked`, which gives
+    the same edge or the ``ParseError`` that names what is wrong.
     """
     try:
         ts, src, src_type, edge_type, dst, dst_type = line.rstrip("\n").split("\t")
-        if ts.isdecimal() and ts.isascii() and src and src_type and edge_type and dst and dst_type:
-            return (int(ts), src, src_type, edge_type, dst, dst_type)
-    except ValueError:  # not six fields, or more digits than int takes
+        t = int(ts)
+        if t >= 0 and src and src_type and edge_type and dst and dst_type:
+            return (t, src, src_type, edge_type, dst, dst_type)
+    except ValueError:  # not six fields, or a timestamp int does not take
         pass
     return _parse_checked(line, line_no, source)
 

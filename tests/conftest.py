@@ -159,13 +159,13 @@ def watch_searches(monkeypatch, eng: Engine) -> list[tuple[int, int]]:
     engine watched gets its own list."""
     searches: list[tuple[int, int]] = []
     # a leaf's node id is its leaf index
-    leaf_of = {id(plan): node_id for entries in eng._by_label.values() for node_id, plan, _ in entries}
+    leaf_of = {id(roles): node_id for entries in eng._by_label.values() for node_id, roles, _ in entries}
     search = engine_module.match_primitive
 
-    def watched(graph, plan, anchor):
+    def watched(graph, roles, anchor):
         if graph is eng.graph:
-            searches.append((leaf_of[id(plan)], anchor[0]))
-        return search(graph, plan, anchor)
+            searches.append((leaf_of[id(roles)], anchor[0]))
+        return search(graph, roles, anchor)
 
     monkeypatch.setattr(engine_module, "match_primitive", watched)
     return searches

@@ -47,16 +47,22 @@ def rare_first_table():
 
 # ----------------------------------------------------------- match_primitive
 
+def anchored(graph, query, piece, anchor):
+    """``match_primitive`` with the searches ``piece``'s plan holds for the
+    anchor's label, as the engine passes them."""
+    return match_primitive(graph, search_plan(query, piece).get(anchor[5], ()), anchor)
+
+
 def test_match_primitive_single_edge():
     query = path_query(["e"], vertex_label="A")
     g = DynamicGraph()
     rec = g.add_edge(raw(0, "a", "e", "b"))
     piece = QueryPiece.from_edges(query, [0])
-    got = match_primitive(g, search_plan(query, piece), rec)
+    got = anchored(g, query, piece, rec)
     assert got == [stored_form(Match.of(query, [(0, 0, 0)], {0: "a", 1: "b"}))]
     # label-incompatible anchors match nothing
     other = g.add_edge(raw(1, "a", "f", "b"))
-    assert match_primitive(g, search_plan(query, piece), other) == []
+    assert anchored(g, query, piece, other) == []
 
 
 def test_match_primitive_two_edge_extension():
@@ -65,7 +71,7 @@ def test_match_primitive_two_edge_extension():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     rec = g.add_edge(raw(1, "b", "f", "c"))
-    got = match_primitive(g, search_plan(query, piece), rec)
+    got = anchored(g, query, piece, rec)
     assert got == [stored_form(Match.of(query, [(0, 0, 0), (1, 1, 1)], {0: "a", 1: "b", 2: "c"}))]
 
 
@@ -76,7 +82,7 @@ def test_match_primitive_automorphic_roles():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     rec = g.add_edge(raw(1, "a", "e", "b"))
-    got = match_primitive(g, search_plan(query, piece), rec)
+    got = anchored(g, query, piece, rec)
     bind = {0: "a", 1: "b"}
     assert sorted(got) == sorted([
         stored_form(Match.of(query, [(0, 0, 0), (1, 1, 1)], bind)),
@@ -91,9 +97,9 @@ def test_match_primitive_injectivity():
     g = DynamicGraph()
     g.add_edge(raw(0, "a", "e", "b"))
     rec = g.add_edge(raw(1, "b", "e", "a"))
-    assert match_primitive(g, search_plan(query, piece), rec) == []
+    assert anchored(g, query, piece, rec) == []
     rec2 = g.add_edge(raw(2, "b", "e", "c"))
-    got = match_primitive(g, search_plan(query, piece), rec2)
+    got = anchored(g, query, piece, rec2)
     assert got == [stored_form(Match.of(query, [(0, 0, 0), (1, 2, 2)], {0: "a", 1: "b", 2: "c"}))]
 
 
@@ -102,14 +108,14 @@ def test_match_primitive_self_loops():
     piece = QueryPiece.from_edges(loop_q, [0])
     g = DynamicGraph()
     plain = g.add_edge(raw(0, "a", "e", "b"))
-    assert match_primitive(g, search_plan(loop_q, piece), plain) == []
+    assert anchored(g, loop_q, piece, plain) == []
     looped = g.add_edge(raw(1, "c", "e", "c"))
-    got = match_primitive(g, search_plan(loop_q, piece), looped)
+    got = anchored(g, loop_q, piece, looped)
     assert got == [stored_form(Match.of(loop_q, [(0, 1, 1)], {0: "c"}))]
     # conversely a data loop cannot serve a two-vertex qedge
     path_q = path_query(["e"], vertex_label="A")
     ppiece = QueryPiece.from_edges(path_q, [0])
-    assert match_primitive(g, search_plan(path_q, ppiece), looped) == []
+    assert anchored(g, path_q, ppiece, looped) == []
 
 
 def _connected_shapes(max_edges: int) -> list[tuple[tuple[int, int], ...]]:
@@ -142,15 +148,14 @@ def _connected_shapes(max_edges: int) -> list[tuple[tuple[int, int], ...]]:
 PIECE_SHAPES = _connected_shapes(3)
 
 
-def _brute_force_bindings(query, piece_edges, graph):
-    """Every injective binding of ``piece_edges`` to live edges of ``graph``,
+def _brute_force_bindings(query, piece_edges, records):
+    """Every injective binding of ``piece_edges`` to the edge ``records``,
     as the flat tuple ``match_primitive`` returns, by trying every
     combination of edges whose labels fit."""
     qes = sorted(piece_edges)
     labels = query.vertex_labels
-    live = list(graph.live_edges())
     cands = [
-        [r for r in live if (r[5], r[3], r[4]) == (e.label, labels[e.src], labels[e.dst])]
+        [r for r in records if (r[5], r[3], r[4]) == (e.label, labels[e.src], labels[e.dst])]
         for e in (query.edges[qe] for qe in qes)
     ]
     found = []
@@ -199,9 +204,24 @@ def test_match_primitive_equals_brute_force_on_every_small_piece(seed):
     graph = DynamicGraph(window=16)  # the oldest edges leave
     for r in records:
         graph.add_edge(r)
-    anchors = list(graph.live_edges())
-    assert any(r[1] == r[2] for r in anchors)
-    checked = 0
+    live = list(graph.live_edges())
+    assert any(r[1] == r[2] for r in live)
+    # anchors no list holds, at u and w (live only by unindexed edges, so
+    # their lists are ()) and at zz (not in the table): a search reads both
+    # kinds of vertex as having no edges, so each such anchor finds what a
+    # brute force over the live edges plus that anchor finds
+    kinds.update(u="A", w="B", zz="A")
+    graph.add_edge(raw(20, "u", "g", "w", "A", "B"), False)
+    graph.add_edge(raw(20, "a", "g", "u"), False)
+    assert graph.vertex_table["u"].outgoing == graph.vertex_table["w"].incoming == ()
+    assert "zz" not in graph.vertex_table
+    ends = [("zz", "a"), ("a", "zz"), ("zz", "zz"), ("u", "a"), ("a", "u"), ("u", "u"), ("u", "zz"), ("w", "u"), ("x", "w")]
+    unlisted = [
+        (1000 + i, s, d, kinds[s], kinds[d], label, 20)
+        for i, ((s, d), label) in enumerate(itertools.product(ends, "ef"))
+    ]
+    unlisted_ids = {r[0] for r in unlisted}
+    checked = unlisted_checked = 0
     for shape in PIECE_SHAPES:
         n_verts = 1 + max(v for e in shape for v in e)
         for uniform in (True, False):
@@ -214,13 +234,23 @@ def test_match_primitive_equals_brute_force_on_every_small_piece(seed):
             query = QueryGraph(vlabels + ["A"], qedges)
             piece = [i for i, e in enumerate(qedges) if e.dst != n_verts]
             plan = search_plan(query, QueryPiece.from_edges(query, piece))
-            every = _brute_force_bindings(query, piece, graph)
-            for anchor in anchors:
-                got = match_primitive(graph, plan, anchor)
-                want = [m for m in every if anchor[0] in m[1:1 + query.n_edges]]
+            # no search calls a graph method: each reads the vertex table
+            for searches in plan.values():
+                for search in searches:
+                    assert not {"out_edges", "in_edges"} & set(search.__code__.co_names)
+            every = _brute_force_bindings(query, piece, live + unlisted)
+            for anchor in live + unlisted:
+                got = match_primitive(graph, plan.get(anchor[5], ()), anchor)
+                want = [
+                    m for m in every
+                    if anchor[0] in m[1:1 + query.n_edges]
+                    and not unlisted_ids.intersection(m[1:1 + query.n_edges]) - {anchor[0]}
+                ]
                 assert Counter(got) == Counter(want), (shape, qedges, anchor)
                 checked += len(want)
-    assert checked > 0
+                if anchor[0] in unlisted_ids:
+                    unlisted_checked += len(want)
+    assert checked > 0 and unlisted_checked > 0
 
 
 def test_match_primitive_guards():
@@ -542,6 +572,36 @@ def test_sweep_searches_an_edge_that_came_before_its_spine(monkeypatch):
     assert searches == [(0, 1), (1, 2), (2, 0)]
 
 
+def test_a_sweep_at_a_vertex_with_no_lists_searches_nothing(monkeypatch):
+    # the engine queues sweeps at the vertices of stored spine matches,
+    # which always have lists, so these two are queued by hand, with the
+    # sweep of leaf 1: one at u, kept live only by a non-query edge (its
+    # lists are ()), and one at zz, which the table lacks; neither walks an
+    # edge or searches, and each allows its vertex
+    eng = triangle_engine()
+    queued = []
+    drain = Engine._drain
+
+    def spying(self, arriving):
+        queued.extend(self._pending)
+        drain(self, arriving)
+
+    monkeypatch.setattr(Engine, "_drain", spying)
+    eng.process(raw(0, "u", "x", "w"))
+    eng.process(raw(1, "p", "a", "q"))  # the spine match p->q queues a sweep at q
+    [(sweep, v)] = queued
+    assert v == "q" and eng.graph.vertex_table["u"].outgoing == () and "zz" not in eng.graph.vertex_table
+    counters = dict(vars(eng.counters))
+    eng._pending.extend([(sweep, "u"), (sweep, "zz")])
+    eng._drain(None)
+    assert vars(eng.counters) == counters
+    assert eng._allowed[1] == {1: {"q", "u", "zz"}}
+    # an edge out of u now passes leaf 1's gate on arrival and is searched
+    searches = watch_searches(monkeypatch, eng)
+    assert eng.process(raw(2, "u", "b", "w")) == []
+    assert searches == [(1, 2)]
+
+
 def test_gate_sets_stay_bounded_on_fresh_vertices(monkeypatch):
     # fresh host ids every 50 ticks, 30 of them live at a time, window 40:
     # a gate set that only grows gains every host ever bound, while the
@@ -623,12 +683,12 @@ def test_vertex_made_by_a_non_query_edge_is_searched_and_evicted():
     eng = Engine(query, plan.tree, 5, lazy=True)
     for r in records[:2]:
         eng.process(r)
-    assert {vid: (v.out_edges, v.in_edges) for vid, v in eng.graph._vertices.items()} == {
+    assert {vid: (v.outgoing, v.incoming) for vid, v in eng.graph.vertex_table.items()} == {
         "a": ((), ()), "b": ((), ()), "c": ((), ())
     }
     emitted = [len(eng.process(r)) for r in records[2:]]
     assert emitted == [0, 0, 1, 2, 0, 0]
-    assert list(eng.graph.out_edges("a")) == [] and sorted(eng.graph._vertices) == ["p", "q"]
+    assert list(eng.graph.out_edges("a")) == [] and sorted(eng.graph.vertex_table) == ["p", "q"]
 
 
 def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):
@@ -659,13 +719,13 @@ def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):
     floor = graph_module._VERTEX_MIN_PRUNE
     for step, r in enumerate(records):
         assert signatures(eng.process(r)) == signatures(unpruned.process(r)), step
-        size = len(eng.graph._vertices)
+        size = len(eng.graph.vertex_table)
         if size > 2 * floor:  # counting the live vertices takes a pass
-            assert size <= 2 * eng.graph.vertex_count, step
+            assert size <= 2 * len(dict(eng.graph.vertices())), step
     assert eng.counters.emitted > 0
     assert vars(eng.counters) == vars(unpruned.counters)
-    assert len(unpruned.graph._vertices) > 10 * floor
-    assert unpruned.graph.vertex_count == eng.graph.vertex_count
+    assert len(unpruned.graph.vertex_table) > 10 * floor
+    assert len(dict(unpruned.graph.vertices())) == len(dict(eng.graph.vertices()))
 
 
 def windowed_social_engines():

@@ -15,6 +15,7 @@ from dgquery.graph import (
     _VERTEX_MIN_PRUNE,
     DynamicGraph,
     RawEdge,
+    _parse_checked,
     format_edge_line,
     parse_edge_line,
     read_edge_stream,
@@ -32,7 +33,7 @@ def test_add_edge_assigns_increasing_ids():
     assert (r0[0], r1[0], r2[0]) == (0, 1, 2)
     assert g.edges_ingested == 3
     assert g.edge_count == 3
-    assert g.vertex_count == 3
+    assert len(dict(g.vertices())) == 3
 
 
 def test_window_eviction_boundary():
@@ -59,7 +60,7 @@ def test_fresh_graph_cutoff_is_minus_infinity(window):
     g = DynamicGraph(window)
     assert g.cutoff == -math.inf
     g.evict_expired()
-    assert (g.edge_count, g.edges_evicted, g.vertex_count, g.t_last) == (0, 0, 0, -math.inf)
+    assert (g.edge_count, g.edges_evicted, len(dict(g.vertices())), g.t_last) == (0, 0, 0, -math.inf)
     g.add_edge(raw(0, "a", "e", "b"))
     assert (g.edge_count, g.edges_evicted, g.t_last) == (1, 0, 0)
     assert g.cutoff == (-math.inf if window is None else -5)
@@ -143,7 +144,7 @@ def test_unindexed_edge_is_checked_and_counted_but_stored_nowhere():
 def test_vertex_kept_live_only_by_an_unindexed_edge():
     g = DynamicGraph(window=5)
     g.add_edge(raw(0, "a", "x", "b"), False)
-    assert sorted(g.vertices()) == [("a", "A"), ("b", "A")] and g.vertex_count == 2
+    assert sorted(g.vertices()) == [("a", "A"), ("b", "A")]
     assert g.vertex_label("a") == "A"
     # live: a conflicting edge of either kind is rejected and changes nothing
     for index in INGESTS:
@@ -157,7 +158,7 @@ def test_vertex_kept_live_only_by_an_unindexed_edge():
     # at t=5 the stamp of t=0 has expired: the vertices are dead, though the
     # table still holds them, and the next edge at one takes it as new
     g.add_edge(raw(5, "p", "x", "q"), False)
-    assert sorted(g.vertices()) == [("p", "A"), ("q", "A")] and g.vertex_count == 2
+    assert sorted(g.vertices()) == [("p", "A"), ("q", "A")]
     with pytest.raises(KeyError):
         g.vertex_label("a")
     # a self-loop on a dead vertex still may not label it twice, with the
@@ -203,7 +204,7 @@ def test_a_vertex_gets_its_lists_with_its_first_indexed_edge():
         used = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert g.vertex_count == 20_000
+    assert len(dict(g.vertices())) == 20_000
     assert used / 20_000 < 200, used / 20_000
     # its first indexed edge gives it both lists, whichever end it is at,
     # a self-loop included, and they are read and evicted as any others
@@ -218,9 +219,9 @@ def test_a_vertex_gets_its_lists_with_its_first_indexed_edge():
     assert g.out_edges("d") == g.in_edges("d") == ()
     g.add_edge(raw(6, "p", "x", "q"), False)  # evicts the loop and a with it
     assert sorted(v for v, _ in g.vertices()) == ["b", "c", "p", "q"]
-    assert "a" not in g._vertices and g.edges_evicted == 1
+    assert "a" not in g.vertex_table and g.edges_evicted == 1
     g.add_edge(raw(7, "p", "x", "q"), False)
-    assert sorted(g._vertices) == ["d", "p", "q"]  # d, dead, waits for a prune
+    assert sorted(g.vertex_table) == ["d", "p", "q"]  # d, dead, waits for a prune
 
 
 def test_dead_vertices_leave_the_table_by_the_doubling_prune():
@@ -231,25 +232,25 @@ def test_dead_vertices_leave_the_table_by_the_doubling_prune():
     peak = 0
     for i in range(20_000):
         g.add_edge(raw(i // 4, f"v{i}", "x", f"w{i}"), False)
-        peak = max(peak, len(g._vertices))
-    assert g.vertex_count == 80  # two vertices per edge of the last 10 ticks
+        peak = max(peak, len(g.vertex_table))
+    assert len(dict(g.vertices())) == 80  # two vertices per edge of the last 10 ticks
     assert peak <= _VERTEX_MIN_PRUNE
     # the prune runs as an edge brings a new vertex in; a dead vertex that
     # edge reuses stays, with the edge
     g = DynamicGraph(window=5)
     g.add_edge(raw(0, "a", "x", "b"), False)
     i = 0
-    while len(g._vertices) + 2 <= _VERTEX_MIN_PRUNE:
+    while len(g.vertex_table) + 2 <= _VERTEX_MIN_PRUNE:
         g.add_edge(raw(10, f"v{i}", "x", f"w{i}"), False)
         i += 1
     rec = g.add_edge(raw(11, "a", "e", "new"))
-    assert "b" not in g._vertices and len(g._vertices) == _VERTEX_MIN_PRUNE
+    assert "b" not in g.vertex_table and len(g.vertex_table) == _VERTEX_MIN_PRUNE
     assert list(g.out_edges("a")) == [rec] and dict(g.vertices())["a"] == "A"
     # an unbounded window keeps every vertex live: the prune finds nothing
     g = DynamicGraph()
     for i in range(3_000):
         g.add_edge(raw(i, f"v{i}", "x", f"v{i + 1}"), False)
-    assert g.vertex_count == len(g._vertices) == 3_001
+    assert len(dict(g.vertices())) == len(g.vertex_table) == 3_001
 
 
 def _store_state(g: DynamicGraph, extra: tuple[str, ...]) -> tuple:
@@ -262,7 +263,7 @@ def _store_state(g: DynamicGraph, extra: tuple[str, ...]) -> tuple:
         g.t_last,
         g.edge_count,
         sorted(g.vertices()),
-        sorted((vid, v.label, v.stamp) for vid, v in g._vertices.items()),
+        sorted((vid, v.label, v.stamp) for vid, v in g.vertex_table.items()),
         [(vid, list(g.out_edges(vid)), list(g.in_edges(vid))) for vid in vids],
     )
 
@@ -318,7 +319,7 @@ def test_self_loop_reported_once_and_counted_once():
     # the loop sits once in each list of its vertex
     assert [r[0] for r in g.out_edges("a")] == [0, 1]
     assert [r[0] for r in g.in_edges("a")] == [0]
-    assert g.edge_count == 2 and g.vertex_count == 2  # the loop is one edge
+    assert g.edge_count == 2 and len(dict(g.vertices())) == 2  # the loop is one edge
 
 
 def test_parallel_edges_are_distinct_records():
@@ -454,3 +455,38 @@ def test_parse_edge_line_equals_the_reference_rules(line):
     # the one-pass path and the rule-by-rule path give what the rules give:
     # an equal tuple of the same type, or the same error at the same line
     assert _outcome(parse_edge_line, line) == _outcome(_reference_parse, line)
+
+
+# timestamp texts on the edge of the one-pass path: int takes each of the
+# first seven (underscores, surrounding spaces, a sign, non-ASCII digits),
+# and the last two it refuses (more digits than it converts, on an
+# interpreter with a conversion limit, and a base prefix)
+_TRICKY_TIMESTAMPS = ["12", "0", "1_000", " 12", "12 ", "+5", "-0", "-5", "١٢", "１２", "9" * 5_000, "0x10"]
+_FIELD_SHAPES = [
+    "{ts}\ta\tA\te\tb\tB",
+    "{ts}\ta\tA\te\tb\tB\n",
+    "{ts}\ta\tA\te\tb\tB\r\n",
+    "{ts}\ta\tA\te\tb\tB\n\n",
+    "{ts}\t\tA\te\tb\tB",
+    "{ts}\ta\tA\te\tb\t\n",
+    "{ts}\ta\t\t\t\t",
+    "{ts}\ta\tA\te\tb",
+    "{ts}\ta\tA\te\tb\tB\tC",
+    "# {ts}\ta\tA\te\tb\tB",
+    " #{ts}\ta\tA\te\tb\tB",
+    "{ts}",
+    " \t{ts}\t \t \t \t ",
+    "",
+    "\n",
+    " \t \t \t \t \t \n",
+]
+
+
+@pytest.mark.parametrize("shape", _FIELD_SHAPES)
+@pytest.mark.parametrize("ts", _TRICKY_TIMESTAMPS, ids=lambda ts: ts if len(ts) < 10 else f"{len(ts)} digits")
+def test_one_pass_parse_equals_the_checked_parse(ts, shape):
+    # wherever the one-pass path returns, the rule-by-rule parse returns the
+    # same tuple; everywhere else the line falls through to it, with its
+    # error
+    line = shape.format(ts=ts)
+    assert _outcome(parse_edge_line, line) == _outcome(_parse_checked, line)
