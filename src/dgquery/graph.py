@@ -24,10 +24,14 @@ by the next edge at it, so it may take a new label.
 
 Design notes
 ------------
-- Adjacency lists are kept in arrival order, so the globally oldest live edge
-  is always at the front of its endpoints' deques and eviction is O(1) per
-  evicted edge.  Every ingest evicts, indexed or not, so the lists hold only
-  live edges and a non-empty list means a live vertex.
+- Adjacency lists are kept in arrival order, and ``_arrivals`` holds, per
+  live indexed edge and oldest first, its source's out-list and then its
+  destination's in-list, so evicting the oldest edge is two
+  ``popleft().popleft()`` with no vertex lookup.  A deadline, the oldest
+  live edge's timestamp plus the window (``math.inf`` while none is live),
+  lets an edge with nothing to evict pay one compare.  Every ingest evicts,
+  indexed or not, so the lists hold only live edges and a non-empty list
+  means a live vertex.
 - A vertex gets its two deques with its first indexed edge and holds ``()``
   in their place until then, so a vertex kept live only by unindexed edges
   costs its slots object and no lists.  The append that finds ``()`` raises
@@ -42,12 +46,12 @@ Design notes
   before it changes anything, so a rejected edge leaves the store as it was.
   The checks are the same on both kinds of ingest, so the engine's store
   rejects exactly the edges a store that indexes everything rejects.
-- Eviction deletes a vertex once both its lists are empty and its stamp has
-  expired.  A vertex kept only by its stamp expires without an event; such
-  vertices leave in a prune of every dead vertex, run whenever the table
-  has doubled since the last one (and holds more than ``_VERTEX_MIN_PRUNE``
-  entries), so the table holds at most twice the live vertices of the last
-  prune, at amortized O(1) per new vertex.
+- Eviction deletes no vertex: a dead one keeps its record and lists until
+  a returning edge under its label takes them back, or a prune of every
+  dead vertex, run whenever the table has doubled since the last one (and
+  holds more than ``_VERTEX_MIN_PRUNE`` entries), drops it.  The table holds
+  at most twice the live vertices of the last prune, at amortized O(1) per
+  new vertex.
 - ``edges_ingested`` counts every edge and gives each its id, its position
   in the stream; ``edge_count``, ``live_edges`` and ``edges_evicted`` count
   and list indexed edges only.
@@ -69,6 +73,7 @@ Design notes
 """
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -177,12 +182,14 @@ class DynamicGraph:
         self.edges_evicted = 0
         self.vertex_table: dict[str, _Vertex] = {}
         self._vertex_cap = _VERTEX_MIN_PRUNE
-        self._arrivals: deque = deque()  # indexed EdgeRecords, oldest first
+        # per live indexed edge, oldest first: its source's out-list, its destination's in-list
+        self._arrivals: deque[deque] = deque()
+        self._deadline: float = math.inf  # the oldest live edge's ts + window
 
     # ------------------------------------------------------------------ ingest
 
     def add_edge(self, raw: WireEdge, index: bool = True) -> EdgeRecord | None:
-        """Ingest one edge, then eagerly evict everything that just expired.
+        """Ingest one edge, then evict everything that just expired.
 
         With ``index`` the edge is stored and its record returned; without,
         it only keeps its endpoints live and advances the stream (its id is
@@ -243,39 +250,26 @@ class DynamicGraph:
                 dst_v.incoming.append(rec)
             except AttributeError:
                 dst_v.outgoing, dst_v.incoming = deque(), deque((rec,))
-            arrivals.append(rec)
+            if not arrivals:
+                self._deadline = ts + self.window
+            arrivals.append(src_v.outgoing)
+            arrivals.append(dst_v.incoming)
         else:
             rec = None
             src_v.stamp = dst_v.stamp = ts
 
-        # [6]: timestamp; ts - window is the new cutoff, without a property call
-        if arrivals and arrivals[0][6] <= ts - self.window:
-            self.evict_expired()
+        if ts >= self._deadline:
+            # pop every expired edge off the front of its two lists, then
+            # move the deadline to the oldest edge left
+            queued = len(arrivals)
+            cutoff = ts - self.window
+            while arrivals and arrivals[0][0][6] <= cutoff:  # [6]: timestamp
+                gone = arrivals.popleft().popleft()
+                twin = arrivals.popleft().popleft()
+                assert twin is gone
+            self._deadline = arrivals[0][0][6] + self.window if arrivals else math.inf
+            self.edges_evicted += (queued - len(arrivals)) >> 1
         return rec
-
-    def evict_expired(self) -> None:
-        """Drop every edge with ``timestamp <= t_last - window``, and every
-        vertex that leaves with no edge in its lists and an expired stamp."""
-        cutoff = self.cutoff
-        arrivals = self._arrivals
-        vertices = self.vertex_table
-        evicted = 0
-        while arrivals and arrivals[0][6] <= cutoff:  # [6]: timestamp
-            rec = arrivals.popleft()
-            src, dst = rec[1], rec[2]
-            src_v = vertices[src]
-            dst_v = vertices[dst]
-            # one record object sits in all three deques, oldest first
-            popped = src_v.outgoing.popleft()
-            assert popped is rec
-            popped = dst_v.incoming.popleft()
-            assert popped is rec
-            evicted += 1
-            if not src_v.outgoing and not src_v.incoming and src_v.stamp <= cutoff:
-                del vertices[src]
-            if src != dst and not dst_v.outgoing and not dst_v.incoming and dst_v.stamp <= cutoff:
-                del vertices[dst]
-        self.edges_evicted += evicted
 
     def _live(self, v: _Vertex) -> bool:
         """Whether ``v`` has an edge in the window: one in its lists (which
@@ -304,7 +298,7 @@ class DynamicGraph:
     @property
     def edge_count(self) -> int:
         """Live indexed edges."""
-        return len(self._arrivals)
+        return len(self._arrivals) >> 1
 
     def vertex_label(self, vid: str) -> str:
         """The label of a live vertex; KeyError for any other."""
@@ -322,7 +316,8 @@ class DynamicGraph:
 
     def live_edges(self) -> Iterator[EdgeRecord]:
         """All live indexed edges, oldest first."""
-        return iter(self._arrivals)
+        # each record sits in one out-list, and its edge id leads it
+        return heapq.merge(*(v.outgoing for v in self.vertex_table.values() if v.outgoing))
 
     def out_edges(self, vid: str) -> deque[EdgeRecord] | tuple[()]:
         """Live edges leaving ``vid``, oldest first; ``()`` for an unknown

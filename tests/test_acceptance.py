@@ -489,7 +489,8 @@ def test_criterion_7_strategy_threshold_and_low_xi_win():
     assert walls["path"] < walls["single"], walls
     print(
         f"criterion 7: PASS — flip pinned at 0.001; low-xi (xi={auto.relative:.1e}) "
-        f"PathLazy {walls['path']:.2f}s < SingleLazy {walls['single']:.2f}s, "
+        f"PathLazy {walls['path']:.2f}s < SingleLazy {walls['single']:.2f}s "
+        f"(ratio {walls['path'] / walls['single']:.3f}), "
         f"{len(sigs['path'])} identical emissions"
     )
 

@@ -688,7 +688,14 @@ def test_vertex_made_by_a_non_query_edge_is_searched_and_evicted():
     }
     emitted = [len(eng.process(r)) for r in records[2:]]
     assert emitted == [0, 0, 1, 2, 0, 0]
-    assert list(eng.graph.out_edges("a")) == [] and sorted(eng.graph.vertex_table) == ["p", "q"]
+    assert list(eng.graph.out_edges("a")) == [] and sorted(dict(eng.graph.vertices())) == ["p", "q"]
+    # a, b and c are dead and wait in the table for the next prune
+    i = 0
+    while len(eng.graph.vertex_table) + 2 <= graph_module._VERTEX_MIN_PRUNE:
+        eng.process(raw(10, f"v{i}", "x", f"w{i}"))
+        i += 1
+    eng.process(raw(10, "m", "x", "n"))
+    assert not {"a", "b", "c"} & set(eng.graph.vertex_table)
 
 
 def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgquery import graph as graph_module
 from dgquery.errors import LabelConflictError, ParseError, StreamOrderError
 from dgquery.graph import (
     _VERTEX_MIN_PRUNE,
@@ -59,7 +60,6 @@ def test_fresh_graph_cutoff_is_minus_infinity(window):
     # window or not: nothing has expired, and a first edge at 0 is in order
     g = DynamicGraph(window)
     assert g.cutoff == -math.inf
-    g.evict_expired()
     assert (g.edge_count, g.edges_evicted, len(dict(g.vertices())), g.t_last) == (0, 0, 0, -math.inf)
     g.add_edge(raw(0, "a", "e", "b"))
     assert (g.edge_count, g.edges_evicted, g.t_last) == (1, 0, 0)
@@ -70,7 +70,6 @@ def test_unbounded_window_keeps_everything():
     g = DynamicGraph(window=None)
     for i in range(100):
         g.add_edge(raw(i * 10, f"v{i}", "e", f"v{i + 1}"))
-    g.evict_expired()
     assert g.edge_count == 100
     assert g.edges_evicted == 0
 
@@ -217,11 +216,25 @@ def test_a_vertex_gets_its_lists_with_its_first_indexed_edge():
     assert list(g.out_edges("c")) == list(g.in_edges("b")) == [cb]
     assert list(g.in_edges("c")) == list(g.out_edges("b")) == []
     assert g.out_edges("d") == g.in_edges("d") == ()
-    g.add_edge(raw(6, "p", "x", "q"), False)  # evicts the loop and a with it
+    lists = g.out_edges("a"), g.in_edges("a")
+    g.add_edge(raw(6, "p", "x", "q"), False)  # evicts the loop, and a dies with it
     assert sorted(v for v, _ in g.vertices()) == ["b", "c", "p", "q"]
-    assert "a" not in g.vertex_table and g.edges_evicted == 1
+    assert g.edges_evicted == 1 and list(g.out_edges("a")) == list(g.in_edges("a")) == []
     g.add_edge(raw(7, "p", "x", "q"), False)
-    assert sorted(g.vertex_table) == ["d", "p", "q"]  # d, dead, waits for a prune
+    assert sorted(v for v, _ in g.vertices()) == ["p", "q"]
+    # a dead vertex that returns under its label takes its lists back
+    back = g.add_edge(raw(7, "a", "e", "p"))
+    assert g.out_edges("a") is lists[0] and g.in_edges("a") is lists[1]
+    assert list(g.out_edges("a")) == [back] and sorted(v for v, _ in g.vertices()) == ["a", "p", "q"]
+    # the other dead vertices wait in the table for the next prune, which
+    # drops every one of them
+    i = 0
+    while len(g.vertex_table) + 2 <= _VERTEX_MIN_PRUNE:
+        g.add_edge(raw(7, f"v{i}", "x", f"w{i}"), False)
+        i += 1
+    g.add_edge(raw(7, "m", "x", "n"), False)
+    assert not {"b", "c", "d"} & set(g.vertex_table)
+    assert len(g.vertex_table) == len(dict(g.vertices())) == 2 * i + 5
 
 
 def test_dead_vertices_leave_the_table_by_the_doubling_prune():
@@ -330,21 +343,56 @@ def test_parallel_edges_are_distinct_records():
     assert [r[0] for r in g.in_edges("b")] == [0, 1]
 
 
-def test_window_invariant_randomized():
-    # after every ingest, exactly the edges younger than one window survive
-    rng = Random(11)
-    g = DynamicGraph(window=7)
-    ts = 0
-    alive: list[tuple[int, int]] = []  # (edge_id, timestamp)
-    next_id = 0
-    for _ in range(400):
-        ts += rng.choice((0, 0, 1, 1, 2, 5))
-        v1, v2 = f"v{rng.randrange(12)}", f"v{rng.randrange(12)}"
-        g.add_edge(raw(ts, v1, rng.choice("ef"), v2))
-        alive.append((next_id, ts))
-        next_id += 1
-        alive = [(i, t) for i, t in alive if t > ts - 7]
-        assert [r[0] for r in g.live_edges()] == [i for i, _ in alive]
+def test_window_invariant_randomized(monkeypatch):
+    # after every ingest the store holds exactly the indexed edges younger
+    # than one window, oldest first, and every vertex in its table, dead or
+    # not, lists exactly its live edges in arrival order; over indexed and
+    # unindexed edges, self-loops, tied timestamps, dead vertices that come
+    # back under a new label (and live ones that may not), and a prune floor
+    # low enough that the table is pruned about once in nine edges
+    monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 6)
+    for window in (7, None):
+        rng = Random(11)
+        g = DynamicGraph(window=window)
+        span = math.inf if window is None else window
+        ts = 0
+        taken: list[tuple[tuple, bool]] = []  # (record, indexed) of every edge taken
+        for step in range(800):
+            ts += rng.choice((0, 0, 1, 1, 2, 5))
+            # a few fresh vertices among twelve that keep coming back
+            src, dst = (f"v{rng.randrange(12)}" if rng.random() < 0.8 else f"u{step}{end}" for end in "sd")
+            dst = src if rng.random() < 0.1 else dst
+            src_type, dst_type = ("A" if rng.random() < 0.9 else "B" for _ in "sd")
+            index = rng.random() < 0.7
+            labels = {}
+            for (_, s, d, st, dt, _, t), _ in taken:
+                if t > g.t_last - span:
+                    labels[s], labels[d] = st, dt
+            conflict = (
+                labels.get(src, src_type) != src_type
+                or labels.get(dst, dst_type) != dst_type
+                or (src == dst and src_type != dst_type)
+            )
+            edge = raw(ts, src, rng.choice("ef"), dst, src_type, dst_type)
+            if conflict:
+                with pytest.raises(LabelConflictError):
+                    g.add_edge(edge, index)
+            else:
+                rec = (g.edges_ingested, src, dst, src_type, dst_type, edge.edge_type, ts)
+                assert g.add_edge(edge, index) == (rec if index else None)
+                taken.append((rec, index))
+            alive = [(rec, index) for rec, index in taken if rec[6] > g.t_last - span]
+            live = [rec for rec, index in alive if index]
+            assert list(g.live_edges()) == live
+            assert g.edge_count == len(live)
+            assert g.edges_evicted == sum(index for _, index in taken) - len(live)
+            labels = {}
+            for (_, s, d, st, dt, _, _), _ in alive:
+                labels[s], labels[d] = st, dt
+            assert dict(g.vertices()) == labels
+            for vid in g.vertex_table:
+                assert list(g.out_edges(vid)) == [rec for rec in live if rec[1] == vid]
+                assert list(g.in_edges(vid)) == [rec for rec in live if rec[2] == vid]
 
 
 # ---------------------------------------------------------------------- wire
