@@ -24,13 +24,13 @@ leaf keeps one set of data vertices per cut qvertex ``c``:
    did not with ``v`` absent is searched, catching leaf matches whose edges
    arrived before the spine match did.
 
-Between prunes the sets only grow, so a live edge starts to pass a gate at
-one moment: its arrival, where ``process`` checks it at each of its leaves
-in leaf order, or the sweep that allows the last binding it needs.  Each
-edge is searched at a gated leaf at that moment and never again, so no
-record of past searches is kept.  A sweep leaves the arriving edge to
-``process``: a sweep at a leaf comes from a spine match fed from an earlier
-leaf, so ``process`` still has that leaf to check.
+The sets lose only vertices with no live edge (see below), so a live edge
+starts to pass a gate at one moment: its arrival, where ``process`` checks
+it at each of its leaves in leaf order, or the sweep that allows the last
+binding it needs.  Each edge is searched at a gated leaf at that moment and
+never again, so no record of past searches is kept.  A sweep leaves the
+arriving edge to ``process``: a sweep at a leaf comes from a spine match fed
+from an earlier leaf, so ``process`` still has that leaf to check.
 
 Why the gate misses no joinable leaf match:
 
@@ -52,12 +52,13 @@ Why the gate misses no joinable leaf match:
   ``e``'s arrival, whichever is later, and the later of the two to be
   stored joins the other.
 
-The sets grow but for one prune: once their entries have doubled, every
-vertex with no live indexed edge is dropped.  A spine match that binds such
-a vertex holds an evicted edge there (its edges carry query labels, so they
-were indexed) and can never join again, and a spine match stored later that
-binds it allows it anew, with a sweep.  No live edge is at a dropped vertex,
-so the prune changes no live edge's gate.
+The sets shrink only by the graph's prune (``graph.vertex_sets`` lists them):
+each vertex the vertex table's doubling prune deletes, one with no live edge
+of any kind, leaves them too, so no live edge's gate changes.  A binding is
+allowed only for a spine match stored in the same ``process`` call, whose
+edges are live, so each set stays inside the table and its bound.  A spine
+match that binds a dropped vertex holds an evicted edge and never joins
+again; one stored later that binds it allows it anew, with a sweep.
 
 Eager mode is the same loop with every leaf always live: nothing is gated,
 nothing is allowed, and every leaf is searched at every arriving edge.
@@ -94,10 +95,6 @@ stored matches open it, and the engine then drives the tree
 spine node tests each cut binding of a match it stores and queues the sweep
 only for one not yet allowed, which is rule 1 above.
 
-The retroactive sweeps run off a flat worklist rather than recursing.
-Each leaf searches each edge at most once, as the eager engine does, which
-bounds the lazy engine's primitive searches by the eager engine's count.
-
 Below the root, partial matches are the join tree's flat ``(t_min, e_0 ...
 e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``).  The driven tree
 builds each emission's :class:`~dgquery.query.Match` itself and appends it
@@ -113,13 +110,11 @@ from typing import Callable
 from .errors import UnsupportedPrimitiveError
 from .graph import NO_VERTEX, DynamicGraph, EdgeRecord, WireEdge
 from .query import Match, QueryGraph, QueryPiece
-from .sjtree import Gate, Partial, SJTree
+from .sjtree import MAX_PRIMITIVE_EDGES, Gate, Partial, SJTree
 
 __all__ = ["SearchPlan", "search_plan", "match_primitive", "Counters", "Engine"]
 
-MAX_PRIMITIVE_EDGES = 3
 PURGE_INTERVAL = 1 << 14  # edges between two purge_stale sweeps
-GATE_MIN_PRUNE = 1 << 10  # the fewest gate entries worth a prune
 
 
 def _extension_steps(query: QueryGraph, edge_ids: list[int], role: int) -> tuple[tuple, ...]:
@@ -334,11 +329,8 @@ class Engine:
         self._delta: list[Match] = []
 
         # per leaf, {cut qvertex: the data vertices stored spine matches bind
-        # it to}, {} for an always-on leaf.  The sets are pruned of dead
-        # vertices whenever their entries pass _allowed_cap
+        # it to}, {} for an always-on leaf; the graph's prune drops dead ones
         self._allowed: list[dict[int, set[str]]] = []
-        self._allowed_count = 0
-        self._allowed_cap = GATE_MIN_PRUNE
         # per edge label, the leaves an edge with it can anchor (those whose
         # piece uses the label), in leaf order, as (the leaf's node id, its
         # role searches for the label, its role gate for the label or None
@@ -355,6 +347,7 @@ class Engine:
             cuts = tree.nodes[leaf.parent].cut_verts if lazy and leaf.leaf_index else ()
             allowed = {c: set() for c in cuts}
             self._allowed.append(allowed)
+            self.graph.vertex_sets.extend(allowed.values())
             edge_ids = sorted(leaf.piece.edges)
             ends = [query.edges[qe] for qe in edge_ids]
             gates: dict[str, RoleGate] = {}
@@ -441,7 +434,6 @@ class Engine:
             if v in allowed:
                 continue  # a sweep earlier in the queue allowed it
             allowed.add(v)
-            self._allowed_count += 1
             passing = []
             for adjacent in walks:
                 for rec in adjacent(v):
@@ -462,19 +454,3 @@ class Engine:
                         hits = [m for m in hits if all(m[s] <= newest for s in slots)]
                     if hits:
                         self._feed(node_id, hits)
-            if self._allowed_count > self._allowed_cap:
-                self._prune_allowed()
-
-    def _prune_allowed(self) -> None:
-        """Drop every allowed vertex that has no live edge (the module
-        docstring says why no join is lost), and let the entries double
-        before the next prune, at amortized O(1) per entry.  The sets change
-        in place: the role gates hold them."""
-        graph = self.graph
-        count = 0
-        for cuts in self._allowed:
-            for allowed in cuts.values():
-                allowed.difference_update([v for v in allowed if not (graph.out_edges(v) or graph.in_edges(v))])
-                count += len(allowed)
-        self._allowed_count = count
-        self._allowed_cap = max(2 * count, GATE_MIN_PRUNE)

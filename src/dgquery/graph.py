@@ -51,7 +51,8 @@ Design notes
   dead vertex, run whenever the table has doubled since the last one (and
   holds more than ``_VERTEX_MIN_PRUNE`` entries), drops it.  The table holds
   at most twice the live vertices of the last prune, at amortized O(1) per
-  new vertex.
+  new vertex.  It is the one rule for dead vertices: each vertex it deletes
+  also leaves every set in ``vertex_sets`` (the engine's gate sets).
 - ``edges_ingested`` counts every edge and gives each its id, its position
   in the stream; ``edge_count``, ``live_edges`` and ``edges_evicted`` count
   and list indexed edges only.
@@ -170,7 +171,8 @@ class DynamicGraph:
     table, there for the engine's compiled searches, which read a list with
     one ``dict.get`` and one slot read: read it, never change it.  It may
     hold dead vertices (a prune drops them), whose lists are empty, and a
-    vertex it lacks reads as :data:`NO_VERTEX`.
+    vertex it lacks reads as :data:`NO_VERTEX`.  A prune also discards each
+    vertex it deletes from every set of vertex ids listed in ``vertex_sets``.
     """
 
     def __init__(self, window: int | None = None):
@@ -182,6 +184,7 @@ class DynamicGraph:
         self.edges_evicted = 0
         self.vertex_table: dict[str, _Vertex] = {}
         self._vertex_cap = _VERTEX_MIN_PRUNE
+        self.vertex_sets: list[set[str]] = []
         # per live indexed edge, oldest first: its source's out-list, its destination's in-list
         self._arrivals: deque[deque] = deque()
         self._deadline: float = math.inf  # the oldest live edge's ts + window
@@ -280,12 +283,15 @@ class DynamicGraph:
 
     def _prune_vertices(self, *keep: str) -> None:
         """Delete every dead vertex but those in ``keep``, in place (the
-        caller holds the table), and let the table double before the next
-        prune."""
+        caller holds the table), and from each of ``vertex_sets``, and let
+        the table double before the next prune."""
         vertices = self.vertex_table
         live = self._live
-        for vid in [vid for vid, v in vertices.items() if not live(v) and vid not in keep]:
+        dead = [vid for vid, v in vertices.items() if not live(v) and vid not in keep]
+        for vid in dead:
             del vertices[vid]
+        for vids in self.vertex_sets:
+            vids.difference_update(dead)
         self._vertex_cap = max(2 * len(vertices), _VERTEX_MIN_PRUNE)
 
     # ------------------------------------------------------------------ access

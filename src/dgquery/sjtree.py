@@ -60,6 +60,8 @@ from .query import Match, QueryGraph, QueryPiece
 
 __all__ = ["JoinKey", "Partial", "Gate", "SJTreeNode", "SJTree", "join"]
 
+MAX_PRIMITIVE_EDGES = 3  # the most qedges a leaf piece holds
+
 # the cut's vertex binding, or for a cut of several vertices a tuple of them
 # in qvertex-id order; () for an empty cut
 JoinKey = str | tuple[str, ...]
@@ -436,8 +438,8 @@ class SJTree:
                     raise ValueError(f"qedge {max(ids)} is outside the query")
                 if len(set(ids)) != len(ids):
                     raise ValueError("a qedge repeats within the leaf")
-                if len(ids) > 3:
-                    raise ValueError("a leaf holds at most 3 qedges")
+                if len(ids) > MAX_PRIMITIVE_EDGES:
+                    raise ValueError(f"a leaf holds at most {MAX_PRIMITIVE_EDGES} qedges")
                 piece = QueryPiece.from_edges(query, ids)
                 if not piece.is_connected(query):
                     raise ValueError("the leaf is not connected")

@@ -129,6 +129,17 @@ def _count(value: object, what: str, source: str | None) -> int:
     return value
 
 
+def _row_key(labels: tuple, key: tuple, seen: dict, source: str | None) -> tuple:
+    """``key`` of a stats row, or a ParseError when one of its ``labels`` is
+    no string (JSON gives a label as one) or ``seen`` holds the key."""
+    for label in labels:
+        if type(label) is not str:
+            raise ParseError(f"a label must be a string, not {label!r}", source=source)
+    if key in seen:
+        raise ParseError(f"repeated row {key!r}", source=source)
+    return key
+
+
 def _canonical_path_key(center_label: str, d1: Descriptor, d2: Descriptor) -> PathKey:
     if d2 < d1:
         d1, d2 = d2, d1
@@ -258,11 +269,14 @@ class SelectivityTable:
         try:
             for row in doc["arity1"]:
                 key = (row["src_type"], row["edge_type"], row["dst_type"])
-                arity1[key] = _count(row["count"], "row count", source)
+                arity1[_row_key(key, key, arity1, source)] = _count(row["count"], "row count", source)
             for row in doc["arity2"]:
-                d1 = (row["d1"]["edge_type"], row["d1"]["far_type"], row["d1"]["dir"])
-                d2 = (row["d2"]["edge_type"], row["d2"]["far_type"], row["d2"]["dir"])
-                key2 = _canonical_path_key(row["center_type"], d1, d2)
+                d1, d2 = ((d["edge_type"], d["far_type"], d["dir"]) for d in (row["d1"], row["d2"]))
+                for d in (d1, d2):
+                    if d[2] not in ("out", "in"):
+                        raise ParseError(f"dir must be 'out' or 'in', not {d[2]!r}", source=source)
+                center = row["center_type"]
+                key2 = _row_key((center, *d1, *d2), _canonical_path_key(center, d1, d2), arity2, source)
                 arity2[key2] = _count(row["count"], "row count", source)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed stats row: {exc}", source=source) from None

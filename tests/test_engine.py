@@ -602,11 +602,20 @@ def test_a_sweep_at_a_vertex_with_no_lists_searches_nothing(monkeypatch):
     assert searches == [(1, 2)]
 
 
+def gate_sets_in_table(eng) -> bool:
+    """Whether each of ``eng``'s gate sets holds only vertices its graph's
+    table holds."""
+    table = eng.graph.vertex_table
+    return all(v in table for vids in eng.graph.vertex_sets for v in vids)
+
+
 def test_gate_sets_stay_bounded_on_fresh_vertices(monkeypatch):
     # fresh host ids every 50 ticks, 30 of them live at a time, window 40:
     # a gate set that only grows gains every host ever bound, while the
-    # prune drops the dead ones once the entries double, and the engine
-    # emits exactly what an engine that never prunes emits
+    # graph's prune drops each dead vertex from the table and the gate sets
+    # alike, so after every edge each set is inside the table, and the
+    # engine emits and counts exactly what an engine whose graph never
+    # prunes does
     rng = Random(3)
     records = []
     for i in range(30_000):
@@ -618,18 +627,61 @@ def test_gate_sets_stay_bounded_on_fresh_vertices(monkeypatch):
     def tree():
         return SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
 
-    def entries(eng):
-        return sum(len(allowed) for cuts in eng._allowed for allowed in cuts.values())
-
-    monkeypatch.setattr(engine, "GATE_MIN_PRUNE", 1 << 30)
+    monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 1 << 30)
     unpruned = Engine(query, tree(), 40, lazy=True)
-    monkeypatch.undo()
+    monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 64)
     eng = Engine(query, tree(), 40, lazy=True)
+    assert len(eng.graph.vertex_sets) == 2  # leaf 1 gated on q1, leaf 2 on q2
+    peak = 0
     for step, r in enumerate(records):
         assert signatures(eng.process(r)) == signatures(unpruned.process(r)), step
-        assert entries(eng) <= 2 * engine.GATE_MIN_PRUNE, step
+        assert gate_sets_in_table(eng), step
+        peak = max(peak, len(eng.graph.vertex_table))
     assert eng.counters.emitted > 0
-    assert entries(unpruned) > 2 * engine.GATE_MIN_PRUNE
+    assert vars(eng.counters) == vars(unpruned.counters)
+    # sets that were never pruned outgrow the largest table the pruned engine held
+    assert min(len(vids) for vids in unpruned.graph.vertex_sets) > peak
+
+
+@pytest.mark.parametrize("plan", ["single", "path", "leaf 0\nleaf 1 2"])
+def test_prunes_keep_gated_leaves_exact(monkeypatch, plan):
+    # fresh host ids every 5 ticks and two labels outside the query, with
+    # the prune floor at 6: the table prunes many times, and the gate sets
+    # lose vertices at those prunes.  The path plan's 2-edge leaf is leaf 0,
+    # so the hand-ordered tree gates a 2-edge leaf.  After every edge the
+    # engine emits what the rescan baseline emits, and each gate set is
+    # inside the table
+    monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 6)
+    rng = Random(11)
+    records = []
+    for i in range(3000):
+        ts = i // 4
+        gen = ts // 5
+        records.append(raw(ts, f"h{gen}.{rng.randrange(6)}", rng.choice("abcxy"), f"h{gen}.{rng.randrange(6)}"))
+    query = path_query(["a", "b", "c"], vertex_label="A")
+    if plan in ("single", "path"):
+        tree = plan_query(query, collect_stats(records), mode=plan).tree
+    else:
+        tree = SJTree.deserialize(f"sjtree\n{plan}\n", query)
+    gated = [len(leaf.piece.edges) for leaf in tree.leaves()[1:]]
+    assert gated == {"single": [1, 1], "path": [1]}.get(plan, [2])
+    eng = Engine(query, tree, 8, lazy=True)
+    rescan = RescanEngine(query, 8)
+    dropped = []
+    prune = DynamicGraph._prune_vertices
+
+    def counting(graph, *keep):
+        before = sum(map(len, graph.vertex_sets))
+        prune(graph, *keep)
+        if graph is eng.graph:
+            dropped.append(before - sum(map(len, graph.vertex_sets)))
+
+    monkeypatch.setattr(DynamicGraph, "_prune_vertices", counting)
+    for step, r in enumerate(records):
+        assert signatures(eng.process(r)) == signatures(rescan.process(r)), step
+        assert gate_sets_in_table(eng), step
+    assert eng.counters.emitted > 0
+    assert len(dropped) > 20 and sum(dropped) > 0
 
 
 def test_label_conflict_seen_only_through_a_non_query_edge():
@@ -718,7 +770,6 @@ def test_vertex_table_stays_bounded_on_fresh_vertices(monkeypatch):
     def tree():
         return SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, [i]) for i in range(3)])
 
-    monkeypatch.setattr(engine, "GATE_MIN_PRUNE", 1 << 30)
     monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 1 << 30)
     unpruned = Engine(query, tree(), 20, lazy=True)
     monkeypatch.undo()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
 from collections import Counter
 from random import Random
@@ -226,6 +227,13 @@ def test_table_json_round_trip(tmp_path):
     assert SelectivityTable.load(str(path)).arity2 == t.arity2
 
 
+def repeat_row(text, arity):
+    """The stats document ``text`` with its first ``arity`` row listed twice."""
+    doc = json.loads(text)
+    doc[arity].append(doc[arity][0])
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "mangle,fragment",
     [
@@ -243,6 +251,15 @@ def test_table_json_round_trip(tmp_path):
         (lambda d: d.replace('"count": 6', '"count": -4').replace('"arity1": 10', '"arity1": 0'),
          "row count must be a count"),
         (lambda d: d.replace('"N": 10', '"N": -1'), "N must be a count"),
+        (lambda d: d.replace('"src_type": "A"', '"src_type": 5', 1), "a label must be a string, not 5"),
+        (lambda d: d.replace('"edge_type": "f"', '"edge_type": null', 1), "a label must be a string, not None"),
+        (lambda d: d.replace('"center_type": "A"', '"center_type": ["A"]'), "a label must be a string"),
+        (lambda d: d.replace('"far_type": "B"', '"far_type": 1'), "a label must be a string, not 1"),
+        (lambda d: d.replace('"dir": "out"', '"dir": "sideways"', 1), "dir must be 'out' or 'in', not 'sideways'"),
+        # a repeated row is refused even when the totals match the rows
+        # left after the later one replaced the earlier
+        (lambda d: repeat_row(d, "arity1"), "repeated row ('A', 'e', 'A')"),
+        (lambda d: repeat_row(d, "arity2"), "repeated row ('A', ('e', 'A', 'out')"),
     ],
 )
 def test_table_json_validation(mangle, fragment):
