@@ -21,8 +21,9 @@ leaf keeps one set of data vertices per cut qvertex ``c``:
 3. a binding (c, v) not yet allowed queues a sweep, which adds it: every
    live edge out of ``v`` (when ``c`` is the source of a qedge of the piece)
    and into ``v`` (when it is a destination) that passes the gate now but
-   did not with ``v`` absent is searched, catching leaf matches whose edges
-   arrived before the spine match did.
+   did not with ``v`` absent is searched, once (a loop at ``v`` sits in
+   both lists), catching leaf matches whose edges arrived before the spine
+   match did.
 
 The sets lose only vertices with no live edge (see below), so a live edge
 starts to pass a gate at one moment: its arrival, where ``process`` checks
@@ -76,21 +77,28 @@ search calls no graph method, and a vertex the table lacks has no edges.
 
 An arriving edge goes only to the leaves whose piece uses its label: one
 dict lookup per edge gives those leaves in leaf order, each with its role
-searches for that label and its role gate for it, a tuple of (source set or
-None, destination set or None) per qedge, or None when the leaf is always
-on.  A search is then two Python frames, :func:`match_primitive` and the
-compiled search; a sweep passes the searches of the swept edge's label the
-same way.  The lookup runs before ingest: an edge whose label no qedge
+searches for that label and its role gate for it, a compiled test of the
+edge's two ends against the leaf's sets, or None when the leaf is always on
+(or a qedge with that label has no cut end).  A search is then two Python
+frames, :func:`match_primitive` and the compiled search; a sweep passes the
+searches of the swept edge's label the same way.  The lookup runs before ingest: an edge whose label no qedge
 carries finds no leaf, and the graph ingests it unindexed.  It is checked
 like any edge and keeps its endpoints live, but no adjacency list holds it,
 so searches, sweeps and eviction never walk it.
 
-One pass over the leaves builds all of this.  Per cut qvertex of a gated
-leaf it makes one gate for the tree: the qvertex, its allowed set, and the
-sweep a new binding there queues, which holds what the sweep needs (the
-leaf's node id, plan, role gates and edge slots, the set, and the adjacency
-lists to walk).  The gates go under the leaf's sibling, the spine node whose
-stored matches open it, and the engine then drives the tree
+One pass over the leaves builds all of this.  Per gated leaf, one builder of
+the gate test's source compiles a role gate per edge label of the piece and a
+sweep per cut qvertex ``c``: ``fresh(v, arriving)`` walks ``v``'s lists in
+the rule-3 order and returns the edges to search.  The sweep folds in what
+its walk knows: the walked end is ``v``, whose atom at ``c`` is true now and
+was false before, and the far end ``x``'s atom at ``c`` read ``x != v and x
+in A<c>`` before, so a single-edge leaf's sweep costs one label compare and
+at most one set test per edge.  Per cut qvertex the pass then makes one gate
+for the tree: the qvertex, its allowed set, and the sweep a new binding there
+queues, which holds what the sweep needs (the leaf's node id, plan and edge
+slots, the set and the compiled sweep).  The gates go under the leaf's
+sibling, the spine node whose stored matches open it, and the engine then
+drives the tree
 (:meth:`~dgquery.sjtree.SJTree.drive`): the tree's compiled insert at that
 spine node tests each cut binding of a match it stores and queues the sweep
 only for one not yet allowed, which is rule 1 above.
@@ -110,7 +118,7 @@ from typing import Callable
 from .errors import UnsupportedPrimitiveError
 from .graph import NO_VERTEX, DynamicGraph, EdgeRecord, WireEdge
 from .query import Match, QueryGraph, QueryPiece
-from .sjtree import MAX_PRIMITIVE_EDGES, Gate, Partial, SJTree
+from .sjtree import MAX_PRIMITIVE_EDGES, Gate, Partial, SJTree, _define
 
 __all__ = ["SearchPlan", "search_plan", "match_primitive", "Counters", "Engine"]
 
@@ -257,27 +265,113 @@ def match_primitive(graph: DynamicGraph, searches: tuple[Search, ...], anchor: E
     return results
 
 
-# per qedge of a gated leaf's piece with one edge label: the allowed set of
-# its source and of its destination, None for an end outside the cut
-RoleGate = tuple[tuple[set[str] | None, set[str] | None], ...]
+# a test in a gate's source: a Python expression, or True or False once
+# folded to a constant
+Test = bool | str
 
 
-def _opens(gate: RoleGate, rec: EdgeRecord) -> bool:
-    """Whether a role gate lets ``rec`` through: some qedge it lists can hold
-    the edge with its source and destination each in the qedge's set, where
-    the qedge has one (None: that end is outside the cut)."""
-    for src_ok, dst_ok in gate:
-        if (src_ok is None or rec[1] in src_ok) and (dst_ok is None or rec[2] in dst_ok):
+def _all(*tests: Test) -> Test:
+    if False in tests:
+        return False
+    rest = [t for t in tests if t is not True]
+    return " and ".join(f"({t})" if " or " in t else t for t in rest) if rest else True
+
+
+def _any(*tests: Test) -> Test:
+    if True in tests:
+        return True
+    rest = list(dict.fromkeys(t for t in tests if t is not False))  # parallel qedges give one term twice
+    return " or ".join(rest) if rest else False
+
+
+def _gate_test(ends: list, cut: set[int], c: int | None = None, walked: int = 0, before: bool = False) -> Test:
+    """Whether an edge ``rec`` passes a gated leaf's role gate, as source:
+    some qedge in ``ends`` (those with the edge's label) holds it with its
+    source ``rec[1]`` and destination ``rec[2]`` each in the set ``A<qv>`` of
+    its qvertex ``qv``, for each end in ``cut``.
+
+    For a sweep at ``v`` newly allowed at cut qvertex ``c``, ``rec`` is at
+    ``v`` as its end ``walked`` (1 or 2), and the test folds that in: ``v``'s
+    atom at ``c`` is true now and was false ``before`` ``v`` was added, then
+    the far end ``x``'s atom at ``c`` read ``x != v and x in A<c>``."""
+
+    def atom(qv: int, end: int) -> Test:
+        if qv not in cut:
             return True
-    return False
+        if end == walked:
+            return not before if qv == c else f"v in A{qv}"
+        if before and qv == c:
+            return f"rec[{end}] != v and rec[{end}] in A{c}"
+        return f"rec[{end}] in A{qv}"
+
+    return _any(*(_all(atom(e.src, 1), atom(e.dst, 2)) for e in ends))
+
+
+# a compiled role gate: whether an edge with its label passes a gated leaf's
+# gate; a label one of whose qedges has no cut end has none (always passes)
+LabelGate = Callable[[EdgeRecord], bool]
+# a compiled sweep at a cut qvertex: fresh(v, arriving), the edges at v
+# that pass the gate with v allowed there and did not without it
+Fresh = Callable[[str, EdgeRecord | None], list[EdgeRecord]]
+
+
+def _compile_gates(
+    query: QueryGraph, leaf_index: int, edge_ids: list[int], allowed: dict[int, set[str]], vertex_table: dict
+) -> tuple[dict[str, LabelGate | None], dict[int, Fresh]]:
+    """A gated leaf's role gate per edge label of its piece and its sweep
+    per cut qvertex, each a plain function over ``allowed``'s sets (as
+    ``A<qv>``) and ``vertex_table``.  A label reaches the code only as a
+    constant ``K<i>`` in its namespace.
+
+    A sweep at ``c`` walks ``v``'s out-list when ``c`` is the source of a
+    qedge of the piece, then its in-list when ``c`` is a destination, and
+    returns, in walk order, each edge but ``arriving`` that passes the gate
+    now and did not with ``v`` absent; when both walks run, the in-walk
+    skips a loop at ``v``, which the out-walk returned."""
+    ends = [query.edges[qe] for qe in edge_ids]
+    by_label: dict[str, list] = {}
+    for e in ends:
+        by_label.setdefault(e.label, []).append(e)
+    cut = set(allowed)
+    namespace = {"NO_VERTEX": NO_VERTEX, "vertex_table": vertex_table, **{f"A{c}": allowed[c] for c in cut}}
+    namespace.update((f"K{i}", label) for i, label in enumerate(by_label))
+    gates: dict[str, LabelGate | None] = {}
+    for i, (label, held) in enumerate(by_label.items()):
+        test = _gate_test(held, cut)
+        title = f"<gate {i} of leaf {leaf_index}>"
+        gates[label] = None if test is True else _define(["def gate(rec):", f"    return {test}"], title, namespace)
+    sweeps: dict[int, Fresh] = {}
+    for c in sorted(cut):
+        walks = [
+            (end, slot) for end, slot in ((1, "outgoing"), (2, "incoming"))
+            if any((e.src, e.dst)[end - 1] == c for e in ends)
+        ]
+        lines = ["def fresh(v, arriving):", "    found = []", "    keep = found.append"]
+        for end, slot in walks:
+            branches: list[str] = []
+            for i, held in enumerate(by_label.values()):
+                now, before = _gate_test(held, cut, c, end), _gate_test(held, cut, c, end, before=True)
+                test = _all(now, not before if isinstance(before, bool) else f"not ({before})")
+                if test is False:
+                    continue
+                if end == 2 and len(walks) == 2:
+                    test = _all(test, "rec[1] != v")  # a loop at v, which the out-walk returned
+                branches += [
+                    f"        {'elif' if branches else 'if'} label == K{i}:",
+                    f"            if {_all(test, 'rec is not arriving')}:",
+                    "                keep(rec)",
+                ]
+            if branches:
+                lines += [f"    for rec in vertex_table.get(v, NO_VERTEX).{slot}:", "        label = rec[5]", *branches]
+        lines.append("    return found")
+        sweeps[c] = _define(lines, f"<sweep of leaf {leaf_index} at qvertex {c}>", namespace)
+    return gates, sweeps
 
 
 # what a sweep at a gated leaf and cut qvertex needs: the leaf's node id, its
-# search plan, its RoleGate per edge label and its edge slots in a match, then
-# the qvertex's allowed set and the adjacency lists a sweep at a vertex newly
-# allowed there walks: the out-edges when the qvertex is the source of a qedge
-# of the piece, the in-edges when it is a destination
-Sweep = tuple[int, SearchPlan, dict[str, RoleGate], tuple[int, ...], set[str], tuple]
+# search plan and its edge slots in a match, the qvertex's allowed set and
+# its compiled sweep
+Sweep = tuple[int, SearchPlan, tuple[int, ...], set[str], Fresh]
 
 
 @dataclass
@@ -334,8 +428,8 @@ class Engine:
         # per edge label, the leaves an edge with it can anchor (those whose
         # piece uses the label), in leaf order, as (the leaf's node id, its
         # role searches for the label, its role gate for the label or None
-        # when always on)
-        by_label: dict[str, list[tuple[int, tuple[Search, ...], RoleGate | None]]] = {}
+        # when that always passes)
+        by_label: dict[str, list[tuple[int, tuple[Search, ...], LabelGate | None]]] = {}
         # spine node -> the tree's Gate per cut qvertex of the gated leaf its
         # stored matches open, each queueing that leaf's Sweep at the qvertex
         spine_gates: dict[int, tuple[Gate, ...]] = {}
@@ -349,24 +443,15 @@ class Engine:
             self._allowed.append(allowed)
             self.graph.vertex_sets.extend(allowed.values())
             edge_ids = sorted(leaf.piece.edges)
-            ends = [query.edges[qe] for qe in edge_ids]
-            gates: dict[str, RoleGate] = {}
-            for e in ends:
-                gates[e.label] = gates.get(e.label, ()) + ((allowed.get(e.src), allowed.get(e.dst)),)
+            gates, sweeps = _compile_gates(query, leaf.leaf_index, edge_ids, allowed, self.graph.vertex_table)
             for label, searches in plan.items():
-                by_label.setdefault(label, []).append((leaf.node_id, searches, gates[label] if cuts else None))
+                by_label.setdefault(label, []).append((leaf.node_id, searches, gates[label]))
             if cuts:
-                cut_gates = []
-                for c in cuts:
-                    walks: tuple = ()
-                    if any(e.src == c for e in ends):
-                        walks += (self.graph.out_edges,)
-                    if any(e.dst == c for e in ends):
-                        walks += (self.graph.in_edges,)
-                    sweep = (leaf.node_id, plan, gates, tuple(1 + qe for qe in edge_ids), allowed[c], walks)
-                    cut_gates.append((c, allowed[c], sweep))
+                slots = tuple(1 + qe for qe in edge_ids)
                 # the leaf's sibling is the spine node covering the leaves before it
-                spine_gates[leaf.sibling] = tuple(cut_gates)
+                spine_gates[leaf.sibling] = tuple(
+                    (c, allowed[c], (leaf.node_id, plan, slots, allowed[c], sweeps[c])) for c in cuts
+                )
         self._by_label = {label: tuple(entries) for label, entries in by_label.items()}
         # sweeps to run, as the tree queues them: (a Sweep, the vertex to allow)
         self._pending: deque[tuple[Sweep, str]] = deque()
@@ -396,7 +481,7 @@ class Engine:
             for node_id, searches, gate in entries:
                 # always on, or gated and passing now: the edge is the newest
                 # edge of every hit, so each hit is kept
-                if gate is None or _opens(gate, rec):
+                if gate is None or gate(rec):
                     counters.match_calls += 1
                     hits = match_primitive(graph, searches, rec)
                     if hits:
@@ -423,34 +508,26 @@ class Engine:
     def _drain(self, arriving: EdgeRecord) -> None:
         """Run queued sweeps until none are left, without recursing: a sweep
         allows its vertex ``v`` at its leaf and cut qvertex, and searches
-        each live edge at ``v``, in a direction the cut qvertex takes in the
-        piece, that passes the role gate now but did not with ``v`` absent.
-        It skips ``arriving``, which ``process`` checks at this leaf later.
+        each edge its compiled ``fresh(v, arriving)`` returns: those at
+        ``v``, in a direction the cut qvertex takes in the piece, that pass
+        the role gate now but did not with ``v`` absent, but ``arriving``,
+        which ``process`` checks at this leaf later.  Each search goes
+        through the module's ``match_primitive``, so a wrapper set there
+        sees it.
 
         A sweep search keeps a hit of a multi-edge leaf only when the anchor
         is the hit's newest edge: that edge's own search finds it too."""
-        while self._pending:
-            (node_id, plan, gates, slots, allowed, walks), v = self._pending.popleft()
+        graph, counters, pending = self.graph, self.counters, self._pending
+        while pending:
+            (node_id, plan, slots, allowed, fresh), v = pending.popleft()
             if v in allowed:
                 continue  # a sweep earlier in the queue allowed it
             allowed.add(v)
-            passing = []
-            for adjacent in walks:
-                for rec in adjacent(v):
-                    gate = gates.get(rec[5])  # rec[5]: the edge label
-                    if gate is not None and _opens(gate, rec):
-                        passing.append(rec)
-            if passing:
-                allowed.remove(v)
-                fresh = [rec for rec in passing if rec is not arriving and not _opens(gates[rec[5]], rec)]
-                allowed.add(v)
-                if len(walks) > 1:
-                    fresh = dict.fromkeys(fresh)  # a self-loop at v sits in both walks
-                for rec in fresh:
-                    self.counters.match_calls += 1
-                    hits = match_primitive(self.graph, plan[rec[5]], rec)
-                    if len(slots) > 1:
-                        newest = rec[0]
-                        hits = [m for m in hits if all(m[s] <= newest for s in slots)]
-                    if hits:
-                        self._feed(node_id, hits)
+            for rec in fresh(v, arriving):
+                counters.match_calls += 1
+                hits = match_primitive(graph, plan[rec[5]], rec)  # rec[5]: the edge label
+                if len(slots) > 1:
+                    newest = rec[0]
+                    hits = [m for m in hits if all(m[s] <= newest for s in slots)]
+                if hits:
+                    self._feed(node_id, hits)

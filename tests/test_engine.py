@@ -602,6 +602,111 @@ def test_a_sweep_at_a_vertex_with_no_lists_searches_nothing(monkeypatch):
     assert searches == [(1, 2)]
 
 
+def _passes(rec, held, allowed) -> bool:
+    """Brute force of a role gate: whether some qedge in ``held`` (those
+    with ``rec``'s label) holds ``rec`` with each end that ``allowed`` has a
+    set for in that set."""
+    return any(
+        (e.src not in allowed or rec[1] in allowed[e.src]) and (e.dst not in allowed or rec[2] in allowed[e.dst])
+        for e in held
+    )
+
+
+def test_compiled_gates_and_sweeps_equal_brute_force():
+    # every piece shape of 1-3 qedges, labels drawn so that two qedges often
+    # share one, and a random nonempty cut: loop qedges, single-edge leaves
+    # with both ends cut and cut qvertices that are both a source and a
+    # destination come up, each over a live multigraph with loops, parallel
+    # edges and a label no qedge has, under random allowed sets.  A gate
+    # must read as the brute force; a sweep at (c, v) must return the edges
+    # at v that pass with v allowed at c and not without, out-list first,
+    # each once, ``arriving`` left out
+    rng = Random(41)
+    seen: Counter = Counter()
+    names = "abcd"
+    for trial in range(420):
+        shape = PIECE_SHAPES[trial % len(PIECE_SHAPES)]
+        n_verts = 1 + max(v for e in shape for v in e)
+        qedges = [QueryEdge(s, d, rng.choice("ef")) for s, d in shape]
+        query = QueryGraph(["A"] * n_verts, qedges)
+        cut = rng.sample(range(n_verts), rng.randint(1, n_verts))
+        graph = DynamicGraph(window=rng.choice((6, None)))
+        for ts in range(rng.randrange(5, 40)):
+            src = rng.choice(names)
+            dst = src if rng.random() < 0.2 else rng.choice(names)
+            graph.add_edge(raw(ts // 2, src, rng.choice("efg"), dst))
+        allowed = {c: {v for v in names + "z" if rng.random() < 0.5} for c in cut}
+        gates, sweeps = engine._compile_gates(query, 1, list(range(len(qedges))), allowed, graph.vertex_table)
+        by_label: dict = {}
+        for e in qedges:
+            by_label.setdefault(e.label, []).append(e)
+        assert set(gates) == set(by_label) and set(sweeps) == set(cut)
+        for rec in graph.live_edges():
+            if rec[5] in by_label:
+                gate = gates[rec[5]]
+                assert (gate is None or bool(gate(rec))) == _passes(rec, by_label[rec[5]], allowed), (qedges, cut, rec)
+                seen["always open"] += gate is None
+        for c in cut:
+            out = any(e.src == c for e in qedges)
+            into = any(e.dst == c for e in qedges)
+            for v in names + "z":
+                at_v = [*(graph.out_edges(v) if out else ()), *(graph.in_edges(v) if into else ())]
+                arriving = rng.choice([*at_v, None])
+                had = v in allowed[c]
+                allowed[c].discard(v)
+                before = {r[0] for r in at_v if _passes(r, by_label.get(r[5], ()), allowed)}
+                allowed[c].add(v)
+                want = list(dict.fromkeys(
+                    r for r in at_v
+                    if r[0] not in before and r is not arriving and _passes(r, by_label.get(r[5], ()), allowed)
+                ))
+                assert sweeps[c](v, arriving) == want, (qedges, cut, c, v)
+                if not had:
+                    allowed[c].discard(v)
+                seen["fresh"] += len(want)
+                seen["both ends cut, one qedge"] += len(want) * (len(shape) == 1 and len(cut) == n_verts == 2)
+                seen["loop, both walks"] += out and into and any(r[1] == r[2] for r in want)
+                seen["both walks, in-list found"] += out and into and any(r[2] == v != r[1] for r in want)
+                seen["arriving left out"] += arriving is not None and arriving[0] not in before and _passes(
+                    arriving, by_label.get(arriving[5], ()), allowed
+                )
+        seen["shared label"] += len(by_label) < len(qedges)
+    assert min(seen.values()) > 10 and len(seen) == 7, seen
+
+
+def test_generated_gates_and_sweeps_hold_no_data():
+    # as for the searches and the tree's inserts and joins: labels reach the
+    # gate and sweep code only as namespace names, so no constant is a
+    # string, no title names a label or vertex type, and no code calls a
+    # graph method
+    rng = Random(37)
+    gates = sweeps = 0
+    for _ in range(30):
+        schema = random_schema(rng)
+        base = random_query(schema, rng.randint(2, 5), rng)
+        stats = collect_stats(generate_stream(schema, 200, rng))
+        # the same query with labels and types no title could spell by chance
+        query = QueryGraph(
+            [f"type {t}" for t in base.vertex_labels],
+            [QueryEdge(e.src, e.dst, f"label {e.label}") for e in base.edges],
+        )
+        texts = set(query.vertex_labels) | {e.label for e in query.edges}
+        for mode in ("single", "path"):
+            tree = plan_query(base, stats, mode=mode).tree
+            for leaf in tree.leaves()[1:]:
+                allowed = {c: set() for c in tree.nodes[leaf.parent].cut_verts}
+                compiled = engine._compile_gates(query, leaf.leaf_index, sorted(leaf.piece.edges), allowed, {})
+                fns = [fn for fn in compiled[0].values() if fn is not None] + list(compiled[1].values())
+                gates += len(fns) - len(compiled[1])
+                sweeps += len(compiled[1])
+                for fn in fns:
+                    code = fn.__code__
+                    assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
+                    assert not {"out_edges", "in_edges"} & set(code.co_names)
+                    assert not [text for text in texts if text in code.co_filename], code.co_filename
+    assert gates > 50 and sweeps > 50
+
+
 def gate_sets_in_table(eng) -> bool:
     """Whether each of ``eng``'s gate sets holds only vertices its graph's
     table holds."""
