@@ -284,7 +284,9 @@ def _any(*tests: Test) -> Test:
     return " or ".join(rest) if rest else False
 
 
-def _gate_test(ends: list, cut: set[int], c: int | None = None, walked: int = 0, before: bool = False) -> Test:
+def _gate_test(
+    ends: list, cut: set[int], c: int | None = None, walked: int = 0, before: bool = False, far_not_v: bool = False
+) -> Test:
     """Whether an edge ``rec`` passes a gated leaf's role gate, as source:
     some qedge in ``ends`` (those with the edge's label) holds it with its
     source ``rec[1]`` and destination ``rec[2]`` each in the set ``A<qv>`` of
@@ -293,14 +295,15 @@ def _gate_test(ends: list, cut: set[int], c: int | None = None, walked: int = 0,
     For a sweep at ``v`` newly allowed at cut qvertex ``c``, ``rec`` is at
     ``v`` as its end ``walked`` (1 or 2), and the test folds that in: ``v``'s
     atom at ``c`` is true now and was false ``before`` ``v`` was added, then
-    the far end ``x``'s atom at ``c`` read ``x != v and x in A<c>``."""
+    the far end ``x``'s atom at ``c`` read ``x != v and x in A<c>``, or just
+    ``x in A<c>`` when the walk skips ``x == v`` (``far_not_v``)."""
 
     def atom(qv: int, end: int) -> Test:
         if qv not in cut:
             return True
         if end == walked:
             return not before if qv == c else f"v in A{qv}"
-        if before and qv == c:
+        if before and qv == c and not far_not_v:
             return f"rec[{end}] != v and rec[{end}] in A{c}"
         return f"rec[{end}] in A{qv}"
 
@@ -348,14 +351,16 @@ def _compile_gates(
         ]
         lines = ["def fresh(v, arriving):", "    found = []", "    keep = found.append"]
         for end, slot in walks:
+            skip_loops = end == 2 and len(walks) == 2  # a loop at v, which the out-walk returned
             branches: list[str] = []
             for i, held in enumerate(by_label.values()):
-                now, before = _gate_test(held, cut, c, end), _gate_test(held, cut, c, end, before=True)
+                now = _gate_test(held, cut, c, end)
+                before = _gate_test(held, cut, c, end, before=True, far_not_v=skip_loops)
                 test = _all(now, not before if isinstance(before, bool) else f"not ({before})")
-                if test is False:
+                if test is False or now == before:  # never true now and false before
                     continue
-                if end == 2 and len(walks) == 2:
-                    test = _all(test, "rec[1] != v")  # a loop at v, which the out-walk returned
+                if skip_loops:
+                    test = _all(test, "rec[1] != v")
                 branches += [
                     f"        {'elif' if branches else 'if'} label == K{i}:",
                     f"            if {_all(test, 'rec is not arriving')}:",
@@ -417,7 +422,9 @@ class Engine:
             raise ValueError("tree was built for a different query")
         self.query = query
         self.tree = tree
-        self.graph = DynamicGraph(window)
+        # the query's texts are the graph's shared ones, and the constants
+        # of every search, gate and sweep compiled below
+        self.graph = DynamicGraph(window, query.texts)
         self.log: list[Match] = []
         self.counters = Counters()
         self._delta: list[Match] = []

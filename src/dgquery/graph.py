@@ -47,7 +47,8 @@ Design notes
   The checks are the same on both kinds of ingest, so the engine's store
   rejects exactly the edges a store that indexes everything rejects.
 - Eviction deletes no vertex: a dead one keeps its record and lists until
-  a returning edge under its label takes them back, or a prune of every
+  a returning edge takes them back (under a new label, if it brings one),
+  or a prune of every
   dead vertex, run whenever the table has doubled since the last one (and
   holds more than ``_VERTEX_MIN_PRUNE`` entries), drops it.  The table holds
   at most twice the live vertices of the last prune, at amortized O(1) per
@@ -62,6 +63,20 @@ Design notes
   line is parsed rule by rule, which reads the timestamp with the same
   ``int`` and sign rule, so both give the same edge or the same
   ``ParseError``.
+- Stored records share their strings.  A vertex record keeps its id as the
+  object its table key holds, and an indexed edge's record is built from its
+  endpoint records' id and label objects, never from the strings of the
+  parsed line, which die with their edge's call.  Vertex types and edge
+  labels that the graph was given as ``texts`` (the engine gives its query's)
+  are shared too: a new vertex's label and an indexed edge's label are that
+  object when the texts are equal.  So the strings live records hold are at
+  most one id and one label per table vertex plus the given texts, however
+  long the stream.  Evicting an edge frees its record and two ints, and the
+  collector, which reads every item of a young record before it stops
+  tracking it, reads a few objects in use, not strings scattered over the
+  heap by the lines that made them.  Ingest never adds a text, so texts
+  from the stream cannot grow the shared set; no string is interned, as
+  interned strings outlive the graph.
 - Edges are plain tuples: ``parse_edge_line`` returns a 6-tuple in wire
   order and ``add_edge`` stores a 7-tuple in ``EdgeRecord``'s field order,
   and every reader takes fields by position or by unpacking.  ``RawEdge``
@@ -118,7 +133,8 @@ WireEdge = tuple[int, str, str, str, str, str]
 # A stored edge, as the plain 7-tuple ``add_edge`` returns and the adjacency
 # lists hold, read by position: ``(edge_id, src, dst, src_type, dst_type,
 # edge_type, timestamp)`` at 0 to 6.  ``edge_id`` is assigned at ingest and
-# strictly increases.
+# strictly increases.  Its strings are shared: the endpoint records' ids and
+# labels, and the graph's shared text for the label when it has one.
 EdgeRecord = tuple[int, str, str, str, str, str, int]
 
 
@@ -144,7 +160,8 @@ _VERTEX_MIN_PRUNE = 1 << 10
 
 @dataclass(slots=True)
 class _Vertex:
-    label: str
+    vid: str  # the id object the table's key holds, which every record at the vertex holds
+    label: str  # a shared text (see ``DynamicGraph``) when the vertex's type is one
     stamp: int  # newest unindexed edge at the vertex, or the edge that made it
     # the live indexed edges leaving and entering the vertex, oldest first:
     # both () until the vertex's first indexed edge, then both deques
@@ -155,7 +172,7 @@ class _Vertex:
 # what a read of the vertex table takes for a vertex it does not hold:
 # ``table.get(vid, NO_VERTEX).outgoing`` is ``()``.  It is in no table, so no
 # ingest ever changes it
-NO_VERTEX = _Vertex("", 0)
+NO_VERTEX = _Vertex("", "", 0)
 
 
 class DynamicGraph:
@@ -173,12 +190,23 @@ class DynamicGraph:
     hold dead vertices (a prune drops them), whose lists are empty, and a
     vertex it lacks reads as :data:`NO_VERTEX`.  A prune also discards each
     vertex it deletes from every set of vertex ids listed in ``vertex_sets``.
+
+    ``texts`` are the vertex types and edge labels that records share (see the
+    module's design notes); ``self.texts`` maps each to the one object, the
+    first given, and ingest never adds to it.  Without texts, a vertex's
+    label is the first string it was made with, and an edge's label its
+    line's own.
     """
 
-    def __init__(self, window: int | None = None):
+    def __init__(self, window: int | None = None, texts: Iterable[str] = ()):
         self.window: float = math.inf if window is None else window
         if self.window <= 0:
             raise ValueError("window must be positive or None")
+        # each shared text, keyed by its own value: the first object given
+        # for it, never added to by ingest
+        self.texts: dict[str, str] = {}
+        for text in texts:
+            self.texts.setdefault(text, text)
         self.t_last: float = -math.inf
         self.edges_ingested = 0
         self.edges_evicted = 0
@@ -234,15 +262,15 @@ class DynamicGraph:
                 # vertex about to be reused, so both are kept
                 self._prune_vertices(src, dst)
             if src_v is None:
-                src_v = vertices[src] = _Vertex(src_type, ts)
+                src_v = self._take(src, src_type, ts)
             if dst_v is None:
-                if src == dst:
-                    dst_v = src_v  # a self-loop on a new vertex: the one just made
-                else:
-                    dst_v = vertices[dst] = _Vertex(dst_type, ts)
+                # a self-loop on a new vertex takes the one just made
+                dst_v = src_v if src == dst else self._take(dst, dst_type, ts)
         arrivals = self._arrivals
         if index:
-            rec = (edge_id, src, dst, src_type, dst_type, edge_type, ts)
+            # every string in the record is shared: the endpoints' id and
+            # label objects, and the label's shared text when it has one
+            rec = (edge_id, src_v.vid, dst_v.vid, src_v.label, dst_v.label, self.texts.get(edge_type, edge_type), ts)
             # the () a vertex holds before its first indexed edge has no
             # append: the vertex gets its deques there
             try:
@@ -273,6 +301,18 @@ class DynamicGraph:
             self._deadline = arrivals[0][0][6] + self.window if arrivals else math.inf
             self.edges_evicted += (queued - len(arrivals)) >> 1
         return rec
+
+    def _take(self, vid: str, label: str, ts: int) -> _Vertex:
+        """The record of a vertex ``add_edge`` takes as new, made at ``ts``
+        under ``label`` (its shared text when it has one): a fresh record, or
+        the dead one the table holds, which keeps its id object and lists."""
+        label = self.texts.get(label, label)
+        v = self.vertex_table.get(vid)
+        if v is None:
+            v = self.vertex_table[vid] = _Vertex(vid, label, ts)
+        else:
+            v.label, v.stamp = label, ts
+        return v
 
     def _live(self, v: _Vertex) -> bool:
         """Whether ``v`` has an edge in the window: one in its lists (which

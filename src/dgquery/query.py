@@ -39,10 +39,12 @@ class QueryGraph:
     """An immutable connected query pattern.
 
     ``vertex_labels[i]`` is the label of query vertex i; ``edges[j]`` is query
-    edge j.  Ids are positional, hence dense by construction.
+    edge j.  Ids are positional, hence dense by construction.  Equal texts
+    among the vertex labels and edge labels are one object, the first given;
+    ``texts`` lists each distinct one, vertex labels first.
     """
 
-    __slots__ = ("vertex_labels", "edges", "_hash")
+    __slots__ = ("vertex_labels", "edges", "texts", "_hash")
 
     def __init__(self, vertex_labels: Sequence[str], edges: Sequence[QueryEdge]):
         if not vertex_labels:
@@ -53,8 +55,12 @@ class QueryGraph:
         for e in edges:
             if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise ValueError(f"edge {e} references an unknown vertex")
-        self.vertex_labels: tuple[str, ...] = tuple(vertex_labels)
-        self.edges: tuple[QueryEdge, ...] = tuple(edges)
+        shared: dict[str, str] = {}
+        self.vertex_labels: tuple[str, ...] = tuple(shared.setdefault(t, t) for t in vertex_labels)
+        self.edges: tuple[QueryEdge, ...] = tuple(
+            QueryEdge(e.src, e.dst, shared.setdefault(e.label, e.label)) for e in edges
+        )
+        self.texts: tuple[str, ...] = tuple(shared)
         if not self._connected():
             raise ValueError("query graph must be connected")
         self._hash = hash((self.vertex_labels, self.edges))

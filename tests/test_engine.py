@@ -674,6 +674,37 @@ def test_compiled_gates_and_sweeps_equal_brute_force():
     assert min(seen.values()) > 10 and len(seen) == 7, seen
 
 
+class CountingSet(set):
+    """A set that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, item) -> bool:
+        self.tests += 1
+        return super().__contains__(item)
+
+
+def test_a_sweep_generates_no_branch_that_never_keeps():
+    # piece 0->0 (b), 0->1 (a), cut {0}: qvertex 0 is a source of both
+    # qedges and the destination of the loop, so the sweep walks v's
+    # out-list, then its in-list skipping a loop at v.  An a-edge x->v in
+    # the in-list passes now exactly when x is allowed, and passed before
+    # too, since x != v: the in-walk has no branch for label a, so it
+    # keeps none of them and tests no set for them
+    query = QueryGraph(["A", "A"], [QueryEdge(0, 0, "b"), QueryEdge(0, 1, "a")])
+    graph = DynamicGraph()
+    for ts, src in enumerate(("x", "y", "z")):
+        graph.add_edge(raw(ts, src, "a", "v"))
+    allowed = {0: CountingSet({"x", "y"})}
+    _, sweeps = engine._compile_gates(query, 1, [0, 1], allowed, graph.vertex_table)
+    assert sweeps[0]("v", None) == []
+    assert allowed[0].tests == 0
+    # the out-walk still keeps v's a-edges, with no set test either
+    graph.add_edge(raw(3, "v", "a", "w"))
+    assert [r[2] for r in sweeps[0]("v", None)] == ["w"]
+    assert allowed[0].tests == 0
+
+
 def test_generated_gates_and_sweeps_hold_no_data():
     # as for the searches and the tree's inserts and joins: labels reach the
     # gate and sweep code only as namespace names, so no constant is a
@@ -956,6 +987,48 @@ def test_stored_edges_leave_the_garbage_collector():
         assert listed and live, run
         for rec in listed + live:
             assert type(rec) is tuple and not gc.is_tracked(rec), (run, rec)
+
+
+def test_no_per_line_string_outlives_its_edge():
+    # each live record holds its endpoints' id objects and the query's
+    # texts, and searches, partials and emitted matches copy their strings
+    # from records, so the distinct string objects that live records,
+    # stored partials and the log hold number at most the table's vertices
+    # plus the query's texts, whatever the stream's own edges held
+    for run, eng in windowed_social_engines():
+        held = [*eng.graph.live_edges(), *(m.flat for m in eng.log)]
+        held += [m for node in eng.tree.nodes for bucket in node.table.values() for m in bucket]
+        strings = {id(x) for item in held for x in item if type(x) is str}
+        assert len(strings) <= len(eng.graph.vertex_table) + len(eng.query.texts), run
+
+
+def test_stored_edges_hold_the_query_texts():
+    # the engine's graph shares the query's vertex types and edge labels:
+    # every live record's label and types are the query's own objects, not
+    # the parsed line's, and ingest never adds a shared text, so 1,000
+    # labels no qedge carries on vertices of 1,000 fresh types leave the
+    # graph's texts at exactly the query's
+    query = q("node 0 host\nnode 1 host\nnode 2 host\nedge 0 0 1 link\nedge 1 1 2 hop")
+    rng = Random(5)
+    lines = []
+    for i in range(3000):
+        if i % 3:
+            src, dst = rng.sample([f"h{j}" for j in range(12)], 2)
+            lines.append(format_edge_line((i // 3, src, "host", rng.choice(("link", "hop")), dst, "host")))
+        else:
+            j = i // 3
+            lines.append(format_edge_line((i // 3, f"n{j}", f"kind{j}", f"other{j}", f"m{j}", f"kind{j}")))
+    mine = {id(t) for t in query.texts}
+    for lazy in (False, True):
+        plan = plan_query(query, collect_stats(map(parse_edge_line, lines)), mode="single")
+        eng = Engine(query, plan.tree, 30, lazy=lazy)
+        for line in lines:
+            eng.process(parse_edge_line(line))
+        assert eng.counters.emitted > 0 and eng.graph.edge_count > 20
+        for rec in eng.graph.live_edges():
+            assert {id(rec[3]), id(rec[4]), id(rec[5])} <= mine, rec
+        assert list(eng.graph.texts) == list(query.texts)
+        assert all(eng.graph.texts[t] is t for t in query.texts)
 
 
 def test_raw_edges_and_parsed_lines_run_alike():

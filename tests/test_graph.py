@@ -349,7 +349,9 @@ def test_window_invariant_randomized(monkeypatch):
     # not, lists exactly its live edges in arrival order; over indexed and
     # unindexed edges, self-loops, tied timestamps, dead vertices that come
     # back under a new label (and live ones that may not), and a prune floor
-    # low enough that the table is pruned about once in nine edges
+    # low enough that the table is pruned about once in nine edges; every
+    # vertex record holds its table key's object, and every live record
+    # holds its endpoint records' id and label objects
     monkeypatch.setattr(graph_module, "_VERTEX_MIN_PRUNE", 6)
     for window in (7, None):
         rng = Random(11)
@@ -362,7 +364,8 @@ def test_window_invariant_randomized(monkeypatch):
             # a few fresh vertices among twelve that keep coming back
             src, dst = (f"v{rng.randrange(12)}" if rng.random() < 0.8 else f"u{step}{end}" for end in "sd")
             dst = src if rng.random() < 0.1 else dst
-            src_type, dst_type = ("A" if rng.random() < 0.9 else "B" for _ in "sd")
+            # types made per line, so each line's are its own objects
+            src_type, dst_type = (f"T{'A' if rng.random() < 0.9 else 'B'}" for _ in "sd")
             index = rng.random() < 0.7
             labels = {}
             for (_, s, d, st, dt, _, t), _ in taken:
@@ -390,9 +393,15 @@ def test_window_invariant_randomized(monkeypatch):
             for (_, s, d, st, dt, _, _), _ in alive:
                 labels[s], labels[d] = st, dt
             assert dict(g.vertices()) == labels
-            for vid in g.vertex_table:
+            for vid, v in g.vertex_table.items():
+                assert v.vid is vid
                 assert list(g.out_edges(vid)) == [rec for rec in live if rec[1] == vid]
                 assert list(g.in_edges(vid)) == [rec for rec in live if rec[2] == vid]
+            # a record holds its endpoints' id and label objects, not the
+            # strings of the line it came from
+            for rec in g.live_edges():
+                s, d = g.vertex_table[rec[1]], g.vertex_table[rec[2]]
+                assert rec[1] is s.vid and rec[2] is d.vid and rec[3] is s.label and rec[4] is d.label
 
 
 # ---------------------------------------------------------------------- wire
