@@ -95,7 +95,8 @@ def run_strategy(
     window: int | None,
     table: SelectivityTable,
 ) -> tuple[BenchReport, set]:
-    """Run one strategy; return its report and the signatures ``process`` returned."""
+    """Run one strategy; return its report and the signatures ``process``
+    returned.  The report leaves ξ out: :func:`run_sweep` fills it in."""
     eng, plan, _ = make_engine(strategy, query, window, table)
     start = time.perf_counter()
     deltas = [eng.process(raw) for raw in records]
@@ -111,7 +112,6 @@ def run_strategy(
         report.match_calls = eng.counters.match_calls
         report.peak_stored = eng.tree.peak_stored
         report.expected_selectivity = plan.expected
-        report.relative_selectivity = plan.relative
     return report, {m.pairs for delta in deltas for m in delta}
 
 
@@ -122,7 +122,11 @@ def run_sweep(
     strategies: Iterable[str],
     table: SelectivityTable,
 ) -> list[BenchReport]:
-    """Run several strategies and require signature-identical results."""
+    """Run several strategies and require signature-identical results.
+
+    Every planned row reports the query's ξ, the relative selectivity of its
+    ``auto`` plan, which weighs the path catalog against the single-edge
+    one: a single-mode plan's own is 1 by definition."""
     reports: list[BenchReport] = []
     sigs: dict[str, set] = {}
     for strategy in strategies:
@@ -139,6 +143,11 @@ def run_sweep(
                 f"strategy {name!r} disagrees with {names[0]!r}: "
                 f"{missing} missing, {extra} extra matches"
             )
+    planned = [r for r in reports if r.match_calls is not None]
+    if planned:
+        xi = plan_query(query, table, mode="auto").relative
+        for r in planned:
+            r.relative_selectivity = xi
     return reports
 
 

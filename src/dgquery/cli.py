@@ -225,30 +225,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out, close = _open_out(args.out)
     try:
         out.write("query\t" + "\t".join(bench_mod.REPORT_FIELDS) + "\n")
-        all_reports: list[tuple[int, bench_mod.BenchReport]] = []
+        xi: list[float] = []  # one per planned query: its rows share it
         for qi, query in enumerate(queries):
             reports = bench_mod.run_sweep(
                 query, records, args.window, strategies, table
             )
             for rep in reports:
                 out.write(f"{qi}\t" + "\t".join(rep.row()) + "\n")
-                all_reports.append((qi, rep))
-        if len(queries) > 1:
-            xi = [
-                rep.relative_selectivity
-                for _, rep in all_reports
-                if rep.relative_selectivity is not None
-            ]
-            if xi:
-                assignment = bench_mod.bin_reports(xi, args.selectivity_bins)
-                counts = [0] * args.selectivity_bins
-                for b in assignment:
-                    counts[b] += 1
-                out.write(
-                    "# selectivity bins (low to high): "
-                    + " ".join(str(c) for c in counts)
-                    + "\n"
-                )
+            xi += {rep.relative_selectivity for rep in reports} - {None}
+        if len(queries) > 1 and xi:
+            counts = [0] * args.selectivity_bins
+            for b in bench_mod.bin_reports(xi, args.selectivity_bins):
+                counts[b] += 1
+            out.write(
+                "# selectivity bins (low to high): "
+                + " ".join(str(c) for c in counts)
+                + "\n"
+            )
     finally:
         if close:
             out.close()

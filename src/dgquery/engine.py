@@ -105,9 +105,11 @@ only for one not yet allowed, which is rule 1 above.
 
 Below the root, partial matches are the join tree's flat ``(t_min, e_0 ...
 e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``).  The driven tree
-builds each emission's :class:`~dgquery.query.Match` itself and appends it
-to ``log`` and to the arriving edge's delta, so no engine code runs per
-emission; ``process`` counts the delta once per edge.
+builds each emission's :class:`~dgquery.query.Match` itself and hands it to
+one sink, the ``append`` of the arriving edge's delta, which ``process``
+passes down through ``_feed`` and ``_drain``, so no engine code runs per
+emission; ``process`` then counts the delta and adds it to ``log`` once per
+edge.
 """
 from __future__ import annotations
 
@@ -212,9 +214,8 @@ def _compile_search(query: QueryGraph, role: int, steps: tuple[tuple, ...]) -> S
     slots = [f"e{i}" if i in edges else "None" for i in range(query.n_edges)]
     slots += [f"v{i}" if i in verts else "None" for i in range(query.n_vertices)]
     lines.append(f"{pad}out.append((t{len(steps)}, {', '.join(slots)}))")
-    namespace = {"__builtins__": {}, "NO_VERTEX": NO_VERTEX, **{f"K{i}": text for i, text in enumerate(consts)}}
-    exec(compile("\n".join(lines), f"<search of qedge {role}>", "exec"), namespace)
-    return namespace["search"]
+    namespace = {"NO_VERTEX": NO_VERTEX, **{f"K{i}": text for i, text in enumerate(consts)}}
+    return _define(lines, f"<search of qedge {role}>", namespace)
 
 
 # per edge label, one compiled search per qedge of the piece an anchor with
@@ -401,9 +402,12 @@ class Engine:
     empty behind the role gates described in the module docstring;
     ``lazy=False`` makes every leaf always on.  Either way ``process``
     returns the complete matches that became visible at that edge, exactly
-    once each, and ``log`` lists every match emitted so far.  The engine
-    drives ``tree``, which then holds its match state: a tree drives one
-    engine, and a second ``Engine`` over it raises ``ValueError``.
+    once each, and ``log`` lists every match emitted so far: the edges'
+    deltas, concatenated, holding the same objects.  The engine drives
+    ``tree``, which then holds its match state: a tree drives one engine,
+    and a second ``Engine`` over it raises ``ValueError``.  Each leaf's
+    allowed sets live in its compiled gates and sweeps, in the tree's gates
+    and in ``graph.vertex_sets``, in leaf order, then cut-qvertex order.
 
     The engine's ``graph`` indexes only the edges whose label some qedge
     carries: the others are checked and keep their endpoints live, but no
@@ -427,11 +431,7 @@ class Engine:
         self.graph = DynamicGraph(window, query.texts)
         self.log: list[Match] = []
         self.counters = Counters()
-        self._delta: list[Match] = []
 
-        # per leaf, {cut qvertex: the data vertices stored spine matches bind
-        # it to}, {} for an always-on leaf; the graph's prune drops dead ones
-        self._allowed: list[dict[int, set[str]]] = []
         # per edge label, the leaves an edge with it can anchor (those whose
         # piece uses the label), in leaf order, as (the leaf's node id, its
         # role searches for the label, its role gate for the label or None
@@ -446,8 +446,9 @@ class Engine:
             # cut shares no vertex with its prefix: no binding could ever
             # gate it soundly
             cuts = tree.nodes[leaf.parent].cut_verts if lazy and leaf.leaf_index else ()
+            # per cut qvertex, the data vertices stored spine matches bind it
+            # to; the graph's prune drops dead ones
             allowed = {c: set() for c in cuts}
-            self._allowed.append(allowed)
             self.graph.vertex_sets.extend(allowed.values())
             edge_ids = sorted(leaf.piece.edges)
             gates, sweeps = _compile_gates(query, leaf.leaf_index, edge_ids, allowed, self.graph.vertex_table)
@@ -463,8 +464,8 @@ class Engine:
         # sweeps to run, as the tree queues them: (a Sweep, the vertex to allow)
         self._pending: deque[tuple[Sweep, str]] = deque()
         # raises when the tree already drives an engine: it holds that
-        # engine's match state and sinks
-        tree.drive(self.graph, self.log, spine_gates, self._pending.append)
+        # engine's match state and gates
+        tree.drive(self.graph, spine_gates, self._pending.append)
 
     # ------------------------------------------------------------------ stream
 
@@ -478,13 +479,12 @@ class Engine:
         it as any edge and keeps its endpoints live, but stores no record.
         """
         graph, counters = self.graph, self.counters
+        delta: list[Match] = []
         entries = self._by_label.get(raw[3])  # raw[3]: the edge label
         if entries is None:
             graph.add_edge(raw, False)  # unindexed; positional, so a wrapper of add_edge may take *args
-            delta = []
         else:
             rec = graph.add_edge(raw)
-            self._delta = delta = []
             for node_id, searches, gate in entries:
                 # always on, or gated and passing now: the edge is the newest
                 # edge of every hit, so each hit is kept
@@ -492,27 +492,30 @@ class Engine:
                     counters.match_calls += 1
                     hits = match_primitive(graph, searches, rec)
                     if hits:
-                        self._feed(node_id, hits)
+                        self._feed(node_id, hits, delta.append)
                 # run any retroactive sweeps before the next leaf reads its gate,
                 # so leaves are searched strictly one after the other
                 if self._pending:
-                    self._drain(rec)
+                    self._drain(rec, delta.append)
+            if delta:
+                self.log += delta
         counters.edges += 1
         counters.emitted += len(delta)
         if counters.edges % PURGE_INTERVAL == 0:
             counters.purged += self.tree.purge_stale(graph.cutoff)
         return delta
 
-    def _feed(self, node_id: int, hits: list[Partial]) -> None:
+    def _feed(self, node_id: int, hits: list[Partial], emit: Callable[[Match], None]) -> None:
         """Insert each leaf match at its leaf; the tree propagates it up,
-        and each emission goes to the log and to this edge's delta."""
-        insert, cutoff, emit = self.tree.insert_and_propagate, self.graph.cutoff, self._delta.append
+        and each emission goes to ``emit``, the ``append`` of this edge's
+        delta."""
+        insert, cutoff = self.tree.insert_and_propagate, self.graph.cutoff
         for m in hits:
             insert(node_id, m, cutoff, emit)
 
     # -------------------------------------------------------------- lazy gates
 
-    def _drain(self, arriving: EdgeRecord) -> None:
+    def _drain(self, arriving: EdgeRecord, emit: Callable[[Match], None]) -> None:
         """Run queued sweeps until none are left, without recursing: a sweep
         allows its vertex ``v`` at its leaf and cut qvertex, and searches
         each edge its compiled ``fresh(v, arriving)`` returns: those at
@@ -520,7 +523,8 @@ class Engine:
         the role gate now but did not with ``v`` absent, but ``arriving``,
         which ``process`` checks at this leaf later.  Each search goes
         through the module's ``match_primitive``, so a wrapper set there
-        sees it.
+        sees it, and its hits go to ``_feed`` with ``emit``, the arriving
+        edge's sink.
 
         A sweep search keeps a hit of a multi-edge leaf only when the anchor
         is the hit's newest edge: that edge's own search finds it too."""
@@ -537,4 +541,4 @@ class Engine:
                     newest = rec[0]
                     hits = [m for m in hits if all(m[s] <= newest for s in slots)]
                 if hits:
-                    self._feed(node_id, hits)
+                    self._feed(node_id, hits, emit)

@@ -65,7 +65,7 @@ class Schema:
         return self.vertex_id(vtype, rng.randrange(self.pools[vtype]))
 
 
-def social_schema(users: int = 40, posts: int = 60) -> Schema:
+def social_schema(users: int = 40) -> Schema:
     triples = [
         ("user", "follows", "user"),
         ("user", "friend", "user"),
@@ -73,7 +73,7 @@ def social_schema(users: int = 40, posts: int = 60) -> Schema:
         ("user", "likes", "post"),
         ("post", "links", "post"),
     ]
-    return Schema("social", triples, {"user": users, "post": posts}, skew=0.8)
+    return Schema("social", triples, {"user": users, "post": 60}, skew=0.8)
 
 
 def kpartite_schema(k: int = 3, pool: int = 20) -> Schema:
@@ -108,18 +108,12 @@ SCHEMAS = {
 }
 
 
-def random_schema(
-    rng: Random,
-    *,
-    max_types: int = 3,
-    max_triples: int = 6,
-    max_pool: int = 8,
-) -> Schema:
+def random_schema(rng: Random) -> Schema:
     """Small dense schema for randomized cross-checking runs."""
-    n_types = rng.randint(1, max_types)
+    n_types = rng.randint(1, 3)
     types = [f"T{i}" for i in range(n_types)]
     labels = [f"e{i}" for i in range(rng.randint(1, 4))]
-    n_triples = rng.randint(2, max_triples)
+    n_triples = rng.randint(2, 6)
     seen: set[Triple] = set()
     triples: list[Triple] = []
     for _ in range(n_triples * 3):
@@ -129,7 +123,7 @@ def random_schema(
             triples.append(t)
         if len(triples) == n_triples:
             break
-    pools = {t: rng.randint(2, max_pool) for t in types}
+    pools = {t: rng.randint(2, 8) for t in types}
     return Schema("random", triples, pools, skew=rng.choice([0.0, 0.7, 1.4]))
 
 
@@ -139,15 +133,14 @@ def generate_stream(
     rng: Random,
     *,
     edges_per_tick: int = 4,
-    start_ts: int = 0,
 ) -> list[RawEdge]:
-    """Draw ``n_edges`` arrivals with non-decreasing timestamps."""
+    """Draw ``n_edges`` arrivals with non-decreasing timestamps from 0."""
     if edges_per_tick < 1:
         raise ContractError("edges_per_tick must be positive")
     out: list[RawEdge] = []
     for i in range(n_edges):
         src_t, label, dst_t = rng.choices(schema.triples, schema.weights)[0]
-        ts = start_ts + i // edges_per_tick
+        ts = i // edges_per_tick
         out.append(
             RawEdge(
                 timestamp=ts,

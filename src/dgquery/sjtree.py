@@ -34,21 +34,21 @@ CPython stops tracking it at the first collection that sees it, where a
 ``Match`` instance stays tracked; only an emission becomes a ``Match``.
 
 A tree holds the match state of the one engine it drives, and
-:meth:`SJTree.drive` hands it that engine's sinks and gates.  It then
-compiles one insert per node, as straight-line Python whose source holds
-slot numbers, never data (labels, vertices and sinks reach it as names in
-the namespace it runs in).  A non-root node's insert reads ``m``'s bound
-slots into locals once and its key from them, walks the sibling's bucket
-under that key (per entry: the cutoff test, an ``==`` test of each slot
-only the sibling fills against ``m``'s own slots of the same kind, and the
-result as one tuple display), passes each result straight to the parent's
-insert, or at a child of the root builds its ``Match`` and hands it to the
-engine's log and to ``emit``, then compacts the bucket when it is mostly
-stale, stores ``m`` and counts it.  At a spine node under a gated leaf it
-then tests each cut binding against the leaf's allowed set, and queues the
-leaf's sweep only for a binding not in it.  The root has an insert only in
-a one-leaf plan, where it is the leaf, and it emits.  :func:`join` runs the
-same probe alone.
+:meth:`SJTree.drive` hands it that engine's graph, gates and sweep queue.
+It then compiles one insert per node, as straight-line Python whose source
+holds slot numbers, never data (vertices, the graph and the gates reach it
+as names in the namespace it runs in, and its one sink as ``emit``).  A
+non-root node's insert reads ``m``'s bound slots into locals once and its
+key from them, walks the sibling's bucket under that key (per entry: the
+cutoff test, an ``==`` test of each slot only the sibling fills against
+``m``'s own slots of the same kind, and the result as one tuple display),
+passes each result straight to the parent's insert, or at a child of the
+root builds its ``Match`` and hands it to ``emit`` alone, then compacts the
+bucket when it is mostly stale, stores ``m`` and counts it.  At a spine
+node under a gated leaf it then tests each cut binding against the leaf's
+allowed set, and queues the leaf's sweep only for a binding not in it.  The
+root has an insert only in a one-leaf plan, where it is the leaf, and it
+emits.  :func:`join` runs the same probe alone.
 """
 from __future__ import annotations
 
@@ -175,15 +175,14 @@ def _probe_lines(query: QueryGraph, own: QueryPiece, sib: QueryPiece, take: Call
 
 def _emit_lines(n_edges: int, flat: str) -> list[str]:
     """A driven tree's emission of the complete match ``flat``: its
-    ``Match``, stamped with the graph's ``t_last``, goes to the engine's log
-    and to ``emit``.  The ``Match`` gets its slots one by one, which skips
-    the frame of its constructor."""
+    ``Match``, stamped with the graph's ``t_last``, goes to ``emit`` and
+    nowhere else.  The ``Match`` gets its slots one by one, which skips the
+    frame of its constructor."""
     return [
         "match = new(Match)",
         f"match.flat = {flat}",
         f"match.n_edges = {n_edges}",
         "match.t_max = graph.t_last",
-        "log_append(match)",
         "emit(match)",
     ]
 
@@ -292,27 +291,26 @@ class SJTree:
     def drive(
         self,
         graph: Any,
-        log: list[Match],
         gates: dict[int, tuple[Gate, ...]],
         queue: Callable[[tuple[Any, str]], None],
     ) -> None:
         """Take on one engine's match state: compile each node's insert
-        (the module docstring) with that engine's sinks and gates.
+        (the module docstring) with that engine's graph and gates.
 
         An emission is a ``Match`` whose ``t_max`` is ``graph.t_last``; it
-        is appended to ``log`` and passed to the ``emit`` of the insert that
-        made it.  ``gates`` maps a spine node's id to the gates of the leaf
-        it opens, and each sweep goes to ``queue``.  A tree drives one
-        engine: a second call raises ``ValueError``.
+        goes only to the ``emit`` of the insert that made it.  ``gates``
+        maps a spine node's id to the gates of the leaf it opens, and each
+        sweep goes to ``queue``.  A tree drives one engine: a second call
+        raises ``ValueError``.
         """
         if self.nodes[self.leaf_ids[0]].insert is not None:
             raise ValueError("tree already drives an engine; plan a new tree for this one")
         query = self.query
-        sinks = {"Match": Match, "new": object.__new__, "graph": graph, "log_append": log.append}
+        emission = {"Match": Match, "new": object.__new__, "graph": graph}
         root = self.nodes[self.root_id]
         if root.is_leaf:  # a one-leaf plan, whose leaf matches are complete
             lines = ["def insert(m, cutoff, emit):", *(f"    {line}" for line in _emit_lines(query.n_edges, "m"))]
-            root.insert = _define(lines, "<emission at the root>", sinks)
+            root.insert = _define(lines, "<emission at the root>", emission)
             return
         # a parent's insert is compiled before its children's, which call
         # it: node ids grow up the tree
@@ -321,7 +319,7 @@ class SJTree:
                 continue
             parent, sib = self.nodes[node.parent], self.nodes[node.sibling]
             namespace: dict[str, Any] = {
-                **sinks, "tree": self, "up": parent.insert, "own_table": node.table, "sib_table": sib.table,
+                **emission, "tree": self, "up": parent.insert, "own_table": node.table, "sib_table": sib.table,
                 "drop_stale": _drop_stale, "len": len, "NO_KEY": (), "queue": queue,
             }
             cut = [f"v{c}" for c in parent.cut_verts]
@@ -367,7 +365,8 @@ class SJTree:
         bucket order, then store ``m``.
 
         ``m`` is a flat :data:`Partial` tuple.  Each complete match becomes
-        a ``Match`` that goes to the driven engine's log and to ``emit``.
+        a ``Match`` that goes to ``emit`` alone, so a caller's sink receives
+        exactly the emissions of its own insert.
         ``m`` carries no ``t_max``: every new complete match holds the
         newest edge, so the emission stamps it with the graph's ``t_last``.
 

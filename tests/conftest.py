@@ -62,14 +62,34 @@ def key_of(tree, node, m: tuple):
     return key[0] if len(key) == 1 else key
 
 
-def drive_alone(tree, t_last: int = 0, gates: dict | None = None) -> tuple[list, list]:
+def drive_alone(tree, t_last: int = 0, gates: dict | None = None) -> list:
     """Drive ``tree`` as an engine would, with no engine: a stand-in graph at
-    ``t_last`` stamps the emissions, which go to the returned log, and the
-    sweeps ``gates`` ({spine node id: gates}) queue go to the returned list."""
-    log: list = []
+    ``t_last`` stamps the emissions, each of which goes to the ``emit`` its
+    insert is given, and the sweeps ``gates`` ({spine node id: gates}) queue
+    go to the returned list."""
     queue: list = []
-    tree.drive(SimpleNamespace(t_last=t_last), log, gates or {}, queue.append)
-    return log, queue
+    tree.drive(SimpleNamespace(t_last=t_last), gates or {}, queue.append)
+    return queue
+
+
+def gate_sets(eng) -> list[dict[int, set]]:
+    """Per leaf of ``eng``'s tree, {cut qvertex: its allowed set} when the
+    leaf is gated, {} when it is always on.  The graph's ``vertex_sets``
+    list the sets in leaf order, then cut-qvertex order, and each is the
+    set the tree's compiled insert at the leaf's sibling, the spine node
+    whose stored matches open the leaf, tests that qvertex's bindings in."""
+    tree, sets, out = eng.tree, iter(eng.graph.vertex_sets), []
+    for leaf in tree.leaves():
+        tested = []
+        if leaf.leaf_index:  # leaf 0 has no spine node before it
+            names = tree.nodes[leaf.sibling].insert.__globals__
+            while f"allowed{len(tested)}" in names:
+                tested.append(names[f"allowed{len(tested)}"])
+        gated = dict(zip(tree.nodes[leaf.parent].cut_verts, sets)) if tested else {}
+        assert len(gated) == len(tested) and all(a is b for a, b in zip(gated.values(), tested))
+        out.append(gated)
+    assert next(sets, None) is None  # no set outside a leaf's gates
+    return out
 
 
 def plan_facts(plan) -> tuple:

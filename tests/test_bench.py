@@ -7,9 +7,10 @@ from dgquery.baseline import RescanEngine
 from dgquery.bench import STRATEGIES, bin_reports, make_engine, run_sweep
 from dgquery.engine import Engine
 from dgquery.errors import ContractError
+from dgquery.planner import plan_query
 from dgquery.stats import collect_stats
 
-from conftest import path_query, raw
+from conftest import gate_sets, path_query, raw
 
 
 def _workload():
@@ -21,8 +22,8 @@ def _workload():
 # ------------------------------------------------------------------ factory
 
 def gated_cuts(eng):
-    """Per leaf, the cut qvertices its role gates hold allowed sets for."""
-    return [tuple(sorted(cuts)) for cuts in eng._allowed]
+    """Per leaf, the cut qvertices its gates hold allowed sets for."""
+    return [tuple(cuts) for cuts in gate_sets(eng)]
 
 
 def planned_cuts(tree):
@@ -68,6 +69,18 @@ def test_run_sweep_reports_in_order_and_agrees():
     assert len({r.emitted for r in reports}) == 1 and reports[0].emitted > 0
     assert reports[-1].match_calls is None and reports[-1].relative_selectivity is None
     assert all(r.match_calls is not None for r in reports[:-1])
+
+
+def test_run_sweep_reports_the_auto_plans_xi_on_every_planned_row():
+    # ξ belongs to the query: a single-mode plan's own is 1 by definition,
+    # so every planned row, single or path, reports the auto plan's, and a
+    # sweep with no planned row reports none
+    query, records, table = _workload()
+    xi = plan_query(query, table, mode="auto").relative
+    assert xi != 1.0
+    reports = run_sweep(query, records, 5, STRATEGIES, table)
+    assert [r.relative_selectivity for r in reports] == [xi] * 4 + [None]
+    assert run_sweep(query, records, 5, ["vf2"], table)[0].relative_selectivity is None
 
 
 # ------------------------------------------------------------------ binning

@@ -260,6 +260,31 @@ def test_bench_command_reports_all_strategies(tmp_path):
     assert len(emitted) == 1
 
 
+def test_bench_bins_each_query_once_by_its_auto_plans_xi(tmp_path):
+    # the default sweep, singlelazy and vf2, plans every query in single
+    # mode, whose own ξ is 1 by definition: each query's rows report its
+    # auto plan's ξ instead, the same under a sweep that plans path mode,
+    # and the bins count each query once
+    seen = []
+    for strategies in ("singlelazy,vf2", "singlelazy,pathlazy"):
+        out = tmp_path / "bench.tsv"
+        assert main([
+            "bench", "--schema", "netflow", "--edges", "3000", "--queries", "4", "--query-edges", "3",
+            "--window", "50", "--seed", "2", "--strategies", strategies, "--out", str(out),
+        ]) == 0
+        *rows, bins = out.read_text().splitlines()[1:]
+        xi: dict[str, set] = {}
+        for row in rows:
+            query, *_, relative = row.split("\t")
+            if relative != "-":
+                xi.setdefault(query, set()).add(relative)
+        assert sorted(xi) == ["0", "1", "2", "3"] and all(len(v) == 1 for v in xi.values())
+        counts = [int(c) for c in bins.removeprefix("# selectivity bins (low to high): ").split()]
+        assert sum(counts) == 4 and counts[-1] < 4
+        seen.append(xi)
+    assert seen[0] == seen[1]
+
+
 def test_bench_rejects_unknown_strategy(tmp_path, capsys):
     rc = main(["bench", "--strategies", "warp", "--out", str(tmp_path / "x.tsv")])
     assert rc == 2

@@ -12,6 +12,7 @@ import pytest
 
 from dgquery import engine
 from dgquery import graph as graph_module
+from dgquery import sjtree
 from dgquery.baseline import RescanEngine
 from dgquery.engine import Engine, match_primitive, search_plan
 from dgquery.errors import LabelConflictError, UnsupportedPrimitiveError
@@ -32,6 +33,7 @@ from dgquery.stats import SelectivityTable, collect_stats
 from conftest import (
     cross_check,
     engines_for,
+    gate_sets,
     path_query,
     q,
     raw,
@@ -365,7 +367,7 @@ def test_cross_join_leaf_stays_live():
     pieces = [QueryPiece.from_edges(query, ids) for ids in ([0], [2], [1])]
     tree = SJTree.from_leaf_pieces(query, pieces)
     lazy = Engine(query, tree, None, lazy=True)
-    assert [i for i, cuts in enumerate(lazy._allowed) if not cuts] == [0, 1]  # always on
+    assert [i for i, cuts in enumerate(gate_sets(lazy)) if not cuts] == [0, 1]  # always on
     records = [
         raw(0, "c", "g", "d"),
         raw(1, "b", "f", "c"),
@@ -557,7 +559,7 @@ def test_role_gate_needs_every_cut_end_of_a_role(monkeypatch):
     assert deltas == [set(), set(), set(), set(), {((0, 0), (1, 1), (2, 4))}]
     assert searches == [(0, 0), (1, 1), (2, 4)]
     assert eng.counters.match_calls == 3
-    assert eng._allowed[2] == {0: {"x"}, 2: {"z"}}
+    assert gate_sets(eng)[2] == {0: {"x"}, 2: {"z"}}
 
 
 def test_sweep_searches_an_edge_that_came_before_its_spine(monkeypatch):
@@ -582,9 +584,9 @@ def test_a_sweep_at_a_vertex_with_no_lists_searches_nothing(monkeypatch):
     queued = []
     drain = Engine._drain
 
-    def spying(self, arriving):
+    def spying(self, arriving, emit):
         queued.extend(self._pending)
-        drain(self, arriving)
+        drain(self, arriving, emit)
 
     monkeypatch.setattr(Engine, "_drain", spying)
     eng.process(raw(0, "u", "x", "w"))
@@ -593,9 +595,10 @@ def test_a_sweep_at_a_vertex_with_no_lists_searches_nothing(monkeypatch):
     assert v == "q" and eng.graph.vertex_table["u"].outgoing == () and "zz" not in eng.graph.vertex_table
     counters = dict(vars(eng.counters))
     eng._pending.extend([(sweep, "u"), (sweep, "zz")])
-    eng._drain(None)
-    assert vars(eng.counters) == counters
-    assert eng._allowed[1] == {1: {"q", "u", "zz"}}
+    emitted = []
+    eng._drain(None, emitted.append)
+    assert vars(eng.counters) == counters and emitted == []
+    assert gate_sets(eng)[1] == {1: {"q", "u", "zz"}}
     # an edge out of u now passes leaf 1's gate on arrival and is searched
     searches = watch_searches(monkeypatch, eng)
     assert eng.process(raw(2, "u", "b", "w")) == []
@@ -1096,9 +1099,10 @@ def test_a_wrapper_on_insert_and_propagate_sees_every_leaf_match(monkeypatch):
 
 
 def test_emitted_counts_the_log_and_the_edge_deltas(rng):
-    # process counts an edge's emissions once, from its delta, so the count,
-    # the log and the deltas agree over random streams, eager and lazy,
-    # on multi-leaf plans and on one-leaf plans, whose leaf is the root
+    # process counts an edge's emissions once, from its delta, and adds the
+    # delta to the log, so the count, the log and the deltas agree over
+    # random streams, eager and lazy, on multi-leaf plans and on one-leaf
+    # plans, whose leaf is the root; the log holds the deltas' own objects
     one_leaf = many_leaves = 0
     for _ in range(30):
         schema = random_schema(rng)
@@ -1110,7 +1114,8 @@ def test_emitted_counts_the_log_and_the_edge_deltas(rng):
             eng = Engine(query, plan_query(query, table, mode=mode).tree, window, lazy=lazy)
             deltas = [eng.process(r) for r in records]
             assert eng.counters.emitted == len(eng.log) == sum(map(len, deltas))
-            assert eng.log == [m for delta in deltas for m in delta]
+            emitted = [m for delta in deltas for m in delta]
+            assert eng.log == emitted and all(a is b for a, b in zip(eng.log, emitted))
             if eng.log:
                 one_leaf += len(eng.tree.nodes) == 1
                 many_leaves += len(eng.tree.nodes) > 1
@@ -1161,7 +1166,8 @@ def test_labels_that_read_as_code_are_matched_as_data(monkeypatch):
         sources.append(source)
         return compile(source, *rest)
 
-    monkeypatch.setattr(engine, "compile", compiling, raising=False)
+    # every search, gate, sweep and insert is compiled by sjtree._define
+    monkeypatch.setattr(sjtree, "compile", compiling, raising=False)
     query = QueryGraph(
         [odd[4], odd[2], odd[3], odd[0]],
         [QueryEdge(0, 1, odd[0]), QueryEdge(1, 2, odd[1]), QueryEdge(3, 2, odd[3]), QueryEdge(2, 2, odd[4])],
@@ -1178,7 +1184,7 @@ def test_labels_that_read_as_code_are_matched_as_data(monkeypatch):
         label = e.label if rng.random() < 0.9 else rng.choice(odd)
         records.append(raw(ts // 3, src, label, dst, kinds[src], kinds[dst]))
     cross_check(query, records, 30)
-    # the generated searches name no label or type
+    # no generated code names a label or type
     assert sources and not [src for src in sources for text in odd if text in src]
     eng = engines_for(query, records, 30)[1][1]  # path leaves: 2-edge searches
     assert any(len(leaf.piece.edges) == 2 for leaf in eng.tree.leaves())

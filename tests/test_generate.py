@@ -72,8 +72,6 @@ def test_generate_stream_deterministic_and_ordered():
     assert ts == sorted(ts)
     assert ts[0] == 0 and ts[-1] == 199 // 4
     assert len([t for t in ts if t == 0]) == 4
-    c = generate_stream(schema, 10, Random(9), start_ts=50)
-    assert c[0].timestamp == 50
 
 
 def test_generate_stream_feeds_the_graph():

@@ -221,24 +221,23 @@ T_LAST = 50  # the stand-in graph's t_last, which stamps the emissions
 
 
 def driven_tree(query, *edge_sets):
-    """The tree over leaves of ``edge_sets``, driven with no engine, and its log."""
+    """The tree over leaves of ``edge_sets``, driven with no engine."""
     tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, ids) for ids in edge_sets])
-    log, _ = drive_alone(tree, T_LAST)
-    return tree, log
+    drive_alone(tree, T_LAST)
+    return tree
 
 
-def check_insert(tree, log, node, m, bucket, cutoff):
+def check_insert(tree, node, m, bucket, cutoff):
     """Empty every table of the driven ``tree``, seed the sibling's with
     ``bucket`` under ``m``'s key, insert ``m`` at ``node``, and check it
-    against ``pairwise_join``: the joined matches reach the root's sink and
-    ``log``, stamped ``T_LAST``, in bucket order, or the parent's table; the
+    against ``pairwise_join``: the joined matches reach the sink the insert
+    is given, stamped ``T_LAST``, in bucket order, or the parent's table; the
     sibling's bucket is compacted to its live entries exactly when its stale
     entries are the majority; ``m`` is stored; ``stored_count`` and
     ``peak_stored`` count all of it.  Returns whether it compacted."""
     want, stale = pairwise_join(tree.query, m, bucket, cutoff)
     for n in tree.nodes:
         n.table.clear()  # in place: the compiled inserts hold the tables
-    log.clear()
     key, sib, parent = key_of(tree, node, m), tree.nodes[node.sibling], tree.nodes[node.parent]
     if bucket:
         sib.table[key] = list(bucket)
@@ -246,11 +245,11 @@ def check_insert(tree, log, node, m, bucket, cutoff):
     out = []
     tree.insert_and_propagate(node.node_id, m, cutoff, out.append)
     if parent.node_id == tree.root_id:
-        assert [x.flat for x in out] == want and out == log
+        assert [x.flat for x in out] == want
         assert all(x.t_max == T_LAST and x.n_edges == tree.query.n_edges for x in out)
         up = 0
     else:
-        assert out == log == []
+        assert out == []
         assert Counter(x for b in parent.table.values() for x in b) == Counter(want)
         up = len(want)
     compacted = stale * 2 > len(bucket)
@@ -356,8 +355,8 @@ def test_join_walks_a_mixed_bucket_like_the_pairwise_reference():
     got = join_all(m, bucket, leaf0, 3)
     assert got == ([(4, 10, 33, "a", "b", "e"), (5, 10, 34, "a", "b", "f")], 2)
     assert got == pairwise_join(PATH2, m, bucket, 3)
-    tree, log = driven_tree(PATH2, [0], [1])
-    assert not check_insert(tree, log, tree.leaves()[0], m, bucket, 3)  # 2 stale of 6 stay
+    tree = driven_tree(PATH2, [0], [1])
+    assert not check_insert(tree, tree.leaves()[0], m, bucket, 3)  # 2 stale of 6 stay
 
 
 def test_join_without_cutoff_keeps_negative_timestamps():
@@ -370,16 +369,16 @@ def test_join_without_cutoff_keeps_negative_timestamps():
     want = [(oldest, 10, 30, "a", "b", "c"), (-1, 10, 31, "a", "b", "d"), (0, 10, 32, "a", "b", "e")]
     assert join_all(m, bucket, leaf0, -math.inf) == (want, 0) == pairwise_join(PATH2, m, bucket, -math.inf)
     assert join_all(m, bucket, leaf0, -1) == (want[2:], 2)
-    tree, log = driven_tree(PATH2, [0], [1])
-    assert not check_insert(tree, log, tree.leaves()[0], m, bucket, -math.inf)
-    assert check_insert(tree, log, tree.leaves()[0], m, bucket, -1)  # 2 stale of 3 go
+    tree = driven_tree(PATH2, [0], [1])
+    assert not check_insert(tree, tree.leaves()[0], m, bucket, -math.inf)
+    assert check_insert(tree, tree.leaves()[0], m, bucket, -1)  # 2 stale of 3 go
 
 
 def test_join_randomized_against_the_pairwise_reference():
     # random probes from either leaf of a two-leaf tree into random buckets
     # of the other leaf, all agreeing on the cut vertex 2, with timestamps
     # around a random cutoff (or -inf, the unbounded window's)
-    tree, log = driven_tree(PATH3, [0, 1], [2])
+    tree = driven_tree(PATH3, [0, 1], [2])
     leaf0, leaf1 = tree.leaves()
     rng = Random(11)
     pool = [f"v{i}" for i in range(5)]
@@ -404,7 +403,7 @@ def test_join_randomized_against_the_pairwise_reference():
             node, m, bucket = leaf1, right(cut), [left(cut) for _ in range(n)]
         got = join_all(m, bucket, node, cutoff)
         assert got == pairwise_join(PATH3, m, bucket, cutoff)
-        compacted += check_insert(tree, log, node, m, bucket, cutoff)
+        compacted += check_insert(tree, node, m, bucket, cutoff)
         joined += len(got[0])
         stale += got[1]
     assert joined > 100 and stale > 100 and compacted > 50
@@ -462,7 +461,7 @@ def test_compiled_joins_against_the_pairwise_reference_on_planned_trees():
         trees = [plan_query(query, table, mode=mode).tree for mode in CATALOG_MODES]
         trees.append(SJTree.from_leaf_pieces(query, random_leaves(query, rng)))
         for tree in trees:
-            log, _ = drive_alone(tree, T_LAST)
+            drive_alone(tree, T_LAST)
             for node in tree.nodes:
                 if node.sibling is None:
                     continue
@@ -476,7 +475,7 @@ def test_compiled_joins_against_the_pairwise_reference_on_planned_trees():
                     cutoff = rng.choice([-math.inf, rng.randrange(-1, 8)])
                     got = join_all(m, bucket, node, cutoff)
                     assert got == pairwise_join(query, m, bucket, cutoff), f"trial {trial}: {tree.serialize()}"
-                    compacted += check_insert(tree, log, node, m, bucket, cutoff)
+                    compacted += check_insert(tree, node, m, bucket, cutoff)
                     probes += 1
                     results += len(got[0])
                     stale += got[1]

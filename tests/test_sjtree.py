@@ -72,12 +72,12 @@ def test_from_leaf_pieces_validation(edge_sets, fragment):
 
 def emitted_via(tree, inserts, cutoff):
     """Drive the tree and insert each (node id, Match) in its stored form;
-    return what reaches the root, in the same form."""
-    log, _ = drive_alone(tree)
+    return what reaches the root, in the same form, from the one sink every
+    insert is given."""
+    drive_alone(tree)
     out = []
     for node_id, m in inserts:
         tree.insert_and_propagate(node_id, stored_form(m), cutoff, out.append)
-    assert out == log  # each emission goes to the log and to emit
     return [match.flat for match in out]
 
 
@@ -128,6 +128,27 @@ def test_join_key_empty_cut_is_shared():
     assert sum(len(bucket) for bucket in cross.table.values()) == 2
     whole = Match.of(query, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], {0: "a", 1: "b", 2: "c", 3: "d"})
     assert got == [stored_form(whole)]
+
+
+def test_each_emission_goes_to_the_sink_of_its_own_insert():
+    # a path e, f in two leaves: each insert that completes a match hands it
+    # to the emit it was given, and no other sink sees it; an insert that
+    # completes nothing leaves its sink empty
+    query, tree = two_leaf_tree()
+    drive_alone(tree, t_last=7)
+    leaf0, leaf1 = tree.leaves()
+    sinks = {name: [] for name in ("first", "second", "third")}
+    inserts = [
+        (leaf0, [(0, 10, 1)], {0: "a", 1: "b"}, "first"),
+        (leaf1, [(1, 20, 2)], {1: "b", 2: "c"}, "second"),  # joins a-b
+        (leaf0, [(0, 11, 3)], {0: "x", 1: "b"}, "third"),  # joins b-c
+    ]
+    for leaf, items, bind, name in inserts:
+        tree.insert_and_propagate(leaf.node_id, stored_form(Match.of(query, items, bind)), -math.inf, sinks[name].append)
+    whole = {0: "a", 1: "b", 2: "c"}
+    assert [m.flat for m in sinks["second"]] == [stored_form(Match.of(query, [(0, 10, 1), (1, 20, 2)], whole))]
+    assert [m.flat for m in sinks["third"]] == [stored_form(Match.of(query, [(0, 11, 3), (1, 20, 2)], {**whole, 0: "x"}))]
+    assert sinks["first"] == [] and all(m.t_max == 7 for m in sinks["second"] + sinks["third"])
 
 
 def test_insert_mismatched_cut_does_not_join():
@@ -240,7 +261,7 @@ def test_a_driven_tree_queues_a_sweep_per_spine_match_with_a_new_cut_binding():
     spine = leaf1.parent
     allowed1, allowed2 = {"b"}, {"d"}
     gates = {leaf0.node_id: ((1, allowed1, "sweep at 1"),), spine: ((2, allowed2, "sweep at 2"),)}
-    _, queue = drive_alone(tree, gates=gates)
+    queue = drive_alone(tree, gates=gates)
     inserts = [
         (leaf0, [(0, 1, 0)], {0: "a", 1: "b"}),  # allowed
         (leaf0, [(0, 2, 1)], {0: "a", 1: "x"}),
@@ -266,7 +287,7 @@ def test_drive_compiles_one_insert_per_node_once(leaves):
     splits = {1: [[0, 1, 2]], 3: [[0], [1], [2]]}[leaves]
     tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, ids) for ids in splits])
     assert all(n.insert is None for n in tree.nodes)
-    log, _ = drive_alone(tree, t_last=9)
+    drive_alone(tree, t_last=9)
     inserted = [n for n in tree.nodes if n.node_id != tree.root_id or n.is_leaf]
     assert len({n.insert for n in inserted}) == len(inserted) == {1: 1, 3: 4}[leaves]
     assert tree.nodes[tree.root_id].insert is (None if leaves > 1 else tree.nodes[0].insert)
@@ -276,7 +297,7 @@ def test_drive_compiles_one_insert_per_node_once(leaves):
         m = stored_form(Match.of(query, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], {0: "a", 1: "b", 2: "c", 3: "d"}))
         out = []
         tree.insert_and_propagate(tree.root_id, m, 1, out.append)
-        assert out == log and [(x.flat, x.n_edges, x.t_max) for x in out] == [(m, 3, 9)]
+        assert [(x.flat, x.n_edges, x.t_max) for x in out] == [(m, 3, 9)]
 
 
 # ------------------------------------------------------------------- plan text
