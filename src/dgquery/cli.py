@@ -195,6 +195,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise ParseError("no strategy given")
     for s in strategies:
         if s not in bench_mod.STRATEGIES:
             raise ParseError(f"unknown strategy {s!r}")

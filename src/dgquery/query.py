@@ -61,25 +61,10 @@ class QueryGraph:
             QueryEdge(e.src, e.dst, shared.setdefault(e.label, e.label)) for e in edges
         )
         self.texts: tuple[str, ...] = tuple(shared)
-        if not self._connected():
+        whole = QueryPiece.from_edges(self, range(len(self.edges)))
+        if len(whole.vertices) != n or not whole.is_connected(self):
             raise ValueError("query graph must be connected")
         self._hash = hash((self.vertex_labels, self.edges))
-
-    def _connected(self) -> bool:
-        n = len(self.vertex_labels)
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for e in self.edges:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
 
     @property
     def n_vertices(self) -> int:

@@ -15,19 +15,17 @@ combines the counts pairwise — ``n*(n-1)/2`` within one descriptor,
 multiplicities, and total work is linear in edges plus the pair-combination
 term, never quadratic in the vertex count.
 
-``collect_stats`` tallies a stream sample as it streams, with no graph.  It
-reads the sample a fixed-size chunk at a time and transposes each chunk into
-columns.  It checks them in bulk, by the stream-order and label rules of
-``DynamicGraph.add_edge`` over a window where nothing expires: no timestamp
-falls, and each vertex keeps its first label.  A chunk that fails is walked
-again edge by edge, in ``add_edge``'s order, to raise its error at the first
-bad edge.  The chunk is then counted by ``Counter.update`` into two tallies:
-``(src, edge_type, dst_type)`` for the out roles and ``(dst, edge_type,
-src_type)`` for the in roles, self-loops left out, so a self-loop is one
-descriptor at its vertex, in its out role.  After the last chunk, the edge
-keys are summed from the out tally, and the two tallies become each vertex's
-descriptor tally.  The sample's statistics hold one entry per vertex and per
-(vertex, descriptor), never one per edge.
+``collect_stats`` tallies a stream sample as it streams, with no graph, in
+one pass.  Each edge is checked by the stream-order and label rules of
+``DynamicGraph.add_edge``, in its order, over a window where nothing expires:
+no timestamp falls, and each vertex keeps its first label.  The first bad
+edge raises its error before any later edge is read.  Each good edge is then
+counted into two tallies: ``(src, edge_type, dst_type)`` for the out roles
+and ``(dst, edge_type, src_type)`` for the in roles, self-loops left out, so
+a self-loop is one descriptor at its vertex, in its out role.  After the
+last edge, the edge keys are summed from the out tally, and the two tallies
+become each vertex's descriptor tally.  The sample's statistics hold one
+entry per vertex and per (vertex, descriptor), never one per edge.
 
 The table ``collect_stats`` returns keeps those tallies, grouped by center
 label, in place of the path counts, since a planner reads only a few path
@@ -54,8 +52,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from itertools import compress, islice
-from operator import eq, le, ne
 from typing import Iterable
 
 from .errors import ParseError, UnsupportedPrimitiveError
@@ -76,9 +72,6 @@ EdgeKey = tuple[str, str, str]             # (src_type, edge_type, dst_type)
 PathKey = tuple[str, Descriptor, Descriptor]
 
 STATS_VERSION = 1
-
-# sample edges read, checked and counted at a time
-_CHUNK = 4096
 
 
 def _sum_pairs(tallies: dict[str, list[dict[Descriptor, int]]]) -> dict[PathKey, int]:
@@ -334,8 +327,8 @@ def collect_stats(records: Iterable[WireEdge]) -> SelectivityTable:
     """Build the table from a stream sample (full window, nothing expires).
 
     Raises what ``DynamicGraph(window=None).add_edge`` raises at the sample's
-    first bad edge.  An error ``records`` raises is raised once the edges
-    read before it are checked.
+    first bad edge, and reads no edge past it.  An error ``records`` raises
+    is raised once the edges read before it are checked and counted.
     """
     labels, outs, ins = _tally(records)
     arity1: dict[EdgeKey, int] = {}
@@ -371,51 +364,16 @@ def collect_stats(records: Iterable[WireEdge]) -> SelectivityTable:
 
 
 def _tally(records: Iterable[WireEdge]) -> tuple[dict[str, str], Counter, Counter]:
-    """Check and count ``records`` a chunk at a time: each vertex's label,
-    the out tally ``(src, edge_type, dst_type)`` and the in tally ``(dst,
-    edge_type, src_type)`` of the edges that are not self-loops."""
+    """Check and count ``records`` in one pass: each vertex's label, the out
+    tally ``(src, edge_type, dst_type)`` and the in tally ``(dst, edge_type,
+    src_type)`` of the edges that are not self-loops.  Each edge is checked
+    by ``add_edge``'s rules and in its order, over a store where nothing
+    expires, before it is counted and before the next edge is read."""
     labels: dict[str, str] = {}
     outs: Counter = Counter()
     ins: Counter = Counter()
     t_last = -math.inf
-    records = iter(records)
-    while True:
-        chunk: list = []
-        failure = None
-        try:
-            # extend keeps the edges read before a failure
-            chunk.extend(islice(records, _CHUNK))
-        except Exception as exc:
-            failure = exc
-        if chunk:
-            ts, srcs, src_types, edge_types, dsts, dst_types = zip(*chunk, strict=True)
-            # the chunk's vertices, each with its last label in the chunk
-            seen = dict(zip(srcs, src_types))
-            seen.update(zip(dsts, dst_types))
-            if (
-                t_last <= ts[0]
-                and all(map(le, ts, islice(ts, 1, None)))
-                and all(map(eq, map(seen.__getitem__, srcs), src_types))
-                and all(map(eq, map(seen.__getitem__, dsts), dst_types))
-                and all(map(eq, map(labels.get, seen, seen.values()), seen.values()))
-            ):
-                labels.update(seen)
-            else:
-                _check_edges(chunk, t_last, labels)
-            t_last = ts[-1]
-            outs.update(zip(srcs, edge_types, dst_types))
-            ins.update(compress(zip(dsts, edge_types, src_types), map(ne, srcs, dsts)))
-        if failure is not None:
-            raise failure
-        if len(chunk) < _CHUNK:
-            return labels, outs, ins
-
-
-def _check_edges(chunk: list[WireEdge], t_last: float, labels: dict[str, str]) -> None:
-    """Check ``chunk`` one edge at a time, by ``add_edge``'s rules and in its
-    order over a store where nothing expires, and raise its error at the
-    first bad edge; ``labels`` takes each vertex as it is met."""
-    for ts, src, src_type, _, dst, dst_type in chunk:
+    for ts, src, src_type, edge_type, dst, dst_type in records:
         if ts < t_last:
             raise disorder_error(ts, t_last)
         label = labels.get(src)
@@ -429,3 +387,7 @@ def _check_edges(chunk: list[WireEdge], t_last: float, labels: dict[str, str]) -
         if label != dst_type:
             raise label_error(dst, label, dst_type)
         t_last = ts
+        outs[src, edge_type, dst_type] += 1
+        if src != dst:
+            ins[dst, edge_type, src_type] += 1
+    return labels, outs, ins

@@ -286,9 +286,11 @@ def test_bench_bins_each_query_once_by_its_auto_plans_xi(tmp_path):
 
 
 def test_bench_rejects_unknown_strategy(tmp_path, capsys):
-    rc = main(["bench", "--strategies", "warp", "--out", str(tmp_path / "x.tsv")])
-    assert rc == 2
-    assert "unknown strategy" in capsys.readouterr().err
+    for strategies, message in (("warp", "unknown strategy"), (",", "no strategy given")):
+        rc = main(["bench", "--strategies", strategies, "--out", str(tmp_path / "x.tsv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.tsv").exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,5 +1,6 @@
 """The package's public names: each is declared once, in the ``__all__`` of
-the module that defines it, and every ``__all__`` entry resolves."""
+the module that defines it, and every ``__all__`` entry resolves.  Every name
+a module imports is read by it."""
 from __future__ import annotations
 
 import ast
@@ -41,3 +42,14 @@ def test_one_import_path_per_name():
 def test_submodule_all_resolves(name):
     # a stale entry breaks only ``from dgquery.<name> import *``
     assert unresolved(importlib.import_module(f"dgquery.{name}")) == []
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_no_unused_imports(name):
+    # names a module re-exports sit in ``__all__``, which
+    # test_one_import_path_per_name keeps apart from the imported ones
+    module = importlib.import_module(f"dgquery.{name}")
+    nodes = ast.walk(ast.parse(inspect.getsource(module)))
+    read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    # ``from __future__ import annotations`` binds a name no code reads
+    assert imported_names(module) - read - {"annotations"} == set()

@@ -46,6 +46,8 @@ def test_query_graph_validation():
         QueryGraph(["A", "B"], [QueryEdge(0, 2, "e")])
     with pytest.raises(ValueError):  # disconnected
         QueryGraph(["A", "B", "C", "D"], [QueryEdge(0, 1, "e"), QueryEdge(2, 3, "e")])
+    with pytest.raises(ValueError, match="must be connected"):  # an isolated vertex
+        QueryGraph(["A", "B", "C"], [QueryEdge(0, 1, "e")])
 
 
 def test_query_graph_accessors():

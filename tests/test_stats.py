@@ -293,7 +293,8 @@ def test_collect_stats_counts_whole_sample():
 
 # ------------------------------------------------- collect_stats, differential
 
-CHUNK = stats._CHUNK
+# sample sizes and bad-edge positions sit at and around multiples of it
+CHUNK = 4096
 
 
 def reference_stats(records):
@@ -422,6 +423,28 @@ def test_collect_stats_checks_the_edges_read_before_a_failing_source(at):
         want = outcome(reference_stats, lambda: failing(records))
         assert want[0] is error
         assert outcome(collect_stats, lambda: failing(records)) == want
+
+
+def test_collect_stats_reads_nothing_past_the_first_bad_edge():
+    pulled = 0
+
+    def counting(records):
+        nonlocal pulled
+        for r in records:
+            pulled += 1
+            yield r
+
+    base = random_sample(Random(1650), 10_000)
+    prior = next(r for r in base[:10] if r.src != r.dst)
+    conflicted = base[:]
+    conflicted[10] = RawEdge(base[10].timestamp, prior.src, other(prior.src_type), "x", "fresh", "A")
+    with pytest.raises(LabelConflictError):
+        collect_stats(counting(conflicted))
+    assert pulled == 11
+    # a clean stream is read once, whole
+    pulled = 0
+    assert collect_stats(counting(base)).sample_size == 10_000
+    assert pulled == 10_000
 
 
 def test_collect_stats_builds_no_graph(monkeypatch):
