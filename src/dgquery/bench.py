@@ -134,6 +134,8 @@ def run_sweep(
         reports.append(report)
         sigs[strategy] = got
     names = list(sigs)
+    if not names:
+        raise ContractError("no strategy given")
     baseline = sigs[names[0]]
     for name in names[1:]:
         if sigs[name] != baseline:

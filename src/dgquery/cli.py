@@ -4,15 +4,20 @@ Subcommands: ``gen`` (synthetic streams and queries), ``stats`` (selectivity
 tables), ``plan`` (a join tree's leaf order), ``run`` (continuous matching over
 a stream), ``bench`` (strategy comparison).
 
+Every input file (``--query``, ``--stream``, ``--stats``) may be ``-``,
+standard input, for one of them at a time.
+
 Exit codes: 0 success, 1 usage error, 2 data or contract error, 3 strategy
 disagreement.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from random import Random
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import bench as bench_mod
 from .errors import DgqError, MismatchError, ParseError
@@ -31,6 +36,8 @@ EXIT_MISMATCH = 3
 
 RUN_STRATEGIES = ("auto",) + bench_mod.STRATEGIES
 
+T = TypeVar("T")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this tool reserves 2 for data."""
@@ -40,14 +47,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
-    return value
+def _positive(kind: type, want: str) -> Callable[[str], float]:
+    """An argparse type: ``kind(text)``, refused unless finite and above 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"want {want}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _positive(int, "an integer >= 1")
 
 
 def _parse_window(text: str) -> int | None:
@@ -56,28 +71,42 @@ def _parse_window(text: str) -> int | None:
     return _positive_int(text)
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _open_out(path: str | None) -> Iterator[IO[str]]:
+    """Output file ``path``, or standard output (flushed) for None or ``-``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        try:
+            yield sys.stdout
+        finally:
+            sys.stdout.flush()
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
-def _utf8_lines(fh: IO[str], source: str) -> Iterator[str]:
-    """Yield the lines of an input file opened with ``errors="surrogateescape"``,
-    which reads an undecodable byte as a lone surrogate: UTF-8 text never holds
-    one, so it ends the input with a ParseError at its own line."""
-    for line_no, line in enumerate(fh, start=1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError("not UTF-8 text", line=line_no, source=source) from None
-        yield line
+def _read(path: str, parse: Callable[..., T]) -> T:
+    """``parse(lines, source=name)`` over input file ``path`` (``-``: stdin),
+    opened first, so a missing file fails before any output exists.  A file
+    is read with ``errors="surrogateescape"``: an undecodable byte becomes a
+    lone surrogate, which UTF-8 text never holds, and a ParseError."""
+
+    def lines(source: str) -> Iterator[str]:
+        with sys.stdin if path == "-" else open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield source  # once the file is open
+            for line_no, line in enumerate(fh, start=1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError("not UTF-8 text", line=line_no, source=source) from None
+                yield line
+
+    opened = lines("<stdin>" if path == "-" else path)
+    return parse(opened, source=next(opened))
 
 
-def _read_query(path: str):
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_query(_utf8_lines(fh, path), source=path)
+def _table(lines: Iterable[str], source: str) -> SelectivityTable:
+    return SelectivityTable.from_json("".join(lines), source=source)
 
 
 def _schema_from_args(args: argparse.Namespace):
@@ -104,8 +133,7 @@ def _line_format(query: QueryGraph) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     rng = Random(args.seed)
     schema = _schema_from_args(args)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         if args.kind == "stream":
             for raw in generate_stream(
                 schema, args.edges, rng, edges_per_tick=args.edges_per_tick
@@ -114,21 +142,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         else:
             query = random_query(schema, args.edges, rng)
             out.write(format_query(query))
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     # the lines are counted as they are read; a bad one ends the command
     # before the table is written
-    if args.stream == "-":
-        table = collect_stats(read_edge_stream(_utf8_lines(sys.stdin, "<stdin>"), source="<stdin>"))
-    else:
-        with open(args.stream, encoding="utf-8", errors="surrogateescape") as fh:
-            table = collect_stats(read_edge_stream(_utf8_lines(fh, args.stream), source=args.stream))
-    table.save(args.out)
+    table = collect_stats(_read(args.stream, read_edge_stream))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(table.to_json())
     print(
         f"stats: {table.sample_size} edges, {len(table.arity1)} edge keys, "
         f"{len(table.arity2)} path keys -> {args.out}",
@@ -138,13 +160,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    query = _read_query(args.query)
-    table = SelectivityTable.load(args.stats)
+    query = _read(args.query, parse_query)
+    table = _read(args.stats, _table)
     plan = plan_query(query, table, mode=args.mode)
-    if args.mean_degree is not None:
-        plan.warnings.extend(
-            decomposition_advisories(plan.tree, table, args.mean_degree)
-        )
+    plan.warnings.extend(decomposition_advisories(plan.tree, table, args.mean_degree))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(plan.tree.serialize())
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
@@ -161,31 +180,23 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    query = _read_query(args.query)
-    table = None if args.stats is None else SelectivityTable.load(args.stats)
-    with open(args.stream, encoding="utf-8", errors="surrogateescape") as fh:
-        # read one line at a time, so a bad line ends the run after the
-        # matches of the lines before it are written; only a plan from
-        # statistics over the whole stream needs it all first (the rescan
-        # baseline plans nothing)
-        records = read_edge_stream(_utf8_lines(fh, args.stream), source=args.stream)
-        if table is None and args.strategy != "vf2":
-            records = list(records)
-            table = collect_stats(records)
-        eng, _, strategy = bench_mod.make_engine(args.strategy, query, args.window, table)
-        out, close = _open_out(args.out)
-        try:
-            line, ends = _line_format(query), 1 + query.n_edges
-            seq = 0
-            for raw in records:
-                for m in eng.process(raw):
-                    out.write(line % (seq, m.flat[0], m.t_max, *m.flat[1:ends]))
-                    seq += 1
-        finally:
-            if close:
-                out.close()
-            else:
-                out.flush()
+    query = _read(args.query, parse_query)
+    table = None if args.stats is None else _read(args.stats, _table)
+    # read one line at a time, so a bad line ends the run after the matches
+    # of the lines before it are written; only a plan from statistics over
+    # the whole stream needs it all first (the rescan baseline plans nothing)
+    records = _read(args.stream, read_edge_stream)
+    if table is None and args.strategy != "vf2":
+        records = list(records)
+        table = collect_stats(records)
+    eng, _, strategy = bench_mod.make_engine(args.strategy, query, args.window, table)
+    with _open_out(args.out) as out:
+        line, ends = _line_format(query), 1 + query.n_edges
+        seq = 0
+        for raw in records:
+            for m in eng.process(raw):
+                out.write(line % (seq, m.flat[0], m.t_max, *m.flat[1:ends]))
+                seq += 1
     print(
         f"run: strategy={strategy} edges={eng.counters.edges} emitted={eng.counters.emitted}",
         file=sys.stderr,
@@ -203,29 +214,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     rng = Random(args.seed)
     if args.stream is not None:
-        with open(args.stream, encoding="utf-8", errors="surrogateescape") as fh:
-            records = list(read_edge_stream(_utf8_lines(fh, args.stream), source=args.stream))
+        records = list(_read(args.stream, read_edge_stream))
     else:
         schema = _schema_from_args(args)
         records = generate_stream(
             schema, args.edges, rng, edges_per_tick=args.edges_per_tick
         )
-    table = (
-        SelectivityTable.load(args.stats)
-        if args.stats is not None
-        else collect_stats(records)
-    )
+    table = _read(args.stats, _table) if args.stats is not None else collect_stats(records)
 
     if args.query is not None:
-        queries = [_read_query(args.query)]
+        queries = [_read(args.query, parse_query)]
     else:
         schema = _schema_from_args(args)
         queries = [
             random_query(schema, args.query_edges, rng) for _ in range(args.queries)
         ]
 
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write("query\t" + "\t".join(bench_mod.REPORT_FIELDS) + "\n")
         xi: list[float] = []  # one per planned query: its rows share it
         for qi, query in enumerate(queries):
@@ -244,9 +249,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 + " ".join(str(c) for c in counts)
                 + "\n"
             )
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -274,7 +276,7 @@ def build_parser() -> _Parser:
     gen.set_defaults(func=cmd_gen)
 
     st = sub.add_parser("stats", help="collect a selectivity table from a stream")
-    st.add_argument("--stream", required=True, help="stream path, or '-' for stdin")
+    st.add_argument("--stream", required=True)
     st.add_argument("--out", required=True, help="JSON table path")
     st.set_defaults(func=cmd_stats)
 
@@ -282,7 +284,7 @@ def build_parser() -> _Parser:
     pl.add_argument("--query", required=True)
     pl.add_argument("--stats", required=True)
     pl.add_argument("--mode", choices=("auto", "single", "path"), default="auto")
-    pl.add_argument("--mean-degree", type=float, default=None,
+    pl.add_argument("--mean-degree", type=_positive(float, "a finite number > 0"), default=None,
                     help="emit decomposition advisories against this mean degree")
     pl.add_argument("--out", required=True,
                     help="plan text path: 'sjtree', then one 'leaf <qedge> ...' line per leaf; "
@@ -326,6 +328,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    if [getattr(args, name, None) for name in ("query", "stream", "stats")].count("-") > 1:
+        parser.error("only one input file can be '-', standard input")
     try:
         return args.func(args)
     except MismatchError as exc:

@@ -10,6 +10,7 @@ regardless of how endpoints collide.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from random import Random
 
@@ -42,7 +43,7 @@ class Schema:
     triples: list[Triple]
     pools: dict[str, int]
     skew: float = 0.0
-    weights: list[float] = field(default_factory=list)
+    weights: list[float] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.triples:
@@ -51,12 +52,9 @@ class Schema:
             for vt in (s, d):
                 if self.pools.get(vt, 0) < 1:
                     raise ContractError(f"no vertex pool for type {vt!r}")
-        if not self.weights:
-            self.weights = [
-                (rank + 1) ** (-self.skew) for rank in range(len(self.triples))
-            ]
-        if len(self.weights) != len(self.triples):
-            raise ContractError("one weight per triple required")
+        if not 0.0 <= self.skew < math.inf:
+            raise ContractError(f"skew must be a finite number >= 0, not {self.skew!r}")
+        self.weights = [(rank + 1) ** (-self.skew) for rank in range(len(self.triples))]
 
     def vertex_id(self, vtype: str, index: int) -> str:
         return f"{vtype}{index}"

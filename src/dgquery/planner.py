@@ -13,8 +13,9 @@ DP over leaf subsets minimises the sum of the estimated stored sizes of the
 spine nodes below the root, each estimate built from the table's edge and
 2-path counts by the chain rule (Mhedhbi & Salihoglu's catalogue costing).
 It may take a leaf that shares no vertex with the prefix, a cross join, when
-the frontier would otherwise hold a large intermediate table.  The greedy
-order stands unless the DP's is strictly cheaper.
+the frontier would otherwise hold a large intermediate table.  Among orders
+of equal cost it keeps the lower leaf at each step; past ``DP_MAX_LEAVES``
+leaves the greedy order stands.
 
 Catalog modes:
 
@@ -70,8 +71,7 @@ def _ranked(
     ranked = []
     for qedges in instances:
         arity, key = primitive_key(query, qedges)
-        sel = (table.edge_selectivity if arity == 1 else table.path_selectivity)(key)  # type: ignore[operator]
-        ranked.append((sel, repr(key), qedges, key))
+        ranked.append((table.selectivity(arity, key), repr(key), qedges, key))
     ranked.sort(key=lambda r: r[:3])
     return ranked
 
@@ -192,27 +192,21 @@ def _cheapest_order(
 ) -> tuple[list[QueryPiece], list[float]]:
     """``pieces`` in their cheapest left-deep order, with its estimates.
 
-    Leaf 0 and the leaf set stay; the rest keep their order unless the DP's
-    order costs strictly less (beyond float rounding), the cost being the sum
-    of the estimated spine sizes below the root.  Past ``DP_MAX_LEAVES``
-    leaves the DP's 2^(k-1) subsets cost more than planning should, and the
-    greedy order stands.
+    Leaf 0 and the leaf set stay; the rest take ``best_order``'s order, which
+    minimises the sum of the estimated spine sizes below the root and keeps
+    the lower leaf on a tie.  Past ``DP_MAX_LEAVES`` leaves the DP's 2^(k-1)
+    subsets cost more than planning should, and the greedy order stands.
     """
     spine = _SpineCost(query, pieces, table)
-    sizes = spine.sizes(list(range(len(pieces))))
-    if 2 < len(pieces) <= DP_MAX_LEAVES:
-        order = spine.best_order()
-        dp_sizes = spine.sizes(order)
-        if sum(dp_sizes[:-1]) < sum(sizes[:-1]) * (1.0 - 1e-9):
-            return [pieces[i] for i in order], dp_sizes
-    return pieces, sizes
+    order = spine.best_order() if len(pieces) <= DP_MAX_LEAVES else list(range(len(pieces)))
+    return [pieces[i] for i in order], spine.sizes(order)
 
 
 def _expected_selectivity(query: QueryGraph, pieces: list[QueryPiece], table: SelectivityTable) -> float:
     """Product of the leaf primitive selectivities."""
     prod = 1.0
     for piece in pieces:
-        prod *= table.subgraph_selectivity(query, piece.edges)
+        prod *= table.selectivity(*primitive_key(query, piece.edges))
     return prod
 
 
@@ -309,8 +303,7 @@ def decomposition_advisories(
     for leaf in tree.leaves():
         if len(leaf.piece.edges) < 2:
             continue
-        arity, key = primitive_key(tree.query, leaf.piece.edges)
-        leaf_freq = table.frequency(arity, key)
+        leaf_freq = table.frequency(*primitive_key(tree.query, leaf.piece.edges))
         bound = leaf_freq / (mean_degree * len(leaf.piece.vertices))
         for qe in sorted(leaf.piece.edges):
             sub_arity, sub_key = primitive_key(tree.query, [qe])

@@ -29,7 +29,7 @@ entry per vertex and per (vertex, descriptor), never one per edge.
 
 The table ``collect_stats`` returns keeps those tallies, grouped by center
 label, in place of the path counts, since a planner reads only a few path
-keys.  A key read from it (``frequency``, ``path_selectivity``) is summed over
+keys.  A key read from it (``frequency``, ``selectivity``) is summed over
 the tallies of its center label alone, and kept.  ``total2`` needs no key: a
 center holding ``s`` descriptors, a self-loop once, centers ``C(s, 2)`` paths
 (the handshake identity), so it is summed as the table is built.  Every key
@@ -196,27 +196,16 @@ class SelectivityTable:
 
     # ------------------------------------------------------------ selectivity
 
-    def edge_selectivity(self, key: EdgeKey) -> float:
-        total = self.total1
-        if total == 0:
-            return 0.0
-        return self.arity1.get(key, 0) / total
-
-    def path_selectivity(self, key: PathKey) -> float:
-        total = self.total2
-        if total == 0:
-            return 0.0
-        return self._path_count(key) / total
-
     def frequency(self, arity: int, key: EdgeKey | PathKey) -> int:
+        """The sample count of ``primitive_key``'s ``(arity, key)``; 0 if unseen."""
         if arity == 1:
             return self.arity1.get(key, 0)  # type: ignore[arg-type]
         return self._path_count(key)  # type: ignore[arg-type]
 
-    def subgraph_selectivity(self, query: QueryGraph, edge_ids: Iterable[int]) -> float:
-        """Selectivity of a 1- or 2-edge sub-pattern of ``query``."""
-        arity, key = primitive_key(query, edge_ids)
-        return self.edge_selectivity(key) if arity == 1 else self.path_selectivity(key)
+    def selectivity(self, arity: int, key: EdgeKey | PathKey) -> float:
+        """``frequency`` over the total of its arity; 0 when that is 0."""
+        total = self.total1 if arity == 1 else self.total2
+        return self.frequency(arity, key) / total if total else 0.0
 
     # ------------------------------------------------------------- persistence
 
@@ -281,18 +270,6 @@ class SelectivityTable:
         if total1 != table.total1 or total2 != table.total2:
             raise ParseError("totals do not match the row sums", source=source)
         return table
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "SelectivityTable":
-        with open(path, encoding="utf-8") as fp:
-            try:
-                return cls.from_json(fp.read(), source=path)
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8 text: {exc}", source=path) from None
 
 
 def primitive_key(query: QueryGraph, edge_ids: Iterable[int]) -> tuple[int, EdgeKey | PathKey]:

@@ -83,6 +83,12 @@ def test_run_sweep_reports_the_auto_plans_xi_on_every_planned_row():
     assert run_sweep(query, records, 5, ["vf2"], table)[0].relative_selectivity is None
 
 
+def test_run_sweep_needs_a_strategy():
+    query, records, table = _workload()
+    with pytest.raises(ContractError, match="no strategy given"):
+        run_sweep(query, records, 5, [], table)
+
+
 # ------------------------------------------------------------------ binning
 
 def test_bin_reports_log_spaced():

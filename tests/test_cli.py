@@ -9,10 +9,11 @@ import pytest
 from dgquery import bench as bench_mod
 from dgquery.baseline import RescanEngine
 from dgquery.cli import main
+from dgquery.errors import MismatchError
 from dgquery.graph import read_edge_stream
 from dgquery.query import parse_query
 from dgquery.sjtree import SJTree
-from dgquery.stats import SelectivityTable
+from dgquery.stats import SelectivityTable, collect_stats
 
 from test_workload_counters import load_workloads
 
@@ -52,7 +53,7 @@ def test_stats_command_writes_loadable_table(tmp_path, capsys):
     stream = _gen_stream(tmp_path)
     out = tmp_path / "stats.json"
     assert main(["stats", "--stream", str(stream), "--out", str(out)]) == 0
-    table = SelectivityTable.load(str(out))
+    table = SelectivityTable.from_json(out.read_text(encoding="utf-8"))
     assert table.sample_size == 400
     assert "400 edges" in capsys.readouterr().err
 
@@ -400,6 +401,175 @@ def test_data_errors_exit_two(tmp_path, capsys, monkeypatch):
         assert f"dgq: error: {broken}: line 301: not UTF-8 text" in capsys.readouterr().err
         want = (tmp_path / "want.tsv").read_bytes()
         assert want and (tmp_path / "got.tsv").read_bytes() == want
+
+
+def _stats_file(tmp_path, stream):
+    stats = tmp_path / "stats.json"
+    assert main(["stats", "--stream", str(stream), "--out", str(stats)]) == 0
+    return stats
+
+
+@pytest.mark.parametrize("with_stats", [False, True])
+def test_run_reads_the_stream_from_stdin_as_from_the_file(tmp_path, monkeypatch, capsys, with_stats):
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+    extra = ["--stats", str(_stats_file(tmp_path, stream))] if with_stats else []
+    capsys.readouterr()
+    rc, from_file = _run_out(tmp_path, stream, query_path, "file.tsv", *extra)
+    assert rc == 0 and from_file
+    file_err = capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream.read_text()))
+    rc, from_stdin = _run_out(tmp_path, "-", query_path, "stdin.tsv", *extra)
+    assert rc == 0 and from_stdin == from_file
+    assert capsys.readouterr().err == file_err
+
+
+def test_plan_reads_the_query_or_the_table_from_stdin_as_from_the_file(tmp_path, monkeypatch, capsys):
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+    stats = _stats_file(tmp_path, stream)
+    plans = []
+    for query, table, stdin in ((query_path, stats, None), ("-", stats, query_path), (query_path, "-", stats)):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin.read_text()))
+        out = tmp_path / f"plan{len(plans)}.txt"
+        assert main(["plan", "--query", str(query), "--stats", str(table), "--out", str(out)]) == 0
+        plans.append((out.read_bytes(), (tmp_path / f"{out.name}.json").read_bytes()))
+    assert plans[0] == plans[1] == plans[2]
+    capsys.readouterr()
+
+
+def test_only_one_input_file_reads_stdin(tmp_path, capsys):
+    for command in (
+        ["run", "--query", "-", "--stream", "-"],
+        ["run", "--query", "q.txt", "--stream", "-", "--stats", "-"],
+        ["plan", "--query", "-", "--stats", "-", "--out", str(tmp_path / "p.txt")],
+        ["bench", "--stream", "-", "--stats", "-"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            main(command)
+        assert ei.value.code == 1
+        assert "only one input file can be '-'" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_bench_runs_the_query_file_on_the_stream_file(tmp_path, capsys):
+    # every strategy emits what dgq run emits for the same query and window
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+    out = tmp_path / "bench.tsv"
+    assert main(["bench", "--stream", str(stream), "--query", str(query_path), "--window", "50",
+                 "--strategies", "singlelazy,pathlazy,vf2", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("0", "singlelazy"), ("0", "pathlazy"), ("0", "vf2")]
+    rc, written = _run_out(tmp_path, stream, query_path, "run.tsv")
+    assert rc == 0 and written
+    assert {row[5] for row in rows} == {str(len(written.splitlines()))}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    "run --window 50",
+    "run --window 50 --strategy vf2",
+    "run --window 50 --stats STATS",
+    "bench",
+    "bench --stats STATS",
+])
+def test_a_missing_stream_creates_no_output(tmp_path, capsys, command):
+    # the stream is opened before the output, as a file read whole would be
+    stats = _stats_file(tmp_path, _gen_stream(tmp_path))
+    query_path = _gen_query(tmp_path)
+    out = tmp_path / "out.tsv"
+    capsys.readouterr()
+    command = [str(stats) if word == "STATS" else word for word in command.split()]
+    rc = main([*command, "--query", str(query_path), "--stream", str(tmp_path / "missing.tsv"),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dgq: error: ") and "missing.tsv" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-3", "x"])
+def test_plan_refuses_a_mean_degree_that_is_no_positive_number(tmp_path, capsys, value):
+    stream = _gen_stream(tmp_path)
+    out = tmp_path / "plan.txt"
+    with pytest.raises(SystemExit) as ei:
+        main(["plan", "--query", str(_gen_query(tmp_path)), "--stats", str(_stats_file(tmp_path, stream)),
+              "--mean-degree", value, "--out", str(out)])
+    assert ei.value.code == 1
+    assert "--mean-degree: want a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_prints_the_mean_degree_advisories(tmp_path, capsys):
+    # the path plan's 2-edge leaf is rarer than its commoner edges allow
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+    stats = _stats_file(tmp_path, stream)
+    capsys.readouterr()
+    plan = ["plan", "--query", str(query_path), "--stats", str(stats), "--mode", "path",
+            "--out", str(tmp_path / "plan.txt")]
+    assert main([*plan, "--mean-degree", "0.5"]) == 0
+    advisories = [line for line in capsys.readouterr().err.splitlines() if line.startswith("plan: advisory: ")]
+    assert advisories and all("sub-primitive" in line for line in advisories)
+    assert main(plan) == 0
+    assert "advisory" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen stream --schema netflow", "bench --schema netflow"])
+@pytest.mark.parametrize("skew", ["nan", "inf", "-inf", "-1000", "-0.5"])
+def test_a_skew_that_is_no_finite_number_at_least_zero_is_a_data_error(tmp_path, capsys, command, skew):
+    out = tmp_path / "x.tsv"
+    assert main([*command.split(), "--edges", "50", f"--skew={skew}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"dgq: error: skew must be a finite number >= 0, not {float(skew)!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda doc: doc.pop("totals"), "missing field 'totals'"),
+    (lambda doc: doc["arity1"][0].pop("dst_type"), "malformed stats row"),
+    (lambda doc: doc["totals"].pop("arity2"), "totals must carry arity1 and arity2"),
+])
+def test_plan_refuses_a_malformed_stats_file(tmp_path, capsys, mangle, message):
+    stats = _stats_file(tmp_path, _gen_stream(tmp_path))
+    doc = json.loads(stats.read_text())
+    mangle(doc)
+    stats.write_text(json.dumps(doc))
+    out = tmp_path / "plan.txt"
+    capsys.readouterr()
+    assert main(["plan", "--query", str(_gen_query(tmp_path)), "--stats", str(stats), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"dgq: error: {stats}: ") and message in err[0]
+    assert not out.exists()
+
+
+def test_a_strategy_disagreement_is_a_mismatch(tmp_path, monkeypatch, capsys):
+    # vf2 drops one match: the sweep raises, and dgq bench exits 3 with one line
+    stream = _gen_stream(tmp_path)
+    query_path = _gen_query(tmp_path)
+    run_strategy = bench_mod.run_strategy
+
+    def dropping(strategy, *args):
+        report, got = run_strategy(strategy, *args)
+        if strategy == "vf2":
+            got = set(sorted(got)[1:])
+        return report, got
+
+    monkeypatch.setattr(bench_mod, "run_strategy", dropping)
+    message = "strategy 'vf2' disagrees with 'singlelazy': 1 missing, 0 extra matches"
+    query = parse_query(query_path.read_text())
+    with open(stream) as fh:
+        records = list(read_edge_stream(fh))
+    with pytest.raises(MismatchError) as ei:
+        bench_mod.run_sweep(query, records, 50, ["singlelazy", "vf2"], collect_stats(records))
+    assert str(ei.value) == message
+    capsys.readouterr()
+    rc = main(["bench", "--stream", str(stream), "--query", str(query_path), "--window", "50",
+               "--out", str(tmp_path / "bench.tsv")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [f"dgq: mismatch: {message}"]
 
 
 def test_schema_pool_override(tmp_path):

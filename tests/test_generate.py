@@ -1,6 +1,7 @@
 """Synthetic schemas, streams, and query generation."""
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
@@ -24,8 +25,11 @@ def test_schema_validation():
         Schema("x", [], {"A": 3})
     with pytest.raises(ContractError):
         Schema("x", [("A", "e", "B")], {"A": 3})  # no pool for B
-    with pytest.raises(ContractError):
-        Schema("x", [("A", "e", "A")], {"A": 3}, weights=[1.0, 2.0])
+    for skew in (math.nan, math.inf, -math.inf, -1000.0, -0.5):
+        with pytest.raises(ContractError, match="skew must be a finite number >= 0"):
+            Schema("x", [("A", "e", "A")], {"A": 3}, skew=skew)
+    with pytest.raises(ContractError, match="skew"):
+        netflow_schema(skew=math.nan)
 
 
 def test_schema_power_law_weights():

@@ -74,7 +74,7 @@ def test_catalog_path_mode_tiers_pairs_first():
     # leaf 0; the edge no pair can take is left to a 1-edge fallback leaf
     table = skewed_table()
     query = path_query(["r", "s"], vertex_label="A")
-    assert table.edge_selectivity(("A", "r", "A")) < 1 / 41
+    assert table.selectivity(1, ("A", "r", "A")) < 1 / 41
     plan = plan_query(query, table, mode="path")
     assert [leaf.piece.edges for leaf in plan.tree.leaves()] == [{0, 1}]
     query = path_query(["r", "s", "s"], vertex_label="A")
@@ -318,7 +318,7 @@ def test_expected_selectivity_is_leaf_product():
     plan = plan_query(query, table, mode="single")
     prod = 1.0
     for leaf in plan.tree.leaves():
-        prod *= table.subgraph_selectivity(query, leaf.piece.edges)
+        prod *= table.selectivity(*primitive_key(query, leaf.piece.edges))
     assert plan.expected == pytest.approx(prod)
     assert plan.candidates["single"]["expected_selectivity"] == plan.expected
     assert prod == pytest.approx(0.02 * 0.98)

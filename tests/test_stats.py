@@ -200,9 +200,9 @@ def test_table_selectivities():
     t = make_table()
     assert t.total1 == 10
     assert t.total2 == 5
-    assert t.edge_selectivity(("A", "e", "A")) == pytest.approx(0.6)
-    assert t.edge_selectivity(("Z", "z", "Z")) == 0.0
-    assert t.path_selectivity(("A", ("e", "A", "out"), ("f", "B", "out"))) == pytest.approx(1.0)
+    assert t.selectivity(1, ("A", "e", "A")) == pytest.approx(0.6)
+    assert t.selectivity(1, ("Z", "z", "Z")) == 0.0
+    assert t.selectivity(2, ("A", ("e", "A", "out"), ("f", "B", "out"))) == pytest.approx(1.0)
     assert t.frequency(1, ("A", "f", "B")) == 4
     assert t.frequency(2, ("A", ("e", "A", "out"), ("f", "B", "out"))) == 5
     assert t.frequency(2, ("A", ("f", "B", "out"), ("e", "A", "out"))) == 0  # not canonical
@@ -212,8 +212,8 @@ def test_table_selectivities():
 
 def test_table_empty_totals_give_zero_selectivity():
     t = SelectivityTable(sample_size=0)
-    assert t.edge_selectivity(("A", "e", "A")) == 0.0
-    assert t.path_selectivity(("A", ("e", "A", "out"), ("e", "A", "out"))) == 0.0
+    assert t.selectivity(1, ("A", "e", "A")) == 0.0
+    assert t.selectivity(2, ("A", ("e", "A", "out"), ("e", "A", "out"))) == 0.0
 
 
 def test_table_json_round_trip(tmp_path):
@@ -223,8 +223,8 @@ def test_table_json_round_trip(tmp_path):
     assert again.arity1 == t.arity1
     assert again.arity2 == t.arity2
     path = tmp_path / "stats.json"
-    t.save(str(path))
-    assert SelectivityTable.load(str(path)).arity2 == t.arity2
+    path.write_text(t.to_json(), encoding="utf-8")
+    assert SelectivityTable.from_json(path.read_text(encoding="utf-8")).arity2 == t.arity2
 
 
 def repeat_row(text, arity):
@@ -273,8 +273,8 @@ def test_table_json_validation(mangle, fragment):
 def test_subgraph_selectivity_products():
     t = make_table()
     query = q("node 0 A\nnode 1 A\nnode 2 B\nedge 0 0 1 e\nedge 1 0 2 f")
-    assert t.subgraph_selectivity(query, [0]) == pytest.approx(0.6)
-    assert t.subgraph_selectivity(query, [0, 1]) == pytest.approx(1.0)
+    assert t.selectivity(*primitive_key(query, [0])) == pytest.approx(0.6)
+    assert t.selectivity(*primitive_key(query, [0, 1])) == pytest.approx(1.0)
 
 
 def test_collect_stats_counts_whole_sample():
@@ -484,7 +484,7 @@ def test_path_keys_read_on_demand_equal_the_full_table(n, monkeypatch):
         table = collect_stats(records)
         read = {key: table.frequency(2, key) for key in keys}
         total2 = table.total2
-        selectivity = {key: table.path_selectivity(key) for key in keys}
+        selectivity = {key: table.selectivity(2, key) for key in keys}
     full = table.arity2
     assert full == collect_stats(records).arity2 == graph_census(graph_of(records))
     assert set(full) <= set(keys)
