@@ -3,14 +3,16 @@
 ``make_engine`` is the one place a strategy name becomes an engine: the
 rescan baseline for ``vf2``, otherwise a planned ``Engine``.  The harness
 runs one stream under several strategies, and every strategy must emit the
-same set of match signatures; a disagreement is a :class:`MismatchError`,
-which the command line surfaces as its own exit code.  Timing uses
-``time.perf_counter`` around the ingest loop only (graph and tree
-construction are excluded).
+same multiset of match signatures: a match one strategy emits twice and
+another once is a disagreement, as is a match only one of them emits.  A
+disagreement is a :class:`MismatchError`, which the command line surfaces as
+its own exit code.  Timing uses ``time.perf_counter`` around the ingest loop
+only (graph and tree construction are excluded).
 """
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,9 +96,10 @@ def run_strategy(
     records: Sequence[WireEdge],
     window: int | None,
     table: SelectivityTable,
-) -> tuple[BenchReport, set]:
+) -> tuple[BenchReport, Counter]:
     """Run one strategy; return its report and the signatures ``process``
-    returned.  The report leaves ξ out: :func:`run_sweep` fills it in."""
+    returned, each with the number of times it was returned.  The report
+    leaves ξ out: :func:`run_sweep` fills it in."""
     eng, plan, _ = make_engine(strategy, query, window, table)
     start = time.perf_counter()
     deltas = [eng.process(raw) for raw in records]
@@ -112,7 +115,7 @@ def run_strategy(
         report.match_calls = eng.counters.match_calls
         report.peak_stored = eng.tree.peak_stored
         report.expected_selectivity = plan.expected
-    return report, {m.pairs for delta in deltas for m in delta}
+    return report, Counter(m.pairs for delta in deltas for m in delta)
 
 
 def run_sweep(
@@ -122,13 +125,15 @@ def run_sweep(
     strategies: Iterable[str],
     table: SelectivityTable,
 ) -> list[BenchReport]:
-    """Run several strategies and require signature-identical results.
+    """Run several strategies and require that each returns the same
+    signatures, each as many times; ``missing`` and ``extra`` in the
+    mismatch count repeats.
 
     Every planned row reports the query's ξ, the relative selectivity of its
     ``auto`` plan, which weighs the path catalog against the single-edge
     one: a single-mode plan's own is 1 by definition."""
     reports: list[BenchReport] = []
-    sigs: dict[str, set] = {}
+    sigs: dict[str, Counter] = {}
     for strategy in strategies:
         report, got = run_strategy(strategy, query, records, window, table)
         reports.append(report)
@@ -139,8 +144,8 @@ def run_sweep(
     baseline = sigs[names[0]]
     for name in names[1:]:
         if sigs[name] != baseline:
-            missing = len(baseline - sigs[name])
-            extra = len(sigs[name] - baseline)
+            missing = (baseline - sigs[name]).total()
+            extra = (sigs[name] - baseline).total()
             raise MismatchError(
                 f"strategy {name!r} disagrees with {names[0]!r}: "
                 f"{missing} missing, {extra} extra matches"

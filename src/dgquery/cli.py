@@ -5,7 +5,8 @@ tables), ``plan`` (a join tree's leaf order), ``run`` (continuous matching over
 a stream), ``bench`` (strategy comparison).
 
 Every input file (``--query``, ``--stream``, ``--stats``) may be ``-``,
-standard input, for one of them at a time.
+standard input, for one of them at a time.  Every ``--out`` but ``plan``'s,
+which names two files, may be ``-``, standard output.
 
 Exit codes: 0 success, 1 usage error, 2 data or contract error, 3 strategy
 disagreement.
@@ -149,8 +150,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     # the lines are counted as they are read; a bad one ends the command
     # before the table is written
     table = collect_stats(_read(args.stream, read_edge_stream))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(table.to_json())
+    with _open_out(args.out) as out:
+        out.write(table.to_json())
     print(
         f"stats: {table.sample_size} edges, {len(table.arity1)} edge keys, "
         f"{len(table.arity2)} path keys -> {args.out}",
@@ -277,7 +278,7 @@ def build_parser() -> _Parser:
 
     st = sub.add_parser("stats", help="collect a selectivity table from a stream")
     st.add_argument("--stream", required=True)
-    st.add_argument("--out", required=True, help="JSON table path")
+    st.add_argument("--out", required=True, help="JSON table path ('-': stdout)")
     st.set_defaults(func=cmd_stats)
 
     pl = sub.add_parser("plan", help="plan a query's join tree and write its leaf order")
@@ -330,6 +331,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     if [getattr(args, name, None) for name in ("query", "stream", "stats")].count("-") > 1:
         parser.error("only one input file can be '-', standard input")
+    if args.command == "plan" and args.out == "-":
+        parser.error("plan writes two files, <out> and <out>.json: --out cannot be '-'")
     try:
         return args.func(args)
     except MismatchError as exc:

@@ -107,6 +107,12 @@ def plan_facts(plan) -> tuple:
     )
 
 
+def table_facts(table) -> tuple:
+    """What a ``SelectivityTable`` says: its sample size, its edge and path
+    counts and their totals."""
+    return (table.sample_size, table.arity1, table.arity2, table.total1, table.total2)
+
+
 def live_records(graph: DynamicGraph) -> list[RawEdge]:
     """``graph``'s live edges as the stream elements that made them, in
     arrival order."""

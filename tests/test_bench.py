@@ -6,7 +6,7 @@ import pytest
 from dgquery.baseline import RescanEngine
 from dgquery.bench import STRATEGIES, bin_reports, make_engine, run_sweep
 from dgquery.engine import Engine
-from dgquery.errors import ContractError
+from dgquery.errors import ContractError, MismatchError
 from dgquery.planner import plan_query
 from dgquery.stats import collect_stats
 
@@ -81,6 +81,25 @@ def test_run_sweep_reports_the_auto_plans_xi_on_every_planned_row():
     reports = run_sweep(query, records, 5, STRATEGIES, table)
     assert [r.relative_selectivity for r in reports] == [xi] * 4 + [None]
     assert run_sweep(query, records, 5, ["vf2"], table)[0].relative_selectivity is None
+
+
+def test_run_sweep_counts_a_repeated_match(monkeypatch):
+    # an engine that returns each delta's first match twice emits the same
+    # signatures as the rescan baseline, but not as many times
+    query, records, table = _workload()
+    eng = make_engine("singlelazy", query, 5, table)[0]
+    repeats = sum(1 for r in records if eng.process(r))
+    assert repeats > 0
+    process = Engine.process
+
+    def repeating(self, raw):
+        out = process(self, raw)
+        return out + out[:1]
+
+    monkeypatch.setattr(Engine, "process", repeating)
+    with pytest.raises(MismatchError) as ei:
+        run_sweep(query, records, 5, ["vf2", "singlelazy"], table)
+    assert str(ei.value).endswith(f": 0 missing, {repeats} extra matches")
 
 
 def test_run_sweep_needs_a_strategy():
