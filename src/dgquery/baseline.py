@@ -212,20 +212,15 @@ class RescanEngine:
         self.query = query
         self.graph = DynamicGraph(window)
         self.counters = Counters()
-        self._seen: set[tuple[tuple[int, int], ...]] = set()
 
     def process(self, raw: WireEdge) -> list[Match]:
+        """Ingest one edge; return the matches that contain it.  Each is
+        new, as the edge is, and its span is inside the window: it holds
+        the edge, the newest, and its other edges are live."""
         rec = self.graph.add_edge(raw)
         self.counters.edges += 1
-        fresh: list[Match] = []
-        for m in vf2_matches_containing(self.graph, self.query, rec):
-            if m.time_span() >= self.graph.window:
-                continue  # defensive: live edges already imply an in-window span
-            if m.pairs in self._seen:
-                continue
-            self._seen.add(m.pairs)
-            self.counters.emitted += 1
-            fresh.append(m)
+        fresh = vf2_matches_containing(self.graph, self.query, rec)
+        self.counters.emitted += len(fresh)
         return fresh
 
 
@@ -286,10 +281,9 @@ def enumerate_matches(
     window = graph.window
 
     def admit(binding: dict[int, str], chosen: dict[int, EdgeRecord]) -> None:
-        m = Match.of(query, [(q, r[0], r[6]) for q, r in chosen.items()], binding)
-        if m.time_span() >= window:
-            return
-        results.append(m)
+        times = [r[6] for r in chosen.values()]
+        if max(times) - min(times) < window:
+            results.append(Match.of(query, [(q, r[0], r[6]) for q, r in chosen.items()], binding))
 
     def extend(order: list[int], depth: int, binding: dict[int, str], rev: dict[str, int],
                chosen: dict[int, EdgeRecord], used: set[int]) -> None:

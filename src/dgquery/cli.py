@@ -195,8 +195,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         line, ends = _line_format(query), 1 + query.n_edges
         seq = 0
         for raw in records:
+            # the fed edge completed each match, so its timestamp is t_max
             for m in eng.process(raw):
-                out.write(line % (seq, m.flat[0], m.t_max, *m.flat[1:ends]))
+                out.write(line % (seq, m.flat[0], raw[0], *m.flat[1:ends]))
                 seq += 1
     print(
         f"run: strategy={strategy} edges={eng.counters.edges} emitted={eng.counters.emitted}",

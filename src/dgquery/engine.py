@@ -105,11 +105,13 @@ only for one not yet allowed, which is rule 1 above.
 
 Below the root, partial matches are the join tree's flat ``(t_min, e_0 ...
 e_{E-1}, v_0 ... v_{V-1})`` tuples (``sjtree.Partial``).  The driven tree
-builds each emission's :class:`~dgquery.query.Match` itself and hands it to
-one sink, the ``append`` of the arriving edge's delta, which ``process``
-passes down through ``_feed`` and ``_drain``, so no engine code runs per
-emission; ``process`` then counts the delta and adds it to ``log`` once per
-edge.
+builds each emission's :class:`~dgquery.query.Match` (its flat tuple and the
+query's edge count) and hands it to one sink, the ``append`` of the
+arriving edge's delta, which ``process`` passes down through ``_feed`` and
+``_drain``, so no engine code runs per emission; ``process`` then counts the
+delta and adds it to ``log`` once per edge.  Every emission holds the
+arriving edge, the newest in it, so none carries a newest timestamp: the
+caller holds the edge it fed.
 """
 from __future__ import annotations
 
@@ -247,9 +249,8 @@ def match_primitive(graph: DynamicGraph, searches: tuple[Search, ...], anchor: E
     """All matches of a 1–3 edge sub-pattern that include ``anchor``, as the
     join tree's flat ``(t_min, e_0 ... e_{E-1}, v_0 ... v_{V-1})`` tuples:
     the oldest bound timestamp, then a data edge id or None per qedge and a
-    data vertex or None per qvertex.  No ``t_max`` is kept: the engine
-    stamps each complete match with the newest edge's timestamp when it
-    emits it.
+    data vertex or None per qvertex.  No newest timestamp is kept: every
+    match the engine emits holds the edge it is processing, the newest.
 
     ``searches`` are the role searches the pattern's :func:`search_plan`
     holds for the anchor's label (``plan.get(anchor[5], ())``); the engine
@@ -465,7 +466,7 @@ class Engine:
         self._pending: deque[tuple[Sweep, str]] = deque()
         # raises when the tree already drives an engine: it holds that
         # engine's match state and gates
-        tree.drive(self.graph, spine_gates, self._pending.append)
+        tree.drive(spine_gates, self._pending.append)
 
     # ------------------------------------------------------------------ stream
 

@@ -6,10 +6,11 @@ match is an isomorphism fragment, so vertex bindings are injective and no two
 query edges share a data edge.
 
 :class:`Match` is the output type: what the engines emit and log and what
-the oracles and the command line read.  The join tree keeps partial matches
-as flat ``(t_min, *edges, *verts)`` tuples of the same slots
-(``sjtree.Partial``), and the engine wraps the tuple of each complete match
-it emits in a ``Match``.
+the oracles and the command line read, the flat ``(t_min, *edges, *verts)``
+tuple the join tree keeps each partial match as (``sjtree.Partial``) and the
+query's edge count that splits it.  The engine wraps the tuple of each
+complete match it emits in a ``Match``; the newest timestamp of an emission
+is that of the edge being processed, which its caller holds.
 """
 from __future__ import annotations
 
@@ -136,38 +137,27 @@ class QueryPiece:
 
 
 class Match:
-    """A partial or complete match in query-width slots.
+    """A match in query-width slots: ``flat`` and ``n_edges``, nothing more.
 
     ``flat`` is the join tree's tuple ``(t_min, e_0 ... e_{E-1}, v_0 ...
-    v_{V-1})`` with ``E = n_edges``: ``edges[qe]`` is the data edge id bound
-    to query edge ``qe`` and ``verts[qv]`` the data vertex bound to query
-    vertex ``qv``, None marking an unbound slot; both are read-only views of
-    ``flat``.  ``t_min``/``t_max`` span the bound edges' timestamps and are
-    None when no edge is bound.  Keeping the tuple the engine emits, rather
-    than slicing it, leaves one object fewer per emission for the garbage
-    collector to track.  The constructor trusts its caller; use :meth:`of`
-    to build a match from unchecked parts.  A driven join tree builds each
-    emission without it, setting these three slots one by one.
+    v_{V-1})`` with ``E = n_edges``: slot ``1 + qe`` holds the data edge id
+    bound to query edge ``qe`` and slot ``1 + E + qv`` the data vertex bound
+    to query vertex ``qv``, None marking an unbound slot; ``t_min``, the
+    oldest bound edge's timestamp, is None when no edge is bound.  No newest
+    timestamp is kept: every match an engine emits holds the edge whose
+    arrival completed it, so that edge's timestamp is the caller's.  Keeping
+    the tuple the engine emits, rather than slicing it, leaves one object
+    fewer per emission for the garbage collector to track.  The constructor
+    trusts its caller; use :meth:`of` to build a match from unchecked parts.
+    A driven join tree builds each emission without it, setting the two
+    slots one by one.
     """
 
-    __slots__ = ("flat", "n_edges", "t_max")
+    __slots__ = ("flat", "n_edges")
 
-    def __init__(self, flat: tuple[int | str | None, ...], n_edges: int, t_max: int | None):
+    def __init__(self, flat: tuple[int | str | None, ...], n_edges: int):
         self.flat = flat
         self.n_edges = n_edges
-        self.t_max = t_max
-
-    @property
-    def edges(self) -> tuple[int | None, ...]:
-        return self.flat[1:1 + self.n_edges]
-
-    @property
-    def verts(self) -> tuple[str | None, ...]:
-        return self.flat[1 + self.n_edges:]
-
-    @property
-    def t_min(self) -> int | None:
-        return self.flat[0]
 
     @classmethod
     def of(
@@ -193,27 +183,13 @@ class Match:
             if dv in verts:
                 raise ContractError("vertex bindings must be injective")
             verts[qv] = dv
-        return cls((min(times, default=None), *edges, *verts), query.n_edges, max(times, default=None))
+        return cls((min(times, default=None), *edges, *verts), query.n_edges)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """(qedge, data edge) for every bound qedge, in qedge order: the
         signature outputs and oracles compare."""
-        return tuple((qe, e) for qe, e in enumerate(self.edges) if e is not None)
-
-    def time_span(self) -> int:
-        if self.t_min is None:
-            return 0
-        return self.t_max - self.t_min
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Match):
-            return NotImplemented
-        # the edge and vertex slots; t_min follows from the edges
-        return self.n_edges == other.n_edges and self.flat[1:] == other.flat[1:]
-
-    def __hash__(self) -> int:
-        return hash(self.flat[1:])
+        return tuple((qe, e) for qe, e in enumerate(self.flat[1:1 + self.n_edges]) if e is not None)
 
     def __repr__(self) -> str:
         inner = ";".join(f"{q}={e}" for q, e in self.pairs)

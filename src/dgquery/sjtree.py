@@ -34,10 +34,10 @@ CPython stops tracking it at the first collection that sees it, where a
 ``Match`` instance stays tracked; only an emission becomes a ``Match``.
 
 A tree holds the match state of the one engine it drives, and
-:meth:`SJTree.drive` hands it that engine's graph, gates and sweep queue.
-It then compiles one insert per node, as straight-line Python whose source
-holds slot numbers, never data (vertices, the graph and the gates reach it
-as names in the namespace it runs in, and its one sink as ``emit``).  A
+:meth:`SJTree.drive` hands it that engine's gates and sweep queue, never
+its graph.  It then compiles one insert per node, as straight-line Python
+whose source holds slot numbers, never data (vertices and the gates reach
+it as names in the namespace it runs in, and its one sink as ``emit``).  A
 non-root node's insert reads ``m``'s bound slots into locals once and its
 key from them, walks the sibling's bucket under that key (per entry: the
 cutoff test, an ``==`` test of each slot only the sibling fills against
@@ -175,14 +175,12 @@ def _probe_lines(query: QueryGraph, own: QueryPiece, sib: QueryPiece, take: Call
 
 def _emit_lines(n_edges: int, flat: str) -> list[str]:
     """A driven tree's emission of the complete match ``flat``: its
-    ``Match``, stamped with the graph's ``t_last``, goes to ``emit`` and
-    nowhere else.  The ``Match`` gets its slots one by one, which skips the
-    frame of its constructor."""
+    ``Match`` goes to ``emit`` and nowhere else.  The ``Match`` gets its two
+    slots one by one, which skips the frame of its constructor."""
     return [
         "match = new(Match)",
         f"match.flat = {flat}",
         f"match.n_edges = {n_edges}",
-        "match.t_max = graph.t_last",
         "emit(match)",
     ]
 
@@ -288,25 +286,20 @@ class SJTree:
 
     # ------------------------------------------------------------------ updates
 
-    def drive(
-        self,
-        graph: Any,
-        gates: dict[int, tuple[Gate, ...]],
-        queue: Callable[[tuple[Any, str]], None],
-    ) -> None:
+    def drive(self, gates: dict[int, tuple[Gate, ...]], queue: Callable[[tuple[Any, str]], None]) -> None:
         """Take on one engine's match state: compile each node's insert
-        (the module docstring) with that engine's graph and gates.
+        (the module docstring) with that engine's gates.
 
-        An emission is a ``Match`` whose ``t_max`` is ``graph.t_last``; it
-        goes only to the ``emit`` of the insert that made it.  ``gates``
-        maps a spine node's id to the gates of the leaf it opens, and each
-        sweep goes to ``queue``.  A tree drives one engine: a second call
+        An emission is a ``Match`` of the complete flat tuple; it goes only
+        to the ``emit`` of the insert that made it.  ``gates`` maps a spine
+        node's id to the gates of the leaf it opens, and each sweep goes to
+        ``queue``.  A tree drives one engine: a second call
         raises ``ValueError``.
         """
         if self.nodes[self.leaf_ids[0]].insert is not None:
             raise ValueError("tree already drives an engine; plan a new tree for this one")
         query = self.query
-        emission = {"Match": Match, "new": object.__new__, "graph": graph}
+        emission = {"Match": Match, "new": object.__new__}
         root = self.nodes[self.root_id]
         if root.is_leaf:  # a one-leaf plan, whose leaf matches are complete
             lines = ["def insert(m, cutoff, emit):", *(f"    {line}" for line in _emit_lines(query.n_edges, "m"))]
@@ -366,17 +359,17 @@ class SJTree:
 
         ``m`` is a flat :data:`Partial` tuple.  Each complete match becomes
         a ``Match`` that goes to ``emit`` alone, so a caller's sink receives
-        exactly the emissions of its own insert.
-        ``m`` carries no ``t_max``: every new complete match holds the
-        newest edge, so the emission stamps it with the graph's ``t_last``.
+        exactly the emissions of its own insert.  Neither carries a newest
+        timestamp: every new complete match holds the newest edge, the one
+        the caller is processing, so that edge's timestamp is the caller's.
 
         ``cutoff`` is the graph's eviction cutoff, ``DynamicGraph.cutoff``.
         Every new complete match contains the newest edge, so a stored match
         can join into an emission only while its oldest edge is live: entries
         with ``t_min <= cutoff`` are skipped, and swept out of the bucket once
         they are its majority.  Leaf matches come from the live graph and a
-        join of live matches is live, so a root match has ``cutoff < t_min <=
-        t_max <= t_last``: its span is inside the window.
+        join of live matches is live, so a root match has ``cutoff < t_min``
+        and its newest edge at ``t_last``: its span is inside the window.
 
         The caller inserts each leaf match once.  A match above the leaves is
         then one (left, right) pair, joined once, when the later of the two is

@@ -6,7 +6,6 @@ build their own ``random.Random``.
 from __future__ import annotations
 
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +14,7 @@ from dgquery.baseline import DeltaOracle, RescanEngine
 from dgquery.engine import Engine
 from dgquery.graph import DynamicGraph, RawEdge
 from dgquery.planner import plan_query
-from dgquery.query import Match, QueryGraph, parse_query
+from dgquery.query import QueryGraph, parse_query
 from dgquery.stats import collect_stats
 
 
@@ -49,11 +48,6 @@ def signatures(matches) -> set[tuple[tuple[int, int], ...]]:
     return {m.pairs for m in matches}
 
 
-def stored_form(m: Match) -> tuple:
-    """``m`` as the join tree holds it: one flat (t_min, *edges, *verts) tuple."""
-    return (m.t_min, *m.edges, *m.verts)
-
-
 def key_of(tree, node, m: tuple):
     """The JoinKey ``node`` stores and probes the flat match ``m`` under:
     its bindings of the parent's cut, one vertex bare, several as a tuple."""
@@ -62,13 +56,12 @@ def key_of(tree, node, m: tuple):
     return key[0] if len(key) == 1 else key
 
 
-def drive_alone(tree, t_last: int = 0, gates: dict | None = None) -> list:
-    """Drive ``tree`` as an engine would, with no engine: a stand-in graph at
-    ``t_last`` stamps the emissions, each of which goes to the ``emit`` its
-    insert is given, and the sweeps ``gates`` ({spine node id: gates}) queue
-    go to the returned list."""
+def drive_alone(tree, gates: dict | None = None) -> list:
+    """Drive ``tree`` as an engine would, with no engine: each emission goes
+    to the ``emit`` its insert is given, and the sweeps ``gates`` ({spine
+    node id: gates}) queue go to the returned list."""
     queue: list = []
-    tree.drive(SimpleNamespace(t_last=t_last), gates or {}, queue.append)
+    tree.drive(gates or {}, queue.append)
     return queue
 
 
@@ -144,7 +137,9 @@ def engines_for(query, records, window, *, lazy_only: bool = False):
 
 def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, int]:
     """Run every engine step-for-step against the brute-force delta oracle,
-    and check each emitted match's ``t_min``/``t_max`` against its edges.
+    and check each emitted match's times against its edges: its ``t_min``
+    is their oldest, its newest is the edge just fed, and its span is
+    inside the window.
 
     Returns per-strategy ``match_calls`` counters so callers can also compare
     search effort.  Raises AssertionError on the first per-step disagreement.
@@ -168,8 +163,8 @@ def cross_check(query, records, window, *, with_vf2: bool = True) -> dict[str, i
             )
             assert len(delta) == len(got), f"{name} emits a match twice at step {step}"
             for m in delta:
-                times = [timestamp[e] for e in m.edges]
-                assert (m.t_min, m.t_max) == (min(times), max(times)), (
+                times = [timestamp[e] for _, e in m.pairs]
+                assert m.flat[0] == min(times) and max(times) == rec[6] and rec[6] - m.flat[0] < shadow.window, (
                     f"{name} misstates the time span of {m} at step {step}"
                 )
     calls: dict[str, int] = {}

@@ -1,6 +1,8 @@
 """Reference matchers: VF2 rescan, brute-force oracle, delta tracking."""
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from random import Random
 
 import pytest
@@ -82,6 +84,27 @@ def test_rescan_engine_emits_each_signature_once():
     second = eng.process(raw(2, "a", "e", "b"))
     assert signatures(second) == {((0, 2), (1, 1))}
     assert eng.counters.emitted == 2
+
+
+def test_rescan_engine_keeps_no_state_per_emission():
+    # window 4 over alternating a-e->b and b-f->c edges: a few edges are
+    # live at any time and each edge completes two matches, so the
+    # memory the engine holds after the second half of the stream is what
+    # it held after the first
+    query = path_query(["e", "f"], vertex_label="A")
+    eng = RescanEngine(query, window=4)
+    stream = [raw(t, "a", "e", "b") if t % 2 == 0 else raw(t, "b", "f", "c") for t in range(6000)]
+    for r in stream[:3000]:
+        eng.process(r)
+    tracemalloc.start()
+    try:
+        emitted = sum(len(eng.process(r)) for r in stream[3000:])
+        gc.collect()  # each search's recursive closure is a reference cycle
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert emitted == 6000
+    assert retained < 4096, retained
 
 
 def test_rescan_engine_window():

@@ -151,14 +151,16 @@ def test_run_vf2_counts_no_statistics(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def pairs_text(matches) -> bytes:
-    """The reference for what ``dgq run`` writes: per match, built from
-    ``Match.pairs``, its sequence number, t_min, t_max and ``qedge=edge``
-    pairs, tab-separated."""
+def pairs_text(matches, records) -> bytes:
+    """The reference for what ``dgq run`` writes: per match, its sequence
+    number, the oldest and newest timestamps of its edges, read from the
+    stream's ``records`` (an edge's id is its data-line index), and its
+    ``qedge=edge`` pairs from ``Match.pairs``, tab-separated."""
     lines = []
     for seq, m in enumerate(matches):
+        times = [records[eid][0] for _, eid in m.pairs]
         pairs = ";".join(f"{qe}={eid}" for qe, eid in m.pairs)
-        lines.append(f"{seq}\t{m.t_min}\t{m.t_max}\t{pairs}\n")
+        lines.append(f"{seq}\t{min(times)}\t{max(times)}\t{pairs}\n")
     return "".join(lines).encode()
 
 
@@ -193,7 +195,7 @@ def test_streamed_run_writes_what_the_list_run_writes(tmp_path, capsys):
         records = list(read_edge_stream(fh))
     rescan = RescanEngine(query, 50)
     matches = [m for r in records for m in rescan.process(r)]
-    expected = pairs_text(matches)
+    expected = pairs_text(matches, records)
     rc, vf2 = _run_out(tmp_path, stream, query_path, "vf2.tsv", "--strategy", "vf2")
     assert rc == 0 and vf2 == expected
     assert f"edges=400 emitted={len(matches)}" in capsys.readouterr().err
@@ -611,8 +613,8 @@ def test_schema_pool_override(tmp_path):
 
 
 def run_emitting(monkeypatch, tmp_path, query_path, stream, window, strategy):
-    """Run ``dgq run`` to a file; return the bytes written and every match
-    its engine emitted, in order."""
+    """Run ``dgq run`` to a file; return the bytes written, every match its
+    engine emitted, in order, and the stream's edges."""
     emitted, make = [], bench_mod.make_engine
 
     def recording_engine(*args):
@@ -632,7 +634,8 @@ def run_emitting(monkeypatch, tmp_path, query_path, stream, window, strategy):
     rc = main(["run", "--query", str(query_path), "--stream", str(stream), "--window", str(window),
                "--strategy", strategy, "--out", str(out)])
     assert rc == 0
-    return out.read_bytes(), emitted
+    with open(stream) as fh:
+        return out.read_bytes(), emitted, list(read_edge_stream(fh))
 
 
 @pytest.fixture(scope="module")
@@ -649,8 +652,8 @@ def readme_example(tmp_path_factory):
 def test_run_writes_the_pairs_formatting_on_the_readme_example(readme_example, tmp_path, monkeypatch, capsys,
                                                                strategy):
     query_path, stream = readme_example
-    written, emitted = run_emitting(monkeypatch, tmp_path, query_path, stream, 500, strategy)
-    assert emitted and written == pairs_text(emitted)
+    written, emitted, records = run_emitting(monkeypatch, tmp_path, query_path, stream, 500, strategy)
+    assert emitted and written == pairs_text(emitted, records)
     capsys.readouterr()
 
 
@@ -669,6 +672,6 @@ def test_run_writes_the_pairs_formatting_on_the_workload_streams(tmp_path, monke
     stream, query_path = tmp_path / "stream.tsv", tmp_path / "query.txt"
     stream.write_text("".join(line + "\n" for line in lines))
     query_path.write_text(workload.query_text)
-    written, emitted = run_emitting(monkeypatch, tmp_path, query_path, stream, workload.window, strategy)
-    assert emitted and written == pairs_text(emitted)
+    written, emitted, records = run_emitting(monkeypatch, tmp_path, query_path, stream, workload.window, strategy)
+    assert emitted and written == pairs_text(emitted, records)
     capsys.readouterr()

@@ -38,7 +38,6 @@ from conftest import (
     q,
     raw,
     signatures,
-    stored_form,
     watch_searches,
 )
 
@@ -61,7 +60,7 @@ def test_match_primitive_single_edge():
     rec = g.add_edge(raw(0, "a", "e", "b"))
     piece = QueryPiece.from_edges(query, [0])
     got = anchored(g, query, piece, rec)
-    assert got == [stored_form(Match.of(query, [(0, 0, 0)], {0: "a", 1: "b"}))]
+    assert got == [Match.of(query, [(0, 0, 0)], {0: "a", 1: "b"}).flat]
     # label-incompatible anchors match nothing
     other = g.add_edge(raw(1, "a", "f", "b"))
     assert anchored(g, query, piece, other) == []
@@ -74,7 +73,7 @@ def test_match_primitive_two_edge_extension():
     g.add_edge(raw(0, "a", "e", "b"))
     rec = g.add_edge(raw(1, "b", "f", "c"))
     got = anchored(g, query, piece, rec)
-    assert got == [stored_form(Match.of(query, [(0, 0, 0), (1, 1, 1)], {0: "a", 1: "b", 2: "c"}))]
+    assert got == [Match.of(query, [(0, 0, 0), (1, 1, 1)], {0: "a", 1: "b", 2: "c"}).flat]
 
 
 def test_match_primitive_automorphic_roles():
@@ -87,8 +86,8 @@ def test_match_primitive_automorphic_roles():
     got = anchored(g, query, piece, rec)
     bind = {0: "a", 1: "b"}
     assert sorted(got) == sorted([
-        stored_form(Match.of(query, [(0, 0, 0), (1, 1, 1)], bind)),
-        stored_form(Match.of(query, [(0, 1, 1), (1, 0, 0)], bind)),
+        Match.of(query, [(0, 0, 0), (1, 1, 1)], bind).flat,
+        Match.of(query, [(0, 1, 1), (1, 0, 0)], bind).flat,
     ])
 
 
@@ -102,7 +101,7 @@ def test_match_primitive_injectivity():
     assert anchored(g, query, piece, rec) == []
     rec2 = g.add_edge(raw(2, "b", "e", "c"))
     got = anchored(g, query, piece, rec2)
-    assert got == [stored_form(Match.of(query, [(0, 0, 0), (1, 2, 2)], {0: "a", 1: "b", 2: "c"}))]
+    assert got == [Match.of(query, [(0, 0, 0), (1, 2, 2)], {0: "a", 1: "b", 2: "c"}).flat]
 
 
 def test_match_primitive_self_loops():
@@ -113,7 +112,7 @@ def test_match_primitive_self_loops():
     assert anchored(g, loop_q, piece, plain) == []
     looped = g.add_edge(raw(1, "c", "e", "c"))
     got = anchored(g, loop_q, piece, looped)
-    assert got == [stored_form(Match.of(loop_q, [(0, 1, 1)], {0: "c"}))]
+    assert got == [Match.of(loop_q, [(0, 1, 1)], {0: "c"}).flat]
     # conversely a data loop cannot serve a two-vertex qedge
     path_q = path_query(["e"], vertex_label="A")
     ppiece = QueryPiece.from_edges(path_q, [0])
@@ -453,7 +452,7 @@ def test_gated_multi_edge_leaf_stores_each_match_once(monkeypatch):
     searches = watch_searches(monkeypatch, eng)
     deltas = [eng.process(r) for r in records]
     assert searches == [(1, 1), (0, 2), (0, 3), (1, 0)]
-    cd = stored_form(Match.of(query, [(2, 0, 0), (3, 1, 1)], {2: "y", 3: "z", 4: "u"}))
+    cd = Match.of(query, [(2, 0, 0), (3, 1, 1)], {2: "y", 3: "z", 4: "u"}).flat
     assert [m for bucket in leaf1.table.values() for m in bucket] == [cd]
     assert [len(d) for d in deltas] == [0, 0, 0, 1]
 
@@ -474,7 +473,7 @@ def test_gated_leaf_stores_the_b_c_match_once_from_its_newest_edge(monkeypatch):
     deltas = [eng.process(r) for r in records]
     assert searches == [(1, 1), (0, 2), (1, 0)]
     stored = [m for bucket in leaf1.table.values() for m in bucket]
-    assert stored == [stored_form(Match.of(query, [(1, 0, 0), (2, 1, 1)], {1: "y", 2: "z", 3: "u"}))]
+    assert stored == [Match.of(query, [(1, 0, 0), (2, 1, 1)], {1: "y", 2: "z", 3: "u"}).flat]
     assert [len(d) for d in deltas] == [0, 0, 1]
     tree.insert_and_propagate(leaf1.node_id, stored[0], -math.inf, lambda m: None)
     assert sum(len(b) for b in leaf1.table.values()) == 2
@@ -1051,7 +1050,7 @@ def test_raw_edges_and_parsed_lines_run_alike():
         for edges in (records, parsed):
             engines = engines_for(query, edges, 20) + [("vf2", RescanEngine(query, 20))]
             runs.append([
-                (name, [[(m.flat, m.t_max) for m in eng.process(r)] for r in edges], vars(eng.counters))
+                (name, [[m.flat for m in eng.process(r)] for r in edges], vars(eng.counters))
                 for name, eng in engines
             ])
         assert runs[0] == runs[1], seed

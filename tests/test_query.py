@@ -22,7 +22,7 @@ from dgquery.query import (
 from dgquery.sjtree import SJTree, join
 from dgquery.stats import collect_stats
 
-from conftest import drive_alone, key_of, path_query, q, stored_form
+from conftest import drive_alone, key_of, path_query, q
 
 
 TRIANGLE = """
@@ -121,22 +121,20 @@ PATH3 = path_query(["e", "f", "g"])  # 3 qedges, 4 qvertices
 
 def test_match_canonical_order_and_times():
     m = Match.of(PATH3, [(2, 30, 7), (0, 10, 3), (1, 20, 9)], {0: "a", 1: "b", 2: "c"})
-    assert m.edges == (10, 20, 30)
-    assert m.verts == ("a", "b", "c", None)
+    assert m.flat == (3, 10, 20, 30, "a", "b", "c", None)
     assert m.pairs == ((0, 10), (1, 20), (2, 30))
-    assert (m.t_min, m.t_max) == (3, 9)
-    assert m.time_span() == 6
 
 
 def test_match_reads_its_slots_off_one_flat_tuple():
-    # a match keeps the join tree's (t_min, *edges, *verts) tuple; its edge
-    # and vertex slots and t_min are read-only views of it
+    # a match keeps the join tree's (t_min, *edges, *verts) tuple and the
+    # query's edge count that splits it, and nothing else
     m = Match.of(PATH3, [(2, 30, 7), (0, 10, 3)], {0: "a", 3: "d"})
     assert m.flat == (3, 10, None, 30, "a", None, None, "d")
-    assert (m.edges, m.verts, m.t_min, m.t_max) == ((10, None, 30), ("a", None, None, "d"), 3, 7)
-    for name in ("edges", "verts", "t_min"):
-        with pytest.raises(AttributeError):
-            setattr(m, name, None)
+    assert m.n_edges == 3 and m.pairs == ((0, 10), (2, 30))
+    assert Match.__slots__ == ("flat", "n_edges")
+    for name in ("t_max", "time_span", "t_min", "edges", "verts"):
+        assert not hasattr(m, name)
+    assert "__eq__" not in vars(Match) and "__hash__" not in vars(Match)
 
 
 def test_match_rejects_duplicate_qedge():
@@ -157,17 +155,15 @@ def test_match_rejects_non_injective_bindings():
 def test_empty_match():
     empty = Match.of(PATH3, (), {})
     assert empty.pairs == ()
-    assert empty.edges == (None, None, None)
-    assert empty.t_min is None
-    assert empty.time_span() == 0
+    assert empty.flat == (None, None, None, None, None, None, None, None)
 
 
-def test_match_equality_and_hash():
-    a = Match.of(PATH3, [(0, 1, 5)], {0: "x", 1: "y"})
-    b = Match.of(PATH3, [(0, 1, 5)], {1: "y", 0: "x"})
-    c = Match.of(PATH3, [(0, 2, 5)], {0: "x", 1: "y"})
-    assert a == b and hash(a) == hash(b)
-    assert a != c
+def test_match_of_is_blind_to_binding_order():
+    a = Match.of(PATH3, [(0, 1, 5), (1, 2, 4)], {0: "x", 1: "y", 2: "z"})
+    b = Match.of(PATH3, [(1, 2, 4), (0, 1, 5)], {2: "z", 1: "y", 0: "x"})
+    c = Match.of(PATH3, [(0, 2, 5), (1, 1, 4)], {0: "x", 1: "y", 2: "z"})
+    assert a.flat == b.flat == (4, 1, 2, None, "x", "y", "z", None)
+    assert a.flat != c.flat
 
 
 # ----------------------------------------------------------------------- join
@@ -219,13 +215,10 @@ def join_all(m, bucket, node, cutoff):
     return out, stale
 
 
-T_LAST = 50  # the stand-in graph's t_last, which stamps the emissions
-
-
 def driven_tree(query, *edge_sets):
     """The tree over leaves of ``edge_sets``, driven with no engine."""
     tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, ids) for ids in edge_sets])
-    drive_alone(tree, T_LAST)
+    drive_alone(tree)
     return tree
 
 
@@ -233,9 +226,9 @@ def check_insert(tree, node, m, bucket, cutoff):
     """Empty every table of the driven ``tree``, seed the sibling's with
     ``bucket`` under ``m``'s key, insert ``m`` at ``node``, and check it
     against ``pairwise_join``: the joined matches reach the sink the insert
-    is given, stamped ``T_LAST``, in bucket order, or the parent's table; the
-    sibling's bucket is compacted to its live entries exactly when its stale
-    entries are the majority; ``m`` is stored; ``stored_count`` and
+    is given, in bucket order, or the parent's table; the sibling's bucket
+    is compacted to its live entries exactly when its stale entries are the
+    majority; ``m`` is stored; ``stored_count`` and
     ``peak_stored`` count all of it.  Returns whether it compacted."""
     want, stale = pairwise_join(tree.query, m, bucket, cutoff)
     for n in tree.nodes:
@@ -248,7 +241,7 @@ def check_insert(tree, node, m, bucket, cutoff):
     tree.insert_and_propagate(node.node_id, m, cutoff, out.append)
     if parent.node_id == tree.root_id:
         assert [x.flat for x in out] == want
-        assert all(x.t_max == T_LAST and x.n_edges == tree.query.n_edges for x in out)
+        assert all(x.n_edges == tree.query.n_edges for x in out)
         up = 0
     else:
         assert out == []
@@ -265,8 +258,8 @@ def check_insert(tree, node, m, bucket, cutoff):
 
 def test_join_identity_and_commutativity():
     leaf0, leaf1 = sibling_leaves(PATH2, [0], [1])
-    m0 = stored_form(Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}))
-    m1 = stored_form(Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"}))
+    m0 = Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}).flat
+    m1 = Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"}).flat
     left, right = join_one(m0, m1, leaf0), join_one(m1, m0, leaf1)
     assert left == right
     # each side's bound slots come through unchanged
@@ -276,8 +269,8 @@ def test_join_identity_and_commutativity():
 
 def test_join_merges_disjoint_pieces():
     leaf0, leaf1 = sibling_leaves(PATH2, [0], [1])
-    m0 = stored_form(Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}))
-    m1 = stored_form(Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"}))
+    m0 = Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}).flat
+    m1 = Match.of(PATH2, [(1, 20, 9)], {1: "b", 2: "c"}).flat
     got = join_one(m0, m1, leaf0)
     # both sides' slots, and the older t_min, from either side
     assert got == join_one(m1, m0, leaf1) == (3, 10, 20, "a", "b", "c")
@@ -287,12 +280,12 @@ def test_join_looks_up_only_the_edge_and_vertex_slots():
     # a data edge id may equal a timestamp: the sibling's edge 10 must not
     # be taken for one of m's edges because m's t_min is 10
     leaf0, leaf1 = sibling_leaves(PATH2, [0], [1])
-    m0 = stored_form(Match.of(PATH2, [(0, 3, 10)], {0: "a", 1: "b"}))
-    m1 = stored_form(Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "c"}))
+    m0 = Match.of(PATH2, [(0, 3, 10)], {0: "a", 1: "b"}).flat
+    m1 = Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "c"}).flat
     assert m0[0] == m1[2] == 10  # t_min and qedge 1, at slot 1 + 1
     assert join_one(m0, m1, leaf0) == join_one(m1, m0, leaf1) == (10, 3, 10, "a", "b", "c")
     # while a sibling vertex already bound in m is still refused
-    taken = stored_form(Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "a"}))
+    taken = Match.of(PATH2, [(1, 10, 12)], {1: "b", 2: "a"}).flat
     assert join_one(m0, taken, leaf0) is None
     assert join_one(taken, m0, leaf1) is None
 
@@ -301,11 +294,11 @@ def test_join_conflicts():
     # a shared qvertex bound two ways never meets a join: the key keeps the
     # two apart (test_sjtree's mismatched-cut test)
     leaf0, _ = sibling_leaves(PATH2, [0], [1])
-    base = stored_form(Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}))
+    base = Match.of(PATH2, [(0, 10, 3)], {0: "a", 1: "b"}).flat
     # two distinct qedges sharing one data edge
-    assert join_one(base, stored_form(Match.of(PATH2, [(1, 10, 3)], {1: "b", 2: "c"})), leaf0) is None
+    assert join_one(base, Match.of(PATH2, [(1, 10, 3)], {1: "b", 2: "c"}).flat, leaf0) is None
     # distinct qvertices landing on one data vertex (injectivity)
-    assert join_one(base, stored_form(Match.of(PATH2, [(1, 20, 4)], {1: "b", 2: "a"})), leaf0) is None
+    assert join_one(base, Match.of(PATH2, [(1, 20, 4)], {1: "b", 2: "a"}).flat, leaf0) is None
 
 
 def test_join_randomized_commutes_and_validates():
@@ -326,10 +319,10 @@ def test_join_randomized_commutes_and_validates():
         l_bind, r_bind = dict(enumerate(lv)), {2: rv[0], 3: rv[1]}
         left = Match.of(PATH3, l_items, l_bind)
         right = Match.of(PATH3, r_items, r_bind)
-        ls, rs = stored_form(left), stored_form(right)
+        ls, rs = left.flat, right.flat
         ab, ba = join_one(ls, rs, leaf0), join_one(rs, ls, leaf1)
         try:
-            want = stored_form(Match.of(PATH3, l_items + r_items, {**l_bind, **r_bind}))
+            want = Match.of(PATH3, l_items + r_items, {**l_bind, **r_bind}).flat
         except ContractError:
             want = None
         # the stored form holds t_min, so equality covers it too
@@ -345,7 +338,7 @@ def test_join_walks_a_mixed_bucket_like_the_pairwise_reference():
     # than m: the stale ones are counted, the clashes dropped, and each
     # result takes the older t_min, in bucket order
     leaf0, _ = sibling_leaves(PATH2, [0], [1])
-    m = stored_form(Match.of(PATH2, [(0, 10, 5)], {0: "a", 1: "b"}))
+    m = Match.of(PATH2, [(0, 10, 5)], {0: "a", 1: "b"}).flat
     bucket = [
         (3, None, 30, None, "b", "c"),  # stale: t_min == cutoff
         (7, None, 10, None, "b", "d"),  # edge 10 already serves m
@@ -365,7 +358,7 @@ def test_join_without_cutoff_keeps_negative_timestamps():
     # cutoff -inf, the unbounded window's, keeps every entry, however old:
     # it is below every timestamp
     leaf0, _ = sibling_leaves(PATH2, [0], [1])
-    m = stored_form(Match.of(PATH2, [(0, 10, 5)], {0: "a", 1: "b"}))
+    m = Match.of(PATH2, [(0, 10, 5)], {0: "a", 1: "b"}).flat
     oldest = -(2**70)
     bucket = [(oldest, None, 30, None, "b", "c"), (-1, None, 31, None, "b", "d"), (0, None, 32, None, "b", "e")]
     want = [(oldest, 10, 30, "a", "b", "c"), (-1, 10, 31, "a", "b", "d"), (0, 10, 32, "a", "b", "e")]
@@ -463,7 +456,7 @@ def test_compiled_joins_against_the_pairwise_reference_on_planned_trees():
         trees = [plan_query(query, table, mode=mode).tree for mode in CATALOG_MODES]
         trees.append(SJTree.from_leaf_pieces(query, random_leaves(query, rng)))
         for tree in trees:
-            drive_alone(tree, T_LAST)
+            drive_alone(tree)
             for node in tree.nodes:
                 if node.sibling is None:
                     continue

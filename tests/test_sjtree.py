@@ -13,7 +13,7 @@ from dgquery.query import Match, QueryPiece
 from dgquery.sjtree import SJTree, join
 from dgquery.stats import collect_stats
 
-from conftest import drive_alone, key_of, path_query, q, stored_form
+from conftest import drive_alone, key_of, path_query, q
 
 
 def two_leaf_tree():
@@ -77,7 +77,7 @@ def emitted_via(tree, inserts, cutoff):
     drive_alone(tree)
     out = []
     for node_id, m in inserts:
-        tree.insert_and_propagate(node_id, stored_form(m), cutoff, out.append)
+        tree.insert_and_propagate(node_id, m.flat, cutoff, out.append)
     return [match.flat for match in out]
 
 
@@ -87,7 +87,7 @@ def test_insert_joins_across_siblings():
     m0 = Match.of(query, [(0, 10, 1)], {0: "a", 1: "b"})
     m1 = Match.of(query, [(1, 20, 2)], {1: "b", 2: "c"})
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, m1)], -math.inf)
-    assert got == [stored_form(Match.of(query, [(0, 10, 1), (1, 20, 2)], {0: "a", 1: "b", 2: "c"}))]
+    assert got == [Match.of(query, [(0, 10, 1), (1, 20, 2)], {0: "a", 1: "b", 2: "c"}).flat]
     assert tree.stored_count == 2  # both leaf matches; the root stores nothing
     # a one-vertex cut keys by that vertex's binding itself
     assert list(leaf0.table) == list(leaf1.table) == ["b"]
@@ -106,7 +106,7 @@ def test_join_key_orders_cut_elements():
     got = emitted_via(tree, [(leaf0.node_id, m0), (leaf1.node_id, swapped), (leaf1.node_id, m1)], -math.inf)
     assert list(leaf0.table) == [("x", "y")]
     assert list(leaf1.table) == [("y", "x"), ("x", "y")]
-    assert got == [stored_form(Match.of(query, [(0, 10, 1), (1, 21, 3)], {0: "x", 1: "y"}))]
+    assert got == [Match.of(query, [(0, 10, 1), (1, 21, 3)], {0: "x", 1: "y"}).flat]
 
 
 def test_join_key_empty_cut_is_shared():
@@ -127,7 +127,7 @@ def test_join_key_empty_cut_is_shared():
     cross = tree.nodes[leaf0.parent]
     assert sum(len(bucket) for bucket in cross.table.values()) == 2
     whole = Match.of(query, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], {0: "a", 1: "b", 2: "c", 3: "d"})
-    assert got == [stored_form(whole)]
+    assert got == [whole.flat]
 
 
 def test_each_emission_goes_to_the_sink_of_its_own_insert():
@@ -135,7 +135,7 @@ def test_each_emission_goes_to_the_sink_of_its_own_insert():
     # to the emit it was given, and no other sink sees it; an insert that
     # completes nothing leaves its sink empty
     query, tree = two_leaf_tree()
-    drive_alone(tree, t_last=7)
+    drive_alone(tree)
     leaf0, leaf1 = tree.leaves()
     sinks = {name: [] for name in ("first", "second", "third")}
     inserts = [
@@ -144,11 +144,11 @@ def test_each_emission_goes_to_the_sink_of_its_own_insert():
         (leaf0, [(0, 11, 3)], {0: "x", 1: "b"}, "third"),  # joins b-c
     ]
     for leaf, items, bind, name in inserts:
-        tree.insert_and_propagate(leaf.node_id, stored_form(Match.of(query, items, bind)), -math.inf, sinks[name].append)
+        tree.insert_and_propagate(leaf.node_id, Match.of(query, items, bind).flat, -math.inf, sinks[name].append)
     whole = {0: "a", 1: "b", 2: "c"}
-    assert [m.flat for m in sinks["second"]] == [stored_form(Match.of(query, [(0, 10, 1), (1, 20, 2)], whole))]
-    assert [m.flat for m in sinks["third"]] == [stored_form(Match.of(query, [(0, 11, 3), (1, 20, 2)], {**whole, 0: "x"}))]
-    assert sinks["first"] == [] and all(m.t_max == 7 for m in sinks["second"] + sinks["third"])
+    assert [m.flat for m in sinks["second"]] == [Match.of(query, [(0, 10, 1), (1, 20, 2)], whole).flat]
+    assert [m.flat for m in sinks["third"]] == [Match.of(query, [(0, 11, 3), (1, 20, 2)], {**whole, 0: "x"}).flat]
+    assert sinks["first"] == [] and all(m.n_edges == 2 for m in sinks["second"] + sinks["third"])
 
 
 def test_insert_mismatched_cut_does_not_join():
@@ -183,7 +183,7 @@ def test_peak_stored_tracks_maximum():
     leaf0, _ = tree.leaves()
     for i in range(4):
         m = Match.of(query, [(0, i, i)], {0: f"a{i}", 1: f"b{i}"})
-        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -math.inf, lambda m: None)
+        tree.insert_and_propagate(leaf0.node_id, m.flat, -math.inf, lambda m: None)
     assert tree.stored_count == 4
     assert tree.peak_stored == 4
     assert tree.purge_stale(cutoff=90) == 4
@@ -203,15 +203,15 @@ def test_purge_stale_boundary_and_reinsert():
     fresh = Match.of(query, [(0, 12, 6), (1, 13, 7)], bind)
     straddle = Match.of(query, [(0, 14, 0), (1, 15, 6)], bind)
     for m in (old, fresh, straddle):
-        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -math.inf, lambda m: None)
-    # t_min <= cutoff goes, t_max aside: the boundary value 0 <= 0 is stale,
+        tree.insert_and_propagate(leaf0.node_id, m.flat, -math.inf, lambda m: None)
+    # t_min <= cutoff goes, newer edges aside: the boundary value 0 <= 0 is stale,
     # and the straddling match has lost its oldest edge
     assert tree.purge_stale(cutoff=0) == 2
     assert tree.stored_count == 1
-    assert leaf0.table["c"] == [stored_form(fresh)]
+    assert leaf0.table["c"] == [fresh.flat]
     assert tree.purge_stale(cutoff=-math.inf) == 0
     # the tree keeps no record of a purged match: it may be inserted again
-    tree.insert_and_propagate(leaf0.node_id, stored_form(old), -math.inf, lambda m: None)
+    tree.insert_and_propagate(leaf0.node_id, old.flat, -math.inf, lambda m: None)
     assert tree.stored_count == 2
 
 
@@ -223,9 +223,9 @@ def test_purge_at_minus_infinity_keeps_every_table():
     leaf0, leaf1 = tree.leaves()
     for i, t in enumerate((-(2**70), -1, 0)):
         m = Match.of(query, [(0, i, t)], {0: f"a{i}", 1: "b"})
-        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -math.inf, lambda m: None)
+        tree.insert_and_propagate(leaf0.node_id, m.flat, -math.inf, lambda m: None)
     m = Match.of(query, [(1, 9, -3)], {1: "x", 2: "c"})
-    tree.insert_and_propagate(leaf1.node_id, stored_form(m), -math.inf, lambda m: None)
+    tree.insert_and_propagate(leaf1.node_id, m.flat, -math.inf, lambda m: None)
     before = [{key: list(bucket) for key, bucket in n.table.items()} for n in tree.nodes]
     assert tree.purge_stale(-math.inf) == 0
     assert [n.table for n in tree.nodes] == before
@@ -238,12 +238,12 @@ def test_stale_bucket_is_compacted_on_probe():
     leaf0, leaf1 = tree.leaves()
     for i in range(6):
         m = Match.of(query, [(0, i, 0)], {0: f"a{i}", 1: "b"})
-        tree.insert_and_propagate(leaf0.node_id, stored_form(m), -5, lambda m: None)
+        tree.insert_and_propagate(leaf0.node_id, m.flat, -5, lambda m: None)
     assert tree.stored_count == 6
     assert list(leaf0.table) == ["b"]
     # a probe from the sibling at a far later time sweeps the dead entries
     probe = Match.of(query, [(1, 99, 100)], {1: "b", 2: "c"})
-    tree.insert_and_propagate(leaf1.node_id, stored_form(probe), 95, lambda m: None)
+    tree.insert_and_propagate(leaf1.node_id, probe.flat, 95, lambda m: None)
     assert tree.stored_count == 1  # only the probe itself remains
     assert "b" not in leaf0.table  # the emptied bucket goes
 
@@ -272,7 +272,7 @@ def test_a_driven_tree_queues_a_sweep_per_spine_match_with_a_new_cut_binding():
     ]
     emitted = []
     for leaf, items, bind in inserts:
-        tree.insert_and_propagate(leaf.node_id, stored_form(Match.of(query, items, bind)), -math.inf, emitted.append)
+        tree.insert_and_propagate(leaf.node_id, Match.of(query, items, bind).flat, -math.inf, emitted.append)
     assert emitted == []
     assert queue == [("sweep at 1", "x")] * 2 + [("sweep at 2", "c")] * 2
     assert sum(map(len, tree.nodes[spine].table.values())) == 4
@@ -287,17 +287,17 @@ def test_drive_compiles_one_insert_per_node_once(leaves):
     splits = {1: [[0, 1, 2]], 3: [[0], [1], [2]]}[leaves]
     tree = SJTree.from_leaf_pieces(query, [QueryPiece.from_edges(query, ids) for ids in splits])
     assert all(n.insert is None for n in tree.nodes)
-    drive_alone(tree, t_last=9)
+    drive_alone(tree)
     inserted = [n for n in tree.nodes if n.node_id != tree.root_id or n.is_leaf]
     assert len({n.insert for n in inserted}) == len(inserted) == {1: 1, 3: 4}[leaves]
     assert tree.nodes[tree.root_id].insert is (None if leaves > 1 else tree.nodes[0].insert)
     with pytest.raises(ValueError, match="already drives an engine"):
         drive_alone(tree)
-    if leaves == 1:  # the root emits what it is given, stamped with t_last
-        m = stored_form(Match.of(query, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], {0: "a", 1: "b", 2: "c", 3: "d"}))
+    if leaves == 1:  # the root emits what it is given
+        m = Match.of(query, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], {0: "a", 1: "b", 2: "c", 3: "d"}).flat
         out = []
         tree.insert_and_propagate(tree.root_id, m, 1, out.append)
-        assert [(x.flat, x.n_edges, x.t_max) for x in out] == [(m, 3, 9)]
+        assert [(x.flat, x.n_edges) for x in out] == [(m, 3)]
 
 
 # ------------------------------------------------------------------- plan text
